@@ -38,7 +38,7 @@ from .graph import (
     load_graph,
     write_graph_csv,
 )
-from .matching import MatchQuery, map_match_distance, match_decision
+from .matching import map_match_distance, match_decision
 from .pathdistance import (
     PathDistanceReport,
     SeparationReport,
@@ -64,7 +64,6 @@ __all__ = [
     "FScoreParams",
     "GraphStats",
     "InputError",
-    "MatchQuery",
     "ParseError",
     "PathDistanceReport",
     "PathdistError",

@@ -117,11 +117,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--contract", action="store_true", help="contract degree-2 chains after loading")
     p.add_argument("--out-dir", default=None, help="directory for output artifacts")
     p.add_argument("--config", default=None, help="key = value file of defaults")
-    p.add_argument(
-        "--exhaustive-search",
-        action="store_true",
-        help="disable the spatial grid and scan all edges (baseline behavior)",
-    )
 
 
 def _summary_path(out: str) -> Path:
@@ -146,7 +141,6 @@ def _cmd_stats(args) -> int:
 def _cmd_distance(args) -> int:
     g = load_graph_arg(getattr(args, "from"), args.contract)
     h = load_graph_arg(args.to, args.contract)
-    use_index = not args.exhaustive_search
     jobs = [("", g, h)]
     if args.both:
         jobs = [("_gh", g, h), ("_hg", h, g)]
@@ -161,7 +155,6 @@ def _cmd_distance(args) -> int:
                 args.k,
                 args.tol,
                 workers=args.workers,
-                use_index=use_index,
                 strict=True,
                 percentile_weighted=not args.unweighted_percentile,
             )
@@ -182,7 +175,6 @@ def _cmd_distance(args) -> int:
                     args.k,
                     args.tol,
                     workers=args.workers,
-                    use_index=use_index,
                     known=known or None,
                 ):
                     fh.write(
@@ -205,9 +197,7 @@ def _cmd_distance(args) -> int:
 def _cmd_signature(args) -> int:
     g = load_graph_arg(getattr(args, "from"), args.contract)
     h = load_graph_arg(args.to, args.contract)
-    _, edge_sig, _ = path_distance_analysis(
-        g, h, args.k, args.tol, workers=args.workers, use_index=not args.exhaustive_search
-    )
+    _, edge_sig, _ = path_distance_analysis(g, h, args.k, args.tol, workers=args.workers)
     with open(args.out, "w") as fh:
         write_signature_csv(edge_sig, fh)
     if args.heatmap:
@@ -240,7 +230,6 @@ def _cmd_separation(args) -> int:
         h,
         args.tol,
         workers=args.workers,
-        use_index=not args.exhaustive_search,
         radius_steps=args.radius_steps,
     )
     doc = [
@@ -258,7 +247,7 @@ def _cmd_separation(args) -> int:
 def _cmd_mapmatch(args) -> int:
     h = load_graph_arg(args.graph, args.contract)
     curve = load_curve(args.curve)
-    d = map_match_distance(curve, h, args.tol, use_index=not args.exhaustive_search)
+    d = map_match_distance(curve, h, args.tol)
     print(repr(d))
     return EXIT_OK
 

@@ -243,7 +243,6 @@ class RunConfig:
     contract: bool = False
     both_directions: bool = False
     strict: bool = False
-    use_index: bool = True
     percentile_weighted: bool = True
 
     def __post_init__(self):
@@ -309,6 +308,7 @@ def run_all(config: RunConfig) -> Path:
         directions.append(("hg", h, g))
     curves = {}
     for tag, src, dst in directions:
+        deltas: dict[int, float] = {}
         for k in config.k_values:
             report, edge_sig, _vertex_sig = path_distance_analysis(
                 src,
@@ -316,7 +316,6 @@ def run_all(config: RunConfig) -> Path:
                 k,
                 config.tol,
                 workers=config.workers,
-                use_index=config.use_index,
                 percentile_weighted=config.percentile_weighted,
             )
             with open(track(f"distance_{tag}_k{k}.csv"), "w", newline="") as fh:
@@ -324,14 +323,13 @@ def run_all(config: RunConfig) -> Path:
             with open(track(f"distance_{tag}_k{k}.summary.json"), "w") as fh:
                 json.dump(report.summary(), fh, indent=1, sort_keys=True)
                 fh.write("\n")
+            deltas[k] = report.max_distance
             with open(track(f"signature_{tag}_k{k}.csv"), "w") as fh:
                 write_signature_csv(edge_sig, fh)
             export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.svg"), "svg")
             export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.geojson"), "geojson")
             curves[f"{tag} k={k}"] = cdf(edge_sig)
-        census = separation_census(
-            src, dst, config.tol, workers=config.workers, use_index=config.use_index
-        )
+        census = separation_census(src, dst, config.tol, workers=config.workers, known=deltas)
         census_doc = [
             {
                 "k": rep.k,

@@ -12,13 +12,17 @@ one edge segment) the free region is convex, so from an entry at curve time
 each vertex boundary per curve segment) therefore carries a single label,
 the earliest reachable curve time, and a Dijkstra pass over these labels
 decides reachability exactly.
+
+The sweep runs over the graph's flattened segment view from
+:mod:`pathdist.spatial`; the nearest-point queries that start each
+bisection project onto the same arrays.  A decision computes each family of
+free intervals (curve vertices x graph segments, graph vertices x curve
+segments, polyline junctions x curve segments) in one broadcast call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Hashable
 
 import numpy as np
 
@@ -26,102 +30,11 @@ from .errors import InputError, StructuralError
 from .frechet import DEFAULT_TOLERANCE
 from .geometry import PolyLine, disc_segment_intervals
 from .graph import EmbeddedGraph
-from .spatial import SpatialGrid, nearest_point_on_graph
+from .spatial import nearest_point_on_graph, surface_geometry
 
-__all__ = ["MatchQuery", "match_decision", "map_match_distance"]
+__all__ = ["match_decision", "map_match_distance"]
 
 _INF = float("inf")
-
-
-@dataclass(frozen=True)
-class MatchQuery:
-    """A map-matching problem instance: curve, target graph, tolerance."""
-
-    curve: PolyLine
-    graph: EmbeddedGraph
-    tolerance: float = DEFAULT_TOLERANCE
-
-    def distance(self, *, use_index: bool = True) -> float:
-        return map_match_distance(self.curve, self.graph, self.tolerance, use_index=use_index)
-
-
-class _SurfaceGeometry:
-    """Flattened graph geometry reused across decisions on the same graph."""
-
-    __slots__ = (
-        "vertex_ids",
-        "vertex_pos",
-        "seg_a",
-        "seg_b",
-        "seg_edge",
-        "a_link",
-        "b_link",
-        "junctions",
-        "incident",
-        "n_segments",
-        "n_vertices",
-    )
-
-    def __init__(self, g: EmbeddedGraph):
-        self.vertex_ids = list(g.vertices)
-        vidx = {v: i for i, v in enumerate(self.vertex_ids)}
-        self.vertex_pos = np.asarray(
-            [g.vertices[v] for v in self.vertex_ids], dtype=float
-        ).reshape(-1, 2)
-        seg_a: list[np.ndarray] = []
-        seg_b: list[np.ndarray] = []
-        seg_edge: list[Hashable] = []
-        # Link of each segment end: ("v", vertex index) or ("j", junction index).
-        a_link: list[tuple[str, int]] = []
-        b_link: list[tuple[str, int]] = []
-        junctions: list[np.ndarray] = []
-        incident: list[list[int]] = [[] for _ in self.vertex_ids]
-        for eid, e in g.edges.items():
-            pts = e.geometry.collapsed().points
-            if pts.shape[0] == 1:
-                pts = np.vstack([pts, pts])  # keep one zero-length segment
-            for i in range(pts.shape[0] - 1):
-                s = len(seg_a)
-                seg_a.append(pts[i])
-                seg_b.append(pts[i + 1])
-                seg_edge.append(eid)
-                if i == 0:
-                    a_link.append(("v", vidx[e.u]))
-                    incident[vidx[e.u]].append(s)
-                else:
-                    a_link.append(("j", len(junctions) - 1))
-                if i == pts.shape[0] - 2:
-                    b_link.append(("v", vidx[e.v]))
-                    incident[vidx[e.v]].append(s)
-                else:
-                    junctions.append(pts[i + 1])
-                    b_link.append(("j", len(junctions) - 1))
-        self.seg_a = np.asarray(seg_a, dtype=float).reshape(-1, 2)
-        self.seg_b = np.asarray(seg_b, dtype=float).reshape(-1, 2)
-        self.seg_edge = seg_edge
-        self.a_link = a_link
-        self.b_link = b_link
-        self.junctions = np.asarray(junctions, dtype=float).reshape(-1, 2)
-        self.incident = incident
-        self.n_segments = len(seg_a)
-        self.n_vertices = len(self.vertex_ids)
-
-
-def _surface_geometry(g: EmbeddedGraph) -> _SurfaceGeometry:
-    geom = g._frozen_cache.get("surface")
-    if geom is None:
-        geom = _SurfaceGeometry(g)
-        g._frozen_cache["surface"] = geom
-    return geom
-
-
-def _spatial_grid(g: EmbeddedGraph, cell_size: float) -> SpatialGrid:
-    key = ("grid", cell_size)
-    grid = g._frozen_cache.get(key)
-    if grid is None:
-        grid = SpatialGrid(g, cell_size)
-        g._frozen_cache[key] = grid
-    return grid
 
 
 def _prepared_curve(curve: PolyLine) -> np.ndarray:
@@ -182,27 +95,17 @@ def match_decision(
         witness = PolyLine([q]) if (ok and return_witness and q is not None) else None
         return (ok, witness) if return_witness else ok
 
-    geom = _surface_geometry(h)
+    geom = surface_geometry(h)
     N = geom.n_segments
     V = geom.n_vertices
 
-    # Free intervals, all computed in closed form up front:
+    # Free intervals, each family in one broadcast call:
     #   cv[i][s]: x-interval of segment s within eps of curve vertex i
     #   vx[v][i]: t-interval (local [0,1]) of curve segment i within eps of vertex v
     #   jn[j][i]: same for interior polyline junction points
-    cv_lo = np.empty((M + 1, N))
-    cv_hi = np.empty((M + 1, N))
-    for i in range(M + 1):
-        cv_lo[i], cv_hi[i] = disc_segment_intervals(C[i], eps, geom.seg_a, geom.seg_b)
-    vx_lo = np.empty((V, M))
-    vx_hi = np.empty((V, M))
-    J = geom.junctions.shape[0]
-    jn_lo = np.empty((J, M))
-    jn_hi = np.empty((J, M))
-    for i in range(M):
-        vx_lo[:, i], vx_hi[:, i] = disc_segment_intervals(geom.vertex_pos, eps, C[i], C[i + 1])
-        if J:
-            jn_lo[:, i], jn_hi[:, i] = disc_segment_intervals(geom.junctions, eps, C[i], C[i + 1])
+    cv_lo, cv_hi = disc_segment_intervals(C[:, None, :], eps, geom.seg_a, geom.seg_b)
+    vx_lo, vx_hi = disc_segment_intervals(geom.vertex_pos[:, None, :], eps, C[:-1], C[1:])
+    jn_lo, jn_hi = disc_segment_intervals(geom.junctions[:, None, :], eps, C[:-1], C[1:])
 
     cvlo = cv_lo.tolist()
     cvhi = cv_hi.tolist()
@@ -212,22 +115,26 @@ def match_decision(
     jnhi = jn_hi.tolist()
 
     seg_a = geom.seg_a
-    seg_d = geom.seg_b - geom.seg_a
+    seg_d = geom.seg_d
     vpos = geom.vertex_pos
     junctions = geom.junctions
 
     # State ids: cell(s, i) -> s*M + i; vertex(v, i) -> N*M + v*M + i.
     n_states = (N + V) * M
     reach = _Reachability(n_states, return_witness)
-    heap: list[tuple[float, int]] = []
 
-    for s in range(N):
-        if cvlo[0][s] <= cvhi[0][s]:
-            pt = seg_a[s] + cvlo[0][s] * seg_d[s]
-            reach.relax(heap, s * M, 0.0, None, pt)
-    for v in range(V):
-        if vxlo[v][0] == 0.0:
-            reach.relax(heap, N * M + v * M, 0.0, None, vpos[v])
+    # Every state free at curve time 0 starts at label 0.0; listed in
+    # ascending state order, the seeds already form a valid heap.
+    seed_cells = np.flatnonzero(cv_lo[0] <= cv_hi[0])
+    seed_vertices = np.flatnonzero(vx_lo[:, 0] == 0.0)
+    seeds = (seed_cells * M).tolist() + (N * M + seed_vertices * M).tolist()
+    heap: list[tuple[float, int]] = [(0.0, state) for state in seeds]
+    for state in seeds:
+        reach.dist[state] = 0.0
+    if return_witness:
+        starts = seg_a[seed_cells] + cv_lo[0, seed_cells, None] * seg_d[seed_cells]
+        for state, pt in zip(seeds, np.concatenate([starts, vpos[seed_vertices]])):
+            reach.prev[state] = (None, (float(pt[0]), float(pt[1])))
 
     dist = reach.dist
 
@@ -286,19 +193,10 @@ def match_decision(
     return (False, None) if return_witness else False
 
 
-def _nearest(curve_point, h: EmbeddedGraph, use_index: bool, cell_size: float):
-    if use_index:
-        return _spatial_grid(h, cell_size).nearest_point(curve_point)
-    return nearest_point_on_graph(h, curve_point)
-
-
 def map_match_distance(
     curve: PolyLine,
     h: EmbeddedGraph,
     tol: float = DEFAULT_TOLERANCE,
-    *,
-    use_index: bool = True,
-    cell_size: float = 50.0,
 ) -> float:
     """Minimum Fréchet distance from ``curve`` to any path in ``h``.
 
@@ -308,17 +206,14 @@ def map_match_distance(
     bound, so the doubling terminates).  The result is within ``tol`` of the
     true infimum and deterministic for fixed inputs, independent of how work
     is chunked across workers.
-
-    ``use_index=False`` falls back to the exhaustive nearest-point scan; the
-    answer is identical either way.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
     C = _prepared_curve(curve)
-    d0, q0, _ = _nearest(C[0], h, use_index, cell_size)
-    d1, _, _ = _nearest(C[-1], h, use_index, cell_size)
+    d0, q0, _ = nearest_point_on_graph(h, C[0])
+    d1, _, _ = nearest_point_on_graph(h, C[-1])
     lo = max(d0, d1)
     if match_decision(curve, h, lo):
         return lo

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -132,13 +133,13 @@ def _weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> flo
     return float(v[min(idx, len(v) - 1)])
 
 
-def _chunk_distances(h: EmbeddedGraph, tol: float, use_index: bool, curves: list) -> list[float]:
+def _chunk_distances(h: EmbeddedGraph, tol: float, curves: list) -> list[float]:
     return [
-        map_match_distance(PolyLine(pts), h, tol, use_index=use_index) for pts in curves
+        map_match_distance(PolyLine(pts), h, tol) for pts in curves
     ]
 
 
-def _chunk_max(h: EmbeddedGraph, tol: float, use_index: bool, curves: list) -> float:
+def _chunk_max(h: EmbeddedGraph, tol: float, curves: list) -> float:
     """Exact maximum of canonical per-curve distances over one chunk.
 
     A curve whose decision at ``best - tol`` succeeds cannot raise the
@@ -152,7 +153,7 @@ def _chunk_max(h: EmbeddedGraph, tol: float, use_index: bool, curves: list) -> f
         curve = PolyLine(pts)
         if best > tol and match_decision(curve, h, best - tol):
             continue
-        d = map_match_distance(curve, h, tol, use_index=use_index)
+        d = map_match_distance(curve, h, tol)
         if d > best:
             best = d
     return best
@@ -171,7 +172,6 @@ def iter_match_records(
     tol: float = DEFAULT_TOLERANCE,
     *,
     workers: int = 1,
-    use_index: bool = True,
     known: dict[int, float] | None = None,
 ):
     """Yield per-path records in canonical order as chunks complete.
@@ -185,7 +185,7 @@ def iter_match_records(
         raise StructuralError("no path exists: the target graph is empty")
     paths, geoms = _canonical_paths(g, k)
     todo = [i for i in range(len(paths)) if known is None or i not in known]
-    fn = functools.partial(_chunk_distances, h, tol, use_index)
+    fn = functools.partial(_chunk_distances, h, tol)
     computed = iter_chunked(fn, [geoms[i].points for i in todo], workers)
     pending: deque[float] = deque()
     for i, (p, geom) in enumerate(zip(paths, geoms)):
@@ -205,15 +205,10 @@ def match_all_paths(
     tol: float = DEFAULT_TOLERANCE,
     *,
     workers: int = 1,
-    use_index: bool = True,
     known: dict[int, float] | None = None,
 ) -> list[PathRecord]:
     """Match every canonical link-length-``k`` path of ``g`` into ``h``."""
-    return list(
-        iter_match_records(
-            g, h, k, tol, workers=workers, use_index=use_index, known=known
-        )
-    )
+    return list(iter_match_records(g, h, k, tol, workers=workers, known=known))
 
 
 def max_path_distance(
@@ -223,7 +218,6 @@ def max_path_distance(
     tol: float = DEFAULT_TOLERANCE,
     *,
     workers: int = 1,
-    use_index: bool = True,
 ) -> float:
     """The directed distance alone, skipping per-path bookkeeping.
 
@@ -234,7 +228,7 @@ def max_path_distance(
         raise StructuralError("no path exists: the target graph is empty")
     _, geoms = _canonical_paths(g, k)
     arrays = [geom.points for geom in geoms]
-    fn = functools.partial(_chunk_max, h, tol, use_index)
+    fn = functools.partial(_chunk_max, h, tol)
     maxima = run_chunked(fn, arrays, workers)
     return max(maxima, default=0.0)
 
@@ -244,12 +238,11 @@ def _strict_good_vertices(
     h: EmbeddedGraph,
     tol: float,
     workers: int,
-    use_index: bool,
     d3: float | None = None,
 ) -> tuple[set[VertexId], float, dict[VertexId, float]]:
     """Vertices admissible as strict path interiors, with the link-3 distance and radii."""
     if d3 is None:
-        d3 = max_path_distance(g, h, 3, tol, workers=workers, use_index=use_index)
+        d3 = max_path_distance(g, h, 3, tol, workers=workers)
     radii = {v: intersection_radius(g, v, d3) for v in g.vertices}
     good = {v for v in g.vertices if math.isfinite(radii[v]) and g.degree(v) != 3}
     return good, d3, radii
@@ -262,7 +255,6 @@ def directed_path_distance(
     tol: float = DEFAULT_TOLERANCE,
     *,
     workers: int = 1,
-    use_index: bool = True,
     strict: bool = False,
     percentile_weighted: bool = True,
 ) -> PathDistanceReport:
@@ -275,7 +267,7 @@ def directed_path_distance(
     apart, the report carries the diagnostic upper bound ``2*r + Δ3`` for
     the unrestricted-path distance.
     """
-    records = match_all_paths(g, h, k, tol, workers=workers, use_index=use_index)
+    records = match_all_paths(g, h, k, tol, workers=workers)
     report = PathDistanceReport(
         k=k,
         direction="G->H",
@@ -284,7 +276,7 @@ def directed_path_distance(
     )
     if strict:
         d3 = report.max_distance if k == 3 else None
-        good, d3, radii = _strict_good_vertices(g, h, tol, workers, use_index, d3)
+        good, d3, radii = _strict_good_vertices(g, h, tol, workers, d3)
         report.records = [
             r for r in records if all(v in good for v in r.path.vertex_ids[1:-1])
         ]
@@ -300,12 +292,11 @@ def undirected_path_distance(
     tol: float = DEFAULT_TOLERANCE,
     *,
     workers: int = 1,
-    use_index: bool = True,
 ) -> float:
     """Maximum of the two directional distances, like undirected Hausdorff."""
     return max(
-        max_path_distance(g, h, k, tol, workers=workers, use_index=use_index),
-        max_path_distance(h, g, k, tol, workers=workers, use_index=use_index),
+        max_path_distance(g, h, k, tol, workers=workers),
+        max_path_distance(h, g, k, tol, workers=workers),
     )
 
 
@@ -341,7 +332,6 @@ def path_distance_analysis(
     tol: float = DEFAULT_TOLERANCE,
     *,
     workers: int = 1,
-    use_index: bool = True,
     percentile_weighted: bool = True,
 ) -> tuple[PathDistanceReport, SignatureMap, SignatureMap]:
     """One matching pass yielding the report and both signature maps.
@@ -350,7 +340,7 @@ def path_distance_analysis(
     traversing ``e``; per-vertex analogously.  Every path contains its own
     edges and vertices, so both maps fall out of the same records.
     """
-    records = match_all_paths(g, h, k, tol, workers=workers, use_index=use_index)
+    records = match_all_paths(g, h, k, tol, workers=workers)
     report = PathDistanceReport(
         k=k, direction="G->H", records=records, percentile_weighted=percentile_weighted
     )
@@ -369,10 +359,9 @@ def edge_signature(
     tol: float = DEFAULT_TOLERANCE,
     *,
     workers: int = 1,
-    use_index: bool = True,
 ) -> SignatureMap:
     """Per-edge local signature: max match distance over paths through each edge."""
-    _, sig, _ = path_distance_analysis(g, h, k, tol, workers=workers, use_index=use_index)
+    _, sig, _ = path_distance_analysis(g, h, k, tol, workers=workers)
     return sig
 
 
@@ -383,10 +372,9 @@ def vertex_signature(
     tol: float = DEFAULT_TOLERANCE,
     *,
     workers: int = 1,
-    use_index: bool = True,
 ) -> SignatureMap:
     """Per-vertex local signature: max match distance over paths through each vertex."""
-    _, _, sig = path_distance_analysis(g, h, k, tol, workers=workers, use_index=use_index)
+    _, _, sig = path_distance_analysis(g, h, k, tol, workers=workers)
     return sig
 
 
@@ -504,13 +492,20 @@ def separation_census(
     tol: float = DEFAULT_TOLERANCE,
     *,
     workers: int = 1,
-    use_index: bool = True,
     radius_steps: int = 256,
+    known: dict[int, float] | None = None,
 ) -> list[SeparationReport]:
-    """Count d-separated vertices of ``g`` for d = Δ1, Δ2, Δ3 into ``h``."""
+    """Count d-separated vertices of ``g`` for d = Δ1, Δ2, Δ3 into ``h``.
+
+    ``known`` maps k to an already computed directed distance Δk from ``g``
+    into ``h`` at this ``tol`` (such as ``report.max_distance`` of a full
+    report, which equals :func:`max_path_distance`); only the missing k are
+    computed.
+    """
+    known = known or {}
     reports = []
     for k in (1, 2, 3):
-        dk = max_path_distance(g, h, k, tol, workers=workers, use_index=use_index)
+        dk = known[k] if k in known else max_path_distance(g, h, k, tol, workers=workers)
         per_vertex = {
             v: intersection_radius(g, v, dk, steps=radius_steps) for v in g.vertices
         }
@@ -527,10 +522,17 @@ def write_records_csv(records: list[PathRecord], fh) -> None:
 
 
 def read_records_csv(fh) -> dict[int, float]:
-    """Map of path_id -> match distance from a previously written report."""
+    """Map of path_id -> match distance from a previously written report.
+
+    The writer ends every row with a newline and flushes it, so a last line
+    without one was cut off mid-write (say, by a crash) and is dropped.
+    """
+    text = fh.read()
+    if not text.endswith("\n"):
+        text = text[: text.rfind("\n") + 1]
     out: dict[int, float] = {}
-    reader = csv.reader(fh)
-    header = next(reader, None)
+    reader = csv.reader(io.StringIO(text))
+    next(reader, None)  # header
     for row in reader:
         if row:
             out[int(row[0])] = float(row[3])

@@ -1,14 +1,16 @@
-"""Spatial hash grid over edge geometry for nearest-point queries.
+"""The flattened segment view of a graph, and nearest-point queries on it.
 
-An exhaustive scan over all edges gives the same answers; the grid keeps
-them while only touching nearby buckets.  Every edge is registered
-in every cell its geometry's segment bounding boxes overlap, so ring
-expansion around a query cell never misses a closer edge.
+``_SurfaceGeometry`` lays every edge out as rows of ``seg_a``/``seg_b``
+segment endpoints (cached per graph).  Free-space map matching sweeps these
+rows, and :func:`nearest_point_on_graph` projects a point onto all of them
+in one numpy pass.  ``SpatialGrid`` buckets edges by grid cell for the
+F-score seeding, which queries far larger maps than a single curve covers.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Hashable
 
 import numpy as np
 
@@ -18,6 +20,85 @@ from .graph import EdgeId, EmbeddedGraph
 __all__ = ["SpatialGrid", "nearest_point_on_graph"]
 
 DEFAULT_CELL_SIZE = 50.0
+
+
+class _SurfaceGeometry:
+    """Flattened graph geometry reused across decisions and queries on one graph.
+
+    Segment ``s`` runs from ``seg_a[s]`` to ``seg_b[s]`` (``seg_d[s]`` is
+    their difference) along edge ``seg_edge[s]``; segments are numbered edge
+    by edge in the graph's insertion order, each edge's collapsed geometry
+    in order.  Interior polyline points are ``junctions``.
+    """
+
+    __slots__ = (
+        "vertex_ids",
+        "vertex_pos",
+        "seg_a",
+        "seg_b",
+        "seg_d",
+        "seg_edge",
+        "a_link",
+        "b_link",
+        "junctions",
+        "incident",
+        "n_segments",
+        "n_vertices",
+    )
+
+    def __init__(self, g: EmbeddedGraph):
+        self.vertex_ids = list(g.vertices)
+        vidx = {v: i for i, v in enumerate(self.vertex_ids)}
+        self.vertex_pos = np.asarray(
+            [g.vertices[v] for v in self.vertex_ids], dtype=float
+        ).reshape(-1, 2)
+        seg_a: list[np.ndarray] = []
+        seg_b: list[np.ndarray] = []
+        seg_edge: list[Hashable] = []
+        # Link of each segment end: ("v", vertex index) or ("j", junction index).
+        a_link: list[tuple[str, int]] = []
+        b_link: list[tuple[str, int]] = []
+        junctions: list[np.ndarray] = []
+        incident: list[list[int]] = [[] for _ in self.vertex_ids]
+        for eid, e in g.edges.items():
+            pts = e.geometry.collapsed().points
+            if pts.shape[0] == 1:
+                pts = np.vstack([pts, pts])  # keep one zero-length segment
+            for i in range(pts.shape[0] - 1):
+                s = len(seg_a)
+                seg_a.append(pts[i])
+                seg_b.append(pts[i + 1])
+                seg_edge.append(eid)
+                if i == 0:
+                    a_link.append(("v", vidx[e.u]))
+                    incident[vidx[e.u]].append(s)
+                else:
+                    a_link.append(("j", len(junctions) - 1))
+                if i == pts.shape[0] - 2:
+                    b_link.append(("v", vidx[e.v]))
+                    incident[vidx[e.v]].append(s)
+                else:
+                    junctions.append(pts[i + 1])
+                    b_link.append(("j", len(junctions) - 1))
+        self.seg_a = np.asarray(seg_a, dtype=float).reshape(-1, 2)
+        self.seg_b = np.asarray(seg_b, dtype=float).reshape(-1, 2)
+        self.seg_d = self.seg_b - self.seg_a
+        self.seg_edge = seg_edge
+        self.a_link = a_link
+        self.b_link = b_link
+        self.junctions = np.asarray(junctions, dtype=float).reshape(-1, 2)
+        self.incident = incident
+        self.n_segments = len(seg_a)
+        self.n_vertices = len(self.vertex_ids)
+
+
+def surface_geometry(g: EmbeddedGraph) -> _SurfaceGeometry:
+    """The cached flattened view of ``g``, built on first use."""
+    geom = g._frozen_cache.get("surface")
+    if geom is None:
+        geom = _SurfaceGeometry(g)
+        g._frozen_cache["surface"] = geom
+    return geom
 
 
 class SpatialGrid:
@@ -63,7 +144,8 @@ class SpatialGrid:
         """Distance to, coordinates of, and edge of the closest graph point.
 
         Expands cell rings outward until the unexplored region cannot hold a
-        closer edge; falls back to an exhaustive scan if the grid is empty.
+        closer edge; a grid without edges defers to
+        :func:`nearest_point_on_graph`.
         """
         if not self.buckets:
             return nearest_point_on_graph(self.graph, p)
@@ -92,19 +174,29 @@ class SpatialGrid:
 
 
 def nearest_point_on_graph(g: EmbeddedGraph, p) -> tuple[float, np.ndarray, EdgeId | None]:
-    """Exhaustive nearest-point scan over all edges (the baseline behavior)."""
+    """Distance to, coordinates of, and edge of the closest graph point.
+
+    One numpy pass projects ``p`` onto every segment of the flattened view;
+    ties go to the lowest segment index.  A graph without edges falls back
+    to its closest vertex, with edge ``None``.
+    """
     p = np.asarray(p, dtype=float)
+    geom = surface_geometry(g)
+    if geom.n_segments:
+        a = geom.seg_a
+        d = geom.seg_d
+        dd = np.einsum("ij,ij->i", d, d)
+        u = np.einsum("ij,ij->i", p - a, d) / np.where(dd == 0.0, 1.0, dd)
+        u = np.clip(u, 0.0, 1.0)
+        proj = a + u[:, None] * d
+        dists = np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1])
+        s = int(np.argmin(dists))
+        return float(dists[s]), proj[s], geom.seg_edge[s]
+    # Vertex-only graphs still admit constant matched paths.
     best = math.inf
     best_pt = None
-    best_edge = None
-    for eid, e in g.edges.items():
-        d, q = nearest_point_on_polyline(p, e.geometry)
+    for pos in g.vertices.values():
+        d = float(np.hypot(p[0] - pos.x, p[1] - pos.y))
         if d < best:
-            best, best_pt, best_edge = d, q, eid
-    if best_pt is None:
-        # Vertex-only graphs still admit constant matched paths.
-        for vid, pos in g.vertices.items():
-            d = float(np.hypot(p[0] - pos.x, p[1] - pos.y))
-            if d < best:
-                best, best_pt = d, np.asarray(pos, dtype=float)
-    return best, best_pt, best_edge
+            best, best_pt = d, np.asarray(pos, dtype=float)
+    return best, best_pt, None

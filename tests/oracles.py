@@ -4,7 +4,8 @@ Everything here is deliberately written from scratch against the raw graph
 data (vertices, edges, geometry) so it shares no algorithmic code with the
 package: walk counting by directed enumeration, map-matching by discrete
 dynamic programming over densely resampled candidate paths, matching by
-exhaustive search, and intersection radii by fine arc marching.
+exhaustive search, intersection radii by fine arc marching, and nearest
+graph points by a scalar per-segment scan.
 """
 
 from __future__ import annotations
@@ -345,6 +346,33 @@ def dense_radius_scan(g, v, d: float, resolution: int = 2560) -> float:
         if ok:
             return float(r)
     return math.inf
+
+
+def nearest_point_scan(g, p) -> tuple[float, tuple[float, float]]:
+    """Closest graph point by a closed-form projection onto every raw segment.
+
+    Works on each edge's geometry as stored, duplicate points included; a
+    graph without edges falls back to its closest vertex.
+    """
+    px, py = float(p[0]), float(p[1])
+    best, best_pt = math.inf, None
+    for e in g.edges.values():
+        pts = [tuple(q) for q in e.geometry.points.tolist()]
+        for (ax, ay), (bx, by) in list(zip(pts[:-1], pts[1:])) or [(pts[0], pts[0])]:
+            dx, dy = bx - ax, by - ay
+            length2 = dx * dx + dy * dy
+            t = 0.0 if length2 == 0.0 else ((px - ax) * dx + (py - ay) * dy) / length2
+            t = min(max(t, 0.0), 1.0)
+            qx, qy = ax + t * dx, ay + t * dy
+            d = math.hypot(px - qx, py - qy)
+            if d < best:
+                best, best_pt = d, (qx, qy)
+    if best_pt is None:
+        for pos in g.vertices.values():
+            d = math.hypot(px - pos.x, py - pos.y)
+            if d < best:
+                best, best_pt = d, (pos.x, pos.y)
+    return best, best_pt
 
 
 def random_geometric_graph(rng: np.random.Generator, n_vertices: int, extra_edges: int, box: float):

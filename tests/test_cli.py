@@ -70,6 +70,20 @@ def test_distance_resume_reuses_rows(graph_dirs, tmp_path):
     assert out.read_text() == first
 
 
+@pytest.mark.parametrize("cut", ["before_last_field", "inside_last_float"])
+def test_distance_resume_after_a_row_cut_off(graph_dirs, tmp_path, cut):
+    gdir, hdir = graph_dirs
+    out = tmp_path / "resume.csv"
+    argv = ["distance", "--from", gdir, "--to", hdir, "--k", "1", "--out", str(out)]
+    assert main(argv) == 0
+    first = out.read_text()
+    body = first.rstrip("\n")
+    end = body.rindex(",") if cut == "before_last_field" else len(body) - 4
+    out.write_text(body[:end])
+    assert main(argv + ["--resume"]) == 0
+    assert out.read_text() == first
+
+
 def test_signature_and_cdf_pipeline(graph_dirs, tmp_path):
     gdir, hdir = graph_dirs
     sig = tmp_path / "sig.csv"

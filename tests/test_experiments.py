@@ -130,3 +130,26 @@ def test_run_all_identity_smoke_and_reproducible(tmp_path):
     files1 = json.loads((out1 / "manifest.json").read_text())["files"]
     for name in files1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_run_all_census_reuses_the_distances_it_has(tmp_path, monkeypatch):
+    import pathdist.pathdistance as pd
+    from pathdist.experiments import load_graph_arg
+
+    gdir, hdir = _write_pair(tmp_path)
+    g, h = load_graph_arg(gdir), load_graph_arg(hdir)
+    expected = [
+        {"k": r.k, "d": r.d, "separated": r.separated_count, "vertices": len(r.per_vertex)}
+        for r in pd.separation_census(g, h, 1e-3)
+    ]
+    calls = []
+    original = pd.max_path_distance
+
+    def counting(g, h, k, *args, **kwargs):
+        calls.append(k)
+        return original(g, h, k, *args, **kwargs)
+
+    monkeypatch.setattr(pd, "max_path_distance", counting)
+    out = run_all(RunConfig(gdir, hdir, str(tmp_path / "out"), k_values=(1, 2), tol=1e-3))
+    assert calls == [3]
+    assert json.loads((out / "separation_gh.json").read_text()) == expected

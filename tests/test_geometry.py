@@ -113,3 +113,35 @@ def test_segments_intersect_cases():
     assert not segments_intersect((0, 0), (1, 0), (0, 1), (1, 1))
     assert not segments_intersect((0, 0), (1, 0), (2, 0), (3, 0))  # collinear gap
     assert segments_intersect((0, 0), (2, 0), (1, 0), (3, 0))  # collinear overlap
+
+
+def _bits(x: np.ndarray) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+def test_disc_segment_intervals_broadcast_equals_row_calls():
+    rng = np.random.default_rng(17)
+    a = rng.uniform(0, 10, (12, 2))
+    b = rng.uniform(0, 10, (12, 2))
+    b[[2, 7]] = a[[2, 7]]  # zero-length segments
+    centers = np.vstack([rng.uniform(0, 10, (5, 2)), a[2], [40.0, 40.0]])
+    radius = 2.5
+
+    lo, hi = disc_segment_intervals(centers[:, None, :], radius, a, b)
+    assert lo.shape == (len(centers), len(a))
+    for i, c in enumerate(centers):
+        row_lo, row_hi = disc_segment_intervals(c, radius, a, b)
+        assert _bits(lo[i]) == _bits(row_lo) and _bits(hi[i]) == _bits(row_hi)
+    assert (lo > hi).any() and (lo <= hi).any()
+    assert lo[5, 2] == 0.0 and hi[5, 2] == 1.0  # centre on a zero-length segment
+    assert (lo[6] > hi[6]).all()  # centre out of reach
+
+    # Points (V, 1, 2) against the segments of a curve, one column per segment.
+    curve = np.vstack([rng.uniform(0, 10, (4, 2)), [[3.0, 3.0], [3.0, 3.0]]])
+    points = np.vstack([rng.uniform(0, 10, (9, 2)), [[3.0, 3.0]]])
+    lo, hi = disc_segment_intervals(points[:, None, :], radius, curve[:-1], curve[1:])
+    assert lo.shape == (len(points), len(curve) - 1)
+    for i in range(len(curve) - 1):
+        col_lo, col_hi = disc_segment_intervals(points, radius, curve[i], curve[i + 1])
+        assert _bits(lo[:, i]) == _bits(col_lo) and _bits(hi[:, i]) == _bits(col_hi)
+    assert (lo > hi).any() and (lo <= hi).any()

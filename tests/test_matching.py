@@ -1,15 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from pathdist.errors import StructuralError
 from pathdist.frechet import frechet_distance
-from pathdist.geometry import PolyLine
+from pathdist.geometry import PolyLine, point_to_polyline_distance
 from pathdist.graph import EmbeddedGraph
 from pathdist.matching import map_match_distance, match_decision
+from pathdist.spatial import nearest_point_on_graph
 
 from oracles import (
     DenseWalkOracle,
     DiscreteMatchOracle,
+    nearest_point_scan,
     random_curve_near_graph,
     random_geometric_graph,
 )
@@ -85,24 +89,57 @@ def test_adding_edges_never_hurts():
 
 
 def test_endpoint_lower_bound(grid6):
-    from pathdist.spatial import nearest_point_on_graph
-
     rng = np.random.default_rng(5)
     for _ in range(5):
         curve = PolyLine(rng.uniform(-5, 15, (4, 2)))
         d = map_match_distance(curve, grid6, 1e-3)
         for endpoint in (curve.points[0], curve.points[-1]):
-            nd, _, _ = nearest_point_on_graph(grid6, endpoint)
+            nd, _ = nearest_point_scan(grid6, endpoint)
             assert d >= nd - 1e-3
 
 
-def test_exhaustive_search_flag_matches_index(grid6):
-    rng = np.random.default_rng(6)
-    for _ in range(3):
-        curve = PolyLine(rng.uniform(0, 10, (4, 2)))
-        d1 = map_match_distance(curve, grid6, 1e-3, use_index=True)
-        d2 = map_match_distance(curve, grid6, 1e-3, use_index=False)
-        assert d1 == d2
+def duplicated_bends(g, rng, amount):
+    """Copy of ``g`` whose edges bend once and repeat their points."""
+    vertices = list(g.vertices.items())
+    edges = []
+    for eid, e in g.edges.items():
+        a = np.asarray(g.vertices[e.u], float)
+        b = np.asarray(g.vertices[e.v], float)
+        mid = 0.5 * (a + b) + rng.uniform(-amount, amount, 2)
+        edges.append((eid, (e.u, e.v, PolyLine([a, a, mid, mid, b]))))
+    return EmbeddedGraph(vertices, edges)
+
+
+def test_nearest_point_matches_per_segment_scan():
+    for seed in range(8):
+        rng = np.random.default_rng(300 + seed)
+        h = duplicated_bends(random_geometric_graph(rng, 7, 3, 10.0), rng, 1.5)
+        queries = np.vstack([rng.uniform(-3, 13, (20, 2)), list(h.vertices.values())])
+        for p in queries:
+            d, q, eid = nearest_point_on_graph(h, p)
+            want, _ = nearest_point_scan(h, p)
+            assert d == pytest.approx(want, abs=1e-12)
+            assert math.hypot(*(q - p)) == pytest.approx(d, abs=1e-12)
+            # The point lies on the edge the query names.
+            assert point_to_polyline_distance(q, h.edges[eid].geometry) <= 1e-12
+
+
+def test_nearest_point_ties_take_the_lowest_segment():
+    # (5, 5) is 5 from all four sides of the square; the first edge wins.
+    square = EmbeddedGraph(
+        [(0, (0, 0)), (1, (10, 0)), (2, (10, 10)), (3, (0, 10))],
+        [("s", (0, 1)), ("e", (1, 2)), ("n", (2, 3)), ("w", (3, 0))],
+    )
+    d, q, eid = nearest_point_on_graph(square, (5.0, 5.0))
+    assert (d, eid) == (5.0, "s")
+    assert q.tolist() == [5.0, 0.0]
+
+
+def test_nearest_point_on_vertex_only_graph():
+    h = EmbeddedGraph([("a", (0, 0)), ("b", (3, 4))], [])
+    d, q, eid = nearest_point_on_graph(h, (3.0, 5.0))
+    assert (d, q.tolist(), eid) == (1.0, [3.0, 4.0], None)
+    assert nearest_point_scan(h, (3.0, 5.0)) == (1.0, (3.0, 4.0))
 
 
 def test_witness_is_a_valid_matching_path(grid6):
@@ -116,10 +153,8 @@ def test_witness_is_a_valid_matching_path(grid6):
         # The witness realizes the decision: Fréchet-close to the curve...
         assert frechet_distance(curve, witness, 1e-4) <= d + 2e-3
         # ...and every witness point lies on the graph.
-        from pathdist.spatial import nearest_point_on_graph
-
         for pt in witness.points:
-            nd, _, _ = nearest_point_on_graph(grid6, pt)
+            nd, _ = nearest_point_scan(grid6, pt)
             assert nd <= 1e-9
 
 

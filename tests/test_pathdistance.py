@@ -1,4 +1,6 @@
+import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,6 +191,31 @@ def test_records_csv_round_trip(tmp_path, grid6):
     with open(path) as fh:
         distances = read_records_csv(fh)
     assert distances == {r.path_id: r.distance for r in report.records}
+
+
+CUT_DISTANCES = (3.7517922473742, 1.5, 2.7517922473742)
+
+
+def _written_report(grid6) -> str:
+    records = directed_path_distance(grid6, grid6, 1, TOL).records[:3]
+    fh = io.StringIO()
+    write_records_csv([replace(r, distance=d) for r, d in zip(records, CUT_DISTANCES)], fh)
+    return fh.getvalue()
+
+
+def test_read_records_drops_row_cut_before_last_field(grid6):
+    text = _written_report(grid6)
+    cut = text[: text.rindex(",")]  # the last row lost its distance field
+    assert read_records_csv(io.StringIO(cut)) == {0: CUT_DISTANCES[0], 1: CUT_DISTANCES[1]}
+
+
+def test_read_records_drops_row_cut_inside_last_float(grid6):
+    text = _written_report(grid6)
+    assert text.endswith(",2.7517922473742\n")
+    cut = text[: -len("2473742\n")]  # the last distance reads 2.75179224
+    assert read_records_csv(io.StringIO(cut)) == {0: CUT_DISTANCES[0], 1: CUT_DISTANCES[1]}
+    assert len(read_records_csv(io.StringIO(text))) == 3
+    assert read_records_csv(io.StringIO("path_id,vertex_seq")) == {}
 
 
 def test_intersection_radius_perpendicular_cross():

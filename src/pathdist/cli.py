@@ -139,6 +139,10 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    if args.strict and args.resume:
+        # A strict report keeps only some paths and is always recomputed.
+        print("pathdist: --resume cannot be combined with --strict", file=sys.stderr)
+        return EXIT_USAGE
     g = load_graph_arg(getattr(args, "from"), args.contract)
     h = load_graph_arg(args.to, args.contract)
     jobs = [("", g, h)]
@@ -150,13 +154,7 @@ def _cmd_distance(args) -> int:
         direction = "H->G" if tag == "_hg" else "G->H"
         if args.strict:
             report = directed_path_distance(
-                src,
-                dst,
-                args.k,
-                args.tol,
-                workers=args.workers,
-                strict=True,
-                percentile_weighted=not args.unweighted_percentile,
+                src, dst, args.k, args.tol, workers=args.workers, strict=True
             )
             with open(out_path, "w", newline="") as fh:
                 write_records_csv(report.records, fh)
@@ -166,28 +164,14 @@ def _cmd_distance(args) -> int:
                 with open(out_path) as fh:
                     known = read_records_csv(fh)
             # Stream rows as chunks complete so long runs are restartable.
-            records = []
             with open(out_path, "w", newline="") as fh:
-                fh.write("path_id,vertex_sequence,path_length_m,match_distance_m\n")
-                for rec in iter_match_records(
-                    src,
-                    dst,
-                    args.k,
-                    args.tol,
-                    workers=args.workers,
-                    known=known or None,
-                ):
-                    fh.write(
-                        f"{rec.path_id},{rec.path.label()},{rec.length!r},{rec.distance!r}\n"
-                    )
-                    fh.flush()
-                    records.append(rec)
-            report = PathDistanceReport(
-                k=args.k,
-                direction=direction,
-                records=records,
-                percentile_weighted=not args.unweighted_percentile,
-            )
+                records = write_records_csv(
+                    iter_match_records(
+                        src, dst, args.k, args.tol, workers=args.workers, known=known or None
+                    ),
+                    fh,
+                )
+            report = PathDistanceReport(k=args.k, direction=direction, records=records)
         report.direction = direction
         _write_summary(report, _summary_path(str(out_path)))
         print(f"{report.direction} k={args.k} max={report.max_distance!r}")
@@ -198,7 +182,7 @@ def _cmd_signature(args) -> int:
     g = load_graph_arg(getattr(args, "from"), args.contract)
     h = load_graph_arg(args.to, args.contract)
     _, edge_sig, _ = path_distance_analysis(g, h, args.k, args.tol, workers=args.workers)
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", newline="") as fh:
         write_signature_csv(edge_sig, fh)
     if args.heatmap:
         export_heatmap(edge_sig, args.heatmap, "svg", args.ramp)
@@ -209,7 +193,7 @@ def _cmd_signature(args) -> int:
 
 
 def _cmd_cdf(args) -> int:
-    with open(args.sig) as fh:
+    with open(args.sig, newline="") as fh:
         rows = read_signature_csv(fh)
     curve = cdf_from_signature_rows(rows)
     with open(args.out, "w") as fh:
@@ -225,13 +209,7 @@ def _cmd_cdf(args) -> int:
 def _cmd_separation(args) -> int:
     g = load_graph_arg(getattr(args, "from"), args.contract)
     h = load_graph_arg(args.to, args.contract)
-    reports = separation_census(
-        g,
-        h,
-        args.tol,
-        workers=args.workers,
-        radius_steps=args.radius_steps,
-    )
+    reports = separation_census(g, h, args.tol, workers=args.workers)
     doc = [
         {"k": r.k, "d": r.d, "separated": r.separated_count, "vertices": len(r.per_vertex)}
         for r in reports
@@ -268,7 +246,7 @@ def _cmd_fscore(args) -> int:
         max_path_length=args.max_path,
     )
     result = fscore_analysis(g, h, params, workers=args.workers)
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", newline="") as fh:
         write_signature_csv(result.edge_scores, fh)
     if args.heatmap:
         # High similarity should render light, so color by 1 - score.
@@ -330,7 +308,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=3, choices=(1, 2, 3))
     p.add_argument("--both", action="store_true", help="compute both directions")
     p.add_argument("--strict", action="store_true", help="restrict to separated, degree!=3 interiors")
-    p.add_argument("--unweighted-percentile", action="store_true")
     p.add_argument("--resume", action="store_true", help="reuse distances already in --out")
     p.add_argument("--out", required=True, help="per-path report CSV")
     _add_common(p)
@@ -359,7 +336,6 @@ def build_parser() -> _Parser:
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--radius-steps", type=int, default=256, help="scan resolution for polyline edges")
     _add_common(p)
     p.set_defaults(fn=_cmd_separation)
 

@@ -243,7 +243,6 @@ class RunConfig:
     contract: bool = False
     both_directions: bool = False
     strict: bool = False
-    percentile_weighted: bool = True
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -311,12 +310,7 @@ def run_all(config: RunConfig) -> Path:
         deltas: dict[int, float] = {}
         for k in config.k_values:
             report, edge_sig, _vertex_sig = path_distance_analysis(
-                src,
-                dst,
-                k,
-                config.tol,
-                workers=config.workers,
-                percentile_weighted=config.percentile_weighted,
+                src, dst, k, config.tol, workers=config.workers
             )
             with open(track(f"distance_{tag}_k{k}.csv"), "w", newline="") as fh:
                 write_records_csv(report.records, fh)
@@ -324,7 +318,7 @@ def run_all(config: RunConfig) -> Path:
                 json.dump(report.summary(), fh, indent=1, sort_keys=True)
                 fh.write("\n")
             deltas[k] = report.max_distance
-            with open(track(f"signature_{tag}_k{k}.csv"), "w") as fh:
+            with open(track(f"signature_{tag}_k{k}.csv"), "w", newline="") as fh:
                 write_signature_csv(edge_sig, fh)
             export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.svg"), "svg")
             export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.geojson"), "geojson")

@@ -4,20 +4,24 @@
 ending anywhere on edges, free to revisit vertices and edges and to turn
 around mid-edge) stays within Fréchet distance ``eps`` of the query curve.
 It sweeps the free-space surface of curve x graph: one free-space diagram
-per graph edge, glued along shared vertices.
+per graph segment, glued along the joints where segments meet (graph
+vertices and interior polyline bends alike).
 
 Key fact making the sweep cheap: inside a single cell (one curve segment x
-one edge segment) the free region is convex, so from an entry at curve time
-``t0`` every free point with time >= ``t0`` is reachable.  Each cell (and
-each vertex boundary per curve segment) therefore carries a single label,
-the earliest reachable curve time, and a Dijkstra pass over these labels
-decides reachability exactly.
+one graph segment) the free region is convex, so from an entry at curve time
+``t0`` every free point with time >= ``t0`` is reachable.  Each cell
+therefore carries a single label, the earliest reachable curve time, and a
+Dijkstra pass over these labels decides reachability exactly.  A cell hands
+its label to the next curve segment along its own graph segment, and to
+every cell at the same curve segment whose graph segment shares one of its
+joints.
 
 The sweep runs over the graph's flattened segment view from
-:mod:`pathdist.spatial`; the nearest-point queries that start each
-bisection project onto the same arrays.  A decision computes each family of
-free intervals (curve vertices x graph segments, graph vertices x curve
-segments, polyline junctions x curve segments) in one broadcast call.
+:mod:`pathdist.spatial`, where an isolated vertex is a zero-length segment;
+the nearest-point queries that start each bisection project onto the same
+arrays.  A decision computes its two families of free intervals (curve
+vertices x graph segments, joints x curve segments) in one broadcast call
+each.
 """
 
 from __future__ import annotations
@@ -44,12 +48,13 @@ def _prepared_curve(curve: PolyLine) -> np.ndarray:
 
 
 class _Reachability:
-    """Earliest-entry labels over surface cells and vertex boundaries.
+    """Earliest-entry labels over the cells of the free-space surface.
 
     This is the reachability front the decision sweep propagates: one float
-    per cell (edge segment x curve segment) and per (vertex, curve segment)
-    boundary.  For witness reconstruction each label also stores its
-    predecessor and the graph-space point where the boundary was crossed.
+    per cell (graph segment x curve segment).  For witness reconstruction
+    each label also stores its predecessor and the graph-space point where
+    the cell was entered: a point on a cell boundary or the joint that
+    glues two cells.
     """
 
     __slots__ = ("dist", "prev", "track")
@@ -97,43 +102,39 @@ def match_decision(
 
     geom = surface_geometry(h)
     N = geom.n_segments
-    V = geom.n_vertices
 
     # Free intervals, each family in one broadcast call:
     #   cv[i][s]: x-interval of segment s within eps of curve vertex i
-    #   vx[v][i]: t-interval (local [0,1]) of curve segment i within eps of vertex v
-    #   jn[j][i]: same for interior polyline junction points
+    #   jn[j][i]: t-interval (local [0,1]) of curve segment i within eps of joint j
+    # The sweep reads only whether a cv interval is free; its ends place
+    # witness points.
     cv_lo, cv_hi = disc_segment_intervals(C[:, None, :], eps, geom.seg_a, geom.seg_b)
-    vx_lo, vx_hi = disc_segment_intervals(geom.vertex_pos[:, None, :], eps, C[:-1], C[1:])
-    jn_lo, jn_hi = disc_segment_intervals(geom.junctions[:, None, :], eps, C[:-1], C[1:])
+    jn_lo, jn_hi = disc_segment_intervals(geom.joint_pos[:, None, :], eps, C[:-1], C[1:])
 
-    cvlo = cv_lo.tolist()
-    cvhi = cv_hi.tolist()
-    vxlo = vx_lo.tolist()
-    vxhi = vx_hi.tolist()
+    free = cv_lo <= cv_hi
+    cv_free = free.tolist()
     jnlo = jn_lo.tolist()
     jnhi = jn_hi.tolist()
 
     seg_a = geom.seg_a
     seg_d = geom.seg_d
-    vpos = geom.vertex_pos
-    junctions = geom.junctions
+    joint_pos = geom.joint_pos
+    seg_joint = geom.seg_joint
+    incident = geom.incident
 
-    # State ids: cell(s, i) -> s*M + i; vertex(v, i) -> N*M + v*M + i.
-    n_states = (N + V) * M
-    reach = _Reachability(n_states, return_witness)
+    # State id of cell (segment s, curve segment i): s*M + i.
+    reach = _Reachability(N * M, return_witness)
 
-    # Every state free at curve time 0 starts at label 0.0; listed in
+    # Every cell free at curve time 0 starts at label 0.0; listed in
     # ascending state order, the seeds already form a valid heap.
-    seed_cells = np.flatnonzero(cv_lo[0] <= cv_hi[0])
-    seed_vertices = np.flatnonzero(vx_lo[:, 0] == 0.0)
-    seeds = (seed_cells * M).tolist() + (N * M + seed_vertices * M).tolist()
+    seed_cells = np.flatnonzero(free[0])
+    seeds = (seed_cells * M).tolist()
     heap: list[tuple[float, int]] = [(0.0, state) for state in seeds]
     for state in seeds:
         reach.dist[state] = 0.0
     if return_witness:
         starts = seg_a[seed_cells] + cv_lo[0, seed_cells, None] * seg_d[seed_cells]
-        for state, pt in zip(seeds, np.concatenate([starts, vpos[seed_vertices]])):
+        for state, pt in zip(seeds, starts):
             reach.prev[state] = (None, (float(pt[0]), float(pt[1])))
 
     dist = reach.dist
@@ -154,41 +155,21 @@ def match_decision(
         t, state = heappop(heap)
         if t > dist[state]:
             continue
-        if state < N * M:
-            s, i = divmod(state, M)
-            if i == M - 1 and cvlo[M][s] <= cvhi[M][s]:
-                wit = finish(state, seg_a[s] + cvlo[M][s] * seg_d[s])
-                return (True, wit) if return_witness else True
-            if i + 1 < M and cvlo[i + 1][s] <= cvhi[i + 1][s]:
-                pt = seg_a[s] + cvlo[i + 1][s] * seg_d[s]
-                reach.relax(heap, s * M + i + 1, float(i + 1), state, pt)
-            for side_link, nbr in ((geom.a_link[s], s - 1), (geom.b_link[s], s + 1)):
-                kind, target = side_link
-                if kind == "v":
-                    blo, bhi = vxlo[target][i], vxhi[target][i]
-                    if blo <= bhi and i + bhi >= t:
-                        reach.relax(
-                            heap,
-                            N * M + target * M + i,
-                            max(t, i + blo),
-                            state,
-                            vpos[target],
-                        )
-                else:
-                    blo, bhi = jnlo[target][i], jnhi[target][i]
-                    if blo <= bhi and i + bhi >= t:
-                        reach.relax(
-                            heap, nbr * M + i, max(t, i + blo), state, junctions[target]
-                        )
-        else:
-            v, i = divmod(state - N * M, M)
-            if i == M - 1 and vxhi[v][i] == 1.0:
-                wit = finish(state, vpos[v])
-                return (True, wit) if return_witness else True
-            for s in geom.incident[v]:
-                reach.relax(heap, s * M + i, t, state, vpos[v])
-            if i + 1 < M and vxhi[v][i] == 1.0 and vxlo[v][i + 1] == 0.0:
-                reach.relax(heap, N * M + v * M + i + 1, float(i + 1), state, vpos[v])
+        s, i = divmod(state, M)
+        if i == M - 1 and cv_free[M][s]:
+            wit = finish(state, seg_a[s] + cv_lo[M, s] * seg_d[s])
+            return (True, wit) if return_witness else True
+        if i + 1 < M and cv_free[i + 1][s]:
+            pt = seg_a[s] + cv_lo[i + 1, s] * seg_d[s] if return_witness else None
+            reach.relax(heap, state + 1, float(i + 1), state, pt)
+        for j in seg_joint[s]:
+            blo, bhi = jnlo[j][i], jnhi[j][i]
+            if blo <= bhi and i + bhi >= t:
+                t_j = max(t, i + blo)
+                for nbr in incident[j]:
+                    # Most cells at a joint already hold an earlier label.
+                    if t_j < dist[nbr * M + i]:
+                        reach.relax(heap, nbr * M + i, t_j, state, joint_pos[j])
 
     return (False, None) if return_witness else False
 

@@ -18,8 +18,6 @@ __all__ = ["split_chunks", "iter_chunked", "run_chunked"]
 
 
 def split_chunks(items: Sequence[T], chunk_size: int) -> list[list[T]]:
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     return [list(items[i : i + chunk_size]) for i in range(0, len(items), chunk_size)]
 
 
@@ -27,18 +25,17 @@ def iter_chunked(
     fn: Callable[[list[T]], R],
     items: Sequence[T],
     workers: int = 1,
-    chunk_size: int | None = None,
 ):
     """Apply ``fn`` to chunks of ``items``, yielding results in chunk order.
 
-    Results stream as chunks complete (in order), so callers can persist
-    partial progress while later chunks are still being computed.
+    Each worker gets about four chunks.  Results stream as chunks complete
+    (in order), so callers can persist partial progress while later chunks
+    are still being computed.
     """
     if not items:
         return
-    if chunk_size is None:
-        chunk_size = max(1, (len(items) + max(workers, 1) * 4 - 1) // (max(workers, 1) * 4))
-    chunks = split_chunks(items, chunk_size)
+    n_chunks = max(workers, 1) * 4
+    chunks = split_chunks(items, (len(items) + n_chunks - 1) // n_chunks)
     if workers <= 1 or len(chunks) == 1:
         for chunk in chunks:
             yield fn(chunk)
@@ -51,7 +48,6 @@ def run_chunked(
     fn: Callable[[list[T]], R],
     items: Sequence[T],
     workers: int = 1,
-    chunk_size: int | None = None,
 ) -> list[R]:
     """Eager variant of :func:`iter_chunked`."""
-    return list(iter_chunked(fn, items, workers, chunk_size))
+    return list(iter_chunked(fn, items, workers))

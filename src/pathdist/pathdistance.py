@@ -16,6 +16,7 @@ import io
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -64,7 +65,6 @@ class PathDistanceReport:
     k: int
     direction: str
     records: list[PathRecord]
-    percentile_weighted: bool = True
     strict: bool = False
     strict_bound: float | None = None
 
@@ -72,9 +72,7 @@ class PathDistanceReport:
     def max_distance(self) -> float:
         return max((r.distance for r in self.records), default=0.0)
 
-    def percentile(self, q: float = 0.9, weighted: bool | None = None) -> float:
-        if weighted is None:
-            weighted = self.percentile_weighted
+    def percentile(self, q: float = 0.9, weighted: bool = True) -> float:
         if not self.records:
             return 0.0
         values = np.asarray([r.distance for r in self.records])
@@ -101,8 +99,6 @@ class PathDistanceReport:
             "mean_weighted": self.weighted_mean,
             "path_count": len(self.records),
         }
-        if not self.percentile_weighted:
-            out["p90_unweighted"] = self.percentile(0.9, False)
         if self.strict:
             out["strict"] = True
             out["strict_bound"] = self.strict_bound
@@ -256,7 +252,6 @@ def directed_path_distance(
     *,
     workers: int = 1,
     strict: bool = False,
-    percentile_weighted: bool = True,
 ) -> PathDistanceReport:
     """Directed link-length-``k`` path distance from ``g`` into ``h``.
 
@@ -268,12 +263,7 @@ def directed_path_distance(
     the unrestricted-path distance.
     """
     records = match_all_paths(g, h, k, tol, workers=workers)
-    report = PathDistanceReport(
-        k=k,
-        direction="G->H",
-        records=records,
-        percentile_weighted=percentile_weighted,
-    )
+    report = PathDistanceReport(k=k, direction="G->H", records=records)
     if strict:
         d3 = report.max_distance if k == 3 else None
         good, d3, radii = _strict_good_vertices(g, h, tol, workers, d3)
@@ -332,7 +322,6 @@ def path_distance_analysis(
     tol: float = DEFAULT_TOLERANCE,
     *,
     workers: int = 1,
-    percentile_weighted: bool = True,
 ) -> tuple[PathDistanceReport, SignatureMap, SignatureMap]:
     """One matching pass yielding the report and both signature maps.
 
@@ -341,9 +330,7 @@ def path_distance_analysis(
     edges and vertices, so both maps fall out of the same records.
     """
     records = match_all_paths(g, h, k, tol, workers=workers)
-    report = PathDistanceReport(
-        k=k, direction="G->H", records=records, percentile_weighted=percentile_weighted
-    )
+    report = PathDistanceReport(k=k, direction="G->H", records=records)
     edge_values = _aggregate(records, lambda p: set(p.edge_ids))
     vertex_values = _aggregate(records, lambda p: set(p.vertex_ids))
     # Edges or vertices on no canonical path (isolated pieces) get no entry.
@@ -378,6 +365,10 @@ def vertex_signature(
     return sig
 
 
+# Radii scanned by intersection_radius on polyline edges before it bisects.
+_RADIUS_STEPS = 256
+
+
 def _first_circle_crossing(points: np.ndarray, center: np.ndarray, r: float):
     """First point at distance ``r`` walking the polyline from ``center``.
 
@@ -403,9 +394,7 @@ def _first_circle_crossing(points: np.ndarray, center: np.ndarray, r: float):
     return None
 
 
-def intersection_radius(
-    g: EmbeddedGraph, v: VertexId, d: float, *, steps: int = 256
-) -> float:
+def intersection_radius(g: EmbeddedGraph, v: VertexId, d: float) -> float:
     """Minimum radius at which first edge crossings are pairwise > 2d apart.
 
     Walking each incident edge from ``v``, the crossing with the radius-r
@@ -414,7 +403,7 @@ def intersection_radius(
     closed form ``d / sin(theta/2)`` applies, with ``theta`` the minimum
     angle between incident edges, provided every edge is long enough to
     reach that radius.  Polyline edges fall back to a numeric scan of
-    ``steps`` radii refined by bisection.  Returns ``inf`` when no radius
+    ``_RADIUS_STEPS`` radii refined by bisection.  Returns ``inf`` when no radius
     qualifies (the vertex is then not d-separated).
     """
     if v not in g.vertices:
@@ -466,7 +455,7 @@ def intersection_radius(
                     return False
         return True
 
-    grid = np.linspace(d, reach, max(steps, 2))
+    grid = np.linspace(d, reach, _RADIUS_STEPS)
     hit = None
     for idx, r in enumerate(grid):
         if feasible(float(r)):
@@ -492,7 +481,6 @@ def separation_census(
     tol: float = DEFAULT_TOLERANCE,
     *,
     workers: int = 1,
-    radius_steps: int = 256,
     known: dict[int, float] | None = None,
 ) -> list[SeparationReport]:
     """Count d-separated vertices of ``g`` for d = Δ1, Δ2, Δ3 into ``h``.
@@ -506,19 +494,26 @@ def separation_census(
     reports = []
     for k in (1, 2, 3):
         dk = known[k] if k in known else max_path_distance(g, h, k, tol, workers=workers)
-        per_vertex = {
-            v: intersection_radius(g, v, dk, steps=radius_steps) for v in g.vertices
-        }
+        per_vertex = {v: intersection_radius(g, v, dk) for v in g.vertices}
         reports.append(SeparationReport(k=k, d=dk, per_vertex=per_vertex))
     return reports
 
 
-def write_records_csv(records: list[PathRecord], fh) -> None:
-    """Stream per-path rows: path_id, vertex_sequence, path_length_m, match_distance_m."""
+def write_records_csv(records: Iterable[PathRecord], fh) -> list[PathRecord]:
+    """Stream per-path rows: path_id, vertex_sequence, path_length_m, match_distance_m.
+
+    ``records`` may be any iterable, such as :func:`iter_match_records`.
+    Each row is flushed as it is written, so a run that stops keeps every
+    finished row for ``--resume``.  Returns the records written.
+    """
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(["path_id", "vertex_sequence", "path_length_m", "match_distance_m"])
+    written = []
     for rec in records:
         w.writerow([rec.path_id, rec.path.label(), repr(rec.length), repr(rec.distance)])
+        fh.flush()
+        written.append(rec)
+    return written
 
 
 def read_records_csv(fh) -> dict[int, float]:

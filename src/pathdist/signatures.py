@@ -9,6 +9,7 @@ dark red (dissimilar).
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from typing import Hashable, Sequence
@@ -251,22 +252,17 @@ def export_cdf_plot(
 def write_signature_csv(sig: SignatureMap, fh) -> None:
     """Rows of edge_id, length_m, signature_m (header included)."""
     lengths = sig.edge_lengths()
-    fh.write("edge_id,length_m,signature_m\n")
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(["edge_id", "length_m", "signature_m"])
     for eid, value in sig.values.items():
-        fh.write(f"{eid},{lengths[eid]!r},{value!r}\n")
+        w.writerow([eid, repr(lengths[eid]), repr(value)])
 
 
 def read_signature_csv(fh) -> list[tuple[str, float, float]]:
     """(edge_id, length, signature) triples from a signature CSV."""
-    rows = []
-    header = fh.readline()
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        eid, length, value = line.split(",")
-        rows.append((eid, float(length), float(value)))
-    return rows
+    reader = csv.reader(fh)
+    next(reader, None)  # header
+    return [(eid, float(length), float(value)) for eid, length, value in filter(None, reader)]
 
 
 def cdf_from_signature_rows(rows: Sequence[tuple[str, float, float]]) -> CdfCurve:

@@ -1,9 +1,11 @@
 """The flattened segment view of a graph, and nearest-point queries on it.
 
 ``_SurfaceGeometry`` lays every edge out as rows of ``seg_a``/``seg_b``
-segment endpoints (cached per graph).  Free-space map matching sweeps these
-rows, and :func:`nearest_point_on_graph` projects a point onto all of them
-in one numpy pass.  ``SpatialGrid`` buckets edges by grid cell for the
+segment endpoints (cached per graph) and numbers the points where segments
+meet, graph vertices and polyline bends alike, as one array of joints.
+Free-space map matching sweeps these rows and glues them at the joints, and
+:func:`nearest_point_on_graph` projects a point onto all of them in one
+numpy pass.  ``SpatialGrid`` buckets edges by grid cell for the
 F-score seeding, which queries far larger maps than a single curve covers.
 """
 
@@ -28,68 +30,57 @@ class _SurfaceGeometry:
     Segment ``s`` runs from ``seg_a[s]`` to ``seg_b[s]`` (``seg_d[s]`` is
     their difference) along edge ``seg_edge[s]``; segments are numbered edge
     by edge in the graph's insertion order, each edge's collapsed geometry
-    in order.  Interior polyline points are ``junctions``.
+    in order.  Every point where segments meet is a *joint*: the graph
+    vertices come first, in insertion order, then the interior polyline
+    points.  Segment ``s`` runs from joint ``seg_joint[s][0]`` to joint
+    ``seg_joint[s][1]``, and ``incident[j]`` lists the segments that end at
+    joint ``j``.  An isolated vertex gets one zero-length segment with edge
+    ``None`` after all edge segments: the constant path at that vertex.
     """
 
     __slots__ = (
-        "vertex_ids",
-        "vertex_pos",
+        "joint_pos",
         "seg_a",
         "seg_b",
         "seg_d",
         "seg_edge",
-        "a_link",
-        "b_link",
-        "junctions",
+        "seg_joint",
         "incident",
         "n_segments",
-        "n_vertices",
     )
 
     def __init__(self, g: EmbeddedGraph):
-        self.vertex_ids = list(g.vertices)
-        vidx = {v: i for i, v in enumerate(self.vertex_ids)}
-        self.vertex_pos = np.asarray(
-            [g.vertices[v] for v in self.vertex_ids], dtype=float
-        ).reshape(-1, 2)
+        vidx = {v: i for i, v in enumerate(g.vertices)}
+        joint_pos: list = list(g.vertices.values())
         seg_a: list[np.ndarray] = []
         seg_b: list[np.ndarray] = []
         seg_edge: list[Hashable] = []
-        # Link of each segment end: ("v", vertex index) or ("j", junction index).
-        a_link: list[tuple[str, int]] = []
-        b_link: list[tuple[str, int]] = []
-        junctions: list[np.ndarray] = []
-        incident: list[list[int]] = [[] for _ in self.vertex_ids]
-        for eid, e in g.edges.items():
-            pts = e.geometry.collapsed().points
+        seg_joint: list[tuple[int, int]] = []
+        pieces = [(eid, e.u, e.v, e.geometry.collapsed().points) for eid, e in g.edges.items()]
+        isolated = [v for v in g.vertices if not g.adjacency[v]]
+        pieces += [(None, v, v, np.asarray([g.vertices[v]])) for v in isolated]
+        for eid, u, v, pts in pieces:
             if pts.shape[0] == 1:
                 pts = np.vstack([pts, pts])  # keep one zero-length segment
-            for i in range(pts.shape[0] - 1):
-                s = len(seg_a)
-                seg_a.append(pts[i])
-                seg_b.append(pts[i + 1])
-                seg_edge.append(eid)
-                if i == 0:
-                    a_link.append(("v", vidx[e.u]))
-                    incident[vidx[e.u]].append(s)
-                else:
-                    a_link.append(("j", len(junctions) - 1))
-                if i == pts.shape[0] - 2:
-                    b_link.append(("v", vidx[e.v]))
-                    incident[vidx[e.v]].append(s)
-                else:
-                    junctions.append(pts[i + 1])
-                    b_link.append(("j", len(junctions) - 1))
+            inner = range(len(joint_pos), len(joint_pos) + pts.shape[0] - 2)
+            joints = [vidx[u], *inner, vidx[v]]
+            joint_pos.extend(pts[1:-1])
+            seg_a.extend(pts[:-1])
+            seg_b.extend(pts[1:])
+            seg_edge.extend([eid] * (pts.shape[0] - 1))
+            seg_joint.extend(zip(joints[:-1], joints[1:]))
+        incident: list[list[int]] = [[] for _ in joint_pos]
+        for s, ends in enumerate(seg_joint):
+            for j in set(ends):
+                incident[j].append(s)
+        self.joint_pos = np.asarray(joint_pos, dtype=float).reshape(-1, 2)
         self.seg_a = np.asarray(seg_a, dtype=float).reshape(-1, 2)
         self.seg_b = np.asarray(seg_b, dtype=float).reshape(-1, 2)
         self.seg_d = self.seg_b - self.seg_a
         self.seg_edge = seg_edge
-        self.a_link = a_link
-        self.b_link = b_link
-        self.junctions = np.asarray(junctions, dtype=float).reshape(-1, 2)
+        self.seg_joint = seg_joint
         self.incident = incident
         self.n_segments = len(seg_a)
-        self.n_vertices = len(self.vertex_ids)
 
 
 def surface_geometry(g: EmbeddedGraph) -> _SurfaceGeometry:
@@ -177,26 +168,20 @@ def nearest_point_on_graph(g: EmbeddedGraph, p) -> tuple[float, np.ndarray, Edge
     """Distance to, coordinates of, and edge of the closest graph point.
 
     One numpy pass projects ``p`` onto every segment of the flattened view;
-    ties go to the lowest segment index.  A graph without edges falls back
-    to its closest vertex, with edge ``None``.
+    ties go to the lowest segment index.  Isolated vertices are zero-length
+    segments there, so a closest isolated vertex comes with edge ``None``.
+    A graph without vertices has no closest point: ``(inf, None, None)``.
     """
     p = np.asarray(p, dtype=float)
     geom = surface_geometry(g)
-    if geom.n_segments:
-        a = geom.seg_a
-        d = geom.seg_d
-        dd = np.einsum("ij,ij->i", d, d)
-        u = np.einsum("ij,ij->i", p - a, d) / np.where(dd == 0.0, 1.0, dd)
-        u = np.clip(u, 0.0, 1.0)
-        proj = a + u[:, None] * d
-        dists = np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1])
-        s = int(np.argmin(dists))
-        return float(dists[s]), proj[s], geom.seg_edge[s]
-    # Vertex-only graphs still admit constant matched paths.
-    best = math.inf
-    best_pt = None
-    for pos in g.vertices.values():
-        d = float(np.hypot(p[0] - pos.x, p[1] - pos.y))
-        if d < best:
-            best, best_pt = d, np.asarray(pos, dtype=float)
-    return best, best_pt, None
+    if not geom.n_segments:
+        return math.inf, None, None
+    a = geom.seg_a
+    d = geom.seg_d
+    dd = np.einsum("ij,ij->i", d, d)
+    u = np.einsum("ij,ij->i", p - a, d) / np.where(dd == 0.0, 1.0, dd)
+    u = np.clip(u, 0.0, 1.0)
+    proj = a + u[:, None] * d
+    dists = np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1])
+    s = int(np.argmin(dists))
+    return float(dists[s]), proj[s], geom.seg_edge[s]

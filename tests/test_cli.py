@@ -3,7 +3,13 @@ import json
 import pytest
 
 from pathdist.cli import main
-from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
+from pathdist.experiments import (
+    PerturbationSpec,
+    RunConfig,
+    generate_perturbed,
+    grid_graph,
+    run_all,
+)
 from pathdist.graph import write_graph_csv
 
 
@@ -82,6 +88,49 @@ def test_distance_resume_after_a_row_cut_off(graph_dirs, tmp_path, cut):
     out.write_text(body[:end])
     assert main(argv + ["--resume"]) == 0
     assert out.read_text() == first
+
+
+def test_distance_report_matches_run_all(graph_dirs, tmp_path):
+    gdir, hdir = graph_dirs
+    out = tmp_path / "report.csv"
+    assert main(["distance", "--from", gdir, "--to", hdir, "--k", "1", "--out", str(out)]) == 0
+    run_all(RunConfig(gdir, hdir, str(tmp_path / "all"), k_values=(1,)))
+    assert out.read_bytes() == (tmp_path / "all" / "distance_gh_k1.csv").read_bytes()
+
+
+def test_distance_strict_writes_a_subset_of_the_full_report(graph_dirs, tmp_path):
+    gdir, hdir = graph_dirs
+    full = tmp_path / "full.csv"
+    strict = tmp_path / "strict.csv"
+    argv = ["distance", "--from", gdir, "--to", hdir, "--k", "2"]
+    assert main(argv + ["--out", str(full)]) == 0
+    assert main(argv + ["--strict", "--out", str(strict)]) == 0
+    full_rows = full.read_text().splitlines()
+    strict_rows = strict.read_text().splitlines()
+    assert strict_rows[0] == full_rows[0]
+    assert set(strict_rows[1:]) <= set(full_rows[1:])
+    # Degree-3 interiors drop out of the 3x3 grid's paths, but not all paths.
+    assert 1 < len(strict_rows) < len(full_rows)
+    summary = json.loads((tmp_path / "strict.csv.summary.json").read_text())
+    assert summary["strict"] is True
+    assert summary["path_count"] == len(strict_rows) - 1
+
+
+@pytest.mark.parametrize("from_config", [False, True])
+def test_distance_strict_refuses_resume(graph_dirs, tmp_path, capsys, from_config):
+    gdir, hdir = graph_dirs
+    out = tmp_path / "report.csv"
+    out.write_text("kept\n")
+    argv = ["distance", "--from", gdir, "--to", hdir, "--k", "1", "--out", str(out)]
+    if from_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("strict = true\nresume = yes\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--strict", "--resume"]
+    assert main(argv) == 1
+    assert "--resume cannot be combined with --strict" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
 
 
 def test_signature_and_cdf_pipeline(graph_dirs, tmp_path):

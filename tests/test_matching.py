@@ -142,6 +142,36 @@ def test_nearest_point_on_vertex_only_graph():
     assert nearest_point_scan(h, (3.0, 5.0)) == (1.0, (3.0, 4.0))
 
 
+def isolated_vertex_graph():
+    """An isolated vertex at the origin and one edge three metres away."""
+    return EmbeddedGraph(
+        [("iso", (0, 0)), ("a", (3, 0)), ("b", (3, 2))], [("e", ("a", "b"))]
+    )
+
+
+def test_isolated_vertex_is_a_constant_matched_path():
+    # The constant path at the isolated vertex matches the curve at 1.0; the
+    # endpoint lower bound must see that vertex too, or the bisection starts
+    # at the edge's distance 3.0 and stops there.
+    h = isolated_vertex_graph()
+    curve = [(0.0, 0.5), (0.0, 1.0)]
+    d = map_match_distance(PolyLine(curve), h, 1e-3)
+    dense = DenseWalkOracle(h, spacing=0.005).match_distance(np.asarray(curve))
+    assert d == pytest.approx(dense, abs=1e-3 + 0.01)
+    assert d == pytest.approx(1.0, abs=1e-3)
+    assert map_match_distance(PolyLine([(0.0, 0.5)]), h, 1e-3) == 0.5
+    dn, q, eid = nearest_point_on_graph(h, (0.0, 0.5))
+    assert (dn, q.tolist(), eid) == (0.5, [0.0, 0.0], None)
+
+
+def test_curve_into_vertex_only_graph():
+    # Only constant paths exist; the best one sits at (3, 4), 3*sqrt(2) away.
+    h = EmbeddedGraph([("a", (0, 0)), ("b", (3, 4))], [])
+    d = map_match_distance(PolyLine([(0, 1), (3, 5)]), h, 1e-3)
+    assert d == 4.242726288794188
+    assert d == pytest.approx(3.0 * math.sqrt(2.0), abs=1e-3)
+
+
 def test_witness_is_a_valid_matching_path(grid6):
     rng = np.random.default_rng(7)
     for _ in range(5):

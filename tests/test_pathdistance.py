@@ -253,7 +253,7 @@ def test_intersection_radius_polyline_matches_dense_scan():
         ],
     )
     d = 0.8
-    ours = intersection_radius(g, "c", d, steps=256)
+    ours = intersection_radius(g, "c", d)
     ref = dense_radius_scan(g, "c", d, resolution=2560)
     assert math.isfinite(ours) and math.isfinite(ref)
     step = (ref + 1) / 256  # scan grid resolution upper bound

@@ -175,3 +175,20 @@ def test_signature_csv_round_trip(tmp_path):
     assert curve.value_at(1.5) == pytest.approx(0.25)
     # Total edge-length weight equals the graph length.
     assert sum(r[1] for r in rows) == pytest.approx(g.total_length(), rel=1e-9)
+
+
+def test_signature_csv_quotes_ids_with_commas_and_quotes(tmp_path):
+    g = EmbeddedGraph(
+        [(0, (0, 0)), (1, (1, 0)), (2, (4, 0))],
+        [("a,b", (0, 1)), ('q"x', (1, 2))],
+    )
+    s = sig({"a,b": 1.5, 'q"x': 6.25}, g)
+    path = tmp_path / "sig.csv"
+    with open(path, "w", newline="") as fh:
+        write_signature_csv(s, fh)
+    assert path.read_text() == (
+        'edge_id,length_m,signature_m\n"a,b",1.0,1.5\n"q""x",3.0,6.25\n'
+    )
+    with open(path, newline="") as fh:
+        rows = read_signature_csv(fh)
+    assert rows == [("a,b", 1.0, 1.5), ('q"x', 3.0, 6.25)]

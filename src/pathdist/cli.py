@@ -111,11 +111,18 @@ def _given_on_cli(key: str, argv: list[str]) -> bool:
     return any(a == flag or a.startswith(flag + "=") for a in argv)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE, help="bisection tolerance in meters")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    p.add_argument("--contract", action="store_true", help="contract degree-2 chains after loading")
-    p.add_argument("--out-dir", default=None, help="directory for output artifacts")
+_SHARED_FLAGS = {
+    "tol": dict(type=float, default=DEFAULT_TOLERANCE, help="bisection tolerance in meters"),
+    "workers": dict(type=int, default=1, help="parallel worker processes"),
+    "contract": dict(action="store_true", help="contract degree-2 chains after loading"),
+    "out-dir": dict(required=True, help="directory for output artifacts"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the shared ``flags`` a subcommand reads, plus ``--config``."""
+    for flag in flags:
+        p.add_argument("--" + flag, **_SHARED_FLAGS[flag])
     p.add_argument("--config", default=None, help="key = value file of defaults")
 
 
@@ -262,8 +269,6 @@ def _cmd_fscore(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    if args.out_dir is None:
-        raise PathdistError("--out-dir is required for perturb")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = PerturbationSpec(p=args.p, seed_count=args.count, rng_seed=args.rng_seed)
@@ -276,8 +281,6 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    if args.out_dir is None:
-        raise PathdistError("--out-dir is required for study")
     p_values = [float(x) for x in args.p_values.split(",") if x.strip()]
     result = run_perturbation_study(
         p_values,
@@ -299,7 +302,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stats", help="graph statistics")
     p.add_argument("--graph", required=True)
-    _add_common(p)
+    _add_common(p, "contract")
     p.set_defaults(fn=_cmd_stats)
 
     p = sub.add_parser("distance", help="directed path-based distance")
@@ -310,7 +313,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strict", action="store_true", help="restrict to separated, degree!=3 interiors")
     p.add_argument("--resume", action="store_true", help="reuse distances already in --out")
     p.add_argument("--out", required=True, help="per-path report CSV")
-    _add_common(p)
+    _add_common(p, "tol", "workers", "contract")
     p.set_defaults(fn=_cmd_distance)
 
     p = sub.add_parser("signature", help="per-edge local signature")
@@ -321,7 +324,7 @@ def build_parser() -> _Parser:
     p.add_argument("--heatmap", default=None)
     p.add_argument("--geojson", default=None)
     p.add_argument("--ramp", default="quantile", choices=("quantile", "linear"))
-    _add_common(p)
+    _add_common(p, "tol", "workers", "contract")
     p.set_defaults(fn=_cmd_signature)
 
     p = sub.add_parser("cdf", help="weighted CDF of a signature CSV")
@@ -336,19 +339,19 @@ def build_parser() -> _Parser:
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_common(p, "tol", "workers", "contract")
     p.set_defaults(fn=_cmd_separation)
 
     p = sub.add_parser("mapmatch", help="Fréchet map-matching distance")
     p.add_argument("--graph", required=True)
     p.add_argument("--curve", required=True)
-    _add_common(p)
+    _add_common(p, "tol", "contract")
     p.set_defaults(fn=_cmd_mapmatch)
 
     p = sub.add_parser("frechet", help="Fréchet distance between two curves")
     p.add_argument("--curve-a", required=True)
     p.add_argument("--curve-b", required=True)
-    _add_common(p)
+    _add_common(p, "tol")
     p.set_defaults(fn=_cmd_frechet)
 
     p = sub.add_parser("fscore", help="marbles-and-holes F-score baseline")
@@ -359,14 +362,14 @@ def build_parser() -> _Parser:
     p.add_argument("--max-path", type=float, default=300.0)
     p.add_argument("--out", required=True)
     p.add_argument("--heatmap", default=None)
-    _add_common(p)
+    _add_common(p, "workers", "contract")
     p.set_defaults(fn=_cmd_fscore)
 
     p = sub.add_parser("perturb", help="generate perturbed grid graphs")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--rng-seed", type=int, default=0)
-    _add_common(p)
+    _add_common(p, "out-dir")
     p.set_defaults(fn=_cmd_perturb)
 
     p = sub.add_parser("study", help="perturbed-grid distance study")
@@ -374,7 +377,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--rng-seed", type=int, default=0)
-    _add_common(p)
+    _add_common(p, "tol", "workers", "out-dir")
     p.set_defaults(fn=_cmd_study)
 
     return parser

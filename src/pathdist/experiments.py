@@ -242,7 +242,6 @@ class RunConfig:
     workers: int = 1
     contract: bool = False
     both_directions: bool = False
-    strict: bool = False
 
     def __post_init__(self):
         if self.tol <= 0:

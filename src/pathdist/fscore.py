@@ -2,6 +2,8 @@
 
 Around each seed location, walks explore every branch of the graph up to a
 maximum network distance, dropping sample points at a regular interval.
+Each edge a walk reaches is sampled in one pass: every sample arc on it
+goes to a single :meth:`PolyLine.point_at` call.
 Samples of one graph (marbles) are matched one-to-one to samples of the
 other (holes) when closer than a matched-distance threshold; precision,
 recall, and their harmonic mean summarize the tallies.  This is the
@@ -20,6 +22,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InputError, StructuralError
+from .geometry import PolyLine, project_onto_segments
 from .graph import EdgeId, EmbeddedGraph, VertexId
 from .parallel import run_chunked
 from .signatures import SignatureMap
@@ -81,6 +84,29 @@ class _Dedup:
         return True
 
 
+def _sample_edge(
+    geom: PolyLine,
+    offset: float,
+    d0: float,
+    limit: float,
+    interval: float,
+    dedup: _Dedup,
+    samples: list[tuple[float, float]],
+) -> None:
+    """Sample ``geom`` at each network distance ``k*interval`` in ``(d0, d0 + limit]``.
+
+    Arc ``offset`` of ``geom`` lies at network distance ``d0``, so one
+    :meth:`PolyLine.point_at` call over arcs ``offset + k*interval - d0``
+    places every sample; ``dedup`` then filters them in walk order.
+    """
+    k0 = int(math.floor(d0 / interval)) + 1
+    dist = np.arange(k0, int(math.floor((d0 + limit) / interval)) + 2) * interval
+    dist = dist[(dist > d0) & (dist <= d0 + limit)]
+    for x, y in geom.point_at(offset + dist - d0).tolist():
+        if dedup.add(x, y):
+            samples.append((x, y))
+
+
 def _walk_samples(
     g: EmbeddedGraph,
     starts: list[tuple[float, EdgeId, VertexId]],
@@ -108,15 +134,7 @@ def _walk_samples(
         visited.add(eid)
         geom = g.edge_geometry_from(eid, vid)
         length = geom.length()
-        limit = min(length, max_len - d0)
-        k = int(math.floor(d0 / interval)) + 1
-        while k * interval <= d0 + limit:
-            arc = k * interval - d0
-            if arc > 0:
-                x, y = geom.point_at(arc)
-                if dedup.add(float(x), float(y)):
-                    samples.append((float(x), float(y)))
-            k += 1
+        _sample_edge(geom, 0.0, d0, min(length, max_len - d0), interval, dedup, samples)
         end_dist = d0 + length
         if end_dist < max_len:
             far = g.other_endpoint(eid, vid)
@@ -162,47 +180,29 @@ def sample_neighborhood_at(g: EmbeddedGraph, point, params: FScoreParams) -> Sam
     edge = g.edges[eid]
     geom = edge.geometry
     # Arc position of the seed on its edge, measured from the u endpoint.
-    cum = geom.cumulative_lengths()
-    best_arc = 0.0
-    best_d = math.inf
-    pts = geom.points
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        dvec = b - a
-        dd = float(dvec @ dvec)
-        u = 0.0 if dd == 0.0 else float((q - a) @ dvec) / dd
-        u = min(max(u, 0.0), 1.0)
-        proj = a + u * dvec
-        d = float(np.hypot(*(proj - q)))
-        if d < best_d:
-            best_d = d
-            best_arc = float(cum[i]) + u * math.sqrt(dd)
+    d = np.diff(geom.points, axis=0)
+    dists, _, u = project_onto_segments(q, geom.points[:-1], d)
+    i = int(np.argmin(dists))
+    seed_arc = float(geom.cumulative_lengths()[i]) + float(u[i]) * math.sqrt(float(d[i] @ d[i]))
     length = geom.length()
     seed_xy = (float(q[0]), float(q[1]))
-    dedup = _Dedup(params.sampling_interval / 2.0)
+    interval, max_len = params.sampling_interval, params.max_path_length
+    dedup = _Dedup(interval / 2.0)
     dedup.add(*seed_xy)
     samples = [seed_xy]
-    visited = {eid}
-    interval = params.sampling_interval
-    max_len = params.max_path_length
     starts: list[tuple[float, EdgeId, VertexId]] = []
     # Walk the seed edge itself in both directions before the general sweep.
     for geom_dir, remaining, far in (
-        (geom, length - best_arc, edge.v),
-        (geom.reversed(), best_arc, edge.u),
+        (geom, length - seed_arc, edge.v),
+        (geom.reversed(), seed_arc, edge.u),
     ):
-        arc0 = (length - remaining) if remaining < length else 0.0
-        k = 1
-        while k * interval <= min(remaining, max_len):
-            x, y = geom_dir.point_at(arc0 + k * interval)
-            if dedup.add(float(x), float(y)):
-                samples.append((float(x), float(y)))
-            k += 1
+        offset = (length - remaining) if remaining < length else 0.0
+        _sample_edge(geom_dir, offset, 0.0, min(remaining, max_len), interval, dedup, samples)
         if remaining < max_len:
             for nxt in g.adjacency[far]:
                 if nxt != eid:
                     starts.append((remaining, nxt, far))
-    _walk_samples(g, starts, params, dedup, samples, visited)
+    _walk_samples(g, starts, params, dedup, samples, {eid})
     return SampleSet(seed=seed_xy, points=np.asarray(samples, dtype=float))
 
 

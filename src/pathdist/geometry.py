@@ -22,6 +22,7 @@ __all__ = [
     "segments_intersect",
     "point_to_polyline_distance",
     "nearest_point_on_polyline",
+    "project_onto_segments",
 ]
 
 EMPTY_LO = np.inf
@@ -114,18 +115,17 @@ class PolyLine:
             return self
         return PolyLine(self.points[keep])
 
-    def point_at(self, arc: float) -> np.ndarray:
-        """Point at the given arc length, clamped to the curve."""
+    def point_at(self, arc) -> np.ndarray:
+        """Point at the given arc length, clamped to the curve; one row per arc of an array."""
         cum = self.cumulative_lengths()
         total = cum[-1]
+        arc = np.clip(np.asarray(arc, dtype=float), 0.0, total)
         if total == 0.0:
-            return self.points[0].copy()
-        arc = min(max(arc, 0.0), total)
-        i = int(np.searchsorted(cum, arc, side="right")) - 1
-        i = min(i, len(self) - 2)
+            return np.broadcast_to(self.points[0], arc.shape + (2,)).copy()
+        i = np.minimum(np.searchsorted(cum, arc, side="right") - 1, len(self) - 2)
         seg = cum[i + 1] - cum[i]
-        u = 0.0 if seg == 0.0 else (arc - cum[i]) / seg
-        return self.points[i] + u * (self.points[i + 1] - self.points[i])
+        u = np.where(seg == 0.0, 0.0, (arc - cum[i]) / np.where(seg == 0.0, 1.0, seg))
+        return self.points[i] + u[..., None] * (self.points[i + 1] - self.points[i])
 
     def resampled(self, spacing: float) -> "PolyLine":
         """Insert points so consecutive spacing is at most ``spacing``.
@@ -268,19 +268,26 @@ def point_to_polyline_distance(p, g: PolyLine) -> float:
     return dist
 
 
+def project_onto_segments(p, a: np.ndarray, d: np.ndarray):
+    """Per-segment ``(distances, projected points, u)`` of ``p`` on ``a[i] -> a[i] + d[i]``.
+
+    ``u`` in [0, 1] places each projection on its segment (0 on a zero-length one).
+    """
+    p = np.asarray(p, dtype=float)
+    dd = np.einsum("ij,ij->i", d, d)
+    u = np.einsum("ij,ij->i", p - a, d) / np.where(dd == 0.0, 1.0, dd)
+    u = np.clip(u, 0.0, 1.0)
+    proj = a + u[:, None] * d
+    dists = np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1])
+    return dists, proj, u
+
+
 def nearest_point_on_polyline(p, g: PolyLine) -> tuple[float, np.ndarray]:
     """Distance to and coordinates of the closest point of ``g``."""
     p = np.asarray(p, dtype=float)
     pts = g.points
     if pts.shape[0] == 1:
         return float(np.hypot(*(p - pts[0]))), pts[0].copy()
-    a = pts[:-1]
-    b = pts[1:]
-    d = b - a
-    dd = np.einsum("ij,ij->i", d, d)
-    u = np.einsum("ij,ij->i", p - a, d) / np.where(dd == 0.0, 1.0, dd)
-    u = np.clip(u, 0.0, 1.0)
-    proj = a + u[:, None] * d
-    dists = np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1])
+    dists, proj, _ = project_onto_segments(p, pts[:-1], np.diff(pts, axis=0))
     i = int(np.argmin(dists))
     return float(dists[i]), proj[i]

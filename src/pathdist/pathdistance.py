@@ -72,15 +72,12 @@ class PathDistanceReport:
     def max_distance(self) -> float:
         return max((r.distance for r in self.records), default=0.0)
 
-    def percentile(self, q: float = 0.9, weighted: bool = True) -> float:
+    def percentile(self, q: float = 0.9) -> float:
+        """Length-weighted ``q``-quantile of the per-path distances."""
         if not self.records:
             return 0.0
         values = np.asarray([r.distance for r in self.records])
-        weights = (
-            np.asarray([r.length for r in self.records])
-            if weighted
-            else np.ones(len(self.records))
-        )
+        weights = np.asarray([r.length for r in self.records])
         return _weighted_quantile(values, weights, q)
 
     @property
@@ -95,7 +92,7 @@ class PathDistanceReport:
             "k": self.k,
             "direction": self.direction,
             "max": self.max_distance,
-            "p90_weighted": self.percentile(0.9, True),
+            "p90_weighted": self.percentile(0.9),
             "mean_weighted": self.weighted_mean,
             "path_count": len(self.records),
         }

@@ -14,11 +14,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .errors import InputError, StructuralError
 from .geometry import PolyLine
-from .graph import EdgeId, EmbeddedGraph, VertexId
+from .graph import EdgeId, EmbeddedGraph, VertexId, _merge_chain_geometry
 
 __all__ = [
     "VertexPath",
@@ -173,8 +171,4 @@ def path_geometry(g: EmbeddedGraph, p: VertexPath) -> PolyLine:
     Shared junction points are not duplicated.
     """
     validate_path(g, p)
-    pts: list[np.ndarray] = []
-    for i, eid in enumerate(p.edge_ids):
-        geom = g.edge_geometry_from(eid, p.vertex_ids[i]).points
-        pts.extend(geom if not pts else geom[1:])
-    return PolyLine(np.asarray(pts))
+    return _merge_chain_geometry(g, list(zip(p.edge_ids, p.vertex_ids)))

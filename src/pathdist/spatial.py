@@ -5,7 +5,8 @@ segment endpoints (cached per graph) and numbers the points where segments
 meet, graph vertices and polyline bends alike, as one array of joints.
 Free-space map matching sweeps these rows and glues them at the joints, and
 :func:`nearest_point_on_graph` projects a point onto all of them in one
-numpy pass.  ``SpatialGrid`` buckets edges by grid cell for the
+pass of ``geometry.project_onto_segments``, the segment projection that every
+nearest-point query shares.  ``SpatialGrid`` buckets edges by grid cell for the
 F-score seeding, which queries far larger maps than a single curve covers.
 """
 
@@ -16,7 +17,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .geometry import nearest_point_on_polyline
+from .geometry import nearest_point_on_polyline, project_onto_segments
 from .graph import EdgeId, EmbeddedGraph
 
 __all__ = ["SpatialGrid", "nearest_point_on_graph"]
@@ -172,16 +173,9 @@ def nearest_point_on_graph(g: EmbeddedGraph, p) -> tuple[float, np.ndarray, Edge
     segments there, so a closest isolated vertex comes with edge ``None``.
     A graph without vertices has no closest point: ``(inf, None, None)``.
     """
-    p = np.asarray(p, dtype=float)
     geom = surface_geometry(g)
     if not geom.n_segments:
         return math.inf, None, None
-    a = geom.seg_a
-    d = geom.seg_d
-    dd = np.einsum("ij,ij->i", d, d)
-    u = np.einsum("ij,ij->i", p - a, d) / np.where(dd == 0.0, 1.0, dd)
-    u = np.clip(u, 0.0, 1.0)
-    proj = a + u[:, None] * d
-    dists = np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1])
+    dists, proj, _ = project_onto_segments(p, geom.seg_a, geom.seg_d)
     s = int(np.argmin(dists))
     return float(dists[s]), proj[s], geom.seg_edge[s]

@@ -231,6 +231,18 @@ def test_usage_error_bad_flag_exits_1():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["perturb", "--p", "0.5"], ["cdf", "--sig", "s.csv", "--out", "c.csv", "--workers", "2"]],
+    ids=["perturb-without-out-dir", "cdf-with-workers"],
+)
+def test_missing_or_unread_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_data_error_dangling_edge_exits_2(tmp_path):
     (tmp_path / "vertices.csv").write_text("id,x,y\na,0,0\n")
     (tmp_path / "edges.csv").write_text("id,u,v\ne,a,zz\n")

@@ -120,6 +120,14 @@ def test_run_all_emits_artifacts_and_manifest(tmp_path):
     assert summary["max"] <= math.sqrt(2) * 0.2 + 2e-3
 
 
+def test_run_all_manifest_records_no_strict_switch(tmp_path):
+    gdir, hdir = _write_pair(tmp_path)
+    out = run_all(RunConfig(gdir, hdir, str(tmp_path / "out"), k_values=(1,), tol=1e-3))
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert "strict" not in config
+    assert config["k_values"] == [1]
+
+
 def test_run_all_identity_smoke_and_reproducible(tmp_path):
     gdir, _ = _write_pair(tmp_path)
     cfg = dict(from_graph=gdir, to_graph=gdir, k_values=(1, 2), tol=1e-3)

@@ -66,6 +66,50 @@ def test_seed_at_point_walks_both_directions():
     assert xs == pytest.approx([1.0, 3.0, 5.0, 7.0, 9.0])
 
 
+def bent_edge_with_neighbours():
+    # Edge "bent" bends four times and repeats a point (a zero-length segment);
+    # the walks from a seed on it continue into ac, bd (bent too) and be.
+    return EmbeddedGraph(
+        [("a", (0, 0)), ("b", (30, 0)), ("c", (0, -20)), ("d", (30, 20)), ("e", (45, 0))],
+        [
+            ("bent", ("a", "b", [(0, 0), (10, 0), (10, 0), (15, 5), (25, 5.5), (30, 0)])),
+            ("ac", ("a", "c")),
+            ("bd", ("b", "d", [(30, 0), (33, 9), (30, 20)])),
+            ("be", ("b", "e")),
+        ],
+    )
+
+
+# Seed, then the seed edge towards b and towards a, then the sweep from a
+# (ac) and from b (bd, be), in the order the sampler accepts them.
+BENT_SEED_SAMPLES = [
+    (13.5, 3.5),
+    (16.876335700872033, 5.093816785043602),
+    (20.87134505638341, 5.29356725281917),
+    (24.86635441189479, 5.49331772059474),
+    (27.600679120286816, 2.6392529676845022),
+    (10.671572875253808, 0.6715728752538084),
+    (6.949747468305832, 0.0),
+    (2.949747468305832, 0.0),
+    (0.0, -1.0502525316941664),
+    (0.0, -5.050252531694166),
+    (0.0, -9.050252531694166),
+    (0.0, -13.050252531694166),
+    (30.136975032580676, 0.4109250977420289),
+    (31.401886096648028, 4.205658289944084),
+    (32.666797160715376, 8.000391482146139),
+    (34.433153085530705, 0.0),
+    (38.433153085530705, 0.0),
+]
+
+
+def test_seed_inside_bent_edge_samples_pinned_points():
+    params = FScoreParams(sampling_interval=4.0, matched_distance=5.0, max_path_length=30.0)
+    samples = sample_neighborhood_at(bent_edge_with_neighbours(), (13.0, 4.0), params)
+    assert samples.seed == (13.5, 3.5)
+    assert [tuple(p) for p in samples.points.tolist()] == BENT_SEED_SAMPLES
+
+
 def test_sample_neighborhood_at_empty_graph():
     empty = EmbeddedGraph([], [])
     params = FScoreParams()

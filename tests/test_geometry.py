@@ -46,6 +46,29 @@ def test_polyline_point_at_and_resample():
     assert np.allclose(r.points[2], (2, 0))
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0.0, 0.0), (3.0, 4.0), (3.0, 4.0), (7.5, 1.25), (2.0, -6.0)],
+        [(1.5, -2.0)],
+        [(2.0, 2.0), (2.0, 2.0)],
+    ],
+    ids=["zero-length-segment", "single-point", "all-duplicate"],
+)
+def test_point_at_array_equals_scalar_calls_bitwise(points):
+    p = PolyLine(points)
+    total = p.length()
+    cum = p.cumulative_lengths().tolist()
+    arcs = np.array([-7.0, -1e-12, 0.0, *cum, 0.3 * total, 0.77 * total, total, total + 1e-9, total + 5.0])
+    rows = p.point_at(arcs)
+    assert rows.shape == (arcs.size, 2)
+    for arc, row in zip(arcs, rows):
+        single = p.point_at(float(arc))
+        assert single.shape == (2,)
+        assert row.tobytes() == single.tobytes()
+    assert p.point_at(arcs[:6].reshape(2, 3)).tobytes() == rows[:6].tobytes()
+
+
 def test_point_segment_distance_examples():
     assert point_segment_distance((0, 1), (-1, 0), (1, 0)) == pytest.approx(1.0)
     assert point_segment_distance((2, 2), (0, 0), (1, 0)) == pytest.approx(math.sqrt(5))

@@ -216,11 +216,7 @@ def _cmd_cdf(args) -> int:
 def _cmd_separation(args) -> int:
     g = load_graph_arg(getattr(args, "from"), args.contract)
     h = load_graph_arg(args.to, args.contract)
-    reports = separation_census(g, h, args.tol, workers=args.workers)
-    doc = [
-        {"k": r.k, "d": r.d, "separated": r.separated_count, "vertices": len(r.per_vertex)}
-        for r in reports
-    ]
+    doc = [r.summary() for r in separation_census(g, h, args.tol, workers=args.workers)]
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)

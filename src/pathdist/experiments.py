@@ -323,15 +323,7 @@ def run_all(config: RunConfig) -> Path:
             export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.geojson"), "geojson")
             curves[f"{tag} k={k}"] = cdf(edge_sig)
         census = separation_census(src, dst, config.tol, workers=config.workers, known=deltas)
-        census_doc = [
-            {
-                "k": rep.k,
-                "d": rep.d,
-                "separated": rep.separated_count,
-                "vertices": len(rep.per_vertex),
-            }
-            for rep in census
-        ]
+        census_doc = [rep.summary() for rep in census]
         with open(track(f"separation_{tag}.json"), "w") as fh:
             json.dump(census_doc, fh, indent=1, sort_keys=True)
             fh.write("\n")

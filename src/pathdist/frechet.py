@@ -59,22 +59,16 @@ def frechet_decision(f: PolyLine, g: PolyLine, eps: float) -> bool:
 
     # left[i][j]: free sub-interval of g-segment j at f-vertex i.
     # bottom[i][j]: free sub-interval of f-segment i at g-vertex j.
-    left_lo = np.empty((m + 1, n))
-    left_hi = np.empty((m + 1, n))
-    for i in range(m + 1):
-        left_lo[i], left_hi[i] = disc_segment_intervals(fp[i], eps, gp[:-1], gp[1:])
-    bot_lo = np.empty((m, n + 1))
-    bot_hi = np.empty((m, n + 1))
-    for j in range(n + 1):
-        bot_lo[:, j], bot_hi[:, j] = disc_segment_intervals(gp[j], eps, fp[:-1], fp[1:])
+    left_lo, left_hi = disc_segment_intervals(fp[:, None, :], eps, gp[:-1], gp[1:])
+    bot_lo, bot_hi = disc_segment_intervals(gp[:, None, :], eps, fp[:-1], fp[1:])
 
     if not (left_lo[0, 0] <= 0.0 <= left_hi[0, 0]):
         return False  # start corner not free
 
     llo = left_lo.tolist()
     lhi = left_hi.tolist()
-    blo = bot_lo.tolist()
-    bhi = bot_hi.tolist()
+    blo = bot_lo.T.tolist()
+    bhi = bot_hi.T.tolist()
 
     # lr[i][j] / br[i][j]: lowest reachable parameter on the left/bottom
     # boundary of cell (i, j), inf when unreachable.

@@ -114,6 +114,15 @@ class SeparationReport:
     def separated_count(self) -> int:
         return sum(1 for r in self.per_vertex.values() if math.isfinite(r))
 
+    def summary(self) -> dict:
+        """The census row: scale, separated count and vertex count."""
+        return {
+            "k": self.k,
+            "d": self.d,
+            "separated": self.separated_count,
+            "vertices": len(self.per_vertex),
+        }
+
 
 def _weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
     order = np.argsort(values, kind="stable")
@@ -328,8 +337,9 @@ def path_distance_analysis(
     """
     records = match_all_paths(g, h, k, tol, workers=workers)
     report = PathDistanceReport(k=k, direction="G->H", records=records)
-    edge_values = _aggregate(records, lambda p: set(p.edge_ids))
-    vertex_values = _aggregate(records, lambda p: set(p.vertex_ids))
+    # Keys in first-path order, not set order, which PYTHONHASHSEED changes.
+    edge_values = _aggregate(records, lambda p: p.edge_ids)
+    vertex_values = _aggregate(records, lambda p: p.vertex_ids)
     # Edges or vertices on no canonical path (isolated pieces) get no entry.
     edge_sig = SignatureMap(target="edge", k=k, values=edge_values, graph=g)
     vertex_sig = SignatureMap(target="vertex", k=k, values=vertex_values, graph=g)
@@ -362,33 +372,33 @@ def vertex_signature(
     return sig
 
 
-# Radii scanned by intersection_radius on polyline edges before it bisects.
+# Radii tested at once in each round of intersection_radius's zooming scan.
 _RADIUS_STEPS = 256
 
 
-def _first_circle_crossing(points: np.ndarray, center: np.ndarray, r: float):
-    """First point at distance ``r`` walking the polyline from ``center``.
+def _first_crossings(points: np.ndarray, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """First point at distance ``r`` walking the polyline from ``center``, per ``r`` in ``radii``.
 
-    ``points`` must start at ``center``.  Returns None when the walk never
-    reaches distance ``r``.  Distance to ``center`` is convex along each
-    segment, so the first segment whose far endpoint reaches ``r`` holds the
-    crossing.
+    ``points`` must start at ``center`` and have no zero-length segments
+    (see ``PolyLine.collapsed``).  Distance to ``center`` is convex along
+    each segment, so the first segment whose far endpoint reaches ``r``
+    holds the crossing.  Rows are NaN where the walk never reaches ``r``.
     """
-    for a, b in zip(points[:-1], points[1:]):
-        db = float(np.hypot(*(b - center)))
-        if db >= r:
-            dvec = b - a
-            f = a - center
-            qa = float(dvec @ dvec)
-            if qa == 0.0:
-                return b
-            qb = 2.0 * float(f @ dvec)
-            qc = float(f @ f) - r * r
-            disc = max(qb * qb - 4.0 * qa * qc, 0.0)
-            u = (-qb + math.sqrt(disc)) / (2.0 * qa)
-            u = min(max(u, 0.0), 1.0)
-            return a + u * dvec
-    return None
+    far = np.hypot(points[1:, 0] - center[0], points[1:, 1] - center[1])
+    seg = np.searchsorted(np.maximum.accumulate(far), radii)
+    missed = seg == far.size
+    seg[missed] = 0
+    a = points[seg]
+    dvec = points[seg + 1] - a
+    f = a - center
+    qa = dvec[:, 0] * dvec[:, 0] + dvec[:, 1] * dvec[:, 1]
+    qb = 2.0 * (f[:, 0] * dvec[:, 0] + f[:, 1] * dvec[:, 1])
+    qc = f[:, 0] * f[:, 0] + f[:, 1] * f[:, 1] - radii * radii
+    disc = np.maximum(qb * qb - 4.0 * qa * qc, 0.0)
+    u = np.clip((-qb + np.sqrt(disc)) / (2.0 * qa), 0.0, 1.0)
+    out = a + u[:, None] * dvec
+    out[missed] = np.nan
+    return out
 
 
 def intersection_radius(g: EmbeddedGraph, v: VertexId, d: float) -> float:
@@ -399,9 +409,11 @@ def intersection_radius(g: EmbeddedGraph, v: VertexId, d: float) -> float:
     than ``2*d`` apart.  When all incident edges are straight segments the
     closed form ``d / sin(theta/2)`` applies, with ``theta`` the minimum
     angle between incident edges, provided every edge is long enough to
-    reach that radius.  Polyline edges fall back to a numeric scan of
-    ``_RADIUS_STEPS`` radii refined by bisection.  Returns ``inf`` when no radius
-    qualifies (the vertex is then not d-separated).
+    reach that radius.  Otherwise a zooming scan tests ``_RADIUS_STEPS``
+    radii from ``d`` to the shortest edge reach at once, then rescans
+    between the last failing and the first passing radius until the grid
+    can no longer narrow.  Returns ``inf`` when no radius qualifies (the
+    vertex is then not d-separated).
     """
     if v not in g.vertices:
         raise StructuralError(f"unknown vertex id {v!r}")
@@ -439,37 +451,21 @@ def intersection_radius(g: EmbeddedGraph, v: VertexId, d: float) -> float:
     if reach < d or reach == 0.0:
         return math.inf
 
-    def feasible(r: float) -> bool:
-        crossings = []
-        for pts in geoms:
-            w = _first_circle_crossing(pts, center, r)
-            if w is None:
-                return False
-            crossings.append(w)
-        for i in range(len(crossings)):
-            for j in range(i + 1, len(crossings)):
-                if float(np.hypot(*(crossings[i] - crossings[j]))) <= 2.0 * d:
-                    return False
-        return True
-
-    grid = np.linspace(d, reach, _RADIUS_STEPS)
-    hit = None
-    for idx, r in enumerate(grid):
-        if feasible(float(r)):
-            hit = idx
-            break
-    if hit is None:
-        return math.inf
-    if hit == 0:
-        return float(grid[0])
-    lo, hi = float(grid[hit - 1]), float(grid[hit])
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    first, second = np.triu_indices(len(geoms), 1)
+    lo, hi = d, reach
+    while True:
+        radii = np.linspace(lo, hi, _RADIUS_STEPS)
+        crossings = np.stack([_first_crossings(pts, center, radii) for pts in geoms])
+        gaps = crossings[first] - crossings[second]
+        ok = (np.hypot(gaps[..., 0], gaps[..., 1]) > 2.0 * d).all(axis=0)
+        if not ok.any():
+            return math.inf
+        hit = int(np.argmax(ok))
+        if hit == 0:
+            return float(radii[0])
+        if radii[hit] - radii[hit - 1] >= hi - lo:
+            return float(radii[hit])
+        lo, hi = radii[hit - 1], radii[hit]
 
 
 def separation_census(

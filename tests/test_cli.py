@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pathdist
 from pathdist.cli import main
 from pathdist.experiments import (
     PerturbationSpec,
@@ -10,7 +15,7 @@ from pathdist.experiments import (
     grid_graph,
     run_all,
 )
-from pathdist.graph import write_graph_csv
+from pathdist.graph import EmbeddedGraph, write_graph_csv
 
 
 @pytest.fixture
@@ -268,3 +273,43 @@ def test_config_file_defaults_flags_override(graph_dirs, tmp_path, capsys):
     )
     assert code == 0
     assert out.exists()
+
+
+def _demo_city(missing_street: bool, shift: float) -> EmbeddedGraph:
+    """The pair of ``demos/03_signatures_heatmap.py``: string ids, one street gone."""
+    vertices = [
+        ("a", (0, 0)), ("b", (100, 0)), ("c", (200, 0)),
+        ("d", (0, 100)), ("e", (100 + shift, 100 + shift)), ("f", (200, 100)),
+        ("g", (0, 200)), ("h", (100, 200)), ("i", (200, 200)),
+    ]
+    edges = [
+        ("ab", ("a", "b")), ("bc", ("b", "c")), ("de", ("d", "e")), ("ef", ("e", "f")),
+        ("gh", ("g", "h")), ("hi", ("h", "i")), ("ad", ("a", "d")), ("dg", ("d", "g")),
+        ("be", ("b", "e")), ("eh", ("e", "h")), ("cf", ("c", "f")),
+    ]
+    if not missing_street:
+        edges.append(("fi", ("f", "i")))
+    return EmbeddedGraph(vertices, edges)
+
+
+def test_signature_rows_do_not_depend_on_hash_seed(tmp_path):
+    # Graphs loaded from CSV have string ids, whose set order changes with
+    # PYTHONHASHSEED; the signature rows must come out in the same order.
+    dirs = []
+    for name, graph in (("g", _demo_city(False, 0.0)), ("h", _demo_city(True, 12.0))):
+        d = tmp_path / name
+        d.mkdir()
+        write_graph_csv(graph, d / "vertices.csv", d / "edges.csv")
+        dirs.append(str(d))
+    src = str(Path(pathdist.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "3"):
+        out = tmp_path / f"sig_{hash_seed}.csv"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-m", "pathdist.cli", "signature", "--from", dirs[0], "--to", dirs[1],
+             "--k", "2", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -10,6 +10,7 @@ from pathdist.geometry import polylines_intersect
 from pathdist.graph import EmbeddedGraph
 from pathdist.matching import map_match_distance, match_decision
 from pathdist.pathdistance import (
+    _RADIUS_STEPS,
     directed_path_distance,
     intersection_radius,
     iter_match_records,
@@ -89,6 +90,49 @@ def test_monotone_in_link_length():
         d3 = max_path_distance(g, h, 3, TOL)
         assert d1 <= d2 + 2 * TOL
         assert d2 <= d3 + 2 * TOL
+
+
+def small_city_pair(seed: int) -> tuple[EmbeddedGraph, EmbeddedGraph]:
+    """A 2x2-block lattice of bent streets and a jittered copy missing one street."""
+    rng = np.random.default_rng(seed)
+    ids = {(i, j): f"v{i}_{j}" for j in range(3) for i in range(3)}
+    streets = [
+        (c, (c[0] + di, c[1] + dj))
+        for c in ids
+        for di, dj in ((1, 0), (0, 1))
+        if (c[0] + di, c[1] + dj) in ids
+    ]
+    bends = rng.uniform(-8.0, 8.0, (len(streets), 2))
+
+    def build(jitter: float, drop: int | None) -> EmbeddedGraph:
+        pos = {c: 100.0 * np.asarray(c, float) + rng.uniform(-jitter, jitter, 2) for c in ids}
+        edges = []
+        for s, (u, v) in enumerate(streets):
+            if s == drop:
+                continue
+            a, b = pos[u], pos[v]
+            normal = np.array([a[1] - b[1], b[0] - a[0]]) / 100.0
+            bent = [a + t * (b - a) + off * normal for t, off in zip((1 / 3, 2 / 3), bends[s])]
+            edges.append((f"e{s}", (ids[u], ids[v], [a, *bent, b])))
+        return EmbeddedGraph([(ids[c], tuple(p)) for c, p in pos.items()], edges)
+
+    return build(0.0, None), build(3.0, 5)
+
+
+@pytest.mark.parametrize("pair", [0, 1, 2, "city"])
+def test_path_distance_never_falls_below_its_edges(pair):
+    # A link-2 path contains each of its edges as a link-1 path, and a
+    # matching of the whole path restricts to one of each edge.
+    if pair == "city":
+        g, h = small_city_pair(0)
+    else:
+        g = random_geometric_graph(np.random.default_rng(pair), 10, 3, 30.0)
+        h = random_geometric_graph(np.random.default_rng(pair + 100), 10, 3, 30.0)
+    by_edge = {r.path.edge_ids[0]: r.distance for r in match_all_paths(g, h, 1, TOL)}
+    records = match_all_paths(g, h, 2, TOL)
+    assert records
+    for rec in records:
+        assert rec.distance >= max(by_edge[e] for e in rec.path.edge_ids) - TOL
 
 
 def test_perturbed_grid_respects_displacement_bound(grid6):
@@ -258,6 +302,83 @@ def test_intersection_radius_polyline_matches_dense_scan():
     assert math.isfinite(ours) and math.isfinite(ref)
     step = (ref + 1) / 256  # scan grid resolution upper bound
     assert ours == pytest.approx(ref, abs=step)
+
+
+def bent_graph(seed: int, shift=(0.0, 0.0)) -> EmbeddedGraph:
+    """A random geometric graph whose edges bend at one to three points."""
+    rng = np.random.default_rng(seed)
+    g = random_geometric_graph(rng, 8, 4, 40.0)
+    edges = []
+    for eid, e in g.edges.items():
+        a, b = (np.asarray(g.vertices[x], float) for x in (e.u, e.v))
+        normal = np.array([b[1] - a[1], a[0] - b[0]])
+        ts = np.sort(rng.uniform(0.15, 0.85, int(rng.integers(1, 4))))
+        bends = [a + t * (b - a) + rng.uniform(-0.2, 0.2) * normal for t in ts]
+        edges.append((eid, (e.u, e.v, [pt + shift for pt in (a, *bends, b)])))
+    return EmbeddedGraph([(v, (p.x + shift[0], p.y + shift[1])) for v, p in g.vertices.items()], edges)
+
+
+def _reach(g, v) -> float:
+    center = np.asarray(g.vertices[v], float)
+    return min(
+        float(np.hypot(*(g.edge_geometry_from(e, v).points - center).T).max())
+        for e in g.adjacency[v]
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_intersection_radius_bent_edges_match_dense_scan(seed):
+    g = bent_graph(seed)
+    d = 0.5
+    finite = 0
+    for v in g.vertices:
+        ours = intersection_radius(g, v, d)
+        ref = dense_radius_scan(g, v, d)
+        assert math.isfinite(ours) == math.isfinite(ref)
+        if math.isfinite(ref) and g.degree(v) > 1:
+            finite += 1
+            # The oracle's crossings lie up to one fine arc step past the
+            # circle, so agreement is to one coarse scan step.
+            assert ours == pytest.approx(ref, abs=(_reach(g, v) - d) / (_RADIUS_STEPS - 1))
+    assert finite >= 2
+
+
+def test_intersection_radius_collinear_split_matches_closed_form():
+    # A midpoint on each straight edge makes the edges polylines, which
+    # takes the zooming scan instead of d / sin(theta/2).
+    rng = np.random.default_rng(2718)
+    finite = 0
+    for _ in range(40):
+        degree = int(rng.integers(2, 6))
+        angles = rng.uniform(0, 2 * math.pi, degree)
+        lengths = rng.uniform(2.0, 12.0, degree)
+        c = rng.uniform(-5, 5, 2)
+        ends = c + lengths[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+        verts = [("c", tuple(c))] + [(i, tuple(p)) for i, p in enumerate(ends)]
+        straight = EmbeddedGraph(verts, [(i, ("c", i)) for i in range(degree)])
+        mids = c + rng.uniform(0.2, 0.8, (degree, 1)) * (ends - c)
+        split = EmbeddedGraph(verts, [(i, ("c", i, [c, mids[i], ends[i]])) for i in range(degree)])
+        d = float(rng.uniform(0.2, 3.0))
+        want = intersection_radius(straight, "c", d)
+        got = intersection_radius(split, "c", d)
+        assert math.isfinite(got) == math.isfinite(want)
+        if math.isfinite(want):
+            finite += 1
+            assert got == pytest.approx(want, abs=1e-9)
+    assert finite >= 10
+
+
+def test_intersection_radius_survives_utm_offset():
+    for seed in (0, 1):
+        g = bent_graph(seed)
+        moved = bent_graph(seed, shift=np.array([5e5, 4.5e6]))
+        for d in (0.5, 2.0):
+            for v in g.vertices:
+                r = intersection_radius(g, v, d)
+                r_moved = intersection_radius(moved, v, d)
+                assert math.isfinite(r) == math.isfinite(r_moved)
+                if math.isfinite(r):
+                    assert abs(r - r_moved) < 1e-6
 
 
 def test_separation_census_identity(grid6):

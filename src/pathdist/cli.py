@@ -9,14 +9,15 @@ the long flag names; explicit flags override file values.
 from __future__ import annotations
 
 import argparse
-import csv
+import hashlib
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import PathdistError
+from . import __version__
+from .errors import ParseError, PathdistError
 from .experiments import (
     PerturbationSpec,
     generate_perturbed,
@@ -27,7 +28,7 @@ from .experiments import (
 from .frechet import DEFAULT_TOLERANCE, frechet_distance
 from .fscore import FScoreParams, fscore_analysis
 from .geometry import PolyLine
-from .graph import graph_stats, write_graph_csv
+from .graph import csv_rows, finite_coordinates, graph_stats, write_graph_csv
 from .matching import map_match_distance
 from .pathdistance import (
     PathDistanceReport,
@@ -59,15 +60,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_curve(path) -> PolyLine:
-    """Curve CSV: one ``x,y`` row per point; optional ``x,y`` header."""
+    """Curve CSV: one ``x,y`` row per point; optional ``x,y`` header on line 1."""
     pts = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
-            if row[0].strip().lower() == "x":
-                continue
-            pts.append((float(row[0]), float(row[1])))
+    for lineno, row in csv_rows(path):
+        if lineno == 1 and row[0].lower() == "x":
+            continue
+        if len(row) != 2:
+            raise ParseError(f"curve row needs 2 fields, got {len(row)}", lineno)
+        pts.append(finite_coordinates(row, "curve", lineno))
     return PolyLine(pts)
 
 
@@ -98,10 +98,12 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
         current = getattr(args, key)
         if isinstance(current, bool):
             setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int):
-            setattr(args, key, int(raw))
-        elif isinstance(current, float):
-            setattr(args, key, float(raw))
+        elif isinstance(current, (int, float)):
+            try:
+                setattr(args, key, type(current)(raw))
+            except ValueError:
+                kind = type(current).__name__
+                raise PathdistError(f"config key {key!r}: {raw!r} is not a valid {kind}") from None
         else:
             setattr(args, key, raw)
 
@@ -159,6 +161,21 @@ def _cmd_distance(args) -> int:
         out = Path(args.out)
         out_path = out.with_name(out.stem + tag + out.suffix) if tag else out
         direction = "H->G" if tag == "_hg" else "G->H"
+        fingerprint_path = out_path.with_name(out_path.name + ".fingerprint")
+        fingerprint = _fingerprint(src, dst, args.k, args.tol, direction)
+        known: dict[int, float] = {}
+        if args.resume and out_path.exists():
+            found = fingerprint_path.read_text().strip() if fingerprint_path.exists() else None
+            if found != fingerprint:
+                print(
+                    f"pathdist: --resume: {out_path} was not written from these inputs and "
+                    f"settings ({fingerprint_path.name} is missing or differs)",
+                    file=sys.stderr,
+                )
+                return EXIT_DATA
+            with open(out_path) as fh:
+                known = read_records_csv(fh)
+        fingerprint_path.write_text(fingerprint + "\n")
         if args.strict:
             report = directed_path_distance(
                 src, dst, args.k, args.tol, workers=args.workers, strict=True
@@ -166,10 +183,6 @@ def _cmd_distance(args) -> int:
             with open(out_path, "w", newline="") as fh:
                 write_records_csv(report.records, fh)
         else:
-            known: dict[int, float] = {}
-            if args.resume and out_path.exists():
-                with open(out_path) as fh:
-                    known = read_records_csv(fh)
             # Stream rows as chunks complete so long runs are restartable.
             with open(out_path, "w", newline="") as fh:
                 records = write_records_csv(
@@ -183,6 +196,28 @@ def _cmd_distance(args) -> int:
         _write_summary(report, _summary_path(str(out_path)))
         print(f"{report.direction} k={args.k} max={report.max_distance!r}")
     return EXIT_OK
+
+
+def _fingerprint(src, dst, k: int, tol: float, direction: str) -> str:
+    """sha256 over everything a distance report depends on.
+
+    Covers both graphs as loaded (and contracted, if asked): vertex and edge
+    ids, edge endpoints and every coordinate as ``float.hex``, in insertion
+    order; plus k, tol, the direction and the package version.
+    """
+    digest = hashlib.sha256()
+
+    def put(*items) -> None:
+        digest.update(repr(items).encode() + b"\n")
+
+    put(__version__, k, float(tol).hex(), direction)
+    for g in (src, dst):
+        put(len(g.vertices), len(g.edges))
+        for vid, p in g.vertices.items():
+            put(vid, p.x.hex(), p.y.hex())
+        for eid, e in g.edges.items():
+            put(eid, e.u, e.v, *[c.hex() for c in e.geometry.points.ravel().tolist()])
+    return digest.hexdigest()
 
 
 def _cmd_signature(args) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .geometry import PolyLine, disc_segment_intervals
+from .geometry import PolyLine, collapsed_points, disc_segment_intervals, max_distance_to_point
 
 __all__ = ["frechet_decision", "frechet_distance", "discrete_frechet"]
 
@@ -22,16 +22,19 @@ DEFAULT_TOLERANCE = 1e-3
 _INF = float("inf")
 
 
-def _prepared(f: PolyLine) -> np.ndarray:
-    if not isinstance(f, PolyLine):
-        f = PolyLine(f)
-    return f.collapsed().points
+def bisect_decision(decide, lo: float, hi: float, tol: float) -> float:
+    """Bisect a monotone decision, failing at ``lo`` and holding at ``hi``, down to ``tol``.
 
-
-def _max_distance_to_point(pts: np.ndarray, p: np.ndarray) -> float:
-    # Distance to a fixed point is convex along each segment, so the
-    # maximum over a polyline is attained at a vertex.
-    return float(np.hypot(pts[:, 0] - p[0], pts[:, 1] - p[1]).max())
+    Returns the midpoint of the final bracket, within ``tol / 2`` of the
+    threshold where ``decide`` switches.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if decide(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def frechet_decision(f: PolyLine, g: PolyLine, eps: float) -> bool:
@@ -44,15 +47,15 @@ def frechet_decision(f: PolyLine, g: PolyLine, eps: float) -> bool:
     """
     if eps < 0:
         raise InputError("eps must be non-negative")
-    fp = _prepared(f)
-    gp = _prepared(g)
+    fp = collapsed_points(f)
+    gp = collapsed_points(g)
 
     if fp.shape[0] == 1 and gp.shape[0] == 1:
         return float(np.hypot(*(fp[0] - gp[0]))) <= eps
     if fp.shape[0] == 1:
-        return _max_distance_to_point(gp, fp[0]) <= eps
+        return max_distance_to_point(gp, fp[0]) <= eps
     if gp.shape[0] == 1:
-        return _max_distance_to_point(fp, gp[0]) <= eps
+        return max_distance_to_point(fp, gp[0]) <= eps
 
     m = fp.shape[0] - 1  # segments of f (horizontal axis)
     n = gp.shape[0] - 1  # segments of g (vertical axis)
@@ -117,8 +120,8 @@ def frechet_decision(f: PolyLine, g: PolyLine, eps: float) -> bool:
 
 def frechet_lower_bound(f: PolyLine, g: PolyLine) -> float:
     """max(||f(0)-g(0)||, ||f(1)-g(1)||), a lower bound on the distance."""
-    fp = _prepared(f)
-    gp = _prepared(g)
+    fp = collapsed_points(f)
+    gp = collapsed_points(g)
     return max(
         float(np.hypot(*(fp[0] - gp[0]))),
         float(np.hypot(*(fp[-1] - gp[-1]))),
@@ -134,8 +137,8 @@ def frechet_distance(f: PolyLine, g: PolyLine, tol: float = DEFAULT_TOLERANCE) -
     """
     if tol <= 0:
         raise InputError("tol must be positive")
-    fp = _prepared(f)
-    gp = _prepared(g)
+    fp = collapsed_points(f)
+    gp = collapsed_points(g)
     lo = frechet_lower_bound(f, g)
     if frechet_decision(f, g, lo):
         return lo
@@ -144,13 +147,7 @@ def frechet_distance(f: PolyLine, g: PolyLine, tol: float = DEFAULT_TOLERANCE) -
     if not frechet_decision(f, g, hi):
         # Guard against rounding at the analytic upper bound.
         hi *= 1.0 + 1e-9
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if frechet_decision(f, g, mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return bisect_decision(lambda eps: frechet_decision(f, g, eps), lo, hi, tol)
 
 
 def discrete_frechet(f: PolyLine, g: PolyLine) -> float:

@@ -23,6 +23,8 @@ __all__ = [
     "point_to_polyline_distance",
     "nearest_point_on_polyline",
     "project_onto_segments",
+    "collapsed_points",
+    "max_distance_to_point",
 ]
 
 EMPTY_LO = np.inf
@@ -291,3 +293,19 @@ def nearest_point_on_polyline(p, g: PolyLine) -> tuple[float, np.ndarray]:
     dists, proj, _ = project_onto_segments(p, pts[:-1], np.diff(pts, axis=0))
     i = int(np.argmin(dists))
     return float(dists[i]), proj[i]
+
+
+def collapsed_points(curve) -> np.ndarray:
+    """Vertices of ``curve`` (a PolyLine or point sequence), consecutive duplicates removed."""
+    if not isinstance(curve, PolyLine):
+        curve = PolyLine(curve)
+    return curve.collapsed().points
+
+
+def max_distance_to_point(pts: np.ndarray, p) -> float:
+    """Largest distance from the polyline through ``pts`` to the point ``p``.
+
+    Distance to a fixed point is convex along each segment, so the maximum
+    over a polyline is attained at a vertex.
+    """
+    return float(np.hypot(pts[:, 0] - p[0], pts[:, 1] - p[1]).max())

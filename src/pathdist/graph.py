@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -149,7 +150,8 @@ def graph_stats(g: EmbeddedGraph) -> GraphStats:
     )
 
 
-def _open_rows(path):
+def csv_rows(path):
+    """``(line number, stripped cells)`` of each non-blank row of a CSV file."""
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not cell.strip() for cell in row):
@@ -157,25 +159,35 @@ def _open_rows(path):
             yield lineno, [cell.strip() for cell in row]
 
 
+def finite_coordinates(cells: list[str], what: str, lineno: int) -> list[float]:
+    """The cells as floats; a ParseError at ``lineno`` unless all are finite numbers."""
+    try:
+        coords = [float(c) for c in cells]
+    except ValueError as exc:
+        raise ParseError(f"bad {what} coordinates: {exc}", lineno) from exc
+    if not all(math.isfinite(c) for c in coords):
+        raise ParseError(f"{what} coordinates must be finite", lineno)
+    return coords
+
+
 def load_graph(vertex_file, edge_file) -> EmbeddedGraph:
     """Load a graph from two CSV files.
 
     Vertex rows are ``id,x,y``; edge rows are ``id,u,v[,x1,y1,x2,y2,...]``
     where the optional trailing floats are interior polyline points.  A
-    header row is skipped when its first cell is literally ``id``.
+    header row is skipped when its first cell is literally ``id``.  A
+    malformed row, a coordinate that is not a finite number and a self-loop
+    raise a :class:`ParseError` that names the line.
     """
     vertices: list[tuple[str, tuple[float, float]]] = []
     seen_v: set[str] = set()
-    for lineno, row in _open_rows(vertex_file):
+    for lineno, row in csv_rows(vertex_file):
         if lineno == 1 and row[0].lower() == "id":
             continue
         if len(row) != 3:
             raise ParseError(f"vertex row needs 3 fields, got {len(row)}", lineno)
         vid = row[0]
-        try:
-            x, y = float(row[1]), float(row[2])
-        except ValueError as exc:
-            raise ParseError(f"bad vertex coordinates: {exc}", lineno) from exc
+        x, y = finite_coordinates(row[1:], "vertex", lineno)
         if vid in seen_v:
             raise ParseError(f"duplicate vertex id {vid!r}", lineno)
         seen_v.add(vid)
@@ -184,7 +196,7 @@ def load_graph(vertex_file, edge_file) -> EmbeddedGraph:
 
     edges: list[tuple[str, tuple]] = []
     seen_e: set[str] = set()
-    for lineno, row in _open_rows(edge_file):
+    for lineno, row in csv_rows(edge_file):
         if lineno == 1 and row[0].lower() == "id":
             continue
         if len(row) < 3 or len(row) % 2 == 0:
@@ -195,14 +207,13 @@ def load_graph(vertex_file, edge_file) -> EmbeddedGraph:
         if eid in seen_e:
             raise ParseError(f"duplicate edge id {eid!r}", lineno)
         seen_e.add(eid)
-        try:
-            coords = [float(c) for c in row[3:]]
-        except ValueError as exc:
-            raise ParseError(f"bad edge coordinates: {exc}", lineno) from exc
+        coords = finite_coordinates(row[3:], "edge", lineno)
         interior = list(zip(coords[0::2], coords[1::2]))
         if u not in vpos or v not in vpos:
             missing = u if u not in vpos else v
             raise StructuralError(f"line {lineno}: edge {eid!r} references unknown vertex {missing!r}")
+        if u == v:
+            raise ParseError(f"edge {eid!r} is a self-loop at {u!r}", lineno)
         geometry = PolyLine([vpos[u], *interior, vpos[v]])
         edges.append((eid, (u, v, geometry)))
 

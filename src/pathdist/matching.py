@@ -31,45 +31,14 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .errors import InputError, StructuralError
-from .frechet import DEFAULT_TOLERANCE
-from .geometry import PolyLine, disc_segment_intervals
+from .frechet import DEFAULT_TOLERANCE, bisect_decision
+from .geometry import PolyLine, collapsed_points, disc_segment_intervals, max_distance_to_point
 from .graph import EmbeddedGraph
 from .spatial import nearest_point_on_graph, surface_geometry
 
 __all__ = ["match_decision", "map_match_distance"]
 
 _INF = float("inf")
-
-
-def _prepared_curve(curve: PolyLine) -> np.ndarray:
-    if not isinstance(curve, PolyLine):
-        curve = PolyLine(curve)
-    return curve.collapsed().points
-
-
-class _Reachability:
-    """Earliest-entry labels over the cells of the free-space surface.
-
-    This is the reachability front the decision sweep propagates: one float
-    per cell (graph segment x curve segment).  For witness reconstruction
-    each label also stores its predecessor and the graph-space point where
-    the cell was entered: a point on a cell boundary or the joint that
-    glues two cells.
-    """
-
-    __slots__ = ("dist", "prev", "track")
-
-    def __init__(self, n_states: int, track: bool):
-        self.dist = [_INF] * n_states
-        self.prev = [None] * n_states if track else None
-        self.track = track
-
-    def relax(self, heap, state: int, t: float, prev_state, point) -> None:
-        if t < self.dist[state]:
-            self.dist[state] = t
-            if self.track:
-                self.prev[state] = (prev_state, (float(point[0]), float(point[1])))
-            heappush(heap, (t, state))
 
 
 def match_decision(
@@ -91,7 +60,7 @@ def match_decision(
         raise InputError("eps must be non-negative")
     if h.is_empty():
         return (False, None) if return_witness else False
-    C = _prepared_curve(curve)
+    C = collapsed_points(curve)
     M = C.shape[0] - 1
 
     if M == 0:
@@ -101,7 +70,6 @@ def match_decision(
         return (ok, witness) if return_witness else ok
 
     geom = surface_geometry(h)
-    N = geom.n_segments
 
     # Free intervals, each family in one broadcast call:
     #   cv[i][s]: x-interval of segment s within eps of curve vertex i
@@ -115,41 +83,20 @@ def match_decision(
     cv_free = free.tolist()
     jnlo = jn_lo.tolist()
     jnhi = jn_hi.tolist()
-
-    seg_a = geom.seg_a
-    seg_d = geom.seg_d
-    joint_pos = geom.joint_pos
     seg_joint = geom.seg_joint
     incident = geom.incident
 
-    # State id of cell (segment s, curve segment i): s*M + i.
-    reach = _Reachability(N * M, return_witness)
-
-    # Every cell free at curve time 0 starts at label 0.0; listed in
+    # State id of cell (segment s, curve segment i): s*M + i.  ``dist`` holds
+    # each cell's label; ``back`` holds how each relaxed cell got its label:
+    # (previous state, the joint crossed, or -1 for a step along segment s).
+    # Every cell free at curve time 0 is a seed at label 0.0; listed in
     # ascending state order, the seeds already form a valid heap.
-    seed_cells = np.flatnonzero(free[0])
-    seeds = (seed_cells * M).tolist()
+    dist = [_INF] * (geom.n_segments * M)
+    back: dict[int, tuple[int, int]] = {}
+    seeds = (np.flatnonzero(free[0]) * M).tolist()
     heap: list[tuple[float, int]] = [(0.0, state) for state in seeds]
     for state in seeds:
-        reach.dist[state] = 0.0
-    if return_witness:
-        starts = seg_a[seed_cells] + cv_lo[0, seed_cells, None] * seg_d[seed_cells]
-        for state, pt in zip(seeds, starts):
-            reach.prev[state] = (None, (float(pt[0]), float(pt[1])))
-
-    dist = reach.dist
-
-    def finish(state: int, point) -> PolyLine | None:
-        if not return_witness:
-            return None
-        pts = [(float(point[0]), float(point[1]))]
-        cur = state
-        while cur is not None:
-            prev_state, crossing = reach.prev[cur]
-            pts.append(crossing)
-            cur = prev_state
-        pts.reverse()
-        return PolyLine(np.asarray(pts)).collapsed()
+        dist[state] = 0.0
 
     while heap:
         t, state = heappop(heap)
@@ -157,21 +104,42 @@ def match_decision(
             continue
         s, i = divmod(state, M)
         if i == M - 1 and cv_free[M][s]:
-            wit = finish(state, seg_a[s] + cv_lo[M, s] * seg_d[s])
-            return (True, wit) if return_witness else True
-        if i + 1 < M and cv_free[i + 1][s]:
-            pt = seg_a[s] + cv_lo[i + 1, s] * seg_d[s] if return_witness else None
-            reach.relax(heap, state + 1, float(i + 1), state, pt)
+            return (True, _witness(geom, cv_lo, back, state, M)) if return_witness else True
+        if i + 1 < M and cv_free[i + 1][s] and i + 1 < dist[state + 1]:
+            dist[state + 1] = t_next = float(i + 1)
+            back[state + 1] = (state, -1)
+            heappush(heap, (t_next, state + 1))
         for j in seg_joint[s]:
             blo, bhi = jnlo[j][i], jnhi[j][i]
             if blo <= bhi and i + bhi >= t:
                 t_j = max(t, i + blo)
                 for nbr in incident[j]:
+                    nxt = nbr * M + i
                     # Most cells at a joint already hold an earlier label.
-                    if t_j < dist[nbr * M + i]:
-                        reach.relax(heap, nbr * M + i, t_j, state, joint_pos[j])
+                    if t_j < dist[nxt]:
+                        dist[nxt] = t_j
+                        back[nxt] = (state, j)
+                        heappush(heap, (t_j, nxt))
 
     return (False, None) if return_witness else False
+
+
+def _witness(geom, cv_lo: np.ndarray, back: dict, state: int, M: int) -> PolyLine:
+    """The matched path in the graph, traced back from the accepting cell ``state``.
+
+    The path ends where the last curve vertex meets segment s, and passes
+    through each cell's entry point: the joint crossed into it, or, for a
+    seed or a step along segment s, the first point of s within eps of
+    curve vertex i.
+    """
+    s = state // M
+    pts = [geom.seg_a[s] + cv_lo[M, s] * geom.seg_d[s]]
+    while state is not None:
+        s, i = divmod(state, M)
+        state, j = back.get(state, (None, -1))
+        pts.append(geom.joint_pos[j] if j >= 0 else geom.seg_a[s] + cv_lo[i, s] * geom.seg_d[s])
+    pts.reverse()
+    return PolyLine(np.asarray(pts)).collapsed()
 
 
 def map_match_distance(
@@ -192,14 +160,14 @@ def map_match_distance(
         raise InputError("tol must be positive")
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
-    C = _prepared_curve(curve)
+    C = collapsed_points(curve)
     d0, q0, _ = nearest_point_on_graph(h, C[0])
     d1, _, _ = nearest_point_on_graph(h, C[-1])
     lo = max(d0, d1)
     if match_decision(curve, h, lo):
         return lo
     # Constant path at the nearest point bounds the distance from above.
-    ub = float(np.hypot(C[:, 0] - q0[0], C[:, 1] - q0[1]).max())
+    ub = max_distance_to_point(C, q0)
     hi = max(2.0 * lo, tol)
     while hi < ub and not match_decision(curve, h, hi):
         lo = hi
@@ -210,10 +178,4 @@ def map_match_distance(
             hi = ub * (1.0 + 1e-9) + tol
             if not match_decision(curve, h, hi):
                 raise AssertionError("upper bound violated; geometry inconsistent")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if match_decision(curve, h, mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return bisect_decision(lambda eps: match_decision(curve, h, eps), lo, hi, tol)

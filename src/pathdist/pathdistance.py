@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputError, StructuralError
 from .frechet import DEFAULT_TOLERANCE
-from .geometry import PolyLine
+from .geometry import PolyLine, max_distance_to_point
 from .graph import EmbeddedGraph, VertexId
 from .matching import map_match_distance, match_decision
 from .parallel import iter_chunked, run_chunked
@@ -447,7 +447,7 @@ def intersection_radius(g: EmbeddedGraph, v: VertexId, d: float) -> float:
         r = d / math.sin(min_theta / 2.0)
         return r if all(length >= r for length in lengths) else math.inf
 
-    reach = min(float(np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1]).max()) for pts in geoms)
+    reach = min(max_distance_to_point(pts, center) for pts in geoms)
     if reach < d or reach == 0.0:
         return math.inf
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -70,13 +71,8 @@ class CdfCurve:
     ys: tuple[float, ...]
 
     def value_at(self, x: float) -> float:
-        out = 0.0
-        for bx, by in zip(self.xs, self.ys):
-            if bx <= x:
-                out = by
-            else:
-                break
-        return out
+        i = bisect_right(self.xs, x)
+        return self.ys[i - 1] if i else 0.0
 
 
 def _cdf_from_pairs(pairs: Sequence[tuple[float, float]], total: float | None = None) -> CdfCurve:

@@ -254,6 +254,74 @@ def test_data_error_dangling_edge_exits_2(tmp_path):
     assert main(["stats", "--graph", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, line",
+    [
+        ("id,x,y\na,0,0\nb,1,0\nc,nan,5\n", "id,u,v\ne,a,b\n", 4),
+        ("id,x,y\na,0,0\nb,inf,0\n", "id,u,v\ne,a,b\n", 3),
+        ("id,x,y\na,0,0\nb,1,0\n", "id,u,v\ne,a,b,0.5,-inf\n", 2),
+        ("id,x,y\na,0,0\nb,1,0\n", "id,u,v\ne,a,b\nloop,a,a\n", 3),
+    ],
+    ids=["nan-isolated-vertex", "inf-edge-endpoint", "inf-interior-point", "self-loop"],
+)
+def test_bad_graph_row_exits_2_with_its_line(tmp_path, capsys, vertices, edges, line):
+    (tmp_path / "vertices.csv").write_text(vertices)
+    (tmp_path / "edges.csv").write_text(edges)
+    argv = ["distance", "--from", str(tmp_path), "--to", str(tmp_path), "--k", "1"]
+    assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 2
+    assert f"line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        ("x,y\n0,0\n5,abc\n", 3),
+        ("x,y\n0,0\n5\n", 3),
+        ("0,0\n1,2,3\n", 2),
+        ("0,0\nnan,1\n", 2),
+        ("0,0\nx,5\n1,1\n", 2),
+    ],
+    ids=["not-a-number", "one-field", "three-fields", "nan", "header-after-line-1"],
+)
+def test_bad_curve_row_exits_2_with_its_line(graph_dirs, tmp_path, capsys, rows, line):
+    gdir, _ = graph_dirs
+    curve = tmp_path / "c.csv"
+    curve.write_text(rows)
+    assert main(["mapmatch", "--graph", gdir, "--curve", str(curve)]) == 2
+    assert f"line {line}:" in capsys.readouterr().err
+    good = write_curve(tmp_path / "good.csv", [(0, 0), (1, 0)])
+    assert main(["frechet", "--curve-a", good, "--curve-b", str(curve)]) == 2
+
+
+def test_config_value_that_does_not_parse_exits_2(graph_dirs, tmp_path, capsys):
+    gdir, hdir = graph_dirs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = abc\n")
+    argv = ["distance", "--from", gdir, "--to", hdir, "--k", "1", "--out", str(tmp_path / "r.csv")]
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "'tol'" in capsys.readouterr().err
+
+
+def test_distance_resume_refuses_a_report_from_other_inputs(graph_dirs, tmp_path, capsys):
+    gdir, hdir = graph_dirs
+    out = tmp_path / "rep.csv"
+    assert main(["distance", "--from", gdir, "--to", hdir, "--k", "1", "--out", str(out)]) == 0
+    first = out.read_text()
+    argv = ["distance", "--from", gdir, "--to", gdir, "--k", "1", "--out", str(out), "--resume"]
+    assert main(argv) == 2
+    assert "--resume" in capsys.readouterr().err
+    assert out.read_text() == first
+    # Settings count as inputs too, and a report with no fingerprint is refused.
+    same = ["distance", "--from", gdir, "--to", hdir, "--out", str(out), "--resume"]
+    assert main(same + ["--k", "1", "--tol", "0.01"]) == 2
+    (tmp_path / "rep.csv.fingerprint").unlink()
+    assert main(same + ["--k", "1"]) == 2
+    # Without --resume the report is recomputed, and then it resumes.
+    assert main(["distance", "--from", gdir, "--to", gdir, "--k", "1", "--out", str(out)]) == 0
+    assert main(argv) == 0
+    assert "max=0.0" in capsys.readouterr().out
+
+
 def test_config_file_defaults_flags_override(graph_dirs, tmp_path, capsys):
     gdir, hdir = graph_dirs
     cfg = tmp_path / "run.cfg"

@@ -250,3 +250,66 @@ def test_enumerated_path_family_upper_bounds_distance():
         curve_pts = random_curve_near_graph(rng, h, 3, 0.25)
         d = map_match_distance(PolyLine(curve_pts), h, 1e-3)
         assert d <= enum.match_distance(curve_pts) + 1e-3 + 0.02
+
+
+def witness_targets():
+    """Bent edges; a bent edge with a parallel twin; bent edges plus isolated vertices."""
+    rng = np.random.default_rng(31)
+    bent = bend_edges(random_geometric_graph(rng, 8, 3, 10.0), rng, 1.5)
+    twin = EmbeddedGraph(
+        [("a", (0, 0)), ("b", (10, 0)), ("c", (10, 6))],
+        [
+            ("ab", ("a", "b", [(0, 0), (5, 1.5), (10, 0)])),
+            ("ab2", ("a", "b", [(0, 0), (5, -1.5), (10, 0)])),
+            ("bc", ("b", "c", [(10, 0), (11, 3), (10, 6)])),
+        ],
+    )
+    base = bend_edges(random_geometric_graph(rng, 6, 2, 10.0), rng, 1.5)
+    lonely = EmbeddedGraph(
+        [*base.vertices.items(), ("iso1", (14.0, 3.0)), ("iso2", (-3.0, 12.0))],
+        [(eid, (e.u, e.v, e.geometry)) for eid, e in base.edges.items()],
+    )
+    return {"bent": bent, "parallel": twin, "isolated": lonely}
+
+
+def distance_to_graph(h, p):
+    """Distance from ``p`` to the nearest edge point or vertex of ``h``."""
+    nd, _ = nearest_point_scan(h, p)
+    return min([nd, *(math.hypot(p[0] - q.x, p[1] - q.y) for q in h.vertices.values())])
+
+
+@pytest.mark.parametrize("target", ["bent", "parallel", "isolated"])
+def test_witness_lies_on_the_graph_and_matches_the_curve(target):
+    h = witness_targets()[target]
+    rng = np.random.default_rng(41)
+    curves = [random_curve_near_graph(rng, h, n, 2.5) for n in (2, 3, 5, 5, 8)]
+    if target == "parallel":
+        # Out along one twin and back along the other, then up the last edge.
+        curves.append(np.array([(0, 0.3), (5, 1.8), (10, 0.2), (5, -1.8), (0, -0.2)]))
+        curves.append(np.array([(0.5, -0.3), (5, -2.0), (9.5, -0.2), (10.5, 3)]))
+    if target == "isolated":
+        # Near the isolated vertex only its constant path matches closely.
+        curves.append(np.array([(13.5, 2.0), (14.5, 3.5), (14.0, 4.0)]))
+    for pts in curves:
+        curve = PolyLine(pts)
+        d = map_match_distance(curve, h, 1e-3)
+        # d is within tol/2 of the true value, so d + tol certifies a match.
+        ok, witness = match_decision(curve, h, d + 1e-3, return_witness=True)
+        assert ok and witness is not None
+        for pt in witness.points:
+            assert distance_to_graph(h, pt) <= 1e-9
+        assert frechet_distance(curve, witness, 1e-3) <= d + 2e-3
+
+
+def test_map_match_distance_survives_utm_offset():
+    rng = np.random.default_rng(23)
+    h = bend_edges(random_geometric_graph(rng, 8, 3, 100.0), rng, 15.0)
+    shift = np.array([5e5, 4.5e6])
+    moved = EmbeddedGraph(
+        [(v, tuple(np.asarray(p) + shift)) for v, p in h.vertices.items()],
+        [(eid, (e.u, e.v, e.geometry.points + shift)) for eid, e in h.edges.items()],
+    )
+    for _ in range(6):
+        pts = random_curve_near_graph(rng, h, 5, 25.0)
+        d = map_match_distance(PolyLine(pts), h, 1e-3)
+        assert abs(map_match_distance(PolyLine(pts + shift), moved, 1e-3) - d) < 1e-3

@@ -21,7 +21,7 @@ from pathdist.pathdistance import (
     separation_census,
     write_records_csv,
 )
-from pathdist.paths import path_geometry
+from pathdist.paths import VertexPath, path_geometry
 from pathdist.experiments import PerturbationSpec, generate_perturbed
 
 from oracles import dense_radius_scan, random_geometric_graph
@@ -119,20 +119,39 @@ def small_city_pair(seed: int) -> tuple[EmbeddedGraph, EmbeddedGraph]:
     return build(0.0, None), build(3.0, 5)
 
 
+def monotonicity_pair(pair) -> tuple[EmbeddedGraph, EmbeddedGraph]:
+    if pair == "city":
+        return small_city_pair(0)
+    g = random_geometric_graph(np.random.default_rng(pair), 10, 3, 30.0)
+    h = random_geometric_graph(np.random.default_rng(pair + 100), 10, 3, 30.0)
+    return g, h
+
+
 @pytest.mark.parametrize("pair", [0, 1, 2, "city"])
 def test_path_distance_never_falls_below_its_edges(pair):
     # A link-2 path contains each of its edges as a link-1 path, and a
     # matching of the whole path restricts to one of each edge.
-    if pair == "city":
-        g, h = small_city_pair(0)
-    else:
-        g = random_geometric_graph(np.random.default_rng(pair), 10, 3, 30.0)
-        h = random_geometric_graph(np.random.default_rng(pair + 100), 10, 3, 30.0)
+    g, h = monotonicity_pair(pair)
     by_edge = {r.path.edge_ids[0]: r.distance for r in match_all_paths(g, h, 1, TOL)}
     records = match_all_paths(g, h, 2, TOL)
     assert records
     for rec in records:
         assert rec.distance >= max(by_edge[e] for e in rec.path.edge_ids) - TOL
+
+
+@pytest.mark.parametrize("pair", [0, 1, 2, "city"])
+def test_path_distance_never_falls_below_its_sub_paths(pair):
+    # The two link-2 sub-paths of a link-3 path are a prefix and a suffix of
+    # its curve, and a matching of the whole curve restricts to each.
+    g, h = monotonicity_pair(pair)
+    by_path = {r.path: r.distance for r in match_all_paths(g, h, 2, TOL)}
+    records = match_all_paths(g, h, 3, TOL)
+    assert records
+    for rec in records:
+        v, e = rec.path.vertex_ids, rec.path.edge_ids
+        prefix = VertexPath(v[:3], e[:2]).canonical()
+        suffix = VertexPath(v[1:], e[1:]).canonical()
+        assert rec.distance >= max(by_path[prefix], by_path[suffix]) - TOL
 
 
 def test_perturbed_grid_respects_displacement_bound(grid6):

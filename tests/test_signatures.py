@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from pathdist.errors import InputError, StructuralError
@@ -7,6 +8,7 @@ from pathdist.graph import EmbeddedGraph
 from pathdist.signatures import (
     CdfCurve,
     SignatureMap,
+    _cdf_from_pairs,
     cdf,
     cdf_at,
     cdf_from_signature_rows,
@@ -46,6 +48,29 @@ def test_cdf_uniform_signature_single_jump():
     assert curve.ys == (1.0,)
     assert curve.value_at(4.999) == 0.0
     assert curve.value_at(5.0) == 1.0
+
+
+def scan_value_at(curve: CdfCurve, x: float) -> float:
+    """The step value by a linear scan over the breakpoints."""
+    out = 0.0
+    for bx, by in zip(curve.xs, curve.ys):
+        if bx > x:
+            break
+        out = by
+    return out
+
+
+def test_cdf_value_at_matches_a_breakpoint_scan():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 7, 40):
+        # Rounded values make ties, which merge into one breakpoint.
+        values = np.round(rng.uniform(0.0, 10.0, n), 1).tolist()
+        curve = _cdf_from_pairs([(v, w) for v, w in zip(values, rng.uniform(0.1, 2.0, n))])
+        xs = np.array(curve.xs)
+        probes = [-1.0, 0.0, *xs, *np.nextafter(xs, -np.inf), *np.nextafter(xs, np.inf), 11.0,
+                  *rng.uniform(-1.0, 11.0, 20), -np.inf, np.inf]
+        for x in probes:
+            assert curve.value_at(float(x)) == scan_value_at(curve, float(x))
 
 
 def test_cdf_weighted_by_length():

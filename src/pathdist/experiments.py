@@ -32,7 +32,7 @@ from .pathdistance import (
     write_records_csv,
 )
 from .signatures import cdf, export_cdf_plot, export_heatmap, write_signature_csv
-from .svgplot import SvgCanvas
+from .svgplot import PLOT_SIZE, SvgCanvas
 
 __all__ = [
     "PerturbationSpec",
@@ -147,8 +147,9 @@ class StudyResult:
                     f"{row['median']!r},{row['q3']!r},{row['max']!r}\n"
                 )
 
-    def write_boxplot_svg(self, path, width: float = 640.0, height: float = 420.0) -> None:
+    def write_boxplot_svg(self, path) -> None:
         summary = self.summary()
+        width, height = PLOT_SIZE
         margin = 50.0
         top = max(row["max"] for row in summary) * 1.1 + 1e-9
         canvas = SvgCanvas(width, height)
@@ -198,8 +199,6 @@ def run_perturbation_study(
     rng_seed: int = 0,
     workers: int = 1,
     out_dir=None,
-    extent: float = 10.0,
-    spacing: float = 2.0,
 ) -> StudyResult:
     """Distances of perturbed grids back to the grid, per p and seed.
 
@@ -209,12 +208,10 @@ def run_perturbation_study(
     """
     if not p_values:
         raise InputError("need at least one perturbation index")
-    base = grid_graph(extent, spacing)
+    base = grid_graph()
     result = StudyResult(p_values=list(p_values), k=k, tol=tol, rng_seed=rng_seed)
     for pi, p in enumerate(p_values):
-        spec = PerturbationSpec(
-            p=p, seed_count=seed_count, rng_seed=(rng_seed, pi), extent=extent, spacing=spacing
-        )
+        spec = PerturbationSpec(p=p, seed_count=seed_count, rng_seed=(rng_seed, pi))
         graphs = generate_perturbed(spec)
         fn = functools.partial(_study_distance, base, k, tol)
         distances: list[float] = []

@@ -118,16 +118,6 @@ def frechet_decision(f: PolyLine, g: PolyLine, eps: float) -> bool:
     )
 
 
-def frechet_lower_bound(f: PolyLine, g: PolyLine) -> float:
-    """max(||f(0)-g(0)||, ||f(1)-g(1)||), a lower bound on the distance."""
-    fp = collapsed_points(f)
-    gp = collapsed_points(g)
-    return max(
-        float(np.hypot(*(fp[0] - gp[0]))),
-        float(np.hypot(*(fp[-1] - gp[-1]))),
-    )
-
-
 def frechet_distance(f: PolyLine, g: PolyLine, tol: float = DEFAULT_TOLERANCE) -> float:
     """Fréchet distance of two polylines to absolute tolerance ``tol``.
 
@@ -139,7 +129,7 @@ def frechet_distance(f: PolyLine, g: PolyLine, tol: float = DEFAULT_TOLERANCE) -
         raise InputError("tol must be positive")
     fp = collapsed_points(f)
     gp = collapsed_points(g)
-    lo = frechet_lower_bound(f, g)
+    lo = max(float(np.hypot(*(fp[0] - gp[0]))), float(np.hypot(*(fp[-1] - gp[-1]))))
     if frechet_decision(f, g, lo):
         return lo
     diff = fp[:, None, :] - gp[None, :, :]

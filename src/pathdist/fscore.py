@@ -72,8 +72,6 @@ class _Dedup:
 
     def add(self, x: float, y: float) -> bool:
         r = self.radius
-        if r <= 0:
-            return True
         cx, cy = int(math.floor(x / r)), int(math.floor(y / r))
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):

@@ -15,9 +15,6 @@ from .errors import InputError
 __all__ = [
     "Point2D",
     "PolyLine",
-    "FreeInterval",
-    "point_segment_distance",
-    "disc_segment_interval",
     "disc_segment_intervals",
     "segments_intersect",
     "point_to_polyline_distance",
@@ -36,18 +33,6 @@ class Point2D(NamedTuple):
 
     x: float
     y: float
-
-
-class FreeInterval(NamedTuple):
-    """A closed parameter interval [lo, hi] with lo <= hi.
-
-    Empty intervals are represented explicitly as ``None`` by the functions
-    that produce single intervals, or by ``lo > hi`` sentinels inside the
-    vectorized interval arrays (see :func:`disc_segment_intervals`).
-    """
-
-    lo: float
-    hi: float
 
 
 def _as_point_array(points) -> np.ndarray:
@@ -148,20 +133,6 @@ class PolyLine:
         return PolyLine(np.asarray(out))
 
 
-def point_segment_distance(p, a, b) -> float:
-    """Euclidean distance from point ``p`` to segment ``ab``."""
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-    dd = float(d @ d)
-    if dd == 0.0:
-        return float(np.hypot(*(p - a)))
-    u = float((p - a) @ d) / dd
-    u = min(max(u, 0.0), 1.0)
-    return float(np.hypot(*(p - (a + u * d))))
-
-
 def disc_segment_intervals(center, radius: float, a, b):
     """Parameter intervals of segments ``a[i] -> b[i]`` inside a closed disc.
 
@@ -200,20 +171,6 @@ def disc_segment_intervals(center, radius: float, a, b):
     lo = np.where(empty, EMPTY_LO, lo)
     hi = np.where(empty, EMPTY_HI, hi)
     return lo, hi
-
-
-def disc_segment_interval(center, radius: float, a, b) -> FreeInterval | None:
-    """Single-segment variant of :func:`disc_segment_intervals`.
-
-    Returns the closed parameter interval, or ``None`` for an empty
-    intersection (the empty case is explicit, never encoded as lo > hi).
-    """
-    lo, hi = disc_segment_intervals(
-        center, radius, np.asarray(a, float)[None, :], np.asarray(b, float)[None, :]
-    )
-    if lo[0] > hi[0]:
-        return None
-    return FreeInterval(float(lo[0]), float(hi[0]))
 
 
 def _orient(a, b, c) -> float:

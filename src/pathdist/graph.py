@@ -73,7 +73,6 @@ class EmbeddedGraph:
 
         eitems = edges.items() if isinstance(edges, Mapping) else edges
         self.edges: dict[EdgeId, Edge] = {}
-        self.adjacency: dict[VertexId, tuple[EdgeId, ...]] = {v: () for v in self.vertices}
         adj: dict[VertexId, list[EdgeId]] = {v: [] for v in self.vertices}
         for eid, spec in eitems:
             if eid in self.edges:
@@ -128,9 +127,6 @@ class EmbeddedGraph:
         """Edge polyline oriented to begin at ``start``."""
         e = self.edges[eid]
         return e.geometry if start == e.u else e.geometry.reversed()
-
-    def position(self, vid: VertexId) -> Point2D:
-        return self.vertices[vid]
 
     def total_length(self) -> float:
         return float(sum(e.geometry.length() for e in self.edges.values()))

@@ -57,8 +57,12 @@ class VertexPath:
         return self if self.key() <= rev.key() else rev
 
     def label(self) -> str:
-        """Human-readable vertex sequence, used in report CSVs."""
-        return "-".join(str(v) for v in self.vertex_ids)
+        r"""Vertex ids joined by ``-``, used in report CSVs.
+
+        Inside each id, ``\`` becomes ``\\`` and ``-`` becomes ``\-``, so the
+        label splits back into its ids; other ids keep their text.
+        """
+        return "-".join(str(v).replace("\\", "\\\\").replace("-", "\\-") for v in self.vertex_ids)
 
 
 def validate_path(g: EmbeddedGraph, p: VertexPath) -> None:
@@ -85,20 +89,36 @@ def _extensions(g: EmbeddedGraph, vseq: list, eseq: list, k: int) -> Iterator[tu
         eseq.pop()
 
 
-def _walks_from(g: EmbeddedGraph, start: VertexId, k: int) -> Iterator[tuple[tuple, tuple]]:
-    """All directed walks of link-length ``k`` starting at ``start``."""
-    if k == 0:
-        yield (start,), ()
-        return
-    yield from _extensions(g, [start], [], k)
-
-
-def _warn_large_k(k: int) -> None:
+def _canonical_walks(g: EmbeddedGraph, k: int, starts) -> Iterator[VertexPath]:
+    """Canonical link-length-``k`` paths whose first vertex is in ``starts``, in that order."""
+    if k < 1:
+        raise InputError("link-length k must be >= 1")
     if k > 3:
         warnings.warn(
             f"enumerating link-length {k} paths is combinatorially expensive",
             stacklevel=3,
         )
+    for v0 in starts:
+        for vseq, eseq in _extensions(g, [v0], [], k):
+            p = VertexPath(vseq, eseq)
+            if p.key() <= p.reversed().key():
+                yield p
+
+
+def _ball(g: EmbeddedGraph, v: VertexId, k: int) -> list[VertexId]:
+    """Vertices within ``k`` edges of ``v``, in insertion order."""
+    ball = {v}
+    frontier = [v]
+    for _ in range(k):
+        reached = []
+        for u in frontier:
+            for eid in g.adjacency[u]:
+                w = g.other_endpoint(eid, u)
+                if w not in ball:
+                    ball.add(w)
+                    reached.append(w)
+        frontier = reached
+    return [u for u in g.vertices if u in ball]
 
 
 def enumerate_paths(g: EmbeddedGraph, k: int) -> Iterator[VertexPath]:
@@ -108,61 +128,33 @@ def enumerate_paths(g: EmbeddedGraph, k: int) -> Iterator[VertexPath]:
     deterministic.  Non-simple walks (repeated vertices or edges) are
     included.
     """
-    if k < 1:
-        raise InputError("link-length k must be >= 1")
-    _warn_large_k(k)
-    for v0 in g.vertices:
-        for vseq, eseq in _walks_from(g, v0, k):
-            p = VertexPath(vseq, eseq)
-            if p.key() <= p.reversed().key():
-                yield p
-
-
-def _joined(back: tuple[tuple, tuple], fwd: tuple[tuple, tuple]) -> VertexPath:
-    """Join a backward walk (reversed) with a forward walk sharing its origin."""
-    bv, be = back
-    fv, fe = fwd
-    return VertexPath(bv[::-1] + fv[1:], be[::-1] + fe)
+    yield from _canonical_walks(g, k, g.vertices)
 
 
 def paths_through_vertex(g: EmbeddedGraph, v: VertexId, k: int) -> Iterator[VertexPath]:
-    """Canonical link-length-``k`` paths containing ``v`` at any position."""
+    """The paths of :func:`enumerate_paths` that contain ``v``, in its order.
+
+    Every vertex of such a path lies within ``k`` edges of ``v``, so only
+    walks from that ball are enumerated.
+    """
     if v not in g.vertices:
         raise StructuralError(f"unknown vertex id {v!r}")
-    if k < 1:
-        raise InputError("link-length k must be >= 1")
-    _warn_large_k(k)
-    seen: set[tuple] = set()
-    for i in range(k + 1):
-        for back in _walks_from(g, v, i):
-            for fwd in _walks_from(g, v, k - i):
-                p = _joined(back, fwd).canonical()
-                key = p.key()
-                if key not in seen:
-                    seen.add(key)
-                    yield p
+    for p in _canonical_walks(g, k, _ball(g, v, k)):
+        if v in p.vertex_ids:
+            yield p
 
 
 def paths_through_edge(g: EmbeddedGraph, e: EdgeId, k: int) -> Iterator[VertexPath]:
-    """Canonical link-length-``k`` paths traversing edge ``e`` at any position."""
+    """The paths of :func:`enumerate_paths` that traverse edge ``e``, in its order.
+
+    Every vertex of such a path lies within ``k`` edges of ``e``'s first
+    endpoint, so only walks from that ball are enumerated.
+    """
     if e not in g.edges:
         raise StructuralError(f"unknown edge id {e!r}")
-    if k < 1:
-        raise InputError("link-length k must be >= 1")
-    _warn_large_k(k)
-    edge = g.edges[e]
-    seen: set[tuple] = set()
-    for u, v in ((edge.u, edge.v), (edge.v, edge.u)):
-        for i in range(1, k + 1):  # e occupies hop i of the walk
-            for back in _walks_from(g, u, i - 1):
-                for fwd in _walks_from(g, v, k - i):
-                    bv, be = back
-                    fv, fe = fwd
-                    p = VertexPath(bv[::-1] + fv, be[::-1] + (e,) + fe).canonical()
-                    key = p.key()
-                    if key not in seen:
-                        seen.add(key)
-                        yield p
+    for p in _canonical_walks(g, k, _ball(g, g.edges[e].u, k)):
+        if e in p.edge_ids:
+            yield p
 
 
 def path_geometry(g: EmbeddedGraph, p: VertexPath) -> PolyLine:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError, StructuralError
 from .graph import EmbeddedGraph
-from .svgplot import CURVE_COLORS, SvgCanvas, ramp_color, world_transform
+from .svgplot import CURVE_COLORS, PLOT_SIZE, SvgCanvas, ramp_color, world_transform
 
 __all__ = [
     "SignatureMap",
@@ -32,6 +32,9 @@ __all__ = [
     "read_signature_csv",
     "read_signature_geojson",
 ]
+
+#: Side of the square heat-map SVG.
+_HEATMAP_SIZE = 800.0
 
 
 @dataclass
@@ -135,8 +138,6 @@ def export_heatmap(
     path,
     fmt: str = "svg",
     ramp: str = "quantile",
-    *,
-    size: float = 800.0,
 ) -> None:
     """Write an edge-signature heat-map as SVG or GeoJSON.
 
@@ -182,8 +183,8 @@ def export_heatmap(
         ys.extend(e.geometry.points[:, 1])
     if not xs:
         raise InputError("cannot draw an empty graph")
-    tf = world_transform((min(xs), min(ys), max(xs), max(ys)), size, size)
-    canvas = SvgCanvas(size, size)
+    tf = world_transform((min(xs), min(ys), max(xs), max(ys)), _HEATMAP_SIZE, _HEATMAP_SIZE)
+    canvas = SvgCanvas(_HEATMAP_SIZE, _HEATMAP_SIZE)
     for eid, e in sig.graph.edges.items():
         pts = [tf(x, y) for x, y in e.geometry.points]
         if eid in sig.values:
@@ -199,14 +200,13 @@ def export_cdf_plot(
     path,
     *,
     reference_x: float = 20.0,
-    width: float = 640.0,
-    height: float = 420.0,
 ) -> None:
     """Step plot of one or more CDF curves with a vertical reference line."""
     if not curves:
         raise InputError("need at least one CDF curve to plot")
     if len(labels) != len(curves):
         raise InputError("labels must match curves one to one")
+    width, height = PLOT_SIZE
     margin = 50.0
     xmax = max(max(c.xs) for c in curves)
     xmax = max(xmax, reference_x) * 1.05 + 1e-9

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-__all__ = ["SvgCanvas", "world_transform", "ramp_color", "CURVE_COLORS"]
+__all__ = ["SvgCanvas", "world_transform", "ramp_color", "CURVE_COLORS", "PLOT_SIZE"]
 
 # Light yellow through orange to dark red.
 _RAMP_STOPS = (
@@ -22,6 +22,9 @@ _RAMP_STOPS = (
 )
 
 CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+#: Width and height of the CDF plot and the study boxplot.
+PLOT_SIZE = (640.0, 420.0)
 
 
 def _f(x: float) -> str:

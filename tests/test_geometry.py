@@ -5,13 +5,11 @@ import pytest
 
 from pathdist.errors import InputError
 from pathdist.geometry import (
-    FreeInterval,
     PolyLine,
-    disc_segment_interval,
     disc_segment_intervals,
     nearest_point_on_polyline,
-    point_segment_distance,
     point_to_polyline_distance,
+    project_onto_segments,
     segments_intersect,
 )
 
@@ -70,9 +68,15 @@ def test_point_at_array_equals_scalar_calls_bitwise(points):
 
 
 def test_point_segment_distance_examples():
-    assert point_segment_distance((0, 1), (-1, 0), (1, 0)) == pytest.approx(1.0)
-    assert point_segment_distance((2, 2), (0, 0), (1, 0)) == pytest.approx(math.sqrt(5))
-    assert point_segment_distance((5, 5), (5, 5), (5, 5)) == 0.0
+    # Segments a -> a + d: an interior foot, a clamped end, a zero-length segment.
+    a = np.array([[-1.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
+    d = np.array([[2.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    dists, _, _ = project_onto_segments((0, 1), a[:1], d[:1])
+    assert dists[0] == pytest.approx(1.0)
+    dists, _, _ = project_onto_segments((2, 2), a[1:2], d[1:2])
+    assert dists[0] == pytest.approx(math.sqrt(5))
+    dists, proj, u = project_onto_segments((5, 5), a[2:], d[2:])
+    assert dists[0] == 0.0 and u[0] == 0.0 and proj[0].tolist() == [5.0, 5.0]
 
 
 def test_point_to_polyline_distance_examples():
@@ -112,14 +116,6 @@ def test_disc_segment_intervals_degenerate_segment():
     assert lo[0] == 0.0 and hi[0] == 1.0
     lo, hi = disc_segment_intervals((3.0, 2.0), 0.5, a, a)
     assert lo[0] > hi[0]
-
-
-def test_disc_segment_interval_scalar_form():
-    got = disc_segment_interval((5.0, 0.0), 1.0, (0.0, 0.0), (10.0, 0.0))
-    assert got == FreeInterval(pytest.approx(0.4), pytest.approx(0.6))
-    assert got.lo <= got.hi
-    # Empty intersections are explicit, never lo > hi.
-    assert disc_segment_interval((5.0, 9.0), 1.0, (0.0, 0.0), (10.0, 0.0)) is None
 
 
 def test_disc_segment_interval_outside_reach_is_empty():

@@ -400,6 +400,34 @@ def test_intersection_radius_survives_utm_offset():
                     assert abs(r - r_moved) < 1e-6
 
 
+def shifted(g: EmbeddedGraph, shift: np.ndarray) -> EmbeddedGraph:
+    return EmbeddedGraph(
+        [(v, (p.x + shift[0], p.y + shift[1])) for v, p in g.vertices.items()],
+        [(eid, (e.u, e.v, e.geometry.points + shift)) for eid, e in g.edges.items()],
+    )
+
+
+@pytest.mark.parametrize("pair", [0, 1, 2, "city"])
+def test_reports_survive_utm_offset(pair):
+    g, h = monotonicity_pair(pair)
+    shift = np.array([5e5, 4.5e6])
+    g_moved, h_moved = shifted(g, shift), shifted(h, shift)
+    known, known_moved = {}, {}
+    for k in (1, 2, 3) if pair == 0 else (1, 2):
+        report, edge_sig, _ = path_distance_analysis(g, h, k, TOL)
+        moved, edge_sig_moved, _ = path_distance_analysis(g_moved, h_moved, k, TOL)
+        assert [r.path for r in moved.records] == [r.path for r in report.records]
+        for r, r_moved in zip(report.records, moved.records):
+            assert abs(r_moved.distance - r.distance) < TOL
+        assert list(edge_sig_moved.values) == list(edge_sig.values)
+        for eid, value in edge_sig.values.items():
+            assert abs(edge_sig_moved.values[eid] - value) < TOL
+        known[k], known_moved[k] = report.max_distance, moved.max_distance
+    counts = [r.separated_count for r in separation_census(g, h, TOL, known=known)]
+    moved_counts = [r.separated_count for r in separation_census(g_moved, h_moved, TOL, known=known_moved)]
+    assert moved_counts == counts
+
+
 def test_separation_census_identity(grid6):
     reports = separation_census(grid6, grid6, TOL)
     assert [r.k for r in reports] == [1, 2, 3]

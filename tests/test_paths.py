@@ -85,17 +85,29 @@ def test_paths_through_edge_is_singleton_for_k1(grid6):
 def test_paths_through_vertex_matches_filtered_enumeration(grid6):
     v = 7  # interior vertex
     for k in (1, 2, 3):
-        direct = {p.key() for p in paths_through_vertex(grid6, v, k)}
-        filtered = {p.key() for p in enumerate_paths(grid6, k) if v in p.vertex_ids}
+        direct = list(paths_through_vertex(grid6, v, k))
+        filtered = [p for p in enumerate_paths(grid6, k) if v in p.vertex_ids]
         assert direct == filtered
 
 
 def test_paths_through_edge_matches_filtered_enumeration(grid6):
     eid = 25
     for k in (1, 2, 3):
-        direct = {p.key() for p in paths_through_edge(grid6, eid, k)}
-        filtered = {p.key() for p in enumerate_paths(grid6, k) if eid in p.edge_ids}
+        direct = list(paths_through_edge(grid6, eid, k))
+        filtered = [p for p in enumerate_paths(grid6, k) if eid in p.edge_ids]
         assert direct == filtered
+
+
+def test_local_path_queries_filter_the_enumeration():
+    rng = np.random.default_rng(9)
+    for _ in range(2):
+        g = random_geometric_graph(rng, 8, 3, 10.0)
+        for k in (1, 2, 3):
+            paths = list(enumerate_paths(g, k))
+            for v in g.vertices:
+                assert list(paths_through_vertex(g, v, k)) == [p for p in paths if v in p.vertex_ids]
+            for eid in g.edges:
+                assert list(paths_through_edge(g, eid, k)) == [p for p in paths if eid in p.edge_ids]
 
 
 def test_paths_through_edge_subset_of_endpoint_vertices(grid6):
@@ -105,6 +117,31 @@ def test_paths_through_edge_subset_of_endpoint_vertices(grid6):
     through_u = {p.key() for p in paths_through_vertex(grid6, e.u, 2)}
     through_v = {p.key() for p in paths_through_vertex(grid6, e.v, 2)}
     assert through_e <= through_u & through_v
+
+
+def split_label(label: str) -> list[str]:
+    ids, current, chars = [], "", iter(label)
+    for c in chars:
+        if c == "\\":
+            current += next(chars)
+        elif c == "-":
+            ids.append(current)
+            current = ""
+        else:
+            current += c
+    return ids + [current]
+
+
+def test_label_is_unambiguous():
+    a = VertexPath(("a-b", "c"), ("e",))
+    b = VertexPath(("a", "b-c"), ("f",))
+    assert a.label() != b.label()
+    odd = VertexPath(("x\\", "-", "\\-", 3), (0, 1, 2))
+    for p in (a, b, odd):
+        assert split_label(p.label()) == [str(v) for v in p.vertex_ids]
+    # Ids without "-" or "\\" keep their text.
+    assert VertexPath((0, 12), ("e",)).label() == "0-12"
+    assert VertexPath(("v3_4", "v3_5"), ("e",)).label() == "v3_4-v3_5"
 
 
 def test_path_geometry_orientation_and_shared_points():

@@ -304,10 +304,13 @@ def run_all(config: RunConfig) -> Path:
     curves = {}
     for tag, src, dst in directions:
         deltas: dict[int, float] = {}
+        # Each k's values floor the bisections of the k+1 paths they are part of.
+        tables: dict[int, dict] = {}
         for k in config.k_values:
             report, edge_sig, _vertex_sig = path_distance_analysis(
-                src, dst, k, config.tol, workers=config.workers
+                src, dst, k, config.tol, workers=config.workers, sub_distances=tables.get(k - 1)
             )
+            tables[k] = {r.path: r.distance for r in report.records}
             with open(track(f"distance_{tag}_k{k}.csv"), "w", newline="") as fh:
                 write_records_csv(report.records, fh)
             with open(track(f"distance_{tag}_k{k}.summary.json"), "w") as fh:
@@ -319,7 +322,9 @@ def run_all(config: RunConfig) -> Path:
             export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.svg"), "svg")
             export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.geojson"), "geojson")
             curves[f"{tag} k={k}"] = cdf(edge_sig)
-        census = separation_census(src, dst, config.tol, workers=config.workers, known=deltas)
+        census = separation_census(
+            src, dst, config.tol, workers=config.workers, known=deltas, tables=tables
+        )
         census_doc = [rep.summary() for rep in census]
         with open(track(f"separation_{tag}.json"), "w") as fh:
             json.dump(census_doc, fh, indent=1, sort_keys=True)

@@ -36,7 +36,7 @@ from .geometry import PolyLine, collapsed_points, disc_segment_intervals, max_di
 from .graph import EmbeddedGraph
 from .spatial import nearest_point_on_graph, surface_geometry
 
-__all__ = ["match_decision", "map_match_distance"]
+__all__ = ["match_decision", "map_match_distance", "decision_floor"]
 
 _INF = float("inf")
 
@@ -146,6 +146,8 @@ def map_match_distance(
     curve: PolyLine,
     h: EmbeddedGraph,
     tol: float = DEFAULT_TOLERANCE,
+    *,
+    lower: float | None = None,
 ) -> float:
     """Minimum Fréchet distance from ``curve`` to any path in ``h``.
 
@@ -155,27 +157,81 @@ def map_match_distance(
     bound, so the doubling terminates).  The result is within ``tol`` of the
     true infimum and deterministic for fixed inputs, independent of how work
     is chunked across workers.
+
+    ``lower``, if given, must be a value this function returned, at the same
+    ``tol``, for a prefix or suffix of ``curve`` (a curve's distance is never
+    below a sub-curve's, since a matching of the whole restricts to the
+    part).  The decisions then go through a monotone memo of the largest
+    failing and the smallest holding eps: every eps strictly below
+    ``lower - tol/2`` fails without a sweep, and one probe at
+    ``lower + tol/2`` usually settles every larger eps.  The search still
+    visits the same eps and returns the same float as without ``lower``;
+    it only sweeps inside a window about ``tol`` wide.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
     C = collapsed_points(curve)
+    decide = _MonotoneDecision(curve, h, lower, tol)
     d0, q0, _ = nearest_point_on_graph(h, C[0])
     d1, _, _ = nearest_point_on_graph(h, C[-1])
     lo = max(d0, d1)
-    if match_decision(curve, h, lo):
+    if decide(lo):
         return lo
     # Constant path at the nearest point bounds the distance from above.
     ub = max_distance_to_point(C, q0)
     hi = max(2.0 * lo, tol)
-    while hi < ub and not match_decision(curve, h, hi):
+    while hi < ub and not decide(hi):
         lo = hi
         hi = min(2.0 * hi, ub)
     if hi >= ub:
         hi = ub
-        if not match_decision(curve, h, hi):
+        if not decide(hi):
             hi = ub * (1.0 + 1e-9) + tol
-            if not match_decision(curve, h, hi):
+            if not decide(hi):
                 raise AssertionError("upper bound violated; geometry inconsistent")
-    return bisect_decision(lambda eps: match_decision(curve, h, eps), lo, hi, tol)
+    return bisect_decision(decide, lo, hi, tol)
+
+
+def decision_floor(lower: float | None, tol: float) -> float:
+    """Every eps strictly below this fails for a curve whose sub-curve's distance is ``lower``.
+
+    ``lower`` is a bisection midpoint, so within ``tol/2`` of the sub-curve's
+    threshold, which the whole curve's threshold is never below.
+    """
+    return -_INF if lower is None else lower - 0.5 * tol
+
+
+class _MonotoneDecision:
+    """``match_decision`` of one curve, memoised by monotonicity in eps.
+
+    Every eps at or below ``fail`` fails and every eps at or above ``hold``
+    holds.  With a sub-curve's distance ``lower``, every eps below its
+    :func:`decision_floor` fails too, and the first eps above
+    ``lower + tol/2`` is preceded by one probe at that point.
+    """
+
+    def __init__(self, curve: PolyLine, h: EmbeddedGraph, lower: float | None, tol: float):
+        self.curve = curve
+        self.h = h
+        self.fail = -_INF
+        self.hold = _INF
+        self.floor = decision_floor(lower, tol)
+        self.probe = None if lower is None else lower + 0.5 * tol
+
+    def __call__(self, eps: float) -> bool:
+        if eps <= self.fail or eps < self.floor:
+            return False
+        if eps >= self.hold:
+            return True
+        if self.probe is not None and eps > self.probe:
+            probe, self.probe = self.probe, None
+            if self(probe):
+                return True
+        ok = match_decision(self.curve, self.h, eps)
+        if ok:
+            self.hold = eps
+        else:
+            self.fail = eps
+        return ok

@@ -24,7 +24,7 @@ from .errors import InputError, StructuralError
 from .frechet import DEFAULT_TOLERANCE
 from .geometry import PolyLine, max_distance_to_point
 from .graph import EmbeddedGraph, VertexId
-from .matching import map_match_distance, match_decision
+from .matching import decision_floor, map_match_distance, match_decision
 from .parallel import iter_chunked, run_chunked
 from .paths import VertexPath, enumerate_paths, path_geometry
 from .signatures import SignatureMap
@@ -135,36 +135,72 @@ def _weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> flo
     return float(v[min(idx, len(v) - 1)])
 
 
-def _chunk_distances(h: EmbeddedGraph, tol: float, curves: list) -> list[float]:
-    return [
-        map_match_distance(PolyLine(pts), h, tol) for pts in curves
-    ]
+def _chunk_distances(h: EmbeddedGraph, tol: float, items: list) -> list[float]:
+    return [map_match_distance(PolyLine(pts), h, tol, lower=lower) for pts, lower in items]
 
 
-def _chunk_max(h: EmbeddedGraph, tol: float, curves: list) -> float:
+def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
     """Exact maximum of canonical per-curve distances over one chunk.
 
     A curve whose decision at ``best - tol`` succeeds cannot raise the
     maximum (its canonical distance is <= best), so it is skipped after a
-    single decision; every record-breaker gets the full bisection.  The
-    result equals the maximum of the individually computed distances, so
-    chunking never changes it.
+    single decision; every record-breaker gets the full bisection.  That
+    decision is not made when ``best - tol`` lies below the curve's floor
+    (see :func:`map_match_distance`), where it would fail.  The result
+    equals the maximum of the individually computed distances, so chunking
+    never changes it.
     """
     best = -math.inf
-    for pts in curves:
+    for pts, lower in items:
         curve = PolyLine(pts)
-        if best > tol and match_decision(curve, h, best - tol):
+        if (
+            best > tol
+            and best - tol >= decision_floor(lower, tol)
+            and match_decision(curve, h, best - tol)
+        ):
             continue
-        d = map_match_distance(curve, h, tol)
+        d = map_match_distance(curve, h, tol, lower=lower)
         if d > best:
             best = d
     return best
 
 
-def _canonical_paths(g: EmbeddedGraph, k: int) -> tuple[list[VertexPath], list[PolyLine]]:
-    paths = list(enumerate_paths(g, k))
-    geoms = [path_geometry(g, p) for p in paths]
-    return paths, geoms
+def _sub_paths(p: VertexPath) -> tuple[VertexPath, VertexPath]:
+    """The canonical prefix and suffix of ``p``, one link shorter."""
+    v, e = p.vertex_ids, p.edge_ids
+    return VertexPath(v[:-1], e[:-1]).canonical(), VertexPath(v[1:], e[1:]).canonical()
+
+
+def _lower_bounds(paths: list[VertexPath], sub_distances: dict | None) -> list[float | None]:
+    """Each path's ``lower`` for :func:`map_match_distance`: the max of its sub-paths' values."""
+    if sub_distances is None:
+        return [None] * len(paths)
+    return [max(sub_distances[a], sub_distances[b]) for a, b in map(_sub_paths, paths)]
+
+
+def _distances(
+    g: EmbeddedGraph,
+    h: EmbeddedGraph,
+    paths: list[VertexPath],
+    curves: list[np.ndarray],
+    tol: float,
+    workers: int,
+    sub_distances: dict | None = None,
+):
+    """Yield chunks of the distances of ``paths`` (all of one link-length), in order.
+
+    ``curves`` holds each path's geometry points.  Without ``sub_distances``
+    the values of the sub-paths of ``paths`` are computed first, the same
+    way, so every path of link-length >= 2 is bisected under its sub-paths'
+    floor.
+    """
+    if sub_distances is None and paths and paths[0].link_length > 1:
+        subs = list(dict.fromkeys(s for p in paths for s in _sub_paths(p)))
+        sub_curves = [path_geometry(g, s).points for s in subs]
+        chunks = _distances(g, h, subs, sub_curves, tol, workers)
+        sub_distances = dict(zip(subs, (d for chunk in chunks for d in chunk)))
+    items = list(zip(curves, _lower_bounds(paths, sub_distances)))
+    yield from iter_chunked(functools.partial(_chunk_distances, h, tol), items, workers)
 
 
 def iter_match_records(
@@ -175,6 +211,7 @@ def iter_match_records(
     *,
     workers: int = 1,
     known: dict[int, float] | None = None,
+    sub_distances: dict[VertexPath, float] | None = None,
 ):
     """Yield per-path records in canonical order as chunks complete.
 
@@ -182,13 +219,22 @@ def iter_match_records(
     run (see ``read_records_csv``); those paths are not recomputed.
     Streaming consumers can persist records as they arrive, which is what
     makes long link-3 runs restartable.
+
+    ``sub_distances`` maps every canonical link-``k-1`` path of ``g`` to its
+    distance at this ``tol``, such as ``{r.path: r.distance for r in
+    records}`` over the link-``k-1`` records.  Each path is then bisected
+    under the larger of its prefix's and suffix's values, which saves most
+    decisions and changes no value.  Without it, the values of the
+    sub-paths of the paths still to compute are computed first, recursively.
     """
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
-    paths, geoms = _canonical_paths(g, k)
+    paths = list(enumerate_paths(g, k))
+    geoms = [path_geometry(g, p) for p in paths]
     todo = [i for i in range(len(paths)) if known is None or i not in known]
-    fn = functools.partial(_chunk_distances, h, tol)
-    computed = iter_chunked(fn, [geoms[i].points for i in todo], workers)
+    computed = _distances(
+        g, h, [paths[i] for i in todo], [geoms[i].points for i in todo], tol, workers, sub_distances
+    )
     pending: deque[float] = deque()
     for i, (p, geom) in enumerate(zip(paths, geoms)):
         if known is not None and i in known:
@@ -208,9 +254,17 @@ def match_all_paths(
     *,
     workers: int = 1,
     known: dict[int, float] | None = None,
+    sub_distances: dict[VertexPath, float] | None = None,
 ) -> list[PathRecord]:
-    """Match every canonical link-length-``k`` path of ``g`` into ``h``."""
-    return list(iter_match_records(g, h, k, tol, workers=workers, known=known))
+    """Match every canonical link-length-``k`` path of ``g`` into ``h``.
+
+    ``known`` and ``sub_distances`` are as for :func:`iter_match_records`.
+    """
+    return list(
+        iter_match_records(
+            g, h, k, tol, workers=workers, known=known, sub_distances=sub_distances
+        )
+    )
 
 
 def max_path_distance(
@@ -220,18 +274,23 @@ def max_path_distance(
     tol: float = DEFAULT_TOLERANCE,
     *,
     workers: int = 1,
+    sub_distances: dict[VertexPath, float] | None = None,
 ) -> float:
     """The directed distance alone, skipping per-path bookkeeping.
 
     Equals the maximum of the per-path distances that ``match_all_paths``
-    would produce, for any worker count.
+    would produce, for any worker count.  ``sub_distances`` is as for
+    :func:`iter_match_records`; without it no path gets a floor and no
+    sub-path is computed, which suits the early exit (most paths are
+    settled by one decision at the running maximum).
     """
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
-    _, geoms = _canonical_paths(g, k)
-    arrays = [geom.points for geom in geoms]
+    paths = list(enumerate_paths(g, k))
+    curves = [path_geometry(g, p).points for p in paths]
+    items = list(zip(curves, _lower_bounds(paths, sub_distances)))
     fn = functools.partial(_chunk_max, h, tol)
-    maxima = run_chunked(fn, arrays, workers)
+    maxima = run_chunked(fn, items, workers)
     return max(maxima, default=0.0)
 
 
@@ -328,14 +387,16 @@ def path_distance_analysis(
     tol: float = DEFAULT_TOLERANCE,
     *,
     workers: int = 1,
+    sub_distances: dict[VertexPath, float] | None = None,
 ) -> tuple[PathDistanceReport, SignatureMap, SignatureMap]:
     """One matching pass yielding the report and both signature maps.
 
     The per-edge signature of ``e`` is the maximum distance over paths
     traversing ``e``; per-vertex analogously.  Every path contains its own
     edges and vertices, so both maps fall out of the same records.
+    ``sub_distances`` is as for :func:`iter_match_records`.
     """
-    records = match_all_paths(g, h, k, tol, workers=workers)
+    records = match_all_paths(g, h, k, tol, workers=workers, sub_distances=sub_distances)
     report = PathDistanceReport(k=k, direction="G->H", records=records)
     # Keys in first-path order, not set order, which PYTHONHASHSEED changes.
     edge_values = _aggregate(records, lambda p: p.edge_ids)
@@ -475,18 +536,27 @@ def separation_census(
     *,
     workers: int = 1,
     known: dict[int, float] | None = None,
+    tables: dict[int, dict[VertexPath, float]] | None = None,
 ) -> list[SeparationReport]:
     """Count d-separated vertices of ``g`` for d = Δ1, Δ2, Δ3 into ``h``.
 
     ``known`` maps k to an already computed directed distance Δk from ``g``
     into ``h`` at this ``tol`` (such as ``report.max_distance`` of a full
     report, which equals :func:`max_path_distance`); only the missing k are
-    computed.
+    computed.  ``tables`` maps k to the distances of every canonical
+    link-``k`` path at this ``tol``; a missing Δk is computed with the
+    link-``k-1`` table, when there is one, as ``sub_distances``.
     """
     known = known or {}
+    tables = tables or {}
     reports = []
     for k in (1, 2, 3):
-        dk = known[k] if k in known else max_path_distance(g, h, k, tol, workers=workers)
+        if k in known:
+            dk = known[k]
+        else:
+            dk = max_path_distance(
+                g, h, k, tol, workers=workers, sub_distances=tables.get(k - 1)
+            )
         per_vertex = {v: intersection_radius(g, v, dk) for v in g.vertices}
         reports.append(SeparationReport(k=k, d=dk, per_vertex=per_vertex))
     return reports

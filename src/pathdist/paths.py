@@ -105,10 +105,10 @@ def _canonical_walks(g: EmbeddedGraph, k: int, starts) -> Iterator[VertexPath]:
                 yield p
 
 
-def _ball(g: EmbeddedGraph, v: VertexId, k: int) -> list[VertexId]:
-    """Vertices within ``k`` edges of ``v``, in insertion order."""
-    ball = {v}
-    frontier = [v]
+def _ball(g: EmbeddedGraph, centres: tuple[VertexId, ...], k: int) -> list[VertexId]:
+    """Vertices within ``k`` edges of any of ``centres``, in insertion order."""
+    ball = set(centres)
+    frontier = list(ball)
     for _ in range(k):
         reached = []
         for u in frontier:
@@ -139,7 +139,7 @@ def paths_through_vertex(g: EmbeddedGraph, v: VertexId, k: int) -> Iterator[Vert
     """
     if v not in g.vertices:
         raise StructuralError(f"unknown vertex id {v!r}")
-    for p in _canonical_walks(g, k, _ball(g, v, k)):
+    for p in _canonical_walks(g, k, _ball(g, (v,), k)):
         if v in p.vertex_ids:
             yield p
 
@@ -147,12 +147,14 @@ def paths_through_vertex(g: EmbeddedGraph, v: VertexId, k: int) -> Iterator[Vert
 def paths_through_edge(g: EmbeddedGraph, e: EdgeId, k: int) -> Iterator[VertexPath]:
     """The paths of :func:`enumerate_paths` that traverse edge ``e``, in its order.
 
-    Every vertex of such a path lies within ``k`` edges of ``e``'s first
-    endpoint, so only walks from that ball are enumerated.
+    A walk whose link j (counting from 0) is ``e`` starts within
+    j <= k-1 edges of an endpoint of ``e``, so only walks from the two
+    balls of radius k-1 are enumerated.
     """
     if e not in g.edges:
         raise StructuralError(f"unknown edge id {e!r}")
-    for p in _canonical_walks(g, k, _ball(g, g.edges[e].u, k)):
+    edge = g.edges[e]
+    for p in _canonical_walks(g, k, _ball(g, (edge.u, edge.v), k - 1)):
         if e in p.edge_ids:
             yield p
 

@@ -95,6 +95,21 @@ def test_distance_resume_after_a_row_cut_off(graph_dirs, tmp_path, cut):
     assert out.read_text() == first
 
 
+def test_distance_k2_resume_after_half_the_rows(graph_dirs, tmp_path):
+    # The resumed run computes the k=1 values of the missing rows' sub-paths
+    # only, and must still write the uncut report.
+    gdir, hdir = graph_dirs
+    out = tmp_path / "resume.csv"
+    argv = ["distance", "--from", gdir, "--to", hdir, "--k", "2", "--out", str(out)]
+    assert main(argv) == 0
+    first = out.read_bytes()
+    lines = first.splitlines(keepends=True)
+    half = 1 + (len(lines) - 1) // 2
+    out.write_bytes(b"".join(lines[:half]))
+    assert main(argv + ["--resume"]) == 0
+    assert out.read_bytes() == first
+
+
 def test_distance_report_matches_run_all(graph_dirs, tmp_path):
     gdir, hdir = graph_dirs
     out = tmp_path / "report.csv"

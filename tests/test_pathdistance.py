@@ -154,6 +154,46 @@ def test_path_distance_never_falls_below_its_sub_paths(pair):
         assert rec.distance >= max(by_path[prefix], by_path[suffix]) - TOL
 
 
+@pytest.mark.parametrize("pair", [0, 1, 2, "city"])
+def test_sub_path_floor_never_changes_a_value(pair):
+    # Each k >= 2 path is bisected under its sub-paths' values, with the
+    # table given or computed on the way; every value must be the float a
+    # bisection without the floor returns.
+    g, h = monotonicity_pair(pair)
+    tables = {1: {r.path: r.distance for r in match_all_paths(g, h, 1, TOL)}}
+    for k in (2, 3):
+        records = match_all_paths(g, h, k, TOL, sub_distances=tables[k - 1])
+        assert records == match_all_paths(g, h, k, TOL)
+        for rec in records:
+            plain = map_match_distance(path_geometry(g, rec.path), h, TOL)
+            assert rec.distance.hex() == plain.hex(), rec.path
+        tables[k] = {r.path: r.distance for r in records}
+    d3 = max_path_distance(g, h, 3, TOL, sub_distances=tables[2])
+    assert d3 == max_path_distance(g, h, 3, TOL) == max(tables[3].values())
+
+
+def test_sub_path_floor_saves_decisions(monkeypatch):
+    import pathdist.matching as matching
+
+    g, h = small_city_pair(0)
+    table = {r.path: r.distance for r in match_all_paths(g, h, 1, TOL)}
+    calls = []
+    original = matching.match_decision
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "match_decision", counting)
+    records = match_all_paths(g, h, 2, TOL, workers=1, sub_distances=table)
+    assert len(calls) / len(records) <= 4.0
+    # Without the floor each path pays a full bisection.
+    calls.clear()
+    for rec in records:
+        map_match_distance(path_geometry(g, rec.path), h, TOL)
+    assert len(calls) / len(records) > 8.0
+
+
 def test_perturbed_grid_respects_displacement_bound(grid6):
     p = 0.5
     spec = PerturbationSpec(p=p, seed_count=2, rng_seed=3)

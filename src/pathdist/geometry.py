@@ -15,7 +15,9 @@ from .errors import InputError
 __all__ = [
     "Point2D",
     "PolyLine",
+    "DiscQuadratic",
     "disc_segment_intervals",
+    "segment_terms",
     "segments_intersect",
     "point_to_polyline_distance",
     "nearest_point_on_polyline",
@@ -133,6 +135,78 @@ class PolyLine:
         return PolyLine(np.asarray(out))
 
 
+def segment_terms(a, b):
+    """The terms of the segment-disc quadratic that depend on segments ``a[i] -> b[i]`` alone.
+
+    Returns ``(d, qa4, den, degenerate)``: the directions ``b - a``,
+    ``4*qa`` and ``2*safe_qa`` for ``qa = |d|^2`` (1 stands in for 0 in
+    ``safe_qa``), and the zero-length mask ``qa == 0``, or ``None`` when no
+    segment has zero length.
+    """
+    d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
+    qa = np.einsum("...i,...i->...", d, d)
+    degenerate = qa == 0.0
+    if not degenerate.any():
+        return d, 4.0 * qa, 2.0 * qa, None
+    return d, 4.0 * qa, 2.0 * np.where(degenerate, 1.0, qa), degenerate
+
+
+class DiscQuadratic:
+    """``||a + u*(b-a) - center||^2 <= r^2`` for segments ``a[i] -> b[i]``, prepared for any r.
+
+    The quadratic in ``u`` is ``qa*u^2 + qb*u + qc`` with ``qa = |b-a|^2``,
+    ``qb = 2 (a-c).(b-a)`` and ``qc = |a-c|^2 - r^2``.  Construction computes
+    every term that does not depend on the radius (``4*qa``, ``qb^2``,
+    ``-qb``, ``|a-c|^2``, ``2*safe_qa`` and the zero-length mask); each
+    radius then costs only the root step.  ``center`` may be a single point
+    or an array broadcastable against the segment arrays.  ``segments``
+    takes precomputed :func:`segment_terms` of ``a`` and ``b``.
+    """
+
+    __slots__ = ("qa4", "qb2", "nqb", "ff", "den", "degenerate")
+
+    def __init__(self, center, a, b, segments=None):
+        a = np.asarray(a, dtype=float)
+        d, self.qa4, self.den, self.degenerate = segment_terms(a, b) if segments is None else segments
+        f = a - np.asarray(center, dtype=float)
+        qb = 2.0 * np.einsum("...i,...i->...", f, d)
+        self.qb2 = qb * qb
+        self.nqb = -qb
+        self.ff = np.einsum("...i,...i->...", f, f)
+
+    def _roots(self, radius: float):
+        """The unclamped roots ``u1 <= u2`` and the empty mask at ``radius``.
+
+        These are the float operations of the whole formula, in its order;
+        only the radius-free terms were computed ahead.
+        """
+        qc = self.ff - radius * radius
+        disc = self.qb2 - self.qa4 * qc
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        u1 = (self.nqb - sq) / self.den
+        u2 = (self.nqb + sq) / self.den
+        empty = (disc < 0.0) | (u1 > 1.0) | (u2 < 0.0)
+        if self.degenerate is not None:
+            # Zero-length segment: inside the disc iff its point is.
+            empty = np.where(self.degenerate, qc > 0.0, empty)
+        return u1, u2, empty
+
+    def free(self, radius: float) -> np.ndarray:
+        """True where a segment meets the disc of ``radius``."""
+        return ~self._roots(radius)[2]
+
+    def intervals(self, radius: float):
+        """``(lo, hi)`` as for :func:`disc_segment_intervals`."""
+        u1, u2, empty = self._roots(radius)
+        # np.clip to [0, 1]; with the bound first, a -0.0 root stays -0.0 as in np.clip.
+        lo = np.minimum(1.0, np.maximum(0.0, u1))
+        hi = np.minimum(1.0, np.maximum(0.0, u2))
+        if self.degenerate is not None:
+            lo = np.where(self.degenerate, 0.0, lo)
+            hi = np.where(self.degenerate, 1.0, hi)
+        return np.where(empty, EMPTY_LO, lo), np.where(empty, EMPTY_HI, hi)
+
+
 def disc_segment_intervals(center, radius: float, a, b):
     """Parameter intervals of segments ``a[i] -> b[i]`` inside a closed disc.
 
@@ -141,36 +215,10 @@ def disc_segment_intervals(center, radius: float, a, b):
     as ``lo = +inf, hi = -inf`` so that emptiness is simply ``lo > hi``.
 
     ``center`` may be a single point or an array broadcastable against the
-    segment arrays.
+    segment arrays.  One call prepares a :class:`DiscQuadratic` and steps it
+    once; callers that ask for many radii keep the prepared quadratic.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(center, dtype=float)
-    d = b - a
-    f = a - c
-    qa = np.einsum("...i,...i->...", d, d)
-    qb = 2.0 * np.einsum("...i,...i->...", f, d)
-    qc = np.einsum("...i,...i->...", f, f) - radius * radius
-
-    disc = qb * qb - 4.0 * qa * qc
-    degenerate = qa == 0.0
-    safe_qa = np.where(degenerate, 1.0, qa)
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    u1 = (-qb - sq) / (2.0 * safe_qa)
-    u2 = (-qb + sq) / (2.0 * safe_qa)
-
-    lo = np.clip(u1, 0.0, 1.0)
-    hi = np.clip(u2, 0.0, 1.0)
-    empty = (disc < 0.0) | (u1 > 1.0) | (u2 < 0.0)
-
-    # Zero-length segment: inside the disc iff its point is.
-    lo = np.where(degenerate, 0.0, lo)
-    hi = np.where(degenerate, 1.0, hi)
-    empty = np.where(degenerate, qc > 0.0, empty)
-
-    lo = np.where(empty, EMPTY_LO, lo)
-    hi = np.where(empty, EMPTY_HI, hi)
-    return lo, hi
+    return DiscQuadratic(center, a, b).intervals(radius)
 
 
 def _orient(a, b, c) -> float:

@@ -19,9 +19,13 @@ joints.
 The sweep runs over the graph's flattened segment view from
 :mod:`pathdist.spatial`, where an isolated vertex is a zero-length segment;
 the nearest-point queries that start each bisection project onto the same
-arrays.  A decision computes its two families of free intervals (curve
-vertices x graph segments, joints x curve segments) in one broadcast call
-each.
+arrays.  A :class:`MatchProblem` prepares one curve against the graph once:
+its collapsed points and the eps-independent terms of its two families of
+free intervals (curve vertices x graph segments, joints x curve segments),
+as :class:`~pathdist.geometry.DiscQuadratic` objects.  A decision then pays
+only the root step of each family at its eps.  The problem also holds the
+monotone memo of :func:`map_match_distance`, so an early-exit decision and
+the bisection that follows it share one preparation.
 """
 
 from __future__ import annotations
@@ -32,17 +36,84 @@ import numpy as np
 
 from .errors import InputError, StructuralError
 from .frechet import DEFAULT_TOLERANCE, bisect_decision
-from .geometry import PolyLine, collapsed_points, disc_segment_intervals, max_distance_to_point
+from .geometry import DiscQuadratic, PolyLine, collapsed_points, max_distance_to_point
 from .graph import EmbeddedGraph
 from .spatial import nearest_point_on_graph, surface_geometry
 
-__all__ = ["match_decision", "map_match_distance", "decision_floor"]
+__all__ = ["MatchProblem", "match_decision", "map_match_distance", "decision_floor"]
 
 _INF = float("inf")
 
 
+class MatchProblem:
+    """One curve prepared against one graph ``h``, shared by every decision on it.
+
+    ``points`` are the curve's vertices with consecutive duplicates removed
+    (see :func:`~pathdist.geometry.collapsed_points`); they form M segments.
+    For M >= 1 the problem holds the eps-independent quadratics of both
+    interval families:
+
+    - ``cv``: curve vertex i x graph segment s, the x-interval of s within
+      eps of the vertex ((M+1) x S);
+    - ``jn``: joint j x curve segment i, the t-interval (local [0, 1]) of
+      the curve segment within eps of the joint (J x M).
+
+    It also holds the monotone memo of :meth:`decide`: every eps at or below
+    ``fail`` fails and every eps at or above ``hold`` holds.
+    """
+
+    __slots__ = ("points", "h", "geom", "cv", "jn", "fail", "hold", "floor", "probe")
+
+    def __init__(self, points: np.ndarray, h: EmbeddedGraph):
+        self.points = points
+        self.h = h
+        self.fail = -_INF
+        self.hold = _INF
+        self.floor = -_INF
+        self.probe = None
+        if points.shape[0] > 1 and not h.is_empty():
+            geom = self.geom = surface_geometry(h)
+            self.cv = DiscQuadratic(points[:, None, :], geom.seg_a, geom.seg_b, geom.seg_terms)
+            self.jn = DiscQuadratic(geom.joint_pos[:, None, :], points[:-1], points[1:])
+
+    def bound_below(self, lower: float | None, tol: float) -> None:
+        """Let :meth:`decide` use a sub-curve's distance ``lower`` at ``tol``.
+
+        Every eps below :func:`decision_floor` then fails, and the first eps
+        above ``lower + tol/2`` is preceded by one probe at that point.
+        """
+        self.floor = decision_floor(lower, tol)
+        self.probe = None if lower is None else lower + 0.5 * tol
+
+    def decide(self, eps: float) -> bool:
+        """:func:`match_decision` at ``eps``, answered from the memo when it can be."""
+        if eps <= self.fail or eps < self.floor:
+            return False
+        if eps >= self.hold:
+            return True
+        if self.probe is not None and eps > self.probe:
+            probe, self.probe = self.probe, None
+            if self.decide(probe):
+                return True
+        ok = match_decision(self, self.h, eps)
+        if ok:
+            self.hold = eps
+        else:
+            self.fail = eps
+        return ok
+
+
+def _problem(curve, h: EmbeddedGraph) -> MatchProblem:
+    """``curve`` itself if it is a problem prepared against ``h``, else ``curve`` prepared."""
+    if not isinstance(curve, MatchProblem):
+        return MatchProblem(collapsed_points(curve), h)
+    if curve.h is not h:
+        raise InputError("the match problem was prepared against another graph")
+    return curve
+
+
 def match_decision(
-    curve: PolyLine,
+    curve: PolyLine | MatchProblem,
     h: EmbeddedGraph,
     eps: float,
     *,
@@ -54,13 +125,15 @@ def match_decision(
     non-simply (free-space reachability allows revisiting).  With
     ``return_witness=True`` returns ``(decision, witness)`` where the witness
     is a polyline tracing one matched path in the graph, or ``None`` when the
-    decision is negative.
+    decision is negative.  ``curve`` may be a :class:`MatchProblem` prepared
+    against ``h``; its memo is neither read nor updated.
     """
     if eps < 0:
         raise InputError("eps must be non-negative")
     if h.is_empty():
         return (False, None) if return_witness else False
-    C = collapsed_points(curve)
+    problem = _problem(curve, h)
+    C = problem.points
     M = C.shape[0] - 1
 
     if M == 0:
@@ -69,17 +142,12 @@ def match_decision(
         witness = PolyLine([q]) if (ok and return_witness and q is not None) else None
         return (ok, witness) if return_witness else ok
 
-    geom = surface_geometry(h)
+    geom = problem.geom
 
-    # Free intervals, each family in one broadcast call:
-    #   cv[i][s]: x-interval of segment s within eps of curve vertex i
-    #   jn[j][i]: t-interval (local [0,1]) of curve segment i within eps of joint j
-    # The sweep reads only whether a cv interval is free; its ends place
-    # witness points.
-    cv_lo, cv_hi = disc_segment_intervals(C[:, None, :], eps, geom.seg_a, geom.seg_b)
-    jn_lo, jn_hi = disc_segment_intervals(geom.joint_pos[:, None, :], eps, C[:-1], C[1:])
-
-    free = cv_lo <= cv_hi
+    # The sweep reads only whether a cv interval is free (its ends place
+    # witness points) and both ends of every jn interval.
+    free = problem.cv.free(eps)
+    jn_lo, jn_hi = problem.jn.intervals(eps)
     cv_free = free.tolist()
     jnlo = jn_lo.tolist()
     jnhi = jn_hi.tolist()
@@ -104,7 +172,9 @@ def match_decision(
             continue
         s, i = divmod(state, M)
         if i == M - 1 and cv_free[M][s]:
-            return (True, _witness(geom, cv_lo, back, state, M)) if return_witness else True
+            if not return_witness:
+                return True
+            return True, _witness(geom, problem.cv.intervals(eps)[0], back, state, M)
         if i + 1 < M and cv_free[i + 1][s] and i + 1 < dist[state + 1]:
             dist[state + 1] = t_next = float(i + 1)
             back[state + 1] = (state, -1)
@@ -143,7 +213,7 @@ def _witness(geom, cv_lo: np.ndarray, back: dict, state: int, M: int) -> PolyLin
 
 
 def map_match_distance(
-    curve: PolyLine,
+    curve: PolyLine | MatchProblem,
     h: EmbeddedGraph,
     tol: float = DEFAULT_TOLERANCE,
     *,
@@ -161,19 +231,24 @@ def map_match_distance(
     ``lower``, if given, must be a value this function returned, at the same
     ``tol``, for a prefix or suffix of ``curve`` (a curve's distance is never
     below a sub-curve's, since a matching of the whole restricts to the
-    part).  The decisions then go through a monotone memo of the largest
-    failing and the smallest holding eps: every eps strictly below
-    ``lower - tol/2`` fails without a sweep, and one probe at
+    part).  The decisions go through the problem's monotone memo of the
+    largest failing and the smallest holding eps; with ``lower``, every eps
+    strictly below ``lower - tol/2`` fails without a sweep, and one probe at
     ``lower + tol/2`` usually settles every larger eps.  The search still
     visits the same eps and returns the same float as without ``lower``;
     it only sweeps inside a window about ``tol`` wide.
+
+    ``curve`` may be a :class:`MatchProblem` prepared against ``h``, such as
+    one that already made an early-exit decision.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
-    C = collapsed_points(curve)
-    decide = _MonotoneDecision(curve, h, lower, tol)
+    problem = _problem(curve, h)
+    problem.bound_below(lower, tol)
+    decide = problem.decide
+    C = problem.points
     d0, q0, _ = nearest_point_on_graph(h, C[0])
     d1, _, _ = nearest_point_on_graph(h, C[-1])
     lo = max(d0, d1)
@@ -201,37 +276,3 @@ def decision_floor(lower: float | None, tol: float) -> float:
     threshold, which the whole curve's threshold is never below.
     """
     return -_INF if lower is None else lower - 0.5 * tol
-
-
-class _MonotoneDecision:
-    """``match_decision`` of one curve, memoised by monotonicity in eps.
-
-    Every eps at or below ``fail`` fails and every eps at or above ``hold``
-    holds.  With a sub-curve's distance ``lower``, every eps below its
-    :func:`decision_floor` fails too, and the first eps above
-    ``lower + tol/2`` is preceded by one probe at that point.
-    """
-
-    def __init__(self, curve: PolyLine, h: EmbeddedGraph, lower: float | None, tol: float):
-        self.curve = curve
-        self.h = h
-        self.fail = -_INF
-        self.hold = _INF
-        self.floor = decision_floor(lower, tol)
-        self.probe = None if lower is None else lower + 0.5 * tol
-
-    def __call__(self, eps: float) -> bool:
-        if eps <= self.fail or eps < self.floor:
-            return False
-        if eps >= self.hold:
-            return True
-        if self.probe is not None and eps > self.probe:
-            probe, self.probe = self.probe, None
-            if self(probe):
-                return True
-        ok = match_decision(self.curve, self.h, eps)
-        if ok:
-            self.hold = eps
-        else:
-            self.fail = eps
-        return ok

@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import InputError, StructuralError
 from .frechet import DEFAULT_TOLERANCE
-from .geometry import PolyLine, max_distance_to_point
+from .geometry import max_distance_to_point
 from .graph import EmbeddedGraph, VertexId
-from .matching import decision_floor, map_match_distance, match_decision
+from .matching import MatchProblem, decision_floor, map_match_distance, match_decision
 from .parallel import iter_chunked, run_chunked
 from .paths import VertexPath, enumerate_paths, path_geometry
 from .signatures import SignatureMap
@@ -136,7 +136,8 @@ def _weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> flo
 
 
 def _chunk_distances(h: EmbeddedGraph, tol: float, items: list) -> list[float]:
-    return [map_match_distance(PolyLine(pts), h, tol, lower=lower) for pts, lower in items]
+    """Distances of ``(collapsed points, lower)`` items; see :func:`map_match_distance`."""
+    return [map_match_distance(MatchProblem(pts, h), h, tol, lower=lower) for pts, lower in items]
 
 
 def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
@@ -148,18 +149,19 @@ def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
     decision is not made when ``best - tol`` lies below the curve's floor
     (see :func:`map_match_distance`), where it would fail.  The result
     equals the maximum of the individually computed distances, so chunking
-    never changes it.
+    never changes it.  Items are ``(collapsed points, lower)``; the
+    early-exit decision and the bisection share one prepared curve.
     """
     best = -math.inf
     for pts, lower in items:
-        curve = PolyLine(pts)
+        problem = MatchProblem(pts, h)
         if (
             best > tol
             and best - tol >= decision_floor(lower, tol)
-            and match_decision(curve, h, best - tol)
+            and match_decision(problem, h, best - tol)
         ):
             continue
-        d = map_match_distance(curve, h, tol, lower=lower)
+        d = map_match_distance(problem, h, tol, lower=lower)
         if d > best:
             best = d
     return best
@@ -189,14 +191,14 @@ def _distances(
 ):
     """Yield chunks of the distances of ``paths`` (all of one link-length), in order.
 
-    ``curves`` holds each path's geometry points.  Without ``sub_distances``
-    the values of the sub-paths of ``paths`` are computed first, the same
-    way, so every path of link-length >= 2 is bisected under its sub-paths'
-    floor.
+    ``curves`` holds each path's geometry points, collapsed.  Without
+    ``sub_distances`` the values of the sub-paths of ``paths`` are computed
+    first, the same way, so every path of link-length >= 2 is bisected
+    under its sub-paths' floor.
     """
     if sub_distances is None and paths and paths[0].link_length > 1:
         subs = list(dict.fromkeys(s for p in paths for s in _sub_paths(p)))
-        sub_curves = [path_geometry(g, s).points for s in subs]
+        sub_curves = [path_geometry(g, s).collapsed().points for s in subs]
         chunks = _distances(g, h, subs, sub_curves, tol, workers)
         sub_distances = dict(zip(subs, (d for chunk in chunks for d in chunk)))
     items = list(zip(curves, _lower_bounds(paths, sub_distances)))
@@ -232,9 +234,8 @@ def iter_match_records(
     paths = list(enumerate_paths(g, k))
     geoms = [path_geometry(g, p) for p in paths]
     todo = [i for i in range(len(paths)) if known is None or i not in known]
-    computed = _distances(
-        g, h, [paths[i] for i in todo], [geoms[i].points for i in todo], tol, workers, sub_distances
-    )
+    curves = [geoms[i].collapsed().points for i in todo]
+    computed = _distances(g, h, [paths[i] for i in todo], curves, tol, workers, sub_distances)
     pending: deque[float] = deque()
     for i, (p, geom) in enumerate(zip(paths, geoms)):
         if known is not None and i in known:
@@ -287,7 +288,7 @@ def max_path_distance(
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
     paths = list(enumerate_paths(g, k))
-    curves = [path_geometry(g, p).points for p in paths]
+    curves = [path_geometry(g, p).collapsed().points for p in paths]
     items = list(zip(curves, _lower_bounds(paths, sub_distances)))
     fn = functools.partial(_chunk_max, h, tol)
     maxima = run_chunked(fn, items, workers)
@@ -300,10 +301,15 @@ def _strict_good_vertices(
     tol: float,
     workers: int,
     d3: float | None = None,
+    table2: dict[VertexPath, float] | None = None,
 ) -> tuple[set[VertexId], float, dict[VertexId, float]]:
-    """Vertices admissible as strict path interiors, with the link-3 distance and radii."""
+    """Vertices admissible as strict path interiors, with the link-3 distance and radii.
+
+    A missing ``d3`` is computed with the link-2 ``table2``, when given, as
+    ``sub_distances``.
+    """
     if d3 is None:
-        d3 = max_path_distance(g, h, 3, tol, workers=workers)
+        d3 = max_path_distance(g, h, 3, tol, workers=workers, sub_distances=table2)
     radii = {v: intersection_radius(g, v, d3) for v in g.vertices}
     good = {v for v in g.vertices if math.isfinite(radii[v]) and g.degree(v) != 3}
     return good, d3, radii
@@ -331,7 +337,8 @@ def directed_path_distance(
     report = PathDistanceReport(k=k, direction="G->H", records=records)
     if strict:
         d3 = report.max_distance if k == 3 else None
-        good, d3, radii = _strict_good_vertices(g, h, tol, workers, d3)
+        table2 = {r.path: r.distance for r in records} if k == 2 else None
+        good, d3, radii = _strict_good_vertices(g, h, tol, workers, d3, table2)
         report.records = [
             r for r in records if all(v in good for v in r.path.vertex_ids[1:-1])
         ]

@@ -17,7 +17,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .geometry import nearest_point_on_polyline, project_onto_segments
+from .geometry import nearest_point_on_polyline, project_onto_segments, segment_terms
 from .graph import EdgeId, EmbeddedGraph
 
 __all__ = ["SpatialGrid", "nearest_point_on_graph"]
@@ -37,6 +37,8 @@ class _SurfaceGeometry:
     ``seg_joint[s][1]``, and ``incident[j]`` lists the segments that end at
     joint ``j``.  An isolated vertex gets one zero-length segment with edge
     ``None`` after all edge segments: the constant path at that vertex.
+    ``seg_terms`` holds the :func:`~pathdist.geometry.segment_terms` of the
+    rows, which every curve's free intervals against them share.
     """
 
     __slots__ = (
@@ -44,6 +46,7 @@ class _SurfaceGeometry:
         "seg_a",
         "seg_b",
         "seg_d",
+        "seg_terms",
         "seg_edge",
         "seg_joint",
         "incident",
@@ -77,7 +80,8 @@ class _SurfaceGeometry:
         self.joint_pos = np.asarray(joint_pos, dtype=float).reshape(-1, 2)
         self.seg_a = np.asarray(seg_a, dtype=float).reshape(-1, 2)
         self.seg_b = np.asarray(seg_b, dtype=float).reshape(-1, 2)
-        self.seg_d = self.seg_b - self.seg_a
+        self.seg_terms = segment_terms(self.seg_a, self.seg_b)
+        self.seg_d = self.seg_terms[0]
         self.seg_edge = seg_edge
         self.seg_joint = seg_joint
         self.incident = incident

@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, so timing noise on a loaded machine cannot fail them.
+settings.register_profile("pathdist", derandomize=True, deadline=None)
+settings.load_profile("pathdist")
 
 from pathdist.graph import EmbeddedGraph
 from pathdist.experiments import grid_graph

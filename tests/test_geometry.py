@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathdist.errors import InputError
 from pathdist.geometry import (
+    DiscQuadratic,
     PolyLine,
     disc_segment_intervals,
     nearest_point_on_polyline,
     point_to_polyline_distance,
     project_onto_segments,
+    segment_terms,
     segments_intersect,
 )
 
@@ -164,3 +168,72 @@ def test_disc_segment_intervals_broadcast_equals_row_calls():
         col_lo, col_hi = disc_segment_intervals(points, radius, curve[i], curve[i + 1])
         assert _bits(lo[:, i]) == _bits(col_lo) and _bits(hi[:, i]) == _bits(col_hi)
     assert (lo > hi).any() and (lo <= hi).any()
+
+
+def scalar_disc_interval(c, radius, a, b) -> tuple[float, float]:
+    """The segment-disc quadratic of ``disc_segment_intervals``, one segment, in ``math`` floats."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    fx, fy = a[0] - c[0], a[1] - c[1]
+    # np.einsum sums from +0.0, so a dot product of -0.0 terms is +0.0.
+    qa = 0.0 + dx * dx + dy * dy
+    qb = 2.0 * (0.0 + fx * dx + fy * dy)
+    qc = (0.0 + fx * fx + fy * fy) - radius * radius
+    if qa == 0.0:
+        return (0.0, 1.0) if qc <= 0.0 else (math.inf, -math.inf)
+    disc = qb * qb - (4.0 * qa) * qc
+    sq = math.sqrt(max(disc, 0.0))
+    u1 = (-qb - sq) / (2.0 * qa)
+    u2 = (-qb + sq) / (2.0 * qa)
+    if disc < 0.0 or u1 > 1.0 or u2 < 0.0:
+        return math.inf, -math.inf
+    # Clamp as np.clip does: a root of -0.0 stays -0.0.
+    return min(max(u1, 0.0), 1.0), min(max(u2, 0.0), 1.0)
+
+
+_coord = st.floats(-60.0, 60.0, allow_nan=False, allow_infinity=False)
+_point = st.tuples(_coord, _coord)
+
+
+@st.composite
+def disc_cases(draw):
+    """Segments (some of zero length), centres (some on a segment end) and a radius (maybe 0)."""
+    offset = np.array(draw(st.sampled_from([(0.0, 0.0), (500000.0, 4500000.0), (-3.3e6, 7.1e6)])))
+    a = np.array(draw(st.lists(_point, min_size=1, max_size=4))) + offset
+    b = np.array(draw(st.lists(_point, min_size=len(a), max_size=len(a)))) + offset
+    zero = np.array(draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a))))
+    b[zero] = a[zero]
+    centers = np.array(draw(st.lists(_point, min_size=1, max_size=3))) + offset
+    if draw(st.booleans()):
+        centers[0] = a[draw(st.integers(0, len(a) - 1))]
+    radius = draw(st.one_of(st.just(0.0), st.floats(0.0, 120.0, allow_nan=False)))
+    return a, b, centers, radius
+
+
+@settings(max_examples=300)
+@given(disc_cases())
+def test_disc_segment_intervals_equal_the_scalar_quadratic_bit_for_bit(case):
+    a, b, centers, radius = case
+    lo, hi = disc_segment_intervals(centers[:, None, :], radius, a, b)
+    for i, c in enumerate(centers.tolist()):
+        for s in range(len(a)):
+            want = scalar_disc_interval(c, radius, a[s].tolist(), b[s].tolist())
+            got = (float(lo[i, s]), float(hi[i, s]))
+            assert [x.hex() for x in got] == [x.hex() for x in want], (c, a[s], b[s], radius)
+
+
+@settings(max_examples=100)
+@given(disc_cases(), st.lists(st.floats(0.0, 120.0, allow_nan=False), min_size=1, max_size=4))
+def test_prepared_quadratic_steps_like_fresh_calls(case, radii):
+    # One preparation, with or without precomputed segment terms, serves
+    # every radius with the floats of a fresh call; ``free`` is ``lo <= hi``.
+    a, b, centers, _ = case
+    prepared = [
+        DiscQuadratic(centers[:, None, :], a, b),
+        DiscQuadratic(centers[:, None, :], a, b, segment_terms(a, b)),
+    ]
+    for radius in radii:
+        lo, hi = disc_segment_intervals(centers[:, None, :], radius, a, b)
+        for q in prepared:
+            plo, phi = q.intervals(radius)
+            assert _bits(plo) == _bits(lo) and _bits(phi) == _bits(hi)
+            assert (q.free(radius) == (lo <= hi)).all()

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathdist.errors import StructuralError
+from pathdist.errors import InputError, StructuralError
 from pathdist.frechet import frechet_distance
 from pathdist.geometry import PolyLine, point_to_polyline_distance
 from pathdist.graph import EmbeddedGraph
-from pathdist.matching import map_match_distance, match_decision
+from pathdist.geometry import collapsed_points
+from pathdist.matching import MatchProblem, map_match_distance, match_decision
 from pathdist.spatial import nearest_point_on_graph
 
 from oracles import (
@@ -313,3 +316,64 @@ def test_map_match_distance_survives_utm_offset():
         pts = random_curve_near_graph(rng, h, 5, 25.0)
         d = map_match_distance(PolyLine(pts), h, 1e-3)
         assert abs(map_match_distance(PolyLine(pts + shift), moved, 1e-3) - d) < 1e-3
+
+
+def split_edge(g, eid, frac: float) -> EmbeddedGraph:
+    """Copy of ``g`` whose edge ``eid`` is cut by a new vertex at ``frac`` of its length."""
+    e = g.edges[eid]
+    cum = e.geometry.cumulative_lengths()
+    arc = frac * cum[-1]
+    cut = e.geometry.point_at(arc)
+    before = int(np.searchsorted(cum, arc, side="right"))
+    pts = e.geometry.points
+    vertices = list(g.vertices.items()) + [("cut", tuple(cut))]
+    edges = [(k, (f.u, f.v, f.geometry)) for k, f in g.edges.items() if k != eid]
+    edges.append(((eid, 0), (e.u, "cut", [*pts[:before], cut])))
+    edges.append(((eid, 1), ("cut", e.v, [cut, *pts[before:]])))
+    return EmbeddedGraph(vertices, edges)
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(0, 2**16),
+    st.floats(0.02, 0.98),
+    st.booleans(),
+)
+def test_splitting_a_target_edge_keeps_the_distance(seed, frac, bent):
+    # A vertex inside an edge adds a joint but no new path: a matched path
+    # could already turn around anywhere on the edge.
+    rng = np.random.default_rng(seed)
+    h = random_geometric_graph(rng, 6, 2, 40.0)
+    if bent:
+        h = bend_edges(h, rng, 8.0)
+    eid = list(h.edges)[int(rng.integers(0, len(h.edges)))]
+    h_split = split_edge(h, eid, frac)
+    tol = 1e-3
+    for _ in range(2):
+        curve = PolyLine(random_curve_near_graph(rng, h, 4, 10.0))
+        d = map_match_distance(curve, h, tol)
+        assert abs(map_match_distance(curve, h_split, tol) - d) <= tol
+
+
+def test_prepared_problem_decides_like_the_curve():
+    rng = np.random.default_rng(31)
+    h = bend_edges(random_geometric_graph(rng, 8, 3, 50.0), rng, 6.0)
+    for _ in range(4):
+        curve = PolyLine(random_curve_near_graph(rng, h, 5, 12.0))
+        problem = MatchProblem(collapsed_points(curve), h)
+        d = map_match_distance(curve, h, 1e-3)
+        for eps in (0.0, 0.5 * d, d - 1e-3, d + 1e-3, 2.0 * d + 1.0):
+            assert match_decision(problem, h, eps) == match_decision(curve, h, eps)
+        ok, witness = match_decision(problem, h, d + 1e-3, return_witness=True)
+        ok_raw, witness_raw = match_decision(curve, h, d + 1e-3, return_witness=True)
+        assert ok and ok_raw
+        assert witness.points.tobytes() == witness_raw.points.tobytes()
+        # Decisions on the problem above left its memo alone.
+        assert map_match_distance(problem, h, 1e-3).hex() == d.hex()
+
+
+def test_prepared_problem_refuses_another_graph():
+    h = segment_graph()
+    problem = MatchProblem(collapsed_points(PolyLine([(0, 1), (10, 1)])), h)
+    with pytest.raises(InputError):
+        match_decision(problem, segment_graph(), 1.0)

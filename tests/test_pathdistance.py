@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from dataclasses import replace
@@ -22,7 +23,7 @@ from pathdist.pathdistance import (
     write_records_csv,
 )
 from pathdist.paths import VertexPath, path_geometry
-from pathdist.experiments import PerturbationSpec, generate_perturbed
+from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
 
 from oracles import dense_radius_scan, random_geometric_graph
 
@@ -192,6 +193,101 @@ def test_sub_path_floor_saves_decisions(monkeypatch):
     for rec in records:
         map_match_distance(path_geometry(g, rec.path), h, TOL)
     assert len(calls) / len(records) > 8.0
+
+
+def _hex_digest(values) -> str:
+    return hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
+
+
+# float.hex digests of the k=1..3 records of small_city_pair(0), recorded
+# before the curve preparation was split from the decision.
+PINNED_RECORDS = {
+    1: (12, "d20fa70dea0fc947684983cba85152bc29f0c426ff4bbe397dbdb53fef10c5c5"),
+    2: (46, "5c0c78708221daef82c3204ebde67bff27c6c92d5b9705f8a99690075bb79254"),
+    3: (96, "126601cd3bfd5c15c9c766d77660d7a5a2ea8ad07d08cc6102b144efdcde1adc"),
+}
+PINNED_DELTAS = ["0x1.8a67787783ee2p+6", "0x1.8e3557cf04e6cp+6", "0x1.930e6d9efb168p+6"]
+PINNED_WITNESS = [
+    ("0x1.8ec9045ff1655p+6", "0x1.72b9b65202cacp+7"),
+    ("0x1.8ec290fd0886bp+6", "0x1.4ea274f9792a7p+7"),
+    ("0x1.7c2d152199e99p+6", "0x1.0988377316d23p+7"),
+    ("0x1.85478b3a0e8cap+6", "0x1.e44528e1c7682p+6"),
+    ("0x1.7c2e139352adep+6", "0x1.0985a97d54167p+7"),
+    ("0x1.92c986c87c66ap+6", "0x1.9ed61633d3c07p+6"),
+    ("0x1.96e3ee97a19edp+6", "0x1.89beaf945f986p+6"),
+    ("0x1.859cc40308ecep+6", "0x1.09f7a0ab0cb35p+6"),
+    ("0x1.8a0129283df7dp+6", "0x1.134f2a57a2b1ap+5"),
+    ("0x1.8aa5db670e5c1p+6", "0x1.c55b9e142a246p+4"),
+    ("0x1.8d661b6d7a418p+6", "0x1.2bbb0f4efc09ep+1"),
+    ("0x1.08de6ffdcf37cp+7", "0x1.b14d2d3f57a54p+2"),
+    ("0x1.3f75fe823a367p+7", "0x1.e8680e3dd7235p+2"),
+]
+
+
+def test_records_census_and_witness_are_pinned_bit_for_bit():
+    # Speed-ups of matching must leave every float as it was.
+    g, h = small_city_pair(0)
+    tables = {}
+    for k in (1, 2, 3):
+        records = match_all_paths(g, h, k, TOL, sub_distances=tables.get(k - 1))
+        assert (len(records), _hex_digest(r.distance for r in records)) == PINNED_RECORDS[k], k
+        tables[k] = {r.path: r.distance for r in records}
+    for census in (
+        separation_census(g, h, TOL),
+        separation_census(g, h, TOL, tables={1: tables[1], 2: tables[2]}),
+    ):
+        assert [r.d.hex() for r in census] == PINNED_DELTAS
+    worst = max(tables[3], key=tables[3].get)
+    ok, witness = match_decision(
+        path_geometry(g, worst), h, tables[3][worst] + TOL, return_witness=True
+    )
+    assert ok
+    assert [(x.hex(), y.hex()) for x, y in witness.points.tolist()] == PINNED_WITNESS
+
+
+def test_strict_k2_takes_delta3_under_the_k2_table(monkeypatch):
+    import pathdist.matching as matching
+    import pathdist.pathdistance as pathdistance
+
+    h = grid_graph(10.0, 2.0)
+    g = generate_perturbed(PerturbationSpec(p=0.3, seed_count=1, rng_seed=11))[0]
+    calls = []
+    deltas = []
+    original_decision = matching.match_decision
+    original_max = pathdistance.max_path_distance
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original_decision(*args, **kwargs)
+
+    def recording(*args, **kwargs):
+        deltas.append(original_max(*args, **kwargs))
+        return deltas[-1]
+
+    monkeypatch.setattr(matching, "match_decision", counting)
+    monkeypatch.setattr(pathdistance, "match_decision", counting)
+    monkeypatch.setattr(pathdistance, "max_path_distance", recording)
+    report = directed_path_distance(g, h, 2, TOL, strict=True)
+    strict_calls = len(calls)
+    calls.clear()
+    records = match_all_paths(g, h, 2, TOL)
+    d3 = original_max(g, h, 3, TOL)
+    # Delta3 and the report are the floats a Delta3 without floors gives.
+    assert [d.hex() for d in deltas] == [d3.hex()] == ["0x1.8c5f99371950bp-2"]
+    summary = {k: v.hex() if isinstance(v, float) else v for k, v in report.summary().items()}
+    assert summary == {
+        "k": 2,
+        "direction": "G->H",
+        "max": "0x1.8c0fed24ba8c6p-2",
+        "p90_weighted": "0x1.21db33d87a03ap-2",
+        "mean_weighted": "0x1.d6ee9c1dbbd14p-3",
+        "path_count": 172,
+        "strict": True,
+        "strict_bound": None,
+    }
+    assert set(report.records) <= set(records)
+    # ... with fewer decisions than the k=2 records plus an unfloored Delta3.
+    assert strict_calls < len(calls)
 
 
 def test_perturbed_grid_respects_displacement_bound(grid6):

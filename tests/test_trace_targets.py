@@ -13,15 +13,23 @@ import pkgutil
 from pathlib import Path
 
 import pathdist
+import pathdist.geometry
+import pathdist.matching
+import pathdist.pathdistance
+from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def load_targets():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def load_targets():
+    return load_tracer().TARGETS
 
 
 def resolve(module_name: str, attr: str):
@@ -52,3 +60,32 @@ def test_every_exported_name_exists():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_every_sweep_goes_through_the_traced_decision(tmp_path, monkeypatch):
+    # The benchmark counts decisions as calls of the wrapped match_decision;
+    # a sweep that bypassed it would make matching.decisions undercount.
+    # Every sweep steps both interval families once, so each step must run
+    # with a match_decision span on top of the tracer's stack.
+    tracer = load_tracer().Tracer(tmp_path)
+    step = pathdist.geometry.DiscQuadratic._roots
+    callers = []
+
+    def traced_step(self, radius):
+        callers.append(tracer.names[tracer.spans[tracer.stack[-1]][0]] if tracer.stack else None)
+        return step(self, radius)
+
+    monkeypatch.setattr(pathdist.geometry.DiscQuadratic, "_roots", traced_step)
+    h = grid_graph(6.0, 2.0)
+    g = generate_perturbed(PerturbationSpec(p=0.4, seed_count=1, rng_seed=5, extent=6.0))[0]
+    curve = pathdist.path_geometry(g, next(pathdist.enumerate_paths(g, 3)))
+    tracer.install()
+    try:
+        pathdist.matching.map_match_distance(curve, h, 1e-3)
+        pathdist.pathdistance.max_path_distance(g, h, 2, 1e-3)
+    finally:
+        tracer.uninstall()
+    stats = tracer.stats()
+    assert stats["matching.map_match_distance"][0] >= 2
+    assert callers and set(callers) == {"matching.match_decision"}
+    assert len(callers) == 2 * stats["matching.match_decision"][0]

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_write
 from .errors import ParseError, PathdistError
 from .experiments import (
     PerturbationSpec,
@@ -134,7 +135,7 @@ def _summary_path(out: str) -> Path:
 
 
 def _write_summary(report: PathDistanceReport, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(report.summary(), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -175,12 +176,13 @@ def _cmd_distance(args) -> int:
                 return EXIT_DATA
             with open(out_path) as fh:
                 known = read_records_csv(fh)
-        fingerprint_path.write_text(fingerprint + "\n")
+        with atomic_write(fingerprint_path) as fh:
+            fh.write(fingerprint + "\n")
         if args.strict:
             report = directed_path_distance(
                 src, dst, args.k, args.tol, workers=args.workers, strict=True
             )
-            with open(out_path, "w", newline="") as fh:
+            with atomic_write(out_path, newline="") as fh:
                 write_records_csv(report.records, fh)
         else:
             # Stream rows as chunks complete so long runs are restartable.
@@ -224,7 +226,7 @@ def _cmd_signature(args) -> int:
     g = load_graph_arg(getattr(args, "from"), args.contract)
     h = load_graph_arg(args.to, args.contract)
     _, edge_sig, _ = path_distance_analysis(g, h, args.k, args.tol, workers=args.workers)
-    with open(args.out, "w", newline="") as fh:
+    with atomic_write(args.out, newline="") as fh:
         write_signature_csv(edge_sig, fh)
     if args.heatmap:
         export_heatmap(edge_sig, args.heatmap, "svg", args.ramp)
@@ -238,7 +240,7 @@ def _cmd_cdf(args) -> int:
     with open(args.sig, newline="") as fh:
         rows = read_signature_csv(fh)
     curve = cdf_from_signature_rows(rows)
-    with open(args.out, "w") as fh:
+    with atomic_write(args.out) as fh:
         fh.write("x_m,fraction\n")
         for x, y in zip(curve.xs, curve.ys):
             fh.write(f"{x!r},{y!r}\n")
@@ -253,7 +255,7 @@ def _cmd_separation(args) -> int:
     h = load_graph_arg(args.to, args.contract)
     doc = [r.summary() for r in separation_census(g, h, args.tol, workers=args.workers)]
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
     print(json.dumps(doc, indent=1, sort_keys=True))
@@ -284,7 +286,7 @@ def _cmd_fscore(args) -> int:
         max_path_length=args.max_path,
     )
     result = fscore_analysis(g, h, params, workers=args.workers)
-    with open(args.out, "w", newline="") as fh:
+    with atomic_write(args.out, newline="") as fh:
         write_signature_csv(result.edge_scores, fh)
     if args.heatmap:
         # High similarity should render light, so color by 1 - score.

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import InputError
 from .frechet import DEFAULT_TOLERANCE
 from .graph import EmbeddedGraph, contract_degree_two, export_geojson, graph_stats, load_graph
@@ -133,13 +134,13 @@ class StudyResult:
         return out
 
     def write_rows_csv(self, path) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write("p,seed,distance\n")
             for p, seed, d in self.rows:
                 fh.write(f"{p!r},{seed},{d!r}\n")
 
     def write_summary_csv(self, path) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write("p,count,min,q1,median,q3,max\n")
             for row in self.summary():
                 fh.write(
@@ -293,7 +294,7 @@ def run_all(config: RunConfig) -> Path:
 
     for name, graph in (("from", g), ("to", h)):
         stats = graph_stats(graph)
-        with open(track(f"stats_{name}.json"), "w") as fh:
+        with atomic_write(track(f"stats_{name}.json")) as fh:
             json.dump(stats._asdict(), fh, indent=1, sort_keys=True)
             fh.write("\n")
         export_geojson(graph, track(f"graph_{name}.geojson"))
@@ -311,13 +312,13 @@ def run_all(config: RunConfig) -> Path:
                 src, dst, k, config.tol, workers=config.workers, sub_distances=tables.get(k - 1)
             )
             tables[k] = {r.path: r.distance for r in report.records}
-            with open(track(f"distance_{tag}_k{k}.csv"), "w", newline="") as fh:
+            with atomic_write(track(f"distance_{tag}_k{k}.csv"), newline="") as fh:
                 write_records_csv(report.records, fh)
-            with open(track(f"distance_{tag}_k{k}.summary.json"), "w") as fh:
+            with atomic_write(track(f"distance_{tag}_k{k}.summary.json")) as fh:
                 json.dump(report.summary(), fh, indent=1, sort_keys=True)
                 fh.write("\n")
             deltas[k] = report.max_distance
-            with open(track(f"signature_{tag}_k{k}.csv"), "w", newline="") as fh:
+            with atomic_write(track(f"signature_{tag}_k{k}.csv"), newline="") as fh:
                 write_signature_csv(edge_sig, fh)
             export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.svg"), "svg")
             export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.geojson"), "geojson")
@@ -326,7 +327,7 @@ def run_all(config: RunConfig) -> Path:
             src, dst, config.tol, workers=config.workers, known=deltas, tables=tables
         )
         census_doc = [rep.summary() for rep in census]
-        with open(track(f"separation_{tag}.json"), "w") as fh:
+        with atomic_write(track(f"separation_{tag}.json")) as fh:
             json.dump(census_doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
     export_cdf_plot(list(curves.values()), list(curves.keys()), track("cdf.svg"))
@@ -337,7 +338,7 @@ def run_all(config: RunConfig) -> Path:
         "package_version": _package_version(),
         "files": sorted(emitted),
     }
-    with open(out / "manifest.json", "w") as fh:
+    with atomic_write(out / "manifest.json") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return out

@@ -16,6 +16,7 @@ from typing import Hashable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ParseError, StructuralError
 from .geometry import Point2D, PolyLine
 
@@ -222,12 +223,12 @@ def _fmt(x: float) -> str:
 
 def write_graph_csv(g: EmbeddedGraph, vertex_file, edge_file) -> None:
     """Write the two-file CSV representation read by :func:`load_graph`."""
-    with open(vertex_file, "w", newline="") as fh:
+    with atomic_write(vertex_file, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["id", "x", "y"])
         for vid, p in g.vertices.items():
             w.writerow([vid, _fmt(p.x), _fmt(p.y)])
-    with open(edge_file, "w", newline="") as fh:
+    with atomic_write(edge_file, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["id", "u", "v"])
         for eid, e in g.edges.items():
@@ -258,7 +259,7 @@ def export_geojson(g: EmbeddedGraph, path=None) -> dict:
         )
     doc = {"type": "FeatureCollection", "features": features}
     if path is not None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
     return doc

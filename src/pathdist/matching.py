@@ -25,7 +25,7 @@ free intervals (curve vertices x graph segments, joints x curve segments),
 as :class:`~pathdist.geometry.DiscQuadratic` objects.  A decision then pays
 only the root step of each family at its eps.  The problem also holds the
 monotone memo of :func:`map_match_distance`, so an early-exit decision and
-the bisection that follows it share one preparation.
+the bisection that follows it share one preparation and one memo.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .geometry import DiscQuadratic, PolyLine, collapsed_points, max_distance_to
 from .graph import EmbeddedGraph
 from .spatial import nearest_point_on_graph, surface_geometry
 
-__all__ = ["MatchProblem", "match_decision", "map_match_distance", "decision_floor"]
+__all__ = ["MatchProblem", "match_decision", "map_match_distance"]
 
 _INF = float("inf")
 
@@ -79,11 +79,15 @@ class MatchProblem:
     def bound_below(self, lower: float | None, tol: float) -> None:
         """Let :meth:`decide` use a sub-curve's distance ``lower`` at ``tol``.
 
-        Every eps below :func:`decision_floor` then fails, and the first eps
+        Every eps strictly below ``lower - tol/2`` then fails: ``lower`` is a
+        bisection midpoint, so within ``tol/2`` of the sub-curve's threshold,
+        which the whole curve's threshold is never below.  The first eps
         above ``lower + tol/2`` is preceded by one probe at that point.
         """
-        self.floor = decision_floor(lower, tol)
-        self.probe = None if lower is None else lower + 0.5 * tol
+        if lower is None:
+            self.floor, self.probe = -_INF, None
+        else:
+            self.floor, self.probe = lower - 0.5 * tol, lower + 0.5 * tol
 
     def decide(self, eps: float) -> bool:
         """:func:`match_decision` at ``eps``, answered from the memo when it can be."""
@@ -267,12 +271,3 @@ def map_match_distance(
             if not decide(hi):
                 raise AssertionError("upper bound violated; geometry inconsistent")
     return bisect_decision(decide, lo, hi, tol)
-
-
-def decision_floor(lower: float | None, tol: float) -> float:
-    """Every eps strictly below this fails for a curve whose sub-curve's distance is ``lower``.
-
-    ``lower`` is a bisection midpoint, so within ``tol/2`` of the sub-curve's
-    threshold, which the whole curve's threshold is never below.
-    """
-    return -_INF if lower is None else lower - 0.5 * tol

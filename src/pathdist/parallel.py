@@ -4,6 +4,7 @@ Work items are split into fixed chunks, each chunk is processed
 independently against shared immutable inputs, and results are merged in
 chunk order.  Because every per-item value is computed the same way
 regardless of chunk boundaries, outputs are identical for any worker count.
+A serial eager run (:func:`run_chunked` with one worker) is one chunk.
 """
 
 from __future__ import annotations
@@ -49,5 +50,12 @@ def run_chunked(
     items: Sequence[T],
     workers: int = 1,
 ) -> list[R]:
-    """Eager variant of :func:`iter_chunked`."""
+    """Eager variant of :func:`iter_chunked`.
+
+    Nothing streams from it, so with ``workers <= 1`` all ``items`` form
+    one chunk: ``fn`` is called once, and state it carries from item to
+    item (such as a running maximum) is never restarted.
+    """
+    if workers <= 1:
+        return [fn(list(items))] if items else []
     return list(iter_chunked(fn, items, workers))

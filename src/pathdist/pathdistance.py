@@ -24,7 +24,7 @@ from .errors import InputError, StructuralError
 from .frechet import DEFAULT_TOLERANCE
 from .geometry import max_distance_to_point
 from .graph import EmbeddedGraph, VertexId
-from .matching import MatchProblem, decision_floor, map_match_distance, match_decision
+from .matching import MatchProblem, map_match_distance
 from .parallel import iter_chunked, run_chunked
 from .paths import VertexPath, enumerate_paths, path_geometry
 from .signatures import SignatureMap
@@ -143,23 +143,21 @@ def _chunk_distances(h: EmbeddedGraph, tol: float, items: list) -> list[float]:
 def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
     """Exact maximum of canonical per-curve distances over one chunk.
 
-    A curve whose decision at ``best - tol`` succeeds cannot raise the
-    maximum (its canonical distance is <= best), so it is skipped after a
-    single decision; every record-breaker gets the full bisection.  That
-    decision is not made when ``best - tol`` lies below the curve's floor
-    (see :func:`map_match_distance`), where it would fail.  The result
+    A curve whose decision at ``best - tol`` holds cannot raise the maximum
+    (its canonical distance is <= best), so it is skipped after that
+    decision; every record-breaker gets the full bisection.  The decision
+    goes through the curve's memo (:meth:`MatchProblem.decide`) under its
+    floor: below the floor it fails without a sweep, above it a probe at
+    the path's own scale, ``lower + tol/2``, usually settles it, and a
+    failure stays in the memo for the bisection that follows.  The result
     equals the maximum of the individually computed distances, so chunking
-    never changes it.  Items are ``(collapsed points, lower)``; the
-    early-exit decision and the bisection share one prepared curve.
+    never changes it.  Items are ``(collapsed points, lower)``.
     """
     best = -math.inf
     for pts, lower in items:
         problem = MatchProblem(pts, h)
-        if (
-            best > tol
-            and best - tol >= decision_floor(lower, tol)
-            and match_decision(problem, h, best - tol)
-        ):
+        problem.bound_below(lower, tol)
+        if best > tol and problem.decide(best - tol):
             continue
         d = map_match_distance(problem, h, tol, lower=lower)
         if d > best:

@@ -98,11 +98,15 @@ def _canonical_walks(g: EmbeddedGraph, k: int, starts) -> Iterator[VertexPath]:
             f"enumerating link-length {k} paths is combinatorially expensive",
             stacklevel=3,
         )
+    # VertexPath.key() of a walk and of its reversal, from one repr per id.
+    vkey = {v: repr(v) for v in g.vertices}
+    ekey = {e: repr(e) for e in g.edges}
     for v0 in starts:
         for vseq, eseq in _extensions(g, [v0], [], k):
-            p = VertexPath(vseq, eseq)
-            if p.key() <= p.reversed().key():
-                yield p
+            vk = [vkey[v] for v in vseq]
+            rk = vk[::-1]
+            if vk < rk or (vk == rk and [ekey[e] for e in eseq] <= [ekey[e] for e in eseq[::-1]]):
+                yield VertexPath(vseq, eseq)
 
 
 def _ball(g: EmbeddedGraph, centres: tuple[VertexId, ...], k: int) -> list[VertexId]:

@@ -17,6 +17,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import InputError, StructuralError
 from .graph import EmbeddedGraph
 from .svgplot import CURVE_COLORS, PLOT_SIZE, SvgCanvas, ramp_color, world_transform
@@ -169,7 +170,7 @@ def export_heatmap(
                 }
             )
         doc = {"type": "FeatureCollection", "features": features}
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
         return

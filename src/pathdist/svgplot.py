@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
+from .atomic import atomic_write
+
 __all__ = ["SvgCanvas", "world_transform", "ramp_color", "CURVE_COLORS", "PLOT_SIZE"]
 
 # Light yellow through orange to dark red.
@@ -109,5 +111,5 @@ class SvgCanvas:
         )
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(self.to_string())

@@ -140,6 +140,44 @@ def test_run_all_identity_smoke_and_reproducible(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_run_all_leaves_the_previous_artifacts_when_a_writer_fails(tmp_path, monkeypatch):
+    import pathdist.experiments as experiments
+
+    gdir, hdir = _write_pair(tmp_path)
+    config = RunConfig(gdir, hdir, str(tmp_path / "out"), k_values=(1,), tol=1e-3)
+    out = run_all(config)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing(sig, fh):
+        fh.write("edge_id,signature_m\nhalf,")
+        raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(experiments, "write_signature_csv", failing)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        run_all(config)
+    # Every artifact, the signature CSV and the manifest too, holds its old
+    # bytes, and no temporary file is left behind.
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_atomic_write_replaces_the_file_only_when_the_block_ends(tmp_path):
+    from pathdist.atomic import atomic_write
+
+    path = tmp_path / "a.txt"
+    path.write_text("old\n")
+    with atomic_write(path) as fh:
+        fh.write("new\n")
+        fh.flush()
+        assert path.read_text() == "old\n"
+    assert path.read_text() == "new\n"
+    with pytest.raises(ValueError):
+        with atomic_write(path) as fh:
+            fh.write("partial")
+            raise ValueError
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+
 def test_run_all_census_reuses_the_distances_it_has(tmp_path, monkeypatch):
     import pathdist.pathdistance as pd
     from pathdist.experiments import load_graph_arg

@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathdist.errors import StructuralError
-from pathdist.geometry import polylines_intersect
+from pathdist.geometry import DiscQuadratic, polylines_intersect
 from pathdist.graph import EmbeddedGraph
 from pathdist.matching import map_match_distance, match_decision
 from pathdist.pathdistance import (
@@ -22,7 +24,7 @@ from pathdist.pathdistance import (
     separation_census,
     write_records_csv,
 )
-from pathdist.paths import VertexPath, path_geometry
+from pathdist.paths import VertexPath, enumerate_paths, path_geometry
 from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
 
 from oracles import dense_radius_scan, random_geometric_graph
@@ -155,6 +157,40 @@ def test_path_distance_never_falls_below_its_sub_paths(pair):
         assert rec.distance >= max(by_path[prefix], by_path[suffix]) - TOL
 
 
+def _plain_distances(g, h, k):
+    """Each link-``k`` path's distance from a bisection without any floor."""
+    return {p: map_match_distance(path_geometry(g, p), h, TOL) for p in enumerate_paths(g, k)}
+
+
+@settings(max_examples=6)
+@given(st.integers(0, 2**16))
+def test_distances_never_fall_as_k_grows_on_bent_cities(seed):
+    # The sub-path floor and the early exit's probe both rest on this: a
+    # matching of a path restricts to its prefix and its suffix.
+    g, h = small_city_pair(seed)
+    tables = {}
+    for k in (1, 2, 3):
+        plain = _plain_distances(g, h, k)
+        records = match_all_paths(g, h, k, TOL, sub_distances=tables.get(k - 1))
+        assert [r.distance for r in records] == [plain[r.path] for r in records]
+        if k > 1:
+            for p, d in plain.items():
+                v, e = p.vertex_ids, p.edge_ids
+                prefix = VertexPath(v[:-1], e[:-1]).canonical()
+                suffix = VertexPath(v[1:], e[1:]).canonical()
+                assert d >= max(tables[k - 1][prefix], tables[k - 1][suffix]) - TOL, p
+        tables[k] = plain
+
+
+@settings(max_examples=6)
+@given(st.integers(0, 2**16))
+def test_reversed_k2_path_has_the_same_distance_on_bent_cities(seed):
+    g, h = small_city_pair(seed)
+    for p, d in _plain_distances(g, h, 2).items():
+        reverse = map_match_distance(path_geometry(g, p.reversed()), h, TOL)
+        assert abs(reverse - d) <= TOL, p
+
+
 @pytest.mark.parametrize("pair", [0, 1, 2, "city"])
 def test_sub_path_floor_never_changes_a_value(pair):
     # Each k >= 2 path is bisected under its sub-paths' values, with the
@@ -193,6 +229,43 @@ def test_sub_path_floor_saves_decisions(monkeypatch):
     for rec in records:
         map_match_distance(path_geometry(g, rec.path), h, TOL)
     assert len(calls) / len(records) > 8.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_max_path_distance_is_the_maximum_of_the_records(seed):
+    # The early exit and the bisection share each curve's memo, and a
+    # serial maximum is one chunk; neither may move the maximum off the
+    # float the records give, with or without floors, for any worker count.
+    g, h = small_city_pair(seed)
+    tables = {}
+    for k in (1, 2, 3):
+        records = match_all_paths(g, h, k, TOL, sub_distances=tables.get(k - 1))
+        tables[k] = {r.path: r.distance for r in records}
+        top = max(tables[k].values()).hex()
+        for sub in [None] if k == 1 else [None, tables[k - 1]]:
+            for workers in (1, 2):
+                d = max_path_distance(g, h, k, TOL, workers=workers, sub_distances=sub)
+                assert d.hex() == top, (k, sub is not None, workers)
+
+
+def test_delta3_early_exits_settle_at_the_path_scale(monkeypatch):
+    # Every sweep steps both interval families once, wherever it is called from.
+    g, h = small_city_pair(0)
+    table1 = {r.path: r.distance for r in match_all_paths(g, h, 1, TOL)}
+    table2 = {r.path: r.distance for r in match_all_paths(g, h, 2, TOL, sub_distances=table1)}
+    steps = []
+    original = DiscQuadratic._roots
+
+    def counting(self, radius):
+        steps.append(radius)
+        return original(self, radius)
+
+    monkeypatch.setattr(DiscQuadratic, "_roots", counting)
+    d3 = max_path_distance(g, h, 3, TOL, sub_distances=table2)
+    assert d3.hex() == PINNED_DELTAS[2]
+    # 179 sweeps when each early exit swept at the running maximum and a
+    # serial maximum restarted in four chunks; 151 with both settled.
+    assert len(steps) / 2 < 179
 
 
 def _hex_digest(values) -> str:
@@ -265,7 +338,6 @@ def test_strict_k2_takes_delta3_under_the_k2_table(monkeypatch):
         return deltas[-1]
 
     monkeypatch.setattr(matching, "match_decision", counting)
-    monkeypatch.setattr(pathdistance, "match_decision", counting)
     monkeypatch.setattr(pathdistance, "max_path_distance", recording)
     report = directed_path_distance(g, h, 2, TOL, strict=True)
     strict_calls = len(calls)

@@ -55,6 +55,44 @@ def test_no_path_is_a_reverse_of_another():
             keys.add(p.key())
 
 
+def mixed_id_graph():
+    """Ids of both types, whose repr order differs from their value order (``"10" < "9"``).
+
+    Edges 10 and ``"p"`` both join 9 and 10, so a walk 9-10-9 over both is
+    ordered by its edge ids alone.
+    """
+    verts = [(9, (0.0, 0.0)), (10, (10.0, 0.0)), ("a", (10.0, 10.0)), (2, (0.0, 10.0))]
+    edges = [
+        (10, (9, 10)),
+        (9, (10, "a")),
+        ("e", ("a", 2)),
+        (1, (2, 9)),
+        ("f", (9, "a")),
+        ("p", (9, 10, [(0.0, 0.0), (5.0, -3.0), (10.0, 0.0)])),
+    ]
+    return EmbeddedGraph(verts, edges)
+
+
+def test_enumeration_keeps_the_key_order_on_mixed_ids():
+    g = mixed_id_graph()
+
+    def walks(vseq, eseq, k):
+        # Every directed walk, starts in insertion order, hops in adjacency order.
+        if len(eseq) == k:
+            yield VertexPath(tuple(vseq), tuple(eseq))
+            return
+        for eid in g.adjacency[vseq[-1]]:
+            yield from walks(vseq + [g.other_endpoint(eid, vseq[-1])], eseq + [eid], k)
+
+    for k in (1, 2, 3):
+        expected = [
+            p for v in g.vertices for p in walks([v], [], k) if p.key() <= p.reversed().key()
+        ]
+        assert list(enumerate_paths(g, k)) == expected, k
+    assert VertexPath((9, 10, 9), ("p", 10)) in enumerate_paths(g, 2)
+    assert VertexPath((9, 10, 9), (10, "p")) not in enumerate_paths(g, 2)
+
+
 def test_grid_counts_match_bruteforce(grid6):
     for k in (1, 2, 3):
         assert sum(1 for _ in enumerate_paths(grid6, k)) == count_canonical_walks(grid6, k)

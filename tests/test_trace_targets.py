@@ -75,14 +75,17 @@ def test_every_sweep_goes_through_the_traced_decision(tmp_path, monkeypatch):
         callers.append(tracer.names[tracer.spans[tracer.stack[-1]][0]] if tracer.stack else None)
         return step(self, radius)
 
-    monkeypatch.setattr(pathdist.geometry.DiscQuadratic, "_roots", traced_step)
     h = grid_graph(6.0, 2.0)
     g = generate_perturbed(PerturbationSpec(p=0.4, seed_count=1, rng_seed=5, extent=6.0))[0]
+    table = {r.path: r.distance for r in pathdist.pathdistance.match_all_paths(g, h, 1, 1e-3)}
+    monkeypatch.setattr(pathdist.geometry.DiscQuadratic, "_roots", traced_step)
     curve = pathdist.path_geometry(g, next(pathdist.enumerate_paths(g, 3)))
     tracer.install()
     try:
         pathdist.matching.map_match_distance(curve, h, 1e-3)
         pathdist.pathdistance.max_path_distance(g, h, 2, 1e-3)
+        # Under a floor the early exits probe at the path's own scale.
+        pathdist.pathdistance.max_path_distance(g, h, 2, 1e-3, sub_distances=table)
     finally:
         tracer.uninstall()
     stats = tracer.stats()

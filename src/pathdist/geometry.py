@@ -160,19 +160,30 @@ class DiscQuadratic:
     ``-qb``, ``|a-c|^2``, ``2*safe_qa`` and the zero-length mask); each
     radius then costs only the root step.  ``center`` may be a single point
     or an array broadcastable against the segment arrays.  ``segments``
-    takes precomputed :func:`segment_terms` of ``a`` and ``b``.
+    takes precomputed :func:`segment_terms` of ``a`` and ``b``.  ``out``,
+    if given, is a float array of shape ``(3, *shape)`` that receives
+    ``qb^2``, ``-qb`` and ``|a-c|^2`` in that order.
     """
 
     __slots__ = ("qa4", "qb2", "nqb", "ff", "den", "degenerate")
 
-    def __init__(self, center, a, b, segments=None):
+    def __init__(self, center, a, b, segments=None, out=None):
         a = np.asarray(a, dtype=float)
         d, self.qa4, self.den, self.degenerate = segment_terms(a, b) if segments is None else segments
         f = a - np.asarray(center, dtype=float)
         qb = 2.0 * np.einsum("...i,...i->...", f, d)
-        self.qb2 = qb * qb
-        self.nqb = -qb
-        self.ff = np.einsum("...i,...i->...", f, f)
+        if out is None:
+            out = np.empty((3, *qb.shape))
+        self.qb2 = np.multiply(qb, qb, out=out[0])
+        self.nqb = np.negative(qb, out=out[1])
+        self.ff = np.einsum("...i,...i->...", f, f, out=out[2])
+
+    @classmethod
+    def of_terms(cls, qa4, den, degenerate, qb2, nqb, ff) -> "DiscQuadratic":
+        """A quadratic from radius-free terms taken out of a larger one, such as gathered rows."""
+        q = cls.__new__(cls)
+        q.qa4, q.den, q.degenerate, q.qb2, q.nqb, q.ff = qa4, den, degenerate, qb2, nqb, ff
+        return q
 
     def _roots(self, radius: float):
         """The unclamped roots ``u1 <= u2`` and the empty mask at ``radius``.

@@ -26,11 +26,19 @@ as :class:`~pathdist.geometry.DiscQuadratic` objects.  A decision then pays
 only the root step of each family at its eps.  The problem also holds the
 monotone memo of :func:`map_match_distance`, so an early-exit decision and
 the bisection that follows it share one preparation and one memo.
+
+The paths of a map share most of their vertices and edges, so
+:func:`prepare_problems` prepares consecutive curves together: one table of
+the distinct curve points x graph segments and one of the joints x distinct
+oriented curve segments per window of curves, from which each problem
+gathers its rows.  Windows are bounded by a fixed number of table cells, so
+memory stays bounded on large maps; a lone curve is the one-curve window.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,7 +48,7 @@ from .geometry import DiscQuadratic, PolyLine, collapsed_points, max_distance_to
 from .graph import EmbeddedGraph
 from .spatial import nearest_point_on_graph, surface_geometry
 
-__all__ = ["MatchProblem", "match_decision", "map_match_distance"]
+__all__ = ["MatchProblem", "prepare_problems", "match_decision", "map_match_distance"]
 
 _INF = float("inf")
 
@@ -65,16 +73,19 @@ class MatchProblem:
     __slots__ = ("points", "h", "geom", "cv", "jn", "fail", "hold", "floor", "probe")
 
     def __init__(self, points: np.ndarray, h: EmbeddedGraph):
+        ((_, families),) = _families([points], h)
+        self._bind(points, h, families)
+
+    def _bind(self, points: np.ndarray, h: EmbeddedGraph, families) -> None:
         self.points = points
         self.h = h
         self.fail = -_INF
         self.hold = _INF
         self.floor = -_INF
         self.probe = None
-        if points.shape[0] > 1 and not h.is_empty():
-            geom = self.geom = surface_geometry(h)
-            self.cv = DiscQuadratic(points[:, None, :], geom.seg_a, geom.seg_b, geom.seg_terms)
-            self.jn = DiscQuadratic(geom.joint_pos[:, None, :], points[:-1], points[1:])
+        if families is not None:
+            self.geom = surface_geometry(h)
+            self.cv, self.jn = families
 
     def bound_below(self, lower: float | None, tol: float) -> None:
         """Let :meth:`decide` use a sub-curve's distance ``lower`` at ``tol``.
@@ -105,6 +116,108 @@ class MatchProblem:
         else:
             self.fail = eps
         return ok
+
+
+def prepare_problems(curves: Iterable[np.ndarray], h: EmbeddedGraph) -> Iterator[MatchProblem]:
+    """A :class:`MatchProblem` against ``h`` for each of ``curves`` (collapsed points), in order.
+
+    Consecutive curves are prepared together in windows (see
+    :func:`_families`), so a point or segment that many curves share is
+    prepared once per window; each problem equals ``MatchProblem(points, h)``
+    bit for bit.  Problems are built one at a time as they are taken.
+    """
+    for points, families in _families(curves, h):
+        problem = MatchProblem.__new__(MatchProblem)
+        problem._bind(points, h, families)
+        yield problem
+
+
+# The most cells the shared tables of one window may hold: distinct curve
+# points x graph segments plus graph joints x distinct curve segments.
+_WINDOW_CELLS = 1 << 14
+
+# A point's two float64 coordinates as one key: equal keys, equal bits.
+_POINT_KEY = np.dtype((np.void, 16))
+
+
+def _families(curves: Iterable[np.ndarray], h: EmbeddedGraph):
+    """Yield ``(points, (cv, jn))`` per curve, or ``(points, None)`` below two points.
+
+    Curves are taken in windows of consecutive curves whose distinct points
+    (by bit pattern, so -0.0 and 0.0 stay apart) and distinct oriented
+    segments fit ``_WINDOW_CELLS``; a curve alone may exceed it.
+    """
+    if h.is_empty():
+        for points in curves:
+            yield points, None
+        return
+    geom = surface_geometry(h)
+    S, J = geom.n_segments, geom.joint_pos.shape[0]
+    # The window's curves, the table rows and columns of their points and
+    # segments, concatenated, and the ids of its distinct points and segments.
+    window: list[np.ndarray] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    point_id: dict[bytes, int] = {}
+    seg_id: dict[tuple[bytes, bytes], int] = {}
+    for points in curves:
+        if points.shape[0] > 1:
+            keys = np.ascontiguousarray(points, dtype=float).view(_POINT_KEY).ravel().tolist()
+            segs = list(zip(keys, keys[1:]))
+            n_points = len(point_id) + len(set(keys).difference(point_id))
+            n_segs = len(seg_id) + len(set(segs).difference(seg_id))
+            if point_id and n_points * S + J * n_segs > _WINDOW_CELLS:
+                yield from _window_families(geom, window, rows, cols, point_id, seg_id)
+                window, rows, cols, point_id, seg_id = [], [], [], {}, {}
+            rows += [point_id.setdefault(k, len(point_id)) for k in keys]
+            cols += [seg_id.setdefault(s, len(seg_id)) for s in segs]
+        window.append(points)
+    yield from _window_families(geom, window, rows, cols, point_id, seg_id)
+
+
+def _window_families(geom, window: list, rows: list, cols: list, point_id: dict, seg_id: dict):
+    """:func:`_families` for one window; the arguments are as :func:`_families` keeps them.
+
+    One ``cv`` table holds the window's distinct points x graph segments and
+    one ``jn`` table the joints x its distinct segments, each with its
+    radius-free terms stacked so that one gather takes a curve's share.
+    """
+    S, J = geom.n_segments, geom.joint_pos.shape[0]
+    if point_id:
+        table = np.frombuffer(b"".join(point_id), dtype=float).reshape(-1, 2)
+        starts = np.frombuffer(b"".join(a for a, _ in seg_id), dtype=float).reshape(-1, 2)
+        stops = np.frombuffer(b"".join(b for _, b in seg_id), dtype=float).reshape(-1, 2)
+        cv_terms = np.empty((3, len(point_id), S))
+        DiscQuadratic(table[:, None, :], geom.seg_a, geom.seg_b, geom.seg_terms, out=cv_terms)
+        # Rows: qb^2, -qb and |a-c|^2 of every joint, then 4*qa and 2*safe_qa.
+        jn_terms = np.empty((3 * J + 2, len(seg_id)))
+        jn = DiscQuadratic(geom.joint_pos[:, None, :], starts, stops, out=jn_terms[: 3 * J].reshape(3, J, -1))
+        jn_terms[3 * J], jn_terms[3 * J + 1] = jn.qa4, jn.den
+        any_short = jn.degenerate is not None
+        # With no point or segment repeated, ids run 0, 1, 2, ... in curve
+        # order, so a slice of the tables is a curve's gather.
+        repeats = len(point_id) < len(rows) or len(seg_id) < len(cols)
+        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    _, qa4, den, degenerate = geom.seg_terms
+    r = c = 0
+    for points in window:
+        m = points.shape[0]
+        if m < 2:
+            yield points, None
+            continue
+        if repeats:
+            cv = np.take(cv_terms, rows[r : r + m], axis=1)
+            jn = np.take(jn_terms, cols[c : c + m - 1], axis=1)
+        else:
+            cv, jn = cv_terms[:, r : r + m], jn_terms[:, c : c + m - 1]
+        r, c = r + m, c + m - 1
+        cv = DiscQuadratic.of_terms(qa4, den, degenerate, *cv)
+        # A curve segment has zero length where its 4*qa, like its qa, is 0.
+        short = jn[3 * J] == 0.0 if any_short else None
+        if short is not None and not short.any():
+            short = None  # as segment_terms gives it
+        jn = DiscQuadratic.of_terms(jn[3 * J], jn[3 * J + 1], short, jn[:J], jn[J : 2 * J], jn[2 * J : 3 * J])
+        yield points, (cv, jn)
 
 
 def _problem(curve, h: EmbeddedGraph) -> MatchProblem:

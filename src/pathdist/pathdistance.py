@@ -24,9 +24,9 @@ from .errors import InputError, StructuralError
 from .frechet import DEFAULT_TOLERANCE
 from .geometry import max_distance_to_point
 from .graph import EmbeddedGraph, VertexId
-from .matching import MatchProblem, map_match_distance
+from .matching import map_match_distance, prepare_problems
 from .parallel import iter_chunked, run_chunked
-from .paths import VertexPath, enumerate_paths, path_geometry
+from .paths import VertexPath, canonical_test, enumerate_paths, path_geometry
 from .signatures import SignatureMap
 
 __all__ = [
@@ -137,7 +137,8 @@ def _weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> flo
 
 def _chunk_distances(h: EmbeddedGraph, tol: float, items: list) -> list[float]:
     """Distances of ``(collapsed points, lower)`` items; see :func:`map_match_distance`."""
-    return [map_match_distance(MatchProblem(pts, h), h, tol, lower=lower) for pts, lower in items]
+    problems = prepare_problems([pts for pts, _ in items], h)
+    return [map_match_distance(problem, h, tol, lower=lower) for problem, (_, lower) in zip(problems, items)]
 
 
 def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
@@ -154,8 +155,7 @@ def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
     never changes it.  Items are ``(collapsed points, lower)``.
     """
     best = -math.inf
-    for pts, lower in items:
-        problem = MatchProblem(pts, h)
+    for problem, (_, lower) in zip(prepare_problems([pts for pts, _ in items], h), items):
         problem.bound_below(lower, tol)
         if best > tol and problem.decide(best - tol):
             continue
@@ -165,17 +165,26 @@ def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
     return best
 
 
-def _sub_paths(p: VertexPath) -> tuple[VertexPath, VertexPath]:
-    """The canonical prefix and suffix of ``p``, one link shorter."""
-    v, e = p.vertex_ids, p.edge_ids
-    return VertexPath(v[:-1], e[:-1]).canonical(), VertexPath(v[1:], e[1:]).canonical()
+def _sub_paths(g: EmbeddedGraph, paths: list[VertexPath]) -> list[tuple[VertexPath, VertexPath]]:
+    """The canonical prefix and suffix of each of ``paths`` in ``g``, one link shorter."""
+    is_canonical = canonical_test(g)
+
+    def canonical(v: tuple, e: tuple) -> VertexPath:
+        return VertexPath(v, e) if is_canonical(v, e) else VertexPath(v[::-1], e[::-1])
+
+    return [
+        (canonical(p.vertex_ids[:-1], p.edge_ids[:-1]), canonical(p.vertex_ids[1:], p.edge_ids[1:]))
+        for p in paths
+    ]
 
 
-def _lower_bounds(paths: list[VertexPath], sub_distances: dict | None) -> list[float | None]:
+def _lower_bounds(
+    g: EmbeddedGraph, paths: list[VertexPath], sub_distances: dict | None
+) -> list[float | None]:
     """Each path's ``lower`` for :func:`map_match_distance`: the max of its sub-paths' values."""
     if sub_distances is None:
         return [None] * len(paths)
-    return [max(sub_distances[a], sub_distances[b]) for a, b in map(_sub_paths, paths)]
+    return [max(sub_distances[a], sub_distances[b]) for a, b in _sub_paths(g, paths)]
 
 
 def _distances(
@@ -195,11 +204,11 @@ def _distances(
     under its sub-paths' floor.
     """
     if sub_distances is None and paths and paths[0].link_length > 1:
-        subs = list(dict.fromkeys(s for p in paths for s in _sub_paths(p)))
+        subs = list(dict.fromkeys(s for pair in _sub_paths(g, paths) for s in pair))
         sub_curves = [path_geometry(g, s).collapsed().points for s in subs]
         chunks = _distances(g, h, subs, sub_curves, tol, workers)
         sub_distances = dict(zip(subs, (d for chunk in chunks for d in chunk)))
-    items = list(zip(curves, _lower_bounds(paths, sub_distances)))
+    items = list(zip(curves, _lower_bounds(g, paths, sub_distances)))
     yield from iter_chunked(functools.partial(_chunk_distances, h, tol), items, workers)
 
 
@@ -287,7 +296,7 @@ def max_path_distance(
         raise StructuralError("no path exists: the target graph is empty")
     paths = list(enumerate_paths(g, k))
     curves = [path_geometry(g, p).collapsed().points for p in paths]
-    items = list(zip(curves, _lower_bounds(paths, sub_distances)))
+    items = list(zip(curves, _lower_bounds(g, paths, sub_distances)))
     fn = functools.partial(_chunk_max, h, tol)
     maxima = run_chunked(fn, items, workers)
     return max(maxima, default=0.0)

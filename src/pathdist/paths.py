@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import InputError, StructuralError
 from .geometry import PolyLine
@@ -20,6 +20,7 @@ from .graph import EdgeId, EmbeddedGraph, VertexId, _merge_chain_geometry
 
 __all__ = [
     "VertexPath",
+    "canonical_test",
     "enumerate_paths",
     "paths_through_vertex",
     "paths_through_edge",
@@ -98,15 +99,29 @@ def _canonical_walks(g: EmbeddedGraph, k: int, starts) -> Iterator[VertexPath]:
             f"enumerating link-length {k} paths is combinatorially expensive",
             stacklevel=3,
         )
-    # VertexPath.key() of a walk and of its reversal, from one repr per id.
-    vkey = {v: repr(v) for v in g.vertices}
-    ekey = {e: repr(e) for e in g.edges}
+    is_canonical = canonical_test(g)
     for v0 in starts:
         for vseq, eseq in _extensions(g, [v0], [], k):
-            vk = [vkey[v] for v in vseq]
-            rk = vk[::-1]
-            if vk < rk or (vk == rk and [ekey[e] for e in eseq] <= [ekey[e] for e in eseq[::-1]]):
+            if is_canonical(vseq, eseq):
                 yield VertexPath(vseq, eseq)
+
+
+def canonical_test(g: EmbeddedGraph) -> Callable[[Sequence, Sequence], bool]:
+    """A test of whether the walk ``(vertex ids, edge ids)`` in ``g`` is canonical.
+
+    It decides :meth:`VertexPath.canonical`'s ``key() <= reversed().key()``
+    from one ``repr`` per vertex id and edge id of ``g``, without building
+    either key or the reversed path.
+    """
+    vkey = {v: repr(v) for v in g.vertices}
+    ekey = {e: repr(e) for e in g.edges}
+
+    def is_canonical(vseq: Sequence, eseq: Sequence) -> bool:
+        vk = [vkey[v] for v in vseq]
+        rk = vk[::-1]
+        return vk < rk or (vk == rk and [ekey[e] for e in eseq] <= [ekey[e] for e in eseq[::-1]])
+
+    return is_canonical
 
 
 def _ball(g: EmbeddedGraph, centres: tuple[VertexId, ...], k: int) -> list[VertexId]:

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from pathdist.errors import InputError, StructuralError
 from pathdist.frechet import frechet_distance
-from pathdist.geometry import PolyLine, point_to_polyline_distance
+from pathdist.geometry import DiscQuadratic, PolyLine, point_to_polyline_distance
 from pathdist.graph import EmbeddedGraph
 from pathdist.geometry import collapsed_points
-from pathdist.matching import MatchProblem, map_match_distance, match_decision
+import pathdist.matching as matching
+from pathdist.matching import MatchProblem, map_match_distance, match_decision, prepare_problems
 from pathdist.spatial import nearest_point_on_graph
 
 from oracles import (
@@ -377,3 +378,83 @@ def test_prepared_problem_refuses_another_graph():
     problem = MatchProblem(collapsed_points(PolyLine([(0, 1), (10, 1)])), h)
     with pytest.raises(InputError):
         match_decision(problem, segment_graph(), 1.0)
+
+
+def chunk_case(offset):
+    """A bent target with an isolated vertex, and curves that share points and segments."""
+    rng = np.random.default_rng(41)
+    base = bend_edges(random_geometric_graph(rng, 7, 3, 40.0), rng, 5.0)
+    h = EmbeddedGraph(
+        [(v, tuple(np.asarray(p) + offset)) for v, p in base.vertices.items()] + [("lone", tuple(offset + (55.0, 20.0)))],
+        [(eid, (e.u, e.v, e.geometry.points + offset)) for eid, e in base.edges.items()],
+    )
+    u, v, w = (np.asarray(base.vertices[i], float) for i in (0, 1, 2))
+    curves = [
+        random_curve_near_graph(rng, base, 5, 10.0),
+        [u, v],
+        [u, v, u],  # a backtrack: its first and last point are one row
+        [u, v, u, v],  # the segment u -> v twice
+        [u, v, w, u],  # a k=3 cycle
+        [(3.0, 3.0)],  # one point: no families
+        [(-0.0, 0.0), (10.0, -0.0), (0.0, 5.0)],  # -0.0 and 0.0 stay apart
+        [(0.0, 0.0), (10.0, 0.0), (-0.0, 5.0)],
+        [(50.0, 20.0), (55.0, 20.0), (60.0, 20.0)],  # across the isolated vertex
+        [(0.0, 20.0), (1e-200, 20.0), (30.0, 25.0)],  # a segment whose length squared is 0
+        random_curve_near_graph(rng, base, 3, 10.0),
+    ]
+    return h, [collapsed_points(np.asarray(c, float) + offset) for c in curves]
+
+
+def assert_same_quadratic(chunked, single):
+    for name in ("qa4", "den", "qb2", "nqb", "ff"):
+        x, y = getattr(chunked, name), getattr(single, name)
+        assert x.shape == y.shape, name
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
+    if single.degenerate is None:
+        assert chunked.degenerate is None
+    else:
+        assert np.array_equal(chunked.degenerate, single.degenerate)
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (5e5, 4.5e6)])
+@pytest.mark.parametrize("budget", [None, "small", 1])
+def test_chunk_prepared_problems_equal_one_curve_problems(monkeypatch, offset, budget):
+    # Problems prepared together share one table per family; each must be
+    # the problem its curve gets alone, bit for bit, however the windows fall.
+    h, curves = chunk_case(np.asarray(offset))
+    geom = matching.surface_geometry(h)
+    if budget == "small":
+        budget = 8 * (geom.n_segments + geom.joint_pos.shape[0])
+    if budget is not None:
+        monkeypatch.setattr(matching, "_WINDOW_CELLS", budget)
+    windows = []
+    build = matching._window_families
+
+    def counting(geom, window, *rest):
+        windows.append(len(window))
+        return build(geom, window, *rest)
+
+    monkeypatch.setattr(matching, "_window_families", counting)
+    problems = list(prepare_problems(curves, h))
+    assert sum(windows) == len(curves)
+    if budget is None:
+        assert len(windows) == 1
+    elif budget == 1:
+        assert len(windows) == sum(c.shape[0] > 1 for c in curves)
+    else:
+        assert 1 < len(windows) < len(curves) - 1
+    for problem, curve in zip(problems, curves):
+        single = MatchProblem(curve, h)
+        assert problem.points is curve
+        if curve.shape[0] > 1:
+            # The one-curve problem is the same code; the quadratics built
+            # from this curve alone are the reference for both.
+            cv = DiscQuadratic(curve[:, None, :], geom.seg_a, geom.seg_b, geom.seg_terms)
+            jn = DiscQuadratic(geom.joint_pos[:, None, :], curve[:-1], curve[1:])
+            for prepared in (problem, single):
+                assert_same_quadratic(prepared.cv, cv)
+                assert_same_quadratic(prepared.jn, jn)
+        d = map_match_distance(single, h, 1e-3)
+        for eps in (0.0, 0.5 * d, d - 1e-3, d + 1e-3):
+            assert match_decision(problem, h, eps) == match_decision(single, h, eps)
+        assert map_match_distance(problem, h, 1e-3).hex() == d.hex()

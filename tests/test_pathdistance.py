@@ -14,6 +14,7 @@ from pathdist.graph import EmbeddedGraph
 from pathdist.matching import map_match_distance, match_decision
 from pathdist.pathdistance import (
     _RADIUS_STEPS,
+    _sub_paths,
     directed_path_distance,
     intersection_radius,
     iter_match_records,
@@ -28,6 +29,7 @@ from pathdist.paths import VertexPath, enumerate_paths, path_geometry
 from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
 
 from oracles import dense_radius_scan, random_geometric_graph
+from test_paths import mixed_id_graph
 
 TOL = 1e-3
 
@@ -191,6 +193,47 @@ def test_reversed_k2_path_has_the_same_distance_on_bent_cities(seed):
         assert abs(reverse - d) <= TOL, p
 
 
+def with_extra_streets(h: EmbeddedGraph, rng, count: int) -> EmbeddedGraph:
+    """Copy of ``h`` with ``count`` more bent streets between random pairs of its vertices."""
+    ids = list(h.vertices)
+    edges = [(eid, (e.u, e.v, e.geometry)) for eid, e in h.edges.items()]
+    for n in range(count):
+        u, v = (ids[i] for i in rng.choice(len(ids), 2, replace=False))
+        a, b = np.asarray(h.vertices[u], float), np.asarray(h.vertices[v], float)
+        bend = 0.5 * (a + b) + rng.uniform(-10.0, 10.0, 2)
+        edges.append((f"extra{n}", (u, v, [a, bend, b])))
+    return EmbeddedGraph(list(h.vertices.items()), edges)
+
+
+@settings(max_examples=6)
+@given(st.integers(0, 2**16), st.integers(1, 3))
+def test_adding_target_streets_never_raises_the_distance(seed, count):
+    # Every path of the smaller target is a path of the larger one.
+    g, h = small_city_pair(seed)
+    more = with_extra_streets(h, np.random.default_rng(seed), count)
+    for k in (1, 2):
+        before = match_all_paths(g, h, k, TOL)
+        after = match_all_paths(g, more, k, TOL)
+        assert [r.path for r in after] == [r.path for r in before]
+        for r, s in zip(before, after):
+            assert s.distance <= r.distance + TOL, r.path
+        assert max_path_distance(g, more, k, TOL) <= max_path_distance(g, h, k, TOL) + TOL
+
+
+def test_sub_paths_keep_the_canonical_choice_on_mixed_ids():
+    g = mixed_id_graph()
+    for k in (2, 3):
+        paths = list(enumerate_paths(g, k))
+        expected = [
+            (
+                VertexPath(p.vertex_ids[:-1], p.edge_ids[:-1]).canonical(),
+                VertexPath(p.vertex_ids[1:], p.edge_ids[1:]).canonical(),
+            )
+            for p in paths
+        ]
+        assert _sub_paths(g, paths) == expected, k
+
+
 @pytest.mark.parametrize("pair", [0, 1, 2, "city"])
 def test_sub_path_floor_never_changes_a_value(pair):
     # Each k >= 2 path is bisected under its sub-paths' values, with the
@@ -295,6 +338,20 @@ PINNED_WITNESS = [
     ("0x1.08de6ffdcf37cp+7", "0x1.b14d2d3f57a54p+2"),
     ("0x1.3f75fe823a367p+7", "0x1.e8680e3dd7235p+2"),
 ]
+
+
+# float.hex of max_path_distance(k=3) without sub_distances on two perturbed
+# 6x6 grids, recorded before curves were prepared a window at a time.
+PINNED_STUDY = ["0x1.2e227b587ce6cp-1", "0x1.347c184af98e7p-1"]
+
+
+def test_study_route_is_pinned_bit_for_bit():
+    # The study takes each graph's k=3 maximum with no table of sub-path
+    # values, so most paths settle by one early exit at the running maximum.
+    h = grid_graph()
+    graphs = generate_perturbed(PerturbationSpec(p=0.5, seed_count=2, rng_seed=7))
+    for workers in (1, 2):
+        assert [max_path_distance(g, h, 3, TOL, workers=workers).hex() for g in graphs] == PINNED_STUDY
 
 
 def test_records_census_and_witness_are_pinned_bit_for_bit():

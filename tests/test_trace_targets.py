@@ -86,9 +86,12 @@ def test_every_sweep_goes_through_the_traced_decision(tmp_path, monkeypatch):
         pathdist.pathdistance.max_path_distance(g, h, 2, 1e-3)
         # Under a floor the early exits probe at the path's own scale.
         pathdist.pathdistance.max_path_distance(g, h, 2, 1e-3, sub_distances=table)
+        # Every record's bisection, on problems prepared a window at a time.
+        pathdist.pathdistance.match_all_paths(g, h, 2, 1e-3)
     finally:
         tracer.uninstall()
     stats = tracer.stats()
     assert stats["matching.map_match_distance"][0] >= 2
+    assert stats["pathdistance.match_all_paths"][0] == 1
     assert callers and set(callers) == {"matching.match_decision"}
     assert len(callers) == 2 * stats["matching.match_decision"][0]

@@ -7,7 +7,7 @@ below shows the threshold sweep and a case where a long detour hides a
 missing intersection from the F-score but not from the link-2 signature.
 """
 
-from pathdist import EmbeddedGraph, FScoreParams, edge_signature, fscore_analysis
+from pathdist import EmbeddedGraph, FScoreParams, fscore_analysis, path_distance_analysis
 
 # Two maps of one neighborhood: in the second, the north-south street stops
 # short of the main road (a missing intersection), but a detour exists.
@@ -39,7 +39,7 @@ for md in (10, 20, 40, 80, 160):
 
 params = FScoreParams(sampling_interval=5.0, matched_distance=20.0, max_path_length=300.0)
 result = fscore_analysis(g, h, params)
-sig = edge_signature(g, h, 2, tol=1e-3)
+_, sig, _ = path_distance_analysis(g, h, 2, tol=1e-3)
 print("\nper-street comparison at 20 m (F-score high = similar; signature low = similar):")
 for eid in g.edges:
     print(f"  {eid:7s} f-score {result.edge_scores.values[eid]:.3f}   "

@@ -24,7 +24,6 @@ from .fscore import (
     bottleneck_match,
     f_score,
     fscore_analysis,
-    fscore_signature,
     sample_neighborhood,
     sample_neighborhood_at,
 )
@@ -43,15 +42,13 @@ from .pathdistance import (
     PathDistanceReport,
     SeparationReport,
     directed_path_distance,
-    edge_signature,
     intersection_radius,
     max_path_distance,
     path_distance_analysis,
     separation_census,
     undirected_path_distance,
-    vertex_signature,
 )
-from .paths import VertexPath, enumerate_paths, path_geometry, paths_through_edge, paths_through_vertex
+from .paths import VertexPath, enumerate_paths, path_geometry
 from .signatures import CdfCurve, SignatureMap, cdf, cdf_at, export_cdf_plot, export_heatmap
 from .spatial import SpatialGrid
 
@@ -83,7 +80,6 @@ __all__ = [
     "contract_degree_two",
     "directed_path_distance",
     "discrete_frechet",
-    "edge_signature",
     "enumerate_paths",
     "export_cdf_plot",
     "export_geojson",
@@ -92,7 +88,6 @@ __all__ = [
     "frechet_decision",
     "frechet_distance",
     "fscore_analysis",
-    "fscore_signature",
     "generate_perturbed",
     "graph_stats",
     "grid_graph",
@@ -103,8 +98,6 @@ __all__ = [
     "max_path_distance",
     "path_distance_analysis",
     "path_geometry",
-    "paths_through_edge",
-    "paths_through_vertex",
     "point_to_polyline_distance",
     "run_all",
     "run_perturbation_study",
@@ -112,6 +105,5 @@ __all__ = [
     "sample_neighborhood_at",
     "separation_census",
     "undirected_path_distance",
-    "vertex_signature",
     "write_graph_csv",
 ]

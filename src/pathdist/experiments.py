@@ -304,7 +304,6 @@ def run_all(config: RunConfig) -> Path:
         directions.append(("hg", h, g))
     curves = {}
     for tag, src, dst in directions:
-        deltas: dict[int, float] = {}
         # Each k's values floor the bisections of the k+1 paths they are part of.
         tables: dict[int, dict] = {}
         for k in config.k_values:
@@ -317,15 +316,12 @@ def run_all(config: RunConfig) -> Path:
             with atomic_write(track(f"distance_{tag}_k{k}.summary.json")) as fh:
                 json.dump(report.summary(), fh, indent=1, sort_keys=True)
                 fh.write("\n")
-            deltas[k] = report.max_distance
             with atomic_write(track(f"signature_{tag}_k{k}.csv"), newline="") as fh:
                 write_signature_csv(edge_sig, fh)
             export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.svg"), "svg")
             export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.geojson"), "geojson")
             curves[f"{tag} k={k}"] = cdf(edge_sig)
-        census = separation_census(
-            src, dst, config.tol, workers=config.workers, known=deltas, tables=tables
-        )
+        census = separation_census(src, dst, config.tol, workers=config.workers, tables=tables)
         census_doc = [rep.summary() for rep in census]
         with atomic_write(track(f"separation_{tag}.json")) as fh:
             json.dump(census_doc, fh, indent=1, sort_keys=True)

@@ -36,7 +36,6 @@ __all__ = [
     "sample_neighborhood_at",
     "bottleneck_match",
     "f_score",
-    "fscore_signature",
     "fscore_analysis",
 ]
 
@@ -354,14 +353,3 @@ def fscore_analysis(
         global_holes=tot_holes,
         per_seed=per_seed,
     )
-
-
-def fscore_signature(
-    g: EmbeddedGraph,
-    h: EmbeddedGraph,
-    params: FScoreParams | None = None,
-    *,
-    workers: int = 1,
-) -> SignatureMap:
-    """Per-edge F-score map (endpoint-vertex averages)."""
-    return fscore_analysis(g, h, params, workers=workers).edge_scores

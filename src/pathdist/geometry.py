@@ -68,14 +68,6 @@ class PolyLine:
     def __repr__(self) -> str:
         return f"PolyLine({self.points.tolist()!r})"
 
-    @property
-    def start(self) -> np.ndarray:
-        return self.points[0]
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.points[-1]
-
     def segment_lengths(self) -> np.ndarray:
         d = np.diff(self.points, axis=0)
         return np.hypot(d[:, 0], d[:, 1])

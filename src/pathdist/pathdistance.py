@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InputError, StructuralError
+from .errors import InputError, ParseError, StructuralError
 from .frechet import DEFAULT_TOLERANCE
 from .geometry import max_distance_to_point
 from .graph import EmbeddedGraph, VertexId
@@ -39,8 +39,6 @@ __all__ = [
     "max_path_distance",
     "undirected_path_distance",
     "path_distance_analysis",
-    "edge_signature",
-    "vertex_signature",
     "intersection_radius",
     "separation_census",
     "write_records_csv",
@@ -302,21 +300,26 @@ def max_path_distance(
     return max(maxima, default=0.0)
 
 
+def _delta(g: EmbeddedGraph, h: EmbeddedGraph, k: int, tol: float, workers: int, tables: dict) -> float:
+    """Δk from what ``tables`` (as for :func:`separation_census`) already holds.
+
+    With Δk's own table, Δk is its maximum, the float :func:`max_path_distance`
+    gives; otherwise Δk is computed under the link-``k-1`` table, if any.
+    """
+    if k in tables:
+        return max(tables[k].values(), default=0.0)
+    return max_path_distance(g, h, k, tol, workers=workers, sub_distances=tables.get(k - 1))
+
+
 def _strict_good_vertices(
     g: EmbeddedGraph,
     h: EmbeddedGraph,
     tol: float,
     workers: int,
-    d3: float | None = None,
-    table2: dict[VertexPath, float] | None = None,
+    tables: dict,
 ) -> tuple[set[VertexId], float, dict[VertexId, float]]:
-    """Vertices admissible as strict path interiors, with the link-3 distance and radii.
-
-    A missing ``d3`` is computed with the link-2 ``table2``, when given, as
-    ``sub_distances``.
-    """
-    if d3 is None:
-        d3 = max_path_distance(g, h, 3, tol, workers=workers, sub_distances=table2)
+    """Vertices admissible as strict path interiors, with Δ3 (see :func:`_delta`) and radii."""
+    d3 = _delta(g, h, 3, tol, workers, tables)
     radii = {v: intersection_radius(g, v, d3) for v in g.vertices}
     good = {v for v in g.vertices if math.isfinite(radii[v]) and g.degree(v) != 3}
     return good, d3, radii
@@ -343,9 +346,8 @@ def directed_path_distance(
     records = match_all_paths(g, h, k, tol, workers=workers)
     report = PathDistanceReport(k=k, direction="G->H", records=records)
     if strict:
-        d3 = report.max_distance if k == 3 else None
-        table2 = {r.path: r.distance for r in records} if k == 2 else None
-        good, d3, radii = _strict_good_vertices(g, h, tol, workers, d3, table2)
+        tables = {k: {r.path: r.distance for r in records}}
+        good, d3, radii = _strict_good_vertices(g, h, tol, workers, tables)
         report.records = [
             r for r in records if all(v in good for v in r.path.vertex_ids[1:-1])
         ]
@@ -419,32 +421,6 @@ def path_distance_analysis(
     edge_sig = SignatureMap(target="edge", k=k, values=edge_values, graph=g)
     vertex_sig = SignatureMap(target="vertex", k=k, values=vertex_values, graph=g)
     return report, edge_sig, vertex_sig
-
-
-def edge_signature(
-    g: EmbeddedGraph,
-    h: EmbeddedGraph,
-    k: int,
-    tol: float = DEFAULT_TOLERANCE,
-    *,
-    workers: int = 1,
-) -> SignatureMap:
-    """Per-edge local signature: max match distance over paths through each edge."""
-    _, sig, _ = path_distance_analysis(g, h, k, tol, workers=workers)
-    return sig
-
-
-def vertex_signature(
-    g: EmbeddedGraph,
-    h: EmbeddedGraph,
-    k: int,
-    tol: float = DEFAULT_TOLERANCE,
-    *,
-    workers: int = 1,
-) -> SignatureMap:
-    """Per-vertex local signature: max match distance over paths through each vertex."""
-    _, _, sig = path_distance_analysis(g, h, k, tol, workers=workers)
-    return sig
 
 
 # Radii tested at once in each round of intersection_radius's zooming scan.
@@ -549,28 +525,19 @@ def separation_census(
     tol: float = DEFAULT_TOLERANCE,
     *,
     workers: int = 1,
-    known: dict[int, float] | None = None,
     tables: dict[int, dict[VertexPath, float]] | None = None,
 ) -> list[SeparationReport]:
     """Count d-separated vertices of ``g`` for d = Δ1, Δ2, Δ3 into ``h``.
 
-    ``known`` maps k to an already computed directed distance Δk from ``g``
-    into ``h`` at this ``tol`` (such as ``report.max_distance`` of a full
-    report, which equals :func:`max_path_distance`); only the missing k are
-    computed.  ``tables`` maps k to the distances of every canonical
-    link-``k`` path at this ``tol``; a missing Δk is computed with the
-    link-``k-1`` table, when there is one, as ``sub_distances``.
+    ``tables`` maps k to the distances of every canonical link-``k`` path at
+    this ``tol``.  A Δk whose table is given is its maximum; a missing Δk is
+    computed with the link-``k-1`` table, when there is one, as
+    ``sub_distances``.
     """
-    known = known or {}
     tables = tables or {}
     reports = []
     for k in (1, 2, 3):
-        if k in known:
-            dk = known[k]
-        else:
-            dk = max_path_distance(
-                g, h, k, tol, workers=workers, sub_distances=tables.get(k - 1)
-            )
+        dk = _delta(g, h, k, tol, workers, tables)
         per_vertex = {v: intersection_radius(g, v, dk) for v in g.vertices}
         reports.append(SeparationReport(k=k, d=dk, per_vertex=per_vertex))
     return reports
@@ -597,7 +564,8 @@ def read_records_csv(fh) -> dict[int, float]:
     """Map of path_id -> match distance from a previously written report.
 
     The writer ends every row with a newline and flushes it, so a last line
-    without one was cut off mid-write (say, by a crash) and is dropped.
+    without one was cut off mid-write (say, by a crash) and is dropped.  Any
+    other malformed row raises a :class:`ParseError` with its line number.
     """
     text = fh.read()
     if not text.endswith("\n"):
@@ -605,7 +573,11 @@ def read_records_csv(fh) -> dict[int, float]:
     out: dict[int, float] = {}
     reader = csv.reader(io.StringIO(text))
     next(reader, None)  # header
-    for row in reader:
-        if row:
+    for row in filter(None, reader):
+        if len(row) != 4:
+            raise ParseError(f"report row needs 4 fields, got {len(row)}", reader.line_num)
+        try:
             out[int(row[0])] = float(row[3])
+        except ValueError as exc:
+            raise ParseError(f"bad report row: {exc}", reader.line_num) from exc
     return out

@@ -22,8 +22,6 @@ __all__ = [
     "VertexPath",
     "canonical_test",
     "enumerate_paths",
-    "paths_through_vertex",
-    "paths_through_edge",
     "path_geometry",
 ]
 
@@ -90,22 +88,6 @@ def _extensions(g: EmbeddedGraph, vseq: list, eseq: list, k: int) -> Iterator[tu
         eseq.pop()
 
 
-def _canonical_walks(g: EmbeddedGraph, k: int, starts) -> Iterator[VertexPath]:
-    """Canonical link-length-``k`` paths whose first vertex is in ``starts``, in that order."""
-    if k < 1:
-        raise InputError("link-length k must be >= 1")
-    if k > 3:
-        warnings.warn(
-            f"enumerating link-length {k} paths is combinatorially expensive",
-            stacklevel=3,
-        )
-    is_canonical = canonical_test(g)
-    for v0 in starts:
-        for vseq, eseq in _extensions(g, [v0], [], k):
-            if is_canonical(vseq, eseq):
-                yield VertexPath(vseq, eseq)
-
-
 def canonical_test(g: EmbeddedGraph) -> Callable[[Sequence, Sequence], bool]:
     """A test of whether the walk ``(vertex ids, edge ids)`` in ``g`` is canonical.
 
@@ -124,22 +106,6 @@ def canonical_test(g: EmbeddedGraph) -> Callable[[Sequence, Sequence], bool]:
     return is_canonical
 
 
-def _ball(g: EmbeddedGraph, centres: tuple[VertexId, ...], k: int) -> list[VertexId]:
-    """Vertices within ``k`` edges of any of ``centres``, in insertion order."""
-    ball = set(centres)
-    frontier = list(ball)
-    for _ in range(k):
-        reached = []
-        for u in frontier:
-            for eid in g.adjacency[u]:
-                w = g.other_endpoint(eid, u)
-                if w not in ball:
-                    ball.add(w)
-                    reached.append(w)
-        frontier = reached
-    return [u for u in g.vertices if u in ball]
-
-
 def enumerate_paths(g: EmbeddedGraph, k: int) -> Iterator[VertexPath]:
     """Stream every link-length-``k`` vertex-path of ``g`` once up to reversal.
 
@@ -147,35 +113,18 @@ def enumerate_paths(g: EmbeddedGraph, k: int) -> Iterator[VertexPath]:
     deterministic.  Non-simple walks (repeated vertices or edges) are
     included.
     """
-    yield from _canonical_walks(g, k, g.vertices)
-
-
-def paths_through_vertex(g: EmbeddedGraph, v: VertexId, k: int) -> Iterator[VertexPath]:
-    """The paths of :func:`enumerate_paths` that contain ``v``, in its order.
-
-    Every vertex of such a path lies within ``k`` edges of ``v``, so only
-    walks from that ball are enumerated.
-    """
-    if v not in g.vertices:
-        raise StructuralError(f"unknown vertex id {v!r}")
-    for p in _canonical_walks(g, k, _ball(g, (v,), k)):
-        if v in p.vertex_ids:
-            yield p
-
-
-def paths_through_edge(g: EmbeddedGraph, e: EdgeId, k: int) -> Iterator[VertexPath]:
-    """The paths of :func:`enumerate_paths` that traverse edge ``e``, in its order.
-
-    A walk whose link j (counting from 0) is ``e`` starts within
-    j <= k-1 edges of an endpoint of ``e``, so only walks from the two
-    balls of radius k-1 are enumerated.
-    """
-    if e not in g.edges:
-        raise StructuralError(f"unknown edge id {e!r}")
-    edge = g.edges[e]
-    for p in _canonical_walks(g, k, _ball(g, (edge.u, edge.v), k - 1)):
-        if e in p.edge_ids:
-            yield p
+    if k < 1:
+        raise InputError("link-length k must be >= 1")
+    if k > 3:
+        warnings.warn(
+            f"enumerating link-length {k} paths is combinatorially expensive",
+            stacklevel=2,
+        )
+    is_canonical = canonical_test(g)
+    for v0 in g.vertices:
+        for vseq, eseq in _extensions(g, [v0], [], k):
+            if is_canonical(vseq, eseq):
+                yield VertexPath(vseq, eseq)
 
 
 def path_geometry(g: EmbeddedGraph, p: VertexPath) -> PolyLine:

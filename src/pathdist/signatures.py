@@ -18,7 +18,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import InputError, StructuralError
+from .errors import InputError, ParseError, StructuralError
 from .graph import EmbeddedGraph
 from .svgplot import CURVE_COLORS, PLOT_SIZE, SvgCanvas, ramp_color, world_transform
 
@@ -31,7 +31,6 @@ __all__ = [
     "export_cdf_plot",
     "write_signature_csv",
     "read_signature_csv",
-    "read_signature_geojson",
 ]
 
 #: Side of the square heat-map SVG.
@@ -256,23 +255,23 @@ def write_signature_csv(sig: SignatureMap, fh) -> None:
 
 
 def read_signature_csv(fh) -> list[tuple[str, float, float]]:
-    """(edge_id, length, signature) triples from a signature CSV."""
+    """(edge_id, length, signature) triples from a signature CSV.
+
+    A malformed row raises a :class:`ParseError` with its line number.
+    """
     reader = csv.reader(fh)
     next(reader, None)  # header
-    return [(eid, float(length), float(value)) for eid, length, value in filter(None, reader)]
+    rows = []
+    for row in filter(None, reader):
+        if len(row) != 3:
+            raise ParseError(f"signature row needs 3 fields, got {len(row)}", reader.line_num)
+        try:
+            rows.append((row[0], float(row[1]), float(row[2])))
+        except ValueError as exc:
+            raise ParseError(f"bad signature row: {exc}", reader.line_num) from exc
+    return rows
 
 
 def cdf_from_signature_rows(rows: Sequence[tuple[str, float, float]]) -> CdfCurve:
     """CDF from exported rows, weighting by the recorded edge lengths."""
     return _cdf_from_pairs([(value, length) for _, length, value in rows])
-
-
-def read_signature_geojson(path, graph: EmbeddedGraph, k: int) -> SignatureMap:
-    """Rebuild an edge SignatureMap from an exported heat-map GeoJSON."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    values = {
-        feat["properties"]["edge_id"]: float(feat["properties"]["signature_m"])
-        for feat in doc["features"]
-    }
-    return SignatureMap(target="edge", k=k, values=values, graph=graph)

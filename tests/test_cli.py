@@ -337,6 +337,29 @@ def test_distance_resume_refuses_a_report_from_other_inputs(graph_dirs, tmp_path
     assert "max=0.0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("row", ["2,bad-row,xx,yy", "2,0-1,2.0"], ids=["not-a-number", "three-fields"])
+def test_distance_resume_bad_row_exits_2_with_its_line(graph_dirs, tmp_path, capsys, row):
+    gdir, hdir = graph_dirs
+    out = tmp_path / "rep.csv"
+    argv = ["distance", "--from", gdir, "--to", hdir, "--k", "1", "--out", str(out)]
+    assert main(argv) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    lines[3] = row + "\n"
+    out.write_text("".join(lines))
+    assert main(argv + ["--resume"]) == 2
+    assert "line 4:" in capsys.readouterr().err
+    assert out.read_text() == "".join(lines)
+
+
+@pytest.mark.parametrize("row", ["e1,10.0,abc", "e1,10.0"], ids=["not-a-number", "two-fields"])
+def test_cdf_bad_signature_row_exits_2_with_its_line(tmp_path, capsys, row):
+    sig = tmp_path / "sig.csv"
+    sig.write_text(f"edge_id,length_m,signature_m\ne0,5.0,1.5\n{row}\n")
+    assert main(["cdf", "--sig", str(sig), "--out", str(tmp_path / "cdf.csv")]) == 2
+    assert "line 3:" in capsys.readouterr().err
+    assert not (tmp_path / "cdf.csv").exists()
+
+
 def test_config_file_defaults_flags_override(graph_dirs, tmp_path, capsys):
     gdir, hdir = graph_dirs
     cfg = tmp_path / "run.cfg"

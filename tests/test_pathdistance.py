@@ -465,9 +465,9 @@ def test_missing_edge_signature_matches_direct_match():
 
 
 def iter_paths(g, eid):
-    from pathdist.paths import paths_through_edge
+    from pathdist.paths import enumerate_paths
 
-    return paths_through_edge(g, eid, 1)
+    return (p for p in enumerate_paths(g, 1) if eid in p.edge_ids)
 
 
 def test_report_summary_shape(grid6):
@@ -677,7 +677,7 @@ def test_reports_survive_utm_offset(pair):
     g, h = monotonicity_pair(pair)
     shift = np.array([5e5, 4.5e6])
     g_moved, h_moved = shifted(g, shift), shifted(h, shift)
-    known, known_moved = {}, {}
+    tables, tables_moved = {}, {}
     for k in (1, 2, 3) if pair == 0 else (1, 2):
         report, edge_sig, _ = path_distance_analysis(g, h, k, TOL)
         moved, edge_sig_moved, _ = path_distance_analysis(g_moved, h_moved, k, TOL)
@@ -687,9 +687,10 @@ def test_reports_survive_utm_offset(pair):
         assert list(edge_sig_moved.values) == list(edge_sig.values)
         for eid, value in edge_sig.values.items():
             assert abs(edge_sig_moved.values[eid] - value) < TOL
-        known[k], known_moved[k] = report.max_distance, moved.max_distance
-    counts = [r.separated_count for r in separation_census(g, h, TOL, known=known)]
-    moved_counts = [r.separated_count for r in separation_census(g_moved, h_moved, TOL, known=known_moved)]
+        tables[k] = {r.path: r.distance for r in report.records}
+        tables_moved[k] = {r.path: r.distance for r in moved.records}
+    counts = [r.separated_count for r in separation_census(g, h, TOL, tables=tables)]
+    moved_counts = [r.separated_count for r in separation_census(g_moved, h_moved, TOL, tables=tables_moved)]
     assert moved_counts == counts
 
 

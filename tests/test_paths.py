@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from pathdist.graph import EmbeddedGraph
-from pathdist.paths import (
-    VertexPath,
-    enumerate_paths,
-    path_geometry,
-    paths_through_edge,
-    paths_through_vertex,
-)
+from pathdist.paths import VertexPath, enumerate_paths, path_geometry
 
 from oracles import count_canonical_walks, random_geometric_graph
 
@@ -111,50 +105,6 @@ def test_paths_are_valid_walks(grid6):
         for i, eid in enumerate(p.edge_ids):
             e = grid6.edges[eid]
             assert {p.vertex_ids[i], p.vertex_ids[i + 1]} == {e.u, e.v}
-
-
-def test_paths_through_edge_is_singleton_for_k1(grid6):
-    eid = next(iter(grid6.edges))
-    paths = list(paths_through_edge(grid6, eid, 1))
-    assert len(paths) == 1
-    assert paths[0].edge_ids == (eid,)
-
-
-def test_paths_through_vertex_matches_filtered_enumeration(grid6):
-    v = 7  # interior vertex
-    for k in (1, 2, 3):
-        direct = list(paths_through_vertex(grid6, v, k))
-        filtered = [p for p in enumerate_paths(grid6, k) if v in p.vertex_ids]
-        assert direct == filtered
-
-
-def test_paths_through_edge_matches_filtered_enumeration(grid6):
-    eid = 25
-    for k in (1, 2, 3):
-        direct = list(paths_through_edge(grid6, eid, k))
-        filtered = [p for p in enumerate_paths(grid6, k) if eid in p.edge_ids]
-        assert direct == filtered
-
-
-def test_local_path_queries_filter_the_enumeration():
-    rng = np.random.default_rng(9)
-    for _ in range(2):
-        g = random_geometric_graph(rng, 8, 3, 10.0)
-        for k in (1, 2, 3):
-            paths = list(enumerate_paths(g, k))
-            for v in g.vertices:
-                assert list(paths_through_vertex(g, v, k)) == [p for p in paths if v in p.vertex_ids]
-            for eid in g.edges:
-                assert list(paths_through_edge(g, eid, k)) == [p for p in paths if eid in p.edge_ids]
-
-
-def test_paths_through_edge_subset_of_endpoint_vertices(grid6):
-    eid = 25
-    e = grid6.edges[eid]
-    through_e = {p.key() for p in paths_through_edge(grid6, eid, 2)}
-    through_u = {p.key() for p in paths_through_vertex(grid6, e.u, 2)}
-    through_v = {p.key() for p in paths_through_vertex(grid6, e.v, 2)}
-    assert through_e <= through_u & through_v
 
 
 def split_label(label: str) -> list[str]:

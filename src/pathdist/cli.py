@@ -26,7 +26,7 @@ from .experiments import (
     load_graph_arg,
     run_perturbation_study,
 )
-from .frechet import DEFAULT_TOLERANCE, frechet_distance
+from .frechet import DEFAULT_TOLERANCE, check_tolerance, frechet_distance
 from .fscore import FScoreParams, fscore_analysis
 from .geometry import PolyLine
 from .graph import csv_rows, finite_coordinates, graph_stats, write_graph_csv
@@ -423,6 +423,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, list(argv))
+        if hasattr(args, "tol"):
+            check_tolerance(args.tol)
         return args.fn(args)
     except FileNotFoundError as exc:
         print(f"pathdist: missing file: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import InputError
-from .frechet import DEFAULT_TOLERANCE
+from .frechet import DEFAULT_TOLERANCE, check_tolerance
 from .graph import EmbeddedGraph, contract_degree_two, export_geojson, graph_stats, load_graph
 from .parallel import run_chunked
 from .pathdistance import (
@@ -242,8 +242,7 @@ class RunConfig:
     both_directions: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InputError("tolerance must be positive")
+        check_tolerance(self.tol)
         if self.workers < 1:
             raise InputError("workers must be >= 1")
 

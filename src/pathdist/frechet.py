@@ -14,12 +14,18 @@ import numpy as np
 from .errors import InputError
 from .geometry import PolyLine, collapsed_points, disc_segment_intervals, max_distance_to_point
 
-__all__ = ["frechet_decision", "frechet_distance", "discrete_frechet"]
+__all__ = ["check_tolerance", "frechet_decision", "frechet_distance", "discrete_frechet"]
 
 #: Default absolute tolerance (meters) for bisection searches.
 DEFAULT_TOLERANCE = 1e-3
 
 _INF = float("inf")
+
+
+def check_tolerance(tol: float) -> None:
+    """Raise :class:`InputError` unless ``0 < tol < inf`` (so NaN fails too)."""
+    if not 0.0 < tol < _INF:
+        raise InputError("tol must be positive and finite")
 
 
 def bisect_decision(decide, lo: float, hi: float, tol: float) -> float:
@@ -45,7 +51,7 @@ def frechet_decision(f: PolyLine, g: PolyLine, eps: float) -> bool:
     zero-length segments are collapsed before the sweep, and single-point
     curves are handled as constant paths.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise InputError("eps must be non-negative")
     fp = collapsed_points(f)
     gp = collapsed_points(g)
@@ -125,8 +131,7 @@ def frechet_distance(f: PolyLine, g: PolyLine, tol: float = DEFAULT_TOLERANCE) -
     bound and the maximum pairwise vertex distance.  The returned value d
     satisfies ``|d - true distance| <= tol``.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    check_tolerance(tol)
     fp = collapsed_points(f)
     gp = collapsed_points(g)
     lo = max(float(np.hypot(*(fp[0] - gp[0]))), float(np.hypot(*(fp[-1] - gp[-1]))))

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InputError, StructuralError
-from .frechet import DEFAULT_TOLERANCE, bisect_decision
+from .frechet import DEFAULT_TOLERANCE, bisect_decision, check_tolerance
 from .geometry import DiscQuadratic, PolyLine, collapsed_points, max_distance_to_point
 from .graph import EmbeddedGraph
 from .spatial import nearest_point_on_graph, surface_geometry
@@ -245,7 +245,7 @@ def match_decision(
     decision is negative.  ``curve`` may be a :class:`MatchProblem` prepared
     against ``h``; its memo is neither read nor updated.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise InputError("eps must be non-negative")
     if h.is_empty():
         return (False, None) if return_witness else False
@@ -358,8 +358,7 @@ def map_match_distance(
     ``curve`` may be a :class:`MatchProblem` prepared against ``h``, such as
     one that already made an early-exit decision.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    check_tolerance(tol)
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
     problem = _problem(curve, h)

@@ -26,7 +26,7 @@ from .geometry import max_distance_to_point
 from .graph import EmbeddedGraph, VertexId
 from .matching import map_match_distance, prepare_problems
 from .parallel import iter_chunked, run_chunked
-from .paths import VertexPath, canonical_test, enumerate_paths, path_geometry
+from .paths import VertexPath, canonical_test, enumerate_paths, path_curves
 from .signatures import SignatureMap
 
 __all__ = [
@@ -203,7 +203,7 @@ def _distances(
     """
     if sub_distances is None and paths and paths[0].link_length > 1:
         subs = list(dict.fromkeys(s for pair in _sub_paths(g, paths) for s in pair))
-        sub_curves = [path_geometry(g, s).collapsed().points for s in subs]
+        sub_curves = path_curves(g, subs)
         chunks = _distances(g, h, subs, sub_curves, tol, workers)
         sub_distances = dict(zip(subs, (d for chunk in chunks for d in chunk)))
     items = list(zip(curves, _lower_bounds(g, paths, sub_distances)))
@@ -237,19 +237,20 @@ def iter_match_records(
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
     paths = list(enumerate_paths(g, k))
-    geoms = [path_geometry(g, p) for p in paths]
+    curves, lengths = path_curves(g, paths, return_lengths=True)
     todo = [i for i in range(len(paths)) if known is None or i not in known]
-    curves = [geoms[i].collapsed().points for i in todo]
-    computed = _distances(g, h, [paths[i] for i in todo], curves, tol, workers, sub_distances)
+    computed = _distances(
+        g, h, [paths[i] for i in todo], [curves[i] for i in todo], tol, workers, sub_distances
+    )
     pending: deque[float] = deque()
-    for i, (p, geom) in enumerate(zip(paths, geoms)):
+    for i, (p, length) in enumerate(zip(paths, lengths)):
         if known is not None and i in known:
             d = known[i]
         else:
             while not pending:
                 pending.extend(next(computed))
             d = pending.popleft()
-        yield PathRecord(i, p, geom.length(), d)
+        yield PathRecord(i, p, length, d)
 
 
 def match_all_paths(
@@ -293,8 +294,7 @@ def max_path_distance(
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
     paths = list(enumerate_paths(g, k))
-    curves = [path_geometry(g, p).collapsed().points for p in paths]
-    items = list(zip(curves, _lower_bounds(g, paths, sub_distances)))
+    items = list(zip(path_curves(g, paths), _lower_bounds(g, paths, sub_distances)))
     fn = functools.partial(_chunk_max, h, tol)
     maxima = run_chunked(fn, items, workers)
     return max(maxima, default=0.0)
@@ -473,10 +473,10 @@ def intersection_radius(g: EmbeddedGraph, v: VertexId, d: float) -> float:
     incident = g.adjacency[v]
     if not incident:
         return math.inf
-    center = np.asarray(g.vertices[v], dtype=float)
-    geoms = [g.edge_geometry_from(eid, v).collapsed().points for eid in incident]
     if len(incident) == 1:
         return 0.0  # one crossing, no pair constraint; any radius works
+    center = np.asarray(g.vertices[v], dtype=float)
+    geoms = [g.edge_geometry_from(eid, v).collapsed().points for eid in incident]
 
     if all(pts.shape[0] == 2 for pts in geoms):
         dirs = []

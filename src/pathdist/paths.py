@@ -14,6 +14,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import InputError, StructuralError
 from .geometry import PolyLine
 from .graph import EdgeId, EmbeddedGraph, VertexId, _merge_chain_geometry
@@ -22,6 +24,7 @@ __all__ = [
     "VertexPath",
     "canonical_test",
     "enumerate_paths",
+    "path_curves",
     "path_geometry",
 ]
 
@@ -134,3 +137,55 @@ def path_geometry(g: EmbeddedGraph, p: VertexPath) -> PolyLine:
     """
     validate_path(g, p)
     return _merge_chain_geometry(g, list(zip(p.edge_ids, p.vertex_ids)))
+
+
+def path_curves(g: EmbeddedGraph, paths: Sequence[VertexPath], *, return_lengths: bool = False):
+    """Each path's curve points, collapsed, gathered from one flat table of ``g``'s edge points.
+
+    Row for row and bit for bit, the curve of ``p`` is
+    ``path_geometry(g, p).collapsed().points``: the first edge in full, each
+    later edge oriented from its entry vertex without its first point, and
+    then consecutive duplicate points dropped.  All paths share one gather
+    and one pass over their segment lengths; each curve is a read-only
+    slice of the kept rows.  With ``return_lengths=True`` returns
+    ``(curves, lengths)``, each length the float
+    ``path_geometry(g, p).length()``.
+    """
+    # Per edge: its rows of the table forward and reversed, each in full and
+    # without its first row.
+    rows: dict = {}
+    at = 0
+    for eid, e in g.edges.items():
+        fwd = list(range(at, at + len(e.geometry)))
+        rev = fwd[::-1]
+        rows[eid] = (e.u, fwd, fwd[1:], rev, rev[1:])
+        at += len(fwd)
+    index: list[int] = []
+    starts = []
+    for p in paths:
+        validate_path(g, p)
+        starts.append(len(index))
+        for i, (eid, start) in enumerate(zip(p.edge_ids, p.vertex_ids)):
+            u, fwd, fwd_tail, rev, rev_tail = rows[eid]
+            if start == u:
+                index += fwd_tail if i else fwd
+            else:
+                index += rev_tail if i else rev
+    if not starts:
+        return ([], []) if return_lengths else []
+    table = np.concatenate([e.geometry.points for e in g.edges.values()])
+    points = table[np.asarray(index, dtype=np.intp)]
+    d = np.diff(points, axis=0)
+    seg = np.hypot(d[:, 0], d[:, 1])
+    keep = np.empty(len(index), dtype=bool)
+    keep[1:] = seg > 0.0
+    keep[starts] = True
+    kept = points[keep]
+    kept.setflags(write=False)
+    # Each path's first and one-past-last row among the kept rows.
+    ends = starts[1:] + [len(index)]
+    upto = np.cumsum(keep).tolist()
+    curves = [kept[upto[a] - 1 : upto[b - 1]] for a, b in zip(starts, ends)]
+    if not return_lengths:
+        return curves
+    return curves, [float(seg[a : b - 1].sum()) for a, b in zip(starts, ends)]

@@ -419,3 +419,19 @@ def test_signature_rows_do_not_depend_on_hash_seed(tmp_path):
         )
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_exits_2_before_writing(graph_dirs, tmp_path, capsys, tol):
+    gdir, hdir = graph_dirs
+    out = tmp_path / "report.csv"
+    code = main(["distance", "--from", gdir, "--to", hdir, "--k", "1", "--out", str(out), f"--tol={tol}"])
+    assert code == 2
+    assert "tol must be positive and finite" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "report.csv.fingerprint").exists()
+    curve = write_curve(tmp_path / "c.csv", [(0, 0), (1, 0)])
+    assert main(["mapmatch", "--graph", gdir, "--curve", curve, f"--tol={tol}"]) == 2
+    assert main(["frechet", "--curve-a", curve, "--curve-b", curve, f"--tol={tol}"]) == 2
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"tol = {tol}\n")
+    assert main(["mapmatch", "--graph", gdir, "--curve", curve, "--config", str(cfg)]) == 2

@@ -199,3 +199,9 @@ def test_run_all_census_reuses_the_distances_it_has(tmp_path, monkeypatch):
     out = run_all(RunConfig(gdir, hdir, str(tmp_path / "out"), k_values=(1, 2), tol=1e-3))
     assert calls == [3]
     assert json.loads((out / "separation_gh.json").read_text()) == expected
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+def test_run_config_rejects_a_tolerance_that_is_not_positive_and_finite(tmp_path, tol):
+    with pytest.raises(InputError, match="tol"):
+        RunConfig("g", "h", str(tmp_path), tol=tol)

@@ -114,3 +114,15 @@ def test_decision_agrees_with_resampled_discrete_oracle():
         assert frechet_decision(f, g, dd + 1e-9)
         d = frechet_distance(f, g, 1e-4)
         assert d - 1e-4 <= dd <= d + spacing + 1e-4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_tolerance_and_nan_eps_are_rejected(bad):
+    f = PolyLine([(0, 0), (1, 0)])
+    with pytest.raises(InputError, match="tol"):
+        frechet_distance(f, f, bad)
+    if bad != math.inf:
+        with pytest.raises(InputError, match="eps"):
+            frechet_decision(f, f, bad)
+    else:
+        assert frechet_decision(f, f, bad)

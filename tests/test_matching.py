@@ -458,3 +458,20 @@ def test_chunk_prepared_problems_equal_one_curve_problems(monkeypatch, offset, b
         for eps in (0.0, 0.5 * d, d - 1e-3, d + 1e-3):
             assert match_decision(problem, h, eps) == match_decision(single, h, eps)
         assert map_match_distance(problem, h, 1e-3).hex() == d.hex()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+def test_map_match_distance_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(InputError, match="tol"):
+        map_match_distance(PolyLine([(0, 1), (10, 1)]), segment_graph(), tol)
+
+
+@pytest.mark.parametrize("eps", [math.nan, -math.inf, -1e-9])
+def test_match_decision_rejects_nan_and_negative_eps(eps, grid6):
+    curve = grid6.edges[13].geometry
+    with pytest.raises(InputError, match="eps"):
+        match_decision(curve, grid6, eps)
+
+
+def test_match_decision_holds_at_infinite_eps(grid6):
+    assert match_decision(PolyLine([(0, 1), (10, 1)]), grid6, math.inf)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from pathdist.errors import StructuralError
 from pathdist.graph import EmbeddedGraph
-from pathdist.paths import VertexPath, enumerate_paths, path_geometry
+from pathdist.paths import VertexPath, enumerate_paths, path_curves, path_geometry
 
 from oracles import count_canonical_walks, random_geometric_graph
 
@@ -153,3 +154,116 @@ def test_path_geometry_single_edge_identity():
 def test_large_k_warns(grid6):
     with pytest.warns(UserWarning):
         next(iter(enumerate_paths(grid6, 4)))
+
+
+def degenerate_joins_graph(offset=(0.0, 0.0)):
+    """Parallel edges, an edge with repeated points, and joins that meet a repeated point.
+
+    Edges ``a`` and ``b`` both join 0 and 1, so ``0-1-0`` over both is a
+    loop back to its start.  ``c`` repeats its first point, so a path that
+    enters it at 1 repeats the join point; ``d`` repeats its last point and
+    an interior one, so a path that leaves it at 3 does too.
+    """
+    ox, oy = offset
+    pts = {0: (0.0, 0.0), 1: (4.0, 0.0), 2: (4.0, 3.0), 3: (8.0, 3.0)}
+    verts = [(v, (x + ox, y + oy)) for v, (x, y) in pts.items()]
+
+    def line(*xy):
+        return [(x + ox, y + oy) for x, y in xy]
+
+    edges = [
+        ("a", (0, 1)),
+        ("b", (1, 0, line((4, 0), (2, -1.5), (0, 0)))),
+        ("c", (1, 2, line((4, 0), (4, 0), (5, 1.5), (4, 3)))),
+        ("d", (3, 2, line((8, 3), (6, 4), (6, 4), (4, 3), (4, 3)))),
+        ("e", (2, 0)),
+    ]
+    return EmbeddedGraph(verts, edges)
+
+
+def walks(g, k):
+    """Every directed walk of link-length ``k``, so each edge is taken both ways."""
+    out = [((v,), ()) for v in g.vertices]
+    for _ in range(k):
+        out = [
+            (vs + (g.other_endpoint(e, vs[-1]),), es + (e,)) for vs, es in out for e in g.adjacency[vs[-1]]
+        ]
+    return [VertexPath(vs, es) for vs, es in out]
+
+
+def assert_gathered_bit_for_bit(g, paths):
+    curves, lengths = path_curves(g, paths, return_lengths=True)
+    assert len(curves) == len(lengths) == len(paths)
+    assert [c.tobytes() for c in path_curves(g, paths)] == [c.tobytes() for c in curves]
+    for p, curve, length in zip(paths, curves, lengths):
+        geom = path_geometry(g, p)
+        assert curve.shape == geom.collapsed().points.shape, p
+        assert curve.tobytes() == geom.collapsed().points.tobytes(), p
+        assert length.hex() == geom.length().hex(), p
+        assert not curve.flags.writeable
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (4.5e5, 5.2e6)])
+def test_path_curves_match_path_geometry_on_degenerate_joins(offset):
+    g = degenerate_joins_graph(offset)
+    loop = VertexPath((0, 1, 0), ("a", "b"))
+    into_c = VertexPath((0, 1, 2), ("a", "c"))
+    out_of_d = VertexPath((3, 2, 0), ("d", "e"))
+    for k in (1, 2, 3):
+        paths = walks(g, k)
+        assert_gathered_bit_for_bit(g, paths)
+        assert_gathered_bit_for_bit(g, paths[::-1])
+    assert_gathered_bit_for_bit(g, [loop, loop.reversed(), into_c, out_of_d, out_of_d.reversed()])
+    # A join onto a repeated point leaves it out of the curve, but not out of the length.
+    assert path_curves(g, [into_c])[0].shape == (4, 2)
+    assert path_curves(g, [out_of_d])[0].shape == (4, 2)
+    # A path that starts where the one before it ended keeps its first point.
+    first, second = path_curves(g, [loop, VertexPath((0, 1), ("a",))])
+    assert second[0].tobytes() == first[-1].tobytes()
+    assert second.shape == (2, 2)
+
+
+def test_each_curve_starts_with_its_own_first_point():
+    # -0.0 == 0.0: the second path starts where the first ends, but in other bits.
+    g = EmbeddedGraph(
+        [(0, (0.0, 0.0)), (1, (4.0, 0.0))],
+        [("a", (0, 1)), ("b", (1, 0, [(4.0, 0.0), (2.0, 1.0), (-0.0, -0.0)]))],
+    )
+    paths = [VertexPath((0, 1, 0), ("a", "b")), VertexPath((0, 1), ("a",))]
+    assert_gathered_bit_for_bit(g, paths)
+    assert_gathered_bit_for_bit(g, [p.reversed() for p in paths[::-1]])
+
+
+def test_path_curves_match_path_geometry_on_bent_city_paths_and_sub_paths():
+    from test_pathdistance import small_city_pair
+
+    from pathdist.pathdistance import _sub_paths
+
+    for g in small_city_pair(0):
+        for k in (1, 2, 3):
+            paths = list(enumerate_paths(g, k))
+            assert_gathered_bit_for_bit(g, paths)
+            if k > 1:
+                subs = list(dict.fromkeys(s for pair in _sub_paths(g, paths) for s in pair))
+                assert_gathered_bit_for_bit(g, subs)
+                assert_gathered_bit_for_bit(g, [p.reversed() for p in paths])
+
+
+def test_path_record_lengths_are_path_geometry_lengths():
+    from test_pathdistance import small_city_pair
+
+    from pathdist.pathdistance import iter_match_records
+
+    g, h = small_city_pair(1)
+    for rec in iter_match_records(g, h, 2, 1e-3):
+        assert rec.length.hex() == path_geometry(g, rec.path).length().hex()
+
+
+def test_path_curves_validate_every_path():
+    g = degenerate_joins_graph()
+    assert path_curves(g, []) == []
+    assert path_curves(g, [], return_lengths=True) == ([], [])
+    with pytest.raises(StructuralError):
+        path_curves(g, [VertexPath((0, 1), ("a",)), VertexPath((0, 2), ("a",))])
+    with pytest.raises(StructuralError):
+        path_curves(g, [VertexPath((0, 1), ("zz",))])

@@ -47,8 +47,16 @@ class FScoreParams:
     max_path_length: float = 300.0
 
     def __post_init__(self):
-        if self.sampling_interval <= 0 or self.matched_distance <= 0 or self.max_path_length < 0:
-            raise InputError("F-score parameters must be positive")
+        # Written so that NaN fails every test.
+        if not (
+            0.0 < self.sampling_interval < math.inf
+            and 0.0 < self.matched_distance < math.inf
+            and 0.0 <= self.max_path_length < math.inf
+        ):
+            raise InputError(
+                "F-score parameters must be finite; the interval and match distance positive, "
+                "the max path length non-negative"
+            )
 
 
 @dataclass

@@ -30,14 +30,21 @@ the bisection that follows it share one preparation and one memo.
 The paths of a map share most of their vertices and edges, so
 :func:`prepare_problems` prepares consecutive curves together: one table of
 the distinct curve points x graph segments and one of the joints x distinct
-oriented curve segments per window of curves, from which each problem
-gathers its rows.  Windows are bounded by a fixed number of table cells, so
-memory stays bounded on large maps; a lone curve is the one-curve window.
+oriented curve segments per window of curves.  A problem holds its rows and
+columns of the window's tables and gathers its own quadratics only when it
+first steps alone.  Many decisions on a window at one eps, as the early
+exits of :func:`~pathdist.pathdistance.max_path_distance` make, share one
+root step over the whole window instead (see :meth:`_Window.tables`); the
+step is elementwise, so both routes give the same floats.  Windows are
+bounded by a fixed number of table cells, and the lists a window keeps from
+its last step by the same number, so memory stays bounded on large maps; a
+lone curve is the one-curve window.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -58,34 +65,64 @@ class MatchProblem:
 
     ``points`` are the curve's vertices with consecutive duplicates removed
     (see :func:`~pathdist.geometry.collapsed_points`); they form M segments.
-    For M >= 1 the problem holds the eps-independent quadratics of both
-    interval families:
+    For M >= 1 the problem belongs to a window of curves (see
+    :func:`prepare_problems`) and holds its row ids in the window's ``cv``
+    table and its column ids in the window's ``jn`` table.  From them it
+    gathers, on first use, the eps-independent quadratics of both interval
+    families:
 
     - ``cv``: curve vertex i x graph segment s, the x-interval of s within
       eps of the vertex ((M+1) x S);
     - ``jn``: joint j x curve segment i, the t-interval (local [0, 1]) of
       the curve segment within eps of the joint (J x M).
 
+    A decision at an eps the window has stepped reads its rows off the
+    window's tables and gathers neither.
+
     It also holds the monotone memo of :meth:`decide`: every eps at or below
     ``fail`` fails and every eps at or above ``hold`` holds.
     """
 
-    __slots__ = ("points", "h", "geom", "cv", "jn", "fail", "hold", "floor", "probe")
+    __slots__ = ("points", "h", "window", "rows", "cols", "_cv", "_jn", "fail", "hold", "floor", "probe")
 
     def __init__(self, points: np.ndarray, h: EmbeddedGraph):
-        ((_, families),) = _families([points], h)
-        self._bind(points, h, families)
+        ((_, window, rows, cols),) = _families([points], h)
+        self._bind(points, h, window, rows, cols)
 
-    def _bind(self, points: np.ndarray, h: EmbeddedGraph, families) -> None:
+    def _bind(self, points: np.ndarray, h: EmbeddedGraph, window, rows, cols) -> None:
         self.points = points
         self.h = h
+        self.window, self.rows, self.cols = window, rows, cols
+        self._cv = self._jn = None
         self.fail = -_INF
         self.hold = _INF
         self.floor = -_INF
         self.probe = None
-        if families is not None:
-            self.geom = surface_geometry(h)
-            self.cv, self.jn = families
+
+    @property
+    def cv(self) -> DiscQuadratic:
+        if self._cv is None:
+            self._cv, self._jn = self.window.gather(self.rows, self.cols)
+        return self._cv
+
+    @property
+    def jn(self) -> DiscQuadratic:
+        if self._jn is None:
+            self._cv, self._jn = self.window.gather(self.rows, self.cols)
+        return self._jn
+
+    def tables(self, eps: float):
+        """The sweep's lists at ``eps``: ``free[i][s]``, ``lo[i][j]`` and ``hi[i][j]``.
+
+        ``free[i][s]`` tells whether graph segment s meets the disc about
+        curve vertex i; ``lo[i][j]``, ``hi[i][j]`` bound the part of curve
+        segment i within eps of joint j.  They are the window's rows when
+        the window steps at ``eps`` (see :meth:`_Window.tables`), else this
+        curve's own quadratics stepped alone: the root step is elementwise,
+        so both give the same floats.
+        """
+        tables = self.window.tables(self.rows, self.cols, eps)
+        return tables if tables is not None else _step(self.cv, self.jn, eps)
 
     def bound_below(self, lower: float | None, tol: float) -> None:
         """Let :meth:`decide` use a sub-curve's distance ``lower`` at ``tol``.
@@ -126,14 +163,17 @@ def prepare_problems(curves: Iterable[np.ndarray], h: EmbeddedGraph) -> Iterator
     prepared once per window; each problem equals ``MatchProblem(points, h)``
     bit for bit.  Problems are built one at a time as they are taken.
     """
-    for points, families in _families(curves, h):
+    for points, window, rows, cols in _families(curves, h):
         problem = MatchProblem.__new__(MatchProblem)
-        problem._bind(points, h, families)
+        problem._bind(points, h, window, rows, cols)
         yield problem
 
 
 # The most cells the shared tables of one window may hold: distinct curve
-# points x graph segments plus graph joints x distinct curve segments.
+# points x graph segments plus graph joints x distinct curve segments.  The
+# lists a window keeps from its last step hold one item per cell, so they
+# are bounded by the same budget (or by one curve's cells, for a curve that
+# exceeds it alone).
 _WINDOW_CELLS = 1 << 14
 
 # A point's two float64 coordinates as one key: equal keys, equal bits.
@@ -141,15 +181,16 @@ _POINT_KEY = np.dtype((np.void, 16))
 
 
 def _families(curves: Iterable[np.ndarray], h: EmbeddedGraph):
-    """Yield ``(points, (cv, jn))`` per curve, or ``(points, None)`` below two points.
+    """Yield ``(points, window, rows, cols)`` per curve; all but ``points`` are None below two points.
 
     Curves are taken in windows of consecutive curves whose distinct points
     (by bit pattern, so -0.0 and 0.0 stay apart) and distinct oriented
-    segments fit ``_WINDOW_CELLS``; a curve alone may exceed it.
+    segments fit ``_WINDOW_CELLS``; a curve alone may exceed it.  ``rows``
+    and ``cols`` are the curve's point and segment ids in its window.
     """
     if h.is_empty():
         for points in curves:
-            yield points, None
+            yield points, None, None, None
         return
     geom = surface_geometry(h)
     S, J = geom.n_segments, geom.joint_pos.shape[0]
@@ -176,48 +217,92 @@ def _families(curves: Iterable[np.ndarray], h: EmbeddedGraph):
 
 
 def _window_families(geom, window: list, rows: list, cols: list, point_id: dict, seg_id: dict):
-    """:func:`_families` for one window; the arguments are as :func:`_families` keeps them.
-
-    One ``cv`` table holds the window's distinct points x graph segments and
-    one ``jn`` table the joints x its distinct segments, each with its
-    radius-free terms stacked so that one gather takes a curve's share.
-    """
-    S, J = geom.n_segments, geom.joint_pos.shape[0]
-    if point_id:
-        table = np.frombuffer(b"".join(point_id), dtype=float).reshape(-1, 2)
-        starts = np.frombuffer(b"".join(a for a, _ in seg_id), dtype=float).reshape(-1, 2)
-        stops = np.frombuffer(b"".join(b for _, b in seg_id), dtype=float).reshape(-1, 2)
-        cv_terms = np.empty((3, len(point_id), S))
-        DiscQuadratic(table[:, None, :], geom.seg_a, geom.seg_b, geom.seg_terms, out=cv_terms)
-        # Rows: qb^2, -qb and |a-c|^2 of every joint, then 4*qa and 2*safe_qa.
-        jn_terms = np.empty((3 * J + 2, len(seg_id)))
-        jn = DiscQuadratic(geom.joint_pos[:, None, :], starts, stops, out=jn_terms[: 3 * J].reshape(3, J, -1))
-        jn_terms[3 * J], jn_terms[3 * J + 1] = jn.qa4, jn.den
-        any_short = jn.degenerate is not None
-        # With no point or segment repeated, ids run 0, 1, 2, ... in curve
-        # order, so a slice of the tables is a curve's gather.
-        repeats = len(point_id) < len(rows) or len(seg_id) < len(cols)
-        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-    _, qa4, den, degenerate = geom.seg_terms
+    """:func:`_families` for one window; the arguments are as :func:`_families` keeps them."""
+    shared = _Window(geom, point_id, seg_id) if point_id else None
     r = c = 0
     for points in window:
         m = points.shape[0]
         if m < 2:
-            yield points, None
+            yield points, None, None, None
             continue
-        if repeats:
-            cv = np.take(cv_terms, rows[r : r + m], axis=1)
-            jn = np.take(jn_terms, cols[c : c + m - 1], axis=1)
-        else:
-            cv, jn = cv_terms[:, r : r + m], jn_terms[:, c : c + m - 1]
+        yield points, shared, rows[r : r + m], cols[c : c + m - 1]
         r, c = r + m, c + m - 1
-        cv = DiscQuadratic.of_terms(qa4, den, degenerate, *cv)
+
+
+class _Window:
+    """The shared tables of one window of curves, and their lists at the last eps stepped.
+
+    ``cv`` holds the window's distinct points x graph segments and ``jn``
+    the joints x its distinct segments, as :class:`MatchProblem` describes
+    them per curve.  A curve's share is its rows of ``cv`` and its columns
+    of ``jn``.
+    """
+
+    __slots__ = ("geom", "cv_terms", "jn_terms", "cv", "jn", "cells", "asked", "spent", "eps", "free", "lo", "hi")
+
+    def __init__(self, geom, point_id: dict, seg_id: dict):
+        S, J = geom.n_segments, geom.joint_pos.shape[0]
+        table = np.frombuffer(b"".join(point_id), dtype=float).reshape(-1, 2)
+        starts = np.frombuffer(b"".join(a for a, _ in seg_id), dtype=float).reshape(-1, 2)
+        stops = np.frombuffer(b"".join(b for _, b in seg_id), dtype=float).reshape(-1, 2)
+        # Each table stacks its radius-free terms so that one gather takes a
+        # curve's share: cv rows qb^2, -qb and |a-c|^2; jn rows qb^2, -qb and
+        # |a-c|^2 of every joint, then 4*qa and 2*safe_qa.
+        self.cv_terms = np.empty((3, len(point_id), S))
+        self.cv = DiscQuadratic(table[:, None, :], geom.seg_a, geom.seg_b, geom.seg_terms, out=self.cv_terms)
+        self.jn_terms = np.empty((3 * J + 2, len(seg_id)))
+        self.jn = DiscQuadratic(geom.joint_pos[:, None, :], starts, stops, out=self.jn_terms[: 3 * J].reshape(3, J, -1))
+        self.jn_terms[3 * J], self.jn_terms[3 * J + 1] = self.jn.qa4, self.jn.den
+        self.geom = geom
+        self.cells = len(point_id) * S + J * len(seg_id)
+        self.asked = self.eps = None
+        self.spent = 0
+
+    def gather(self, rows: list, cols: list):
+        """The ``(cv, jn)`` quadratics of the curve with these rows and columns."""
+        J = self.geom.joint_pos.shape[0]
+        _, qa4, den, degenerate = self.geom.seg_terms
+        cv = DiscQuadratic.of_terms(qa4, den, degenerate, *np.take(self.cv_terms, rows, axis=1))
+        jn = np.take(self.jn_terms, cols, axis=1)
         # A curve segment has zero length where its 4*qa, like its qa, is 0.
-        short = jn[3 * J] == 0.0 if any_short else None
+        short = jn[3 * J] == 0.0 if self.jn.degenerate is not None else None
         if short is not None and not short.any():
             short = None  # as segment_terms gives it
         jn = DiscQuadratic.of_terms(jn[3 * J], jn[3 * J + 1], short, jn[:J], jn[J : 2 * J], jn[2 * J : 3 * J])
-        yield points, (cv, jn)
+        return cv, jn
+
+    def tables(self, rows: list, cols: list, eps: float):
+        """:meth:`MatchProblem.tables` from the window's step at ``eps``, or None to step alone.
+
+        The window steps only once the cells its curves stepped alone at
+        ``eps`` (since it was last asked another eps), plus this curve's,
+        would reach its own cells.  A run of decisions at one eps, as the
+        early exits of :func:`~pathdist.pathdistance.max_path_distance`
+        make, then costs at most twice what stepping every curve alone
+        would, and usually much less; a lone eps, as in a bisection, steps
+        its curve alone.
+        """
+        if eps != self.eps:
+            if eps != self.asked:
+                self.asked, self.spent = eps, 0
+            S, J = self.geom.n_segments, self.geom.joint_pos.shape[0]
+            self.spent += len(rows) * S + J * len(cols)
+            if self.spent < self.cells:
+                return None
+            self.step(eps)
+        free, lo, hi = self.free, self.lo, self.hi
+        return [free[r] for r in rows], [lo[c] for c in cols], [hi[c] for c in cols]
+
+    def step(self, eps: float) -> None:
+        """Step both whole tables at ``eps`` and keep their lists."""
+        self.eps = eps
+        self.free, self.lo, self.hi = _step(self.cv, self.jn, eps)
+
+
+def _step(cv: DiscQuadratic, jn: DiscQuadratic, eps: float):
+    """The root step of both families at ``eps``, as the lists :meth:`MatchProblem.tables` describes."""
+    lo, hi = jn.intervals(eps)
+    return cv.free(eps).tolist(), lo.T.tolist(), hi.T.tolist()
 
 
 def _problem(curve, h: EmbeddedGraph) -> MatchProblem:
@@ -259,15 +344,8 @@ def match_decision(
         witness = PolyLine([q]) if (ok and return_witness and q is not None) else None
         return (ok, witness) if return_witness else ok
 
-    geom = problem.geom
-
-    # The sweep reads only whether a cv interval is free (its ends place
-    # witness points) and both ends of every jn interval.
-    free = problem.cv.free(eps)
-    jn_lo, jn_hi = problem.jn.intervals(eps)
-    cv_free = free.tolist()
-    jnlo = jn_lo.tolist()
-    jnhi = jn_hi.tolist()
+    geom = problem.window.geom
+    free, jn_lo, jn_hi = problem.tables(eps)
     seg_joint = geom.seg_joint
     incident = geom.incident
 
@@ -278,7 +356,7 @@ def match_decision(
     # ascending state order, the seeds already form a valid heap.
     dist = [_INF] * (geom.n_segments * M)
     back: dict[int, tuple[int, int]] = {}
-    seeds = (np.flatnonzero(free[0]) * M).tolist()
+    seeds = [s * M for s in compress(range(geom.n_segments), free[0])]
     heap: list[tuple[float, int]] = [(0.0, state) for state in seeds]
     for state in seeds:
         dist[state] = 0.0
@@ -288,16 +366,17 @@ def match_decision(
         if t > dist[state]:
             continue
         s, i = divmod(state, M)
-        if i == M - 1 and cv_free[M][s]:
+        if i == M - 1 and free[M][s]:
             if not return_witness:
                 return True
             return True, _witness(geom, problem.cv.intervals(eps)[0], back, state, M)
-        if i + 1 < M and cv_free[i + 1][s] and i + 1 < dist[state + 1]:
+        if i + 1 < M and free[i + 1][s] and i + 1 < dist[state + 1]:
             dist[state + 1] = t_next = float(i + 1)
             back[state + 1] = (state, -1)
             heappush(heap, (t_next, state + 1))
+        lo, hi = jn_lo[i], jn_hi[i]
         for j in seg_joint[s]:
-            blo, bhi = jnlo[j][i], jnhi[j][i]
+            blo, bhi = lo[j], hi[j]
             if blo <= bhi and i + bhi >= t:
                 t_j = max(t, i + blo)
                 for nbr in incident[j]:

@@ -468,7 +468,7 @@ def intersection_radius(g: EmbeddedGraph, v: VertexId, d: float) -> float:
     """
     if v not in g.vertices:
         raise StructuralError(f"unknown vertex id {v!r}")
-    if d < 0:
+    if not d >= 0:
         raise InputError("d must be non-negative")
     incident = g.adjacency[v]
     if not incident:

@@ -435,3 +435,14 @@ def test_non_finite_tolerance_exits_2_before_writing(graph_dirs, tmp_path, capsy
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"tol = {tol}\n")
     assert main(["mapmatch", "--graph", gdir, "--curve", curve, "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("option", ["--interval", "--match-dist", "--max-path"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_fscore_parameter_exits_2_before_writing(graph_dirs, tmp_path, capsys, option, value):
+    gdir, hdir = graph_dirs
+    out = tmp_path / "fscore.csv"
+    code = main(["fscore", "--from", gdir, "--to", hdir, "--out", str(out), f"{option}={value}"])
+    assert code == 2
+    assert "F-score parameters" in capsys.readouterr().err
+    assert not out.exists()

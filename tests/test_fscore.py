@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,17 @@ def test_params_validation():
         FScoreParams(sampling_interval=0.0)
     with pytest.raises(InputError):
         FScoreParams(matched_distance=-1.0)
+
+
+@pytest.mark.parametrize("field", ["sampling_interval", "matched_distance", "max_path_length"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_nan_and_infinity(field, value):
+    with pytest.raises(InputError):
+        FScoreParams(**{field: value})
+
+
+def test_params_allow_a_zero_max_path_length():
+    assert FScoreParams(max_path_length=0.0).max_path_length == 0.0
 
 
 def test_single_edge_sampling():

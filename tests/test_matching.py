@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathdist.errors import InputError, StructuralError
+from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
 from pathdist.frechet import frechet_distance
 from pathdist.geometry import DiscQuadratic, PolyLine, point_to_polyline_distance
 from pathdist.graph import EmbeddedGraph
 from pathdist.geometry import collapsed_points
 import pathdist.matching as matching
 from pathdist.matching import MatchProblem, map_match_distance, match_decision, prepare_problems
+from pathdist.pathdistance import match_all_paths, max_path_distance
 from pathdist.spatial import nearest_point_on_graph
 
 from oracles import (
@@ -458,6 +460,78 @@ def test_chunk_prepared_problems_equal_one_curve_problems(monkeypatch, offset, b
         for eps in (0.0, 0.5 * d, d - 1e-3, d + 1e-3):
             assert match_decision(problem, h, eps) == match_decision(single, h, eps)
         assert map_match_distance(problem, h, 1e-3).hex() == d.hex()
+
+
+def step_alone(monkeypatch):
+    """Make every decision step its own rows, never its window's tables."""
+    monkeypatch.setattr(matching._Window, "tables", lambda self, rows, cols, eps: None)
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (5e5, 4.5e6)])
+@pytest.mark.parametrize("budget", [None, "small"])
+def test_window_step_decides_like_each_curve_alone(monkeypatch, offset, budget):
+    # Decisions at one shared eps step the whole window once and read their
+    # rows off it; each must equal its curve's own step, witness included.
+    h, curves = chunk_case(np.asarray(offset))
+    if budget == "small":
+        geom = matching.surface_geometry(h)
+        monkeypatch.setattr(matching, "_WINDOW_CELLS", 8 * (geom.n_segments + geom.joint_pos.shape[0]))
+    distances = [map_match_distance(curve, h, 1e-3) for curve in curves]
+    shared = sorted({x for d in distances for x in (d - 1e-3, d, d + 1e-3)})
+    with monkeypatch.context() as alone:
+        step_alone(alone)
+        singles = [MatchProblem(curve, h) for curve in curves]
+        expected = [
+            [(p.tables(eps), match_decision(p, h, eps, return_witness=True)) for p in singles if p.window]
+            for eps in shared
+        ]
+    served = {"steps": 0, "reads": 0}
+    window_tables, window_step = matching._Window.tables, matching._Window.step
+
+    def counted_tables(self, rows, cols, eps):
+        tables = window_tables(self, rows, cols, eps)
+        served["reads"] += tables is not None
+        return tables
+
+    def counted_step(self, eps):
+        served["steps"] += 1
+        return window_step(self, eps)
+
+    monkeypatch.setattr(matching._Window, "tables", counted_tables)
+    monkeypatch.setattr(matching._Window, "step", counted_step)
+    for eps, want in zip(shared, expected):
+        problems = [p for p in prepare_problems(curves, h) if p.window]
+        for problem, (tables, (ok, witness)) in zip(problems, want, strict=True):
+            got_ok, got_witness = match_decision(problem, h, eps, return_witness=True)
+            for got, ref in zip(problem.tables(eps), tables):
+                assert np.array(got).tobytes() == np.array(ref).tobytes()
+            assert got_ok == ok
+            if witness is None:
+                assert got_witness is None
+            else:
+                assert got_witness.points.tobytes() == witness.points.tobytes()
+    assert 0 < served["steps"] < served["reads"]
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (5e5, 4.5e6)])
+def test_window_step_keeps_the_maximum_bit_for_bit(monkeypatch, offset):
+    # The early exits of max_path_distance decide most paths at the running
+    # maximum, the repeated eps that makes a window step.
+    shift = np.asarray(offset)
+    h = grid_graph(6.0, 2.0)
+    g = generate_perturbed(PerturbationSpec(p=0.4, seed_count=1, rng_seed=5, extent=6.0))[0]
+    g, h = (
+        EmbeddedGraph(
+            [(v, (p.x + shift[0], p.y + shift[1])) for v, p in x.vertices.items()],
+            [(eid, (e.u, e.v, e.geometry.points + shift)) for eid, e in x.edges.items()],
+        )
+        for x in (g, h)
+    )
+    table = {r.path: r.distance for r in match_all_paths(g, h, 1, 1e-3)}
+    runs = [(2, None), (3, None), (2, table)]
+    windowed = [max_path_distance(g, h, k, 1e-3, sub_distances=sub).hex() for k, sub in runs]
+    step_alone(monkeypatch)
+    assert [max_path_distance(g, h, k, 1e-3, sub_distances=sub).hex() for k, sub in runs] == windowed
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])

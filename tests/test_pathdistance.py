@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathdist.errors import StructuralError
+from pathdist.errors import InputError, StructuralError
 from pathdist.geometry import DiscQuadratic, polylines_intersect
 from pathdist.graph import EmbeddedGraph
 from pathdist.matching import map_match_distance, match_decision
@@ -567,6 +567,14 @@ def test_intersection_radius_degenerate_vertices():
         [(0, (0, 1)), (1, (0, 1))],  # two identical straight edges
     )
     assert intersection_radius(parallel, 0, 0.5) == math.inf
+
+
+@pytest.mark.parametrize("d", [math.nan, -math.inf, -1e-9])
+def test_intersection_radius_rejects_nan_and_negative_d(grid6, d):
+    # NaN must not read as "not separated" (inf).
+    for v in grid6.vertices:
+        with pytest.raises(InputError, match="d must be"):
+            intersection_radius(grid6, v, d)
 
 
 def test_intersection_radius_polyline_matches_dense_scan():

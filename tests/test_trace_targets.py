@@ -65,20 +65,36 @@ def test_every_exported_name_exists():
 def test_every_sweep_goes_through_the_traced_decision(tmp_path, monkeypatch):
     # The benchmark counts decisions as calls of the wrapped match_decision;
     # a sweep that bypassed it would make matching.decisions undercount.
-    # Every sweep steps both interval families once, so each step must run
-    # with a match_decision span on top of the tracer's stack.
+    # A decision steps both interval families once, for its own rows or for
+    # its whole window, or reads rows its window stepped at the same eps; so
+    # each step must run with a match_decision span on top of the tracer's
+    # stack, and the steps are exactly two per own step and per window step.
     tracer = load_tracer().Tracer(tmp_path)
     step = pathdist.geometry.DiscQuadratic._roots
+    window_tables = pathdist.matching._Window.tables
+    window_step = pathdist.matching._Window.step
     callers = []
+    served = {"alone": 0, "window": 0, "window steps": 0}
 
     def traced_step(self, radius):
         callers.append(tracer.names[tracer.spans[tracer.stack[-1]][0]] if tracer.stack else None)
         return step(self, radius)
 
+    def counted_tables(self, rows, cols, eps):
+        tables = window_tables(self, rows, cols, eps)
+        served["alone" if tables is None else "window"] += 1
+        return tables
+
+    def counted_step(self, eps):
+        served["window steps"] += 1
+        return window_step(self, eps)
+
     h = grid_graph(6.0, 2.0)
     g = generate_perturbed(PerturbationSpec(p=0.4, seed_count=1, rng_seed=5, extent=6.0))[0]
     table = {r.path: r.distance for r in pathdist.pathdistance.match_all_paths(g, h, 1, 1e-3)}
     monkeypatch.setattr(pathdist.geometry.DiscQuadratic, "_roots", traced_step)
+    monkeypatch.setattr(pathdist.matching._Window, "tables", counted_tables)
+    monkeypatch.setattr(pathdist.matching._Window, "step", counted_step)
     curve = pathdist.path_geometry(g, next(pathdist.enumerate_paths(g, 3)))
     tracer.install()
     try:
@@ -94,4 +110,9 @@ def test_every_sweep_goes_through_the_traced_decision(tmp_path, monkeypatch):
     assert stats["matching.map_match_distance"][0] >= 2
     assert stats["pathdistance.match_all_paths"][0] == 1
     assert callers and set(callers) == {"matching.match_decision"}
-    assert len(callers) == 2 * stats["matching.match_decision"][0]
+    # Every traced path has a segment, so every decision takes its tables.
+    assert served["alone"] + served["window"] == stats["matching.match_decision"][0]
+    # The early exits at one shared eps stepped whole windows, and later
+    # decisions at that eps read them without a step.
+    assert 0 < served["window steps"] < served["window"]
+    assert len(callers) == 2 * (served["alone"] + served["window steps"])

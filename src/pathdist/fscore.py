@@ -2,8 +2,9 @@
 
 Around each seed location, walks explore every branch of the graph up to a
 maximum network distance, dropping sample points at a regular interval.
-Each edge a walk reaches is sampled in one pass: every sample arc on it
-goes to a single :meth:`PolyLine.point_at` call.
+A walk only records the edges it reaches; one numpy pass over a per-graph
+table of edge points then places every sample of the whole walk, and one
+close-pair pass drops those within half an interval of an earlier one.
 Samples of one graph (marbles) are matched one-to-one to samples of the
 other (holes) when closer than a matched-distance threshold; precision,
 recall, and their harmonic mean summarize the tallies.  This is the
@@ -19,14 +20,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InputError, StructuralError
 from .geometry import PolyLine, project_onto_segments
 from .graph import EdgeId, EmbeddedGraph, VertexId
 from .parallel import run_chunked
 from .signatures import SignatureMap
-from .spatial import SpatialGrid
+from .spatial import SpatialGrid, _lex_keys, close_pairs
 
 __all__ = [
     "FScoreParams",
@@ -70,64 +70,94 @@ class SampleSet:
         return int(self.points.shape[0])
 
 
-class _Dedup:
-    """Hash-grid rejecting points within ``radius`` of an accepted one."""
+class _EdgeTable:
+    """Both directions of every edge of a graph as point rows, for sampling.
 
-    def __init__(self, radius: float):
-        self.radius = radius
-        self.cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
-
-    def add(self, x: float, y: float) -> bool:
-        r = self.radius
-        cx, cy = int(math.floor(x / r)), int(math.floor(y / r))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for px, py in self.cells.get((cx + dx, cy + dy), ()):
-                    if (px - x) ** 2 + (py - y) ** 2 < r * r:
-                        return False
-        self.cells.setdefault((cx, cy), []).append((x, y))
-        return True
-
-
-def _sample_edge(
-    geom: PolyLine,
-    offset: float,
-    d0: float,
-    limit: float,
-    interval: float,
-    dedup: _Dedup,
-    samples: list[tuple[float, float]],
-) -> None:
-    """Sample ``geom`` at each network distance ``k*interval`` in ``(d0, d0 + limit]``.
-
-    Arc ``offset`` of ``geom`` lies at network distance ``d0``, so one
-    :meth:`PolyLine.point_at` call over arcs ``offset + k*interval - d0``
-    places every sample; ``dedup`` then filters them in walk order.
+    Row ``2*i`` is the ``i``-th edge (insertion order) from ``u`` to ``v``
+    and row ``2*i + 1`` is its reverse, so a walk entering at ``u`` reads
+    the edge forward, as :meth:`EmbeddedGraph.edge_geometry_from` does, even
+    for a self-loop.  Rows lie back to back: row ``r`` is ``points[start[r]:
+    start[r + 1]]``, and ``cum`` holds its
+    :meth:`PolyLine.cumulative_lengths`, computed from that row's own
+    points; ``length[r]`` is the row's :meth:`PolyLine.length` (a pairwise
+    sum, which can differ from the last ``cum`` entry).  A one-point
+    geometry is stored twice, so every row has a segment.  ``keys`` pair
+    each point's row with its ``cum`` as lexicographic keys, so one search
+    finds the segment of any (row, arc).
     """
-    k0 = int(math.floor(d0 / interval)) + 1
-    dist = np.arange(k0, int(math.floor((d0 + limit) / interval)) + 2) * interval
-    dist = dist[(dist > d0) & (dist <= d0 + limit)]
-    for x, y in geom.point_at(offset + dist - d0).tolist():
-        if dedup.add(x, y):
-            samples.append((x, y))
+
+    __slots__ = ("first_row", "start", "points", "cum", "length", "keys")
+
+    def __init__(self, g: EmbeddedGraph):
+        self.first_row = {eid: 2 * i for i, eid in enumerate(g.edges)}
+        rows = []
+        for e in g.edges.values():
+            for geom in (e.geometry, e.geometry.reversed()):
+                rows.append(geom if len(geom) > 1 else PolyLine(np.repeat(geom.points, 2, axis=0)))
+        sizes = [len(geom) for geom in rows]
+        self.start = np.concatenate([[0], np.cumsum(sizes, dtype=np.intp)])
+        self.points = np.concatenate([geom.points for geom in rows]) if rows else np.empty((0, 2))
+        self.cum = np.concatenate([geom.cumulative_lengths() for geom in rows]) if rows else np.empty(0)
+        self.length = [geom.length() for geom in rows]
+        self.keys = _lex_keys(np.repeat(np.arange(len(rows), dtype=float), sizes), self.cum)
+
+    def samples(self, walked: list[tuple[int, float, float, float]], interval: float) -> np.ndarray:
+        """Sample points of every walked ``(row, offset, d0, limit)``, in order.
+
+        Arc ``offset`` of the row lies at network distance ``d0``; the row is
+        sampled at each network distance ``k*interval`` in ``(d0, d0 + limit]``,
+        that is at arcs ``offset + k*interval - d0``, with the float operations
+        of :meth:`PolyLine.point_at` on the row: the clamp to the row, the
+        segment holding the arc (the count of ``cum`` entries at most the arc),
+        and ``points[i] + u*(points[i+1] - points[i])``.
+        """
+        if not walked:
+            return np.empty((0, 2))
+        rec = np.asarray(walked, dtype=float)
+        row, offset, d0, limit = rec[:, 0].astype(np.intp), rec[:, 1], rec[:, 2], rec[:, 3]
+        end = d0 + limit
+        k0 = np.floor(d0 / interval) + 1.0
+        count = np.maximum(np.floor(end / interval) + 2.0 - k0, 0.0).astype(np.intp)
+        owner = np.repeat(np.arange(len(rec)), count)
+        dist = (np.repeat(k0 - (np.cumsum(count) - count), count) + np.arange(int(count.sum()))) * interval
+        inside = (dist > d0[owner]) & (dist <= end[owner])
+        owner, dist = owner[inside], dist[inside]
+        row = row[owner]
+        first, last = self.start[row], self.start[row + 1] - 1
+        total = self.cum[last]
+        arc = np.clip(offset[owner] + dist - d0[owner], 0.0, total)
+        ahead = np.searchsorted(self.keys, _lex_keys(row.astype(float), arc), side="right") - first
+        i = first + np.minimum(ahead - 1, last - first - 1)
+        seg = self.cum[i + 1] - self.cum[i]
+        u = np.where(seg == 0.0, 0.0, (arc - self.cum[i]) / np.where(seg == 0.0, 1.0, seg))
+        pts = self.points[i] + u[:, None] * (self.points[i + 1] - self.points[i])
+        return np.where((total == 0.0)[:, None], self.points[first], pts)
 
 
-def _walk_samples(
+def _edge_table(g: EmbeddedGraph) -> _EdgeTable:
+    """The cached sampling table of ``g``, built on first use."""
+    table = g._frozen_cache.get("fscore_edges")
+    if table is None:
+        table = _EdgeTable(g)
+        g._frozen_cache["fscore_edges"] = table
+    return table
+
+
+def _walk(
     g: EmbeddedGraph,
+    table: _EdgeTable,
     starts: list[tuple[float, EdgeId, VertexId]],
-    params: FScoreParams,
-    dedup: _Dedup,
-    samples: list[tuple[float, float]],
+    max_len: float,
     visited: set[EdgeId],
+    walked: list[tuple[int, float, float, float]],
 ) -> None:
-    """Explore edges breadth-first by network distance, sampling as we go.
+    """Explore edges breadth-first by network distance, recording what to sample.
 
     ``starts`` holds (entry network distance, edge id, entry vertex).  Each
     edge is walked once, in the direction of its first (closest) arrival,
-    so junction fan-outs never re-sample a street.
+    so junction fan-outs never re-sample a street; it is recorded in
+    ``walked`` as ``(row, 0.0, d0, limit)`` for :meth:`_EdgeTable.samples`.
     """
-    interval = params.sampling_interval
-    max_len = params.max_path_length
     heap: list[tuple[float, int, EdgeId, VertexId]] = []
     for order, (d0, eid, vid) in enumerate(starts):
         heapq.heappush(heap, (d0, order, eid, vid))
@@ -137,9 +167,9 @@ def _walk_samples(
         if eid in visited or d0 > max_len:
             continue
         visited.add(eid)
-        geom = g.edge_geometry_from(eid, vid)
-        length = geom.length()
-        _sample_edge(geom, 0.0, d0, min(length, max_len - d0), interval, dedup, samples)
+        row = table.first_row[eid] + (vid != g.edges[eid].u)
+        length = table.length[row]
+        walked.append((row, 0.0, d0, min(length, max_len - d0)))
         end_dist = d0 + length
         if end_dist < max_len:
             far = g.other_endpoint(eid, vid)
@@ -147,6 +177,28 @@ def _walk_samples(
                 if nxt not in visited:
                     heapq.heappush(heap, (end_dist, order, nxt, far))
                     order += 1
+
+
+def _thinned(points: np.ndarray, radius: float) -> np.ndarray:
+    """``points`` without each one closer than ``radius`` to an earlier kept one."""
+    later, earlier = close_pairs(points, points, radius, strict=True)
+    back = earlier < later
+    keep = [True] * len(points)
+    # Pairs come sorted by the later point, so each earlier one is settled.
+    for e, l in zip(earlier[back].tolist(), later[back].tolist()):
+        if keep[e]:
+            keep[l] = False
+    return points[np.asarray(keep, dtype=bool)]
+
+
+def _sample_set(
+    seed_xy: tuple[float, float],
+    table: _EdgeTable,
+    walked: list[tuple[int, float, float, float]],
+    interval: float,
+) -> SampleSet:
+    points = np.vstack([np.asarray([seed_xy], dtype=float), table.samples(walked, interval)])
+    return SampleSet(seed=seed_xy, points=_thinned(points, interval / 2.0))
 
 
 def sample_neighborhood(
@@ -160,12 +212,11 @@ def sample_neighborhood(
     if seed_vertex not in g.vertices:
         raise StructuralError(f"unknown vertex id {seed_vertex!r}")
     seed = g.vertices[seed_vertex]
-    dedup = _Dedup(params.sampling_interval / 2.0)
-    dedup.add(seed.x, seed.y)
-    samples = [(seed.x, seed.y)]
+    table = _edge_table(g)
+    walked: list[tuple[int, float, float, float]] = []
     starts = [(0.0, eid, seed_vertex) for eid in g.adjacency[seed_vertex]]
-    _walk_samples(g, starts, params, dedup, samples, set())
-    return SampleSet(seed=(seed.x, seed.y), points=np.asarray(samples, dtype=float))
+    _walk(g, table, starts, params.max_path_length, set(), walked)
+    return _sample_set((seed.x, seed.y), table, walked, params.sampling_interval)
 
 
 def sample_neighborhood_at(g: EmbeddedGraph, point, params: FScoreParams) -> SampleSet:
@@ -189,67 +240,79 @@ def sample_neighborhood_at(g: EmbeddedGraph, point, params: FScoreParams) -> Sam
     dists, _, u = project_onto_segments(q, geom.points[:-1], d)
     i = int(np.argmin(dists))
     seed_arc = float(geom.cumulative_lengths()[i]) + float(u[i]) * math.sqrt(float(d[i] @ d[i]))
-    length = geom.length()
-    seed_xy = (float(q[0]), float(q[1]))
-    interval, max_len = params.sampling_interval, params.max_path_length
-    dedup = _Dedup(interval / 2.0)
-    dedup.add(*seed_xy)
-    samples = [seed_xy]
+    table = _edge_table(g)
+    row = table.first_row[eid]
+    length = table.length[row]
+    max_len = params.max_path_length
+    walked: list[tuple[int, float, float, float]] = []
     starts: list[tuple[float, EdgeId, VertexId]] = []
     # Walk the seed edge itself in both directions before the general sweep.
-    for geom_dir, remaining, far in (
-        (geom, length - seed_arc, edge.v),
-        (geom.reversed(), seed_arc, edge.u),
-    ):
+    for direction, remaining, far in ((row, length - seed_arc, edge.v), (row + 1, seed_arc, edge.u)):
         offset = (length - remaining) if remaining < length else 0.0
-        _sample_edge(geom_dir, offset, 0.0, min(remaining, max_len), interval, dedup, samples)
+        walked.append((direction, offset, 0.0, min(remaining, max_len)))
         if remaining < max_len:
             for nxt in g.adjacency[far]:
                 if nxt != eid:
                     starts.append((remaining, nxt, far))
-    _walk_samples(g, starts, params, dedup, samples, {eid})
-    return SampleSet(seed=seed_xy, points=np.asarray(samples, dtype=float))
+    _walk(g, table, starts, max_len, {eid}, walked)
+    return _sample_set((float(q[0]), float(q[1])), table, walked, params.sampling_interval)
 
 
-def _hopcroft_karp(adj: list[list[int]], n_right: int) -> int:
-    """Maximum cardinality matching size for a bipartite adjacency list."""
-    INF = float("inf")
-    match_l = [-1] * len(adj)
-    match_r = [-1] * n_right
-    result = 0
-    while True:
-        dist = [INF] * len(adj)
-        queue = [u for u in range(len(adj)) if match_l[u] == -1]
-        for u in queue:
-            dist[u] = 0
-        found = False
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if not found:
-            return result
+def _augment(root: int, adj: list[list[int]], match_r: list[int], seen: list[bool]) -> bool:
+    """Search depth-first, with an explicit stack, for an augmenting path from ``root``.
 
-        def dfs(u: int) -> bool:
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                    match_l[u] = v
+    Holes already ``seen`` in this pass are skipped; on success each hole on
+    the path takes the marble before it.
+    """
+    lefts = [root]
+    rights: list[int] = []  # rights[k] leads from lefts[k] to lefts[k + 1]
+    todo = [iter(adj[root])]
+    while todo:
+        for v in todo[-1]:
+            if seen[v]:
+                continue
+            seen[v] = True
+            rights.append(v)
+            w = match_r[v]
+            if w == -1:
+                for u, v in zip(lefts, rights):
                     match_r[v] = u
-                    return True
-            dist[u] = INF
-            return False
+                return True
+            lefts.append(w)
+            todo.append(iter(adj[w]))
+            break
+        else:
+            todo.pop()
+            lefts.pop()
+            if rights:
+                rights.pop()
+    return False
 
-        for u in range(len(adj)):
-            if match_l[u] == -1 and dfs(u):
-                result += 1
+
+def _max_matching(adj: list[list[int]], n_right: int) -> int:
+    """Maximum cardinality matching size for a bipartite adjacency list.
+
+    A greedy pass matches what it can; then each pass runs one augmenting
+    search from every unmatched left vertex, holes visited once per pass.
+    A pass that augments nothing has searched every alternating path, so the
+    matching is maximum.
+    """
+    match_r = [-1] * n_right
+    free = []
+    for u, nbrs in enumerate(adj):
+        for v in nbrs:
+            if match_r[v] == -1:
+                match_r[v] = u
+                break
+        else:
+            free.append(u)
+    while free:
+        seen = [False] * n_right
+        left = [u for u in free if not _augment(u, adj, match_r, seen)]
+        if len(left) == len(free):
+            break
+        free = left
+    return n_right - match_r.count(-1)
 
 
 def bottleneck_match(
@@ -261,18 +324,20 @@ def bottleneck_match(
 
     Each hole holds at most one marble.  Returns (matched count, unmatched
     marbles, unmatched holes).  The matching is maximum-cardinality over the
-    thresholded distance graph, found by augmenting paths.
+    thresholded distance graph (the pairs :func:`~pathdist.spatial.close_pairs`
+    finds with ``<=``), found by augmenting paths.
     """
-    if max_dist < 0:
+    if not max_dist >= 0:  # NaN fails too
         raise InputError("max_dist must be non-negative")
     mpts = marbles.points if isinstance(marbles, SampleSet) else np.asarray(marbles, float)
     hpts = holes.points if isinstance(holes, SampleSet) else np.asarray(holes, float)
     nm, nh = mpts.shape[0], hpts.shape[0]
     if nm == 0 or nh == 0:
         return 0, nm, nh
-    pairs = cKDTree(mpts).query_ball_tree(cKDTree(hpts), max_dist)
-    adj = [sorted(cands) for cands in pairs]
-    matched = _hopcroft_karp(adj, nh)
+    m, h = close_pairs(mpts, hpts, max_dist, strict=False)
+    bounds = np.searchsorted(m, np.arange(nm + 1)).tolist()
+    holes_of = h.tolist()
+    matched = _max_matching([holes_of[a:b] for a, b in zip(bounds[:-1], bounds[1:])], nh)
     return matched, nm - matched, nh - matched
 
 

@@ -7,7 +7,9 @@ Free-space map matching sweeps these rows and glues them at the joints, and
 :func:`nearest_point_on_graph` projects a point onto all of them in one
 pass of ``geometry.project_onto_segments``, the segment projection that every
 nearest-point query shares.  ``SpatialGrid`` buckets edges by grid cell for the
-F-score seeding, which queries far larger maps than a single curve covers.
+F-score seeding, which queries far larger maps than a single curve covers,
+and :func:`close_pairs` finds every pair of points within a radius, which
+F-score sampling thins with and its matching joins on.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .geometry import nearest_point_on_polyline, project_onto_segments, segment_terms
 from .graph import EdgeId, EmbeddedGraph
 
-__all__ = ["SpatialGrid", "nearest_point_on_graph"]
+__all__ = ["SpatialGrid", "close_pairs", "nearest_point_on_graph"]
 
 DEFAULT_CELL_SIZE = 50.0
 
@@ -183,3 +185,50 @@ def nearest_point_on_graph(g: EmbeddedGraph, p) -> tuple[float, np.ndarray, Edge
     dists, proj, _ = project_onto_segments(p, geom.seg_a, geom.seg_d)
     s = int(np.argmin(dists))
     return float(dists[s]), proj[s], geom.seg_edge[s]
+
+
+def _lex_keys(x, y) -> np.ndarray:
+    """``x + iy`` as complex keys: numpy sorts and searches them by ``x``, then ``y``."""
+    keys = np.empty(np.shape(x), dtype=complex)
+    keys.real = x
+    keys.imag = y
+    return keys
+
+
+def close_pairs(a, b, radius: float, *, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``(i, j)`` with ``a[i]`` within ``radius`` of ``b[j]``, grouped by ascending ``i``.
+
+    The test is ``(ax-bx)**2 + (ay-by)**2 < radius*radius`` (``<=`` unless
+    ``strict``) as Python floats compute it, and every pair that passes it is
+    found.  Points fall into square cells ``floor(p / side)`` and only pairs
+    in the same or adjacent cells are tested.  ``side`` exceeds ``radius`` by
+    ``2**-40`` of the largest coordinate: enough that rounding in ``p / side``
+    cannot put a pair at exactly ``radius`` two cells apart, small enough that
+    cell numbers stay exact integers, and never 0.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    if not len(a) or not len(b):
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
+    side = (radius + scale * 2.0**-40) or 1.0
+    cell_a, cell_b = np.floor(a / side), np.floor(b / side)
+    order = np.argsort(_lex_keys(cell_b[:, 0], cell_b[:, 1]), kind="stable")
+    keys = _lex_keys(cell_b[order, 0], cell_b[order, 1])
+    # Sorted by column, then row, the three cells of one adjacent column are
+    # one run of keys: each point of ``a`` looks up three runs.
+    cx = (cell_a[:, 0, None] + np.array([-1.0, 0.0, 1.0])).ravel()
+    cy = np.repeat(cell_a[:, 1], 3)
+    lo = np.searchsorted(keys, _lex_keys(cx, cy - 1.0), side="left")
+    count = np.searchsorted(keys, _lex_keys(cx, cy + 1.0), side="right") - lo
+    i = np.repeat(np.arange(len(cx)) // 3, count)
+    j = order[np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(int(count.sum()))]
+    dx, dy = a[i, 0] - b[j, 0], a[i, 1] - b[j, 1]
+    d2 = dx * dx + dy * dy
+    # Python's float power may round a square one unit off ``x*x``; that can
+    # only decide sums this close to the threshold, so those take its floats.
+    rr = radius * radius
+    near = np.abs(d2 - rr) <= rr * 2.0**-40
+    d2[near] = np.float_power(dx[near], 2) + np.float_power(dy[near], 2)
+    close = d2 < rr if strict else d2 <= rr
+    return i[close], j[close]

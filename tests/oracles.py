@@ -5,11 +5,14 @@ data (vertices, edges, geometry) so it shares no algorithmic code with the
 package: walk counting by directed enumeration, map-matching by discrete
 dynamic programming over densely resampled candidate paths, matching by
 exhaustive search, intersection radii by fine arc marching, and nearest
-graph points by a scalar per-segment scan.
+graph points by a scalar per-segment scan.  F-score sampling is kept here in
+its per-edge form: one ``PolyLine.point_at`` call per walked edge and a hash
+grid that accepts or rejects each sample as it is placed.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -305,6 +308,124 @@ def exhaustive_max_matching(marbles: np.ndarray, holes: np.ndarray, max_dist: fl
 
     rec(0, 0, 0)
     return best
+
+
+class SampleDedup:
+    """Hash-grid rejecting points within ``radius`` of an accepted one."""
+
+    def __init__(self, radius: float):
+        self.radius = radius
+        self.cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+
+    def add(self, x: float, y: float) -> bool:
+        r = self.radius
+        cx, cy = int(math.floor(x / r)), int(math.floor(y / r))
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for px, py in self.cells.get((cx + dx, cy + dy), ()):
+                    if (px - x) ** 2 + (py - y) ** 2 < r * r:
+                        return False
+        self.cells.setdefault((cx, cy), []).append((x, y))
+        return True
+
+
+def sample_edge(geom, offset, d0, limit, interval, dedup, samples) -> None:
+    """Sample ``geom`` at each network distance ``k*interval`` in ``(d0, d0 + limit]``.
+
+    Arc ``offset`` of ``geom`` lies at network distance ``d0``; one
+    ``point_at`` call places every sample and ``dedup`` filters them in order.
+    """
+    k0 = int(math.floor(d0 / interval)) + 1
+    dist = np.arange(k0, int(math.floor((d0 + limit) / interval)) + 2) * interval
+    dist = dist[(dist > d0) & (dist <= d0 + limit)]
+    for x, y in geom.point_at(offset + dist - d0).tolist():
+        if dedup.add(x, y):
+            samples.append((x, y))
+
+
+def walk_samples(g, starts, params, dedup, samples, visited) -> None:
+    """Explore edges by network distance from ``starts``, sampling each edge once."""
+    interval = params.sampling_interval
+    max_len = params.max_path_length
+    heap = []
+    for order, (d0, eid, vid) in enumerate(starts):
+        heapq.heappush(heap, (d0, order, eid, vid))
+    order = len(starts)
+    while heap:
+        d0, _, eid, vid = heapq.heappop(heap)
+        if eid in visited or d0 > max_len:
+            continue
+        visited.add(eid)
+        geom = g.edge_geometry_from(eid, vid)
+        length = geom.length()
+        sample_edge(geom, 0.0, d0, min(length, max_len - d0), interval, dedup, samples)
+        end_dist = d0 + length
+        if end_dist < max_len:
+            far = g.other_endpoint(eid, vid)
+            for nxt in g.adjacency[far]:
+                if nxt not in visited:
+                    heapq.heappush(heap, (end_dist, order, nxt, far))
+                    order += 1
+
+
+def sample_neighborhood_oracle(g, seed_vertex, params) -> np.ndarray:
+    """Sample points of ``fscore.sample_neighborhood``, placed edge by edge."""
+    seed = g.vertices[seed_vertex]
+    dedup = SampleDedup(params.sampling_interval / 2.0)
+    dedup.add(seed.x, seed.y)
+    samples = [(seed.x, seed.y)]
+    starts = [(0.0, eid, seed_vertex) for eid in g.adjacency[seed_vertex]]
+    walk_samples(g, starts, params, dedup, samples, set())
+    return np.asarray(samples, dtype=float)
+
+
+def sample_neighborhood_at_oracle(g, point, params) -> np.ndarray:
+    """Sample points of ``fscore.sample_neighborhood_at``, placed edge by edge.
+
+    The seed is found as the package finds it (its ``SpatialGrid`` and the
+    shared segment projection); only the sampling is independent.
+    """
+    from pathdist.geometry import project_onto_segments
+    from pathdist.spatial import SpatialGrid
+
+    grid = SpatialGrid(g, max(params.max_path_length / 4.0, 1.0))
+    _, q, eid = grid.nearest_point(np.asarray(point, dtype=float))
+    edge = g.edges[eid]
+    geom = edge.geometry
+    d = np.diff(geom.points, axis=0)
+    dists, _, u = project_onto_segments(q, geom.points[:-1], d)
+    i = int(np.argmin(dists))
+    seed_arc = float(geom.cumulative_lengths()[i]) + float(u[i]) * math.sqrt(float(d[i] @ d[i]))
+    length = geom.length()
+    seed_xy = (float(q[0]), float(q[1]))
+    interval, max_len = params.sampling_interval, params.max_path_length
+    dedup = SampleDedup(interval / 2.0)
+    dedup.add(*seed_xy)
+    samples = [seed_xy]
+    starts = []
+    for geom_dir, remaining, far in (
+        (geom, length - seed_arc, edge.v),
+        (geom.reversed(), seed_arc, edge.u),
+    ):
+        offset = (length - remaining) if remaining < length else 0.0
+        sample_edge(geom_dir, offset, 0.0, min(remaining, max_len), interval, dedup, samples)
+        if remaining < max_len:
+            for nxt in g.adjacency[far]:
+                if nxt != eid:
+                    starts.append((remaining, nxt, far))
+    walk_samples(g, starts, params, dedup, samples, {eid})
+    return np.asarray(samples, dtype=float)
+
+
+def brute_close_pairs(a: np.ndarray, b: np.ndarray, radius: float, strict: bool) -> list[tuple[int, int]]:
+    """Every ``(i, j)`` with ``a[i]`` and ``b[j]`` within ``radius``, tested pair by pair."""
+    out = []
+    for i, (ax, ay) in enumerate(np.asarray(a, dtype=float).tolist()):
+        for j, (bx, by) in enumerate(np.asarray(b, dtype=float).tolist()):
+            d2 = (ax - bx) ** 2 + (ay - by) ** 2
+            if d2 < radius * radius or (not strict and d2 == radius * radius):
+                out.append((i, j))
+    return out
 
 
 def dense_radius_scan(g, v, d: float, resolution: int = 2560) -> float:

@@ -1,20 +1,34 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathdist.errors import InputError
 from pathdist.fscore import (
     FScoreParams,
+    _max_matching,
     bottleneck_match,
     f_score,
     fscore_analysis,
     sample_neighborhood,
     sample_neighborhood_at,
 )
-from pathdist.graph import EmbeddedGraph
+from pathdist.geometry import PolyLine
+from pathdist.graph import Edge, EmbeddedGraph
+from pathdist.spatial import close_pairs
 
-from oracles import exhaustive_max_matching
+from oracles import (
+    brute_close_pairs,
+    exhaustive_max_matching,
+    sample_neighborhood_at_oracle,
+    sample_neighborhood_oracle,
+)
 
 
 def single_edge(length=10.0):
@@ -123,6 +137,18 @@ def test_seed_inside_bent_edge_samples_pinned_points():
     assert [tuple(p) for p in samples.points.tolist()] == BENT_SEED_SAMPLES
 
 
+def test_sample_at_exactly_half_an_interval_from_an_earlier_one_is_kept():
+    # The edge doubles back, so its sample at network distance 5 lies exactly
+    # 2.5 (half the interval) from the seed: too far to be a duplicate.
+    g = EmbeddedGraph(
+        [("a", (0, 0)), ("b", (10, 2.5))], [("e", ("a", "b", [(0, 0), (0, 3.75), (0, 2.5), (10, 2.5)]))]
+    )
+    params = FScoreParams(sampling_interval=5.0, matched_distance=5.0, max_path_length=15.0)
+    samples = sample_neighborhood(g, "a", params).points
+    assert samples.tolist() == [[0.0, 0.0], [0.0, 2.5], [5.0, 2.5], [10.0, 2.5]]
+    assert samples.tobytes() == sample_neighborhood_oracle(g, "a", params).tobytes()
+
+
 def test_sample_neighborhood_at_empty_graph():
     empty = EmbeddedGraph([], [])
     params = FScoreParams()
@@ -209,3 +235,153 @@ def test_empty_target_scores_zero(tee):
     result = fscore_analysis(tee, EmbeddedGraph([], []), params)
     assert result.global_score == 0.0
     assert all(v == 0.0 for v in result.vertex_scores.values())
+
+
+def test_bottleneck_match_on_a_1500_point_chain():
+    # Marble k lies between the holes at 5k - 2.5 and 5k + 2.5, listed in
+    # reverse: a matcher that gives each marble its right-hand hole first
+    # must shift every marble back along one 3000-step augmenting path.
+    n = 1500
+    marbles = np.array([(5.0 * k, 0.0) for k in range(n)])
+    holes = np.array([(5.0 * k - 2.5, 0.0) for k in reversed(range(n))])
+    assert bottleneck_match(marbles, holes, 2.6) == (n, 0, 0)
+
+
+def test_matching_follows_a_1500_step_augmenting_path():
+    # Greedy takes hole k+1 for marble k, which leaves the last marble only a
+    # taken hole: the one augmenting path runs through every marble.
+    n = 1500
+    adj = [[k + 1, k] for k in range(n - 1)] + [[n - 1]]
+    assert _max_matching(adj, n) == n
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    code = "import sys, pathdist, pathdist.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+_coord = st.floats(-40.0, 40.0, allow_nan=False)
+
+
+def _with_self_loop(g: EmbeddedGraph, vid, bend) -> EmbeddedGraph:
+    """``g`` plus a bent edge from ``vid`` back to ``vid``, which only a pickle can carry."""
+    x, y = g.vertices[vid]
+    loop = PolyLine([(x, y), (x + bend[0], y + bend[1]), (x + bend[0], y), (x, y)])
+    edges = dict(g.edges)
+    edges["loop"] = Edge(vid, vid, loop)
+    out = EmbeddedGraph.__new__(EmbeddedGraph)
+    out.__setstate__((dict(g.vertices), edges))
+    return out
+
+
+@st.composite
+def sampling_cases(draw):
+    """Small maps with bent edges, repeated points, parallel edges, maybe a self-loop, at some offset."""
+    offset = np.array(draw(st.sampled_from([(0.0, 0.0), (-75.5, -20.25), (500000.0, 4649776.0)])))
+    pts = draw(st.lists(st.tuples(_coord, _coord), min_size=2, max_size=6, unique=True))
+    vertices = [(i, tuple(np.asarray(p) + offset)) for i, p in enumerate(pts)]
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, len(pts))]
+    pairs += draw(st.lists(st.tuples(st.integers(0, len(pts) - 1), st.integers(0, len(pts) - 1)), max_size=3))
+    edges = []
+    for u, v in pairs:
+        if u == v:
+            continue
+        # Nine bends give ten segments, where a pairwise sum can differ from a running one.
+        bends = [tuple(np.asarray(b) + offset) for b in draw(st.lists(st.tuples(_coord, _coord), max_size=9))]
+        if bends and draw(st.booleans()):
+            bends.insert(draw(st.integers(0, len(bends))), bends[0])  # a zero-length segment
+        edges.append((len(edges), (u, v, [vertices[u][1], *bends, vertices[v][1]])))
+    g = EmbeddedGraph(vertices, edges)
+    if draw(st.booleans()):
+        g = _with_self_loop(g, draw(st.integers(0, len(pts) - 1)), draw(st.tuples(_coord, _coord)))
+    interval = draw(st.floats(0.5, 12.0))
+    max_len = draw(st.one_of(st.just(0.0), st.floats(0.0, 120.0), st.just(1e6)))
+    params = FScoreParams(sampling_interval=interval, matched_distance=5.0, max_path_length=max_len)
+    probe = tuple(np.asarray(draw(st.tuples(_coord, _coord))) + offset)
+    return g, params, probe
+
+
+@settings(max_examples=150)
+@given(sampling_cases())
+def test_sampling_places_the_oracles_points_bit_for_bit(case):
+    g, params, probe = case
+    for v in g.vertices:
+        got = sample_neighborhood(g, v, params).points
+        assert got.tobytes() == sample_neighborhood_oracle(g, v, params).tobytes(), v
+    got = sample_neighborhood_at(g, probe, params).points
+    assert got.tobytes() == sample_neighborhood_at_oracle(g, probe, params).tobytes()
+
+
+def _pair_set(i, j):
+    return sorted(zip(i.tolist(), j.tolist()))
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (-123.25, -987.5), (500000.0, 4649776.0)])
+def test_close_pairs_at_exactly_the_radius(strict, offset):
+    a = np.array([(0.0, 0.0)]) + offset
+    b = np.array([(3.0, 4.0), (-3.0, -4.0), (5.0, 0.0), (0.0, -4.999)]) + offset
+    i, j = close_pairs(a, b, 5.0, strict=strict)
+    assert _pair_set(i, j) == ([(0, 3)] if strict else [(0, 0), (0, 1), (0, 2), (0, 3)])
+
+
+@st.composite
+def point_sets(draw):
+    offset = np.array(draw(st.sampled_from([(0.0, 0.0), (-3.3e6, -7.1e6), (500000.0, 4649776.0)])))
+    grid = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(lambda p: (p[0] * 1.5, p[1] * 2.0))
+    free = st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0))
+    pts = st.lists(st.one_of(grid, free), max_size=12)
+    a = np.array(draw(pts), dtype=float).reshape(-1, 2) + offset
+    b = np.array(draw(pts), dtype=float).reshape(-1, 2) + offset
+    radius = draw(st.one_of(st.just(0.0), st.sampled_from([1.5, 2.0, 2.5]), st.floats(0.0, 10.0)))
+    return a, b, radius
+
+
+@settings(max_examples=300)
+@given(point_sets(), st.booleans())
+def test_close_pairs_equal_brute_force(case, strict):
+    a, b, radius = case
+    i, j = close_pairs(a, b, radius, strict=strict)
+    assert list(i) == sorted(i)
+    assert _pair_set(i, j) == brute_close_pairs(a, b, radius, strict)
+
+
+def test_close_pairs_decide_ties_with_python_float_power():
+    # Where ``x**2`` rounds differently from ``x*x``, a pair ``x`` apart is
+    # within radius ``x`` exactly when Python's float test says so.
+    xs = [x for x in np.random.default_rng(3).uniform(1.0, 100.0, 100000).tolist() if x**2 != x * x]
+    a = np.zeros((1, 2))
+    for x in xs[:40]:
+        b = np.array([(x, 0.0)])
+        for strict in (True, False):
+            assert _pair_set(*close_pairs(a, b, x, strict=strict)) == brute_close_pairs(a, b, x, strict)
+
+
+def test_close_pairs_of_empty_sets():
+    pts = np.array([(1.0, 2.0)])
+    for a, b in ((np.empty((0, 2)), pts), (pts, np.empty((0, 2))), (np.empty((0, 2)), np.empty((0, 2)))):
+        i, j = close_pairs(a, b, 3.0, strict=False)
+        assert len(i) == len(j) == 0
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (500000.0, 4649776.0)])
+def test_bottleneck_match_at_zero_distance_pairs_coincident_points(offset):
+    marbles = np.array([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)]) + offset
+    holes = np.array([(0.0, 0.0), (1.0, 1e-9), (2.0, 0.0)]) + offset
+    assert bottleneck_match(marbles, holes, 0.0) == (1, 2, 2)
+    assert bottleneck_match(np.zeros((2, 2)), np.zeros((3, 2)), 0.0) == (2, 0, 1)
+
+
+def test_fscore_analysis_per_seed_equal_with_two_workers(tee):
+    # Each worker unpickles its own copy of the graphs and rebuilds their tables.
+    shifted = EmbeddedGraph(
+        [(v, (p.x + 0.7, p.y - 0.4)) for v, p in tee.vertices.items()],
+        [(eid, (e.u, e.v)) for eid, e in tee.edges.items()],
+    )
+    params = FScoreParams(sampling_interval=1.5, matched_distance=1.0, max_path_length=12.0)
+    one = fscore_analysis(tee, shifted, params, workers=1)
+    two = fscore_analysis(tee, shifted, params, workers=2)
+    assert one.per_seed == two.per_seed

@@ -27,7 +27,7 @@ from .fscore import (
     sample_neighborhood,
     sample_neighborhood_at,
 )
-from .geometry import Point2D, PolyLine, point_to_polyline_distance
+from .geometry import Point2D, PolyLine
 from .graph import (
     EmbeddedGraph,
     GraphStats,
@@ -98,7 +98,6 @@ __all__ = [
     "max_path_distance",
     "path_distance_analysis",
     "path_geometry",
-    "point_to_polyline_distance",
     "run_all",
     "run_perturbation_study",
     "sample_neighborhood",

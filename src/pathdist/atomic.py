@@ -1,12 +1,13 @@
-"""Artifacts that are replaced whole or not at all."""
+"""Artifacts that are replaced whole or not at all, and the one JSON layout they share."""
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
 
-__all__ = ["atomic_write"]
+__all__ = ["atomic_write", "write_json"]
 
 
 @contextmanager
@@ -27,3 +28,10 @@ def atomic_write(path, newline: str | None = None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` atomically as JSON with one-space indents, sorted keys and a final newline."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")

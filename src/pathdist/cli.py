@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .atomic import atomic_write
+from .atomic import atomic_write, write_json
 from .errors import ParseError, PathdistError
 from .experiments import (
     PerturbationSpec,
@@ -115,6 +115,8 @@ def _given_on_cli(key: str, argv: list[str]) -> bool:
 
 
 _SHARED_FLAGS = {
+    "from": dict(required=True, help="source graph"),
+    "to": dict(required=True, help="target graph"),
     "tol": dict(type=float, default=DEFAULT_TOLERANCE, help="bisection tolerance in meters"),
     "workers": dict(type=int, default=1, help="parallel worker processes"),
     "contract": dict(action="store_true", help="contract degree-2 chains after loading"),
@@ -129,15 +131,14 @@ def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
     p.add_argument("--config", default=None, help="key = value file of defaults")
 
 
+def _graph_pair(args) -> tuple:
+    """The ``--from`` and ``--to`` graphs, each contracted if ``--contract`` is given."""
+    return load_graph_arg(getattr(args, "from"), args.contract), load_graph_arg(args.to, args.contract)
+
+
 def _summary_path(out: str) -> Path:
     p = Path(out)
     return p.with_suffix(p.suffix + ".summary.json") if p.suffix != ".json" else p
-
-
-def _write_summary(report: PathDistanceReport, path) -> None:
-    with atomic_write(path) as fh:
-        json.dump(report.summary(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _cmd_stats(args) -> int:
@@ -153,8 +154,7 @@ def _cmd_distance(args) -> int:
         # A strict report keeps only some paths and is always recomputed.
         print("pathdist: --resume cannot be combined with --strict", file=sys.stderr)
         return EXIT_USAGE
-    g = load_graph_arg(getattr(args, "from"), args.contract)
-    h = load_graph_arg(args.to, args.contract)
+    g, h = _graph_pair(args)
     jobs = [("", g, h)]
     if args.both:
         jobs = [("_gh", g, h), ("_hg", h, g)]
@@ -195,7 +195,7 @@ def _cmd_distance(args) -> int:
                 )
             report = PathDistanceReport(k=args.k, direction=direction, records=records)
         report.direction = direction
-        _write_summary(report, _summary_path(str(out_path)))
+        write_json(_summary_path(str(out_path)), report.summary())
         print(f"{report.direction} k={args.k} max={report.max_distance!r}")
     return EXIT_OK
 
@@ -223,8 +223,7 @@ def _fingerprint(src, dst, k: int, tol: float, direction: str) -> str:
 
 
 def _cmd_signature(args) -> int:
-    g = load_graph_arg(getattr(args, "from"), args.contract)
-    h = load_graph_arg(args.to, args.contract)
+    g, h = _graph_pair(args)
     _, edge_sig, _ = path_distance_analysis(g, h, args.k, args.tol, workers=args.workers)
     with atomic_write(args.out, newline="") as fh:
         write_signature_csv(edge_sig, fh)
@@ -251,13 +250,10 @@ def _cmd_cdf(args) -> int:
 
 
 def _cmd_separation(args) -> int:
-    g = load_graph_arg(getattr(args, "from"), args.contract)
-    h = load_graph_arg(args.to, args.contract)
+    g, h = _graph_pair(args)
     doc = [r.summary() for r in separation_census(g, h, args.tol, workers=args.workers)]
     if args.out:
-        with atomic_write(args.out) as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, doc)
     print(json.dumps(doc, indent=1, sort_keys=True))
     return EXIT_OK
 
@@ -278,8 +274,7 @@ def _cmd_frechet(args) -> int:
 
 
 def _cmd_fscore(args) -> int:
-    g = load_graph_arg(getattr(args, "from"), args.contract)
-    h = load_graph_arg(args.to, args.contract)
+    g, h = _graph_pair(args)
     params = FScoreParams(
         sampling_interval=args.interval,
         matched_distance=args.match_dist,
@@ -339,25 +334,21 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_stats)
 
     p = sub.add_parser("distance", help="directed path-based distance")
-    p.add_argument("--from", required=True)
-    p.add_argument("--to", required=True)
     p.add_argument("--k", type=int, default=3, choices=(1, 2, 3))
     p.add_argument("--both", action="store_true", help="compute both directions")
     p.add_argument("--strict", action="store_true", help="restrict to separated, degree!=3 interiors")
     p.add_argument("--resume", action="store_true", help="reuse distances already in --out")
     p.add_argument("--out", required=True, help="per-path report CSV")
-    _add_common(p, "tol", "workers", "contract")
+    _add_common(p, "from", "to", "tol", "workers", "contract")
     p.set_defaults(fn=_cmd_distance)
 
     p = sub.add_parser("signature", help="per-edge local signature")
-    p.add_argument("--from", required=True)
-    p.add_argument("--to", required=True)
     p.add_argument("--k", type=int, default=2, choices=(1, 2, 3))
     p.add_argument("--out", required=True)
     p.add_argument("--heatmap", default=None)
     p.add_argument("--geojson", default=None)
     p.add_argument("--ramp", default="quantile", choices=("quantile", "linear"))
-    _add_common(p, "tol", "workers", "contract")
+    _add_common(p, "from", "to", "tol", "workers", "contract")
     p.set_defaults(fn=_cmd_signature)
 
     p = sub.add_parser("cdf", help="weighted CDF of a signature CSV")
@@ -369,10 +360,8 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_cdf)
 
     p = sub.add_parser("separation", help="d-separated vertex census")
-    p.add_argument("--from", required=True)
-    p.add_argument("--to", required=True)
     p.add_argument("--out", default=None)
-    _add_common(p, "tol", "workers", "contract")
+    _add_common(p, "from", "to", "tol", "workers", "contract")
     p.set_defaults(fn=_cmd_separation)
 
     p = sub.add_parser("mapmatch", help="Fréchet map-matching distance")
@@ -388,14 +377,12 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_frechet)
 
     p = sub.add_parser("fscore", help="marbles-and-holes F-score baseline")
-    p.add_argument("--from", required=True)
-    p.add_argument("--to", required=True)
     p.add_argument("--interval", type=float, default=5.0)
     p.add_argument("--match-dist", type=float, default=20.0)
     p.add_argument("--max-path", type=float, default=300.0)
     p.add_argument("--out", required=True)
     p.add_argument("--heatmap", default=None)
-    _add_common(p, "workers", "contract")
+    _add_common(p, "from", "to", "workers", "contract")
     p.set_defaults(fn=_cmd_fscore)
 
     p = sub.add_parser("perturb", help="generate perturbed grid graphs")

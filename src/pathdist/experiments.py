@@ -14,14 +14,13 @@ count.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, write_json
 from .errors import InputError
 from .frechet import DEFAULT_TOLERANCE, check_tolerance
 from .graph import EmbeddedGraph, contract_degree_two, export_geojson, graph_stats, load_graph
@@ -292,10 +291,7 @@ def run_all(config: RunConfig) -> Path:
         return out / name
 
     for name, graph in (("from", g), ("to", h)):
-        stats = graph_stats(graph)
-        with atomic_write(track(f"stats_{name}.json")) as fh:
-            json.dump(stats._asdict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(track(f"stats_{name}.json"), graph_stats(graph)._asdict())
         export_geojson(graph, track(f"graph_{name}.geojson"))
 
     directions = [("gh", g, h)]
@@ -312,19 +308,14 @@ def run_all(config: RunConfig) -> Path:
             tables[k] = {r.path: r.distance for r in report.records}
             with atomic_write(track(f"distance_{tag}_k{k}.csv"), newline="") as fh:
                 write_records_csv(report.records, fh)
-            with atomic_write(track(f"distance_{tag}_k{k}.summary.json")) as fh:
-                json.dump(report.summary(), fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            write_json(track(f"distance_{tag}_k{k}.summary.json"), report.summary())
             with atomic_write(track(f"signature_{tag}_k{k}.csv"), newline="") as fh:
                 write_signature_csv(edge_sig, fh)
             export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.svg"), "svg")
             export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.geojson"), "geojson")
             curves[f"{tag} k={k}"] = cdf(edge_sig)
         census = separation_census(src, dst, config.tol, workers=config.workers, tables=tables)
-        census_doc = [rep.summary() for rep in census]
-        with atomic_write(track(f"separation_{tag}.json")) as fh:
-            json.dump(census_doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(track(f"separation_{tag}.json"), [rep.summary() for rep in census])
     export_cdf_plot(list(curves.values()), list(curves.keys()), track("cdf.svg"))
 
     manifest = {
@@ -333,9 +324,7 @@ def run_all(config: RunConfig) -> Path:
         "package_version": _package_version(),
         "files": sorted(emitted),
     }
-    with atomic_write(out / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     return out
 
 

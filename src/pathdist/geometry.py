@@ -18,8 +18,6 @@ __all__ = [
     "DiscQuadratic",
     "disc_segment_intervals",
     "segment_terms",
-    "segments_intersect",
-    "point_to_polyline_distance",
     "nearest_point_on_polyline",
     "project_onto_segments",
     "collapsed_points",
@@ -222,60 +220,6 @@ def disc_segment_intervals(center, radius: float, a, b):
     once; callers that ask for many radii keep the prepared quadratic.
     """
     return DiscQuadratic(center, a, b).intervals(radius)
-
-
-def _orient(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def segments_intersect(p1, p2, q1, q2) -> bool:
-    """True iff closed segments ``p1p2`` and ``q1q2`` share a point."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    d1 = _orient(q1, q2, p1)
-    d2 = _orient(q1, q2, p2)
-    d3 = _orient(p1, p2, q1)
-    d4 = _orient(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        return True
-
-    def on_segment(a, b, c):
-        return (
-            _orient(a, b, c) == 0.0
-            and min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-        )
-
-    return (
-        on_segment(q1, q2, p1)
-        or on_segment(q1, q2, p2)
-        or on_segment(p1, p2, q1)
-        or on_segment(p1, p2, q2)
-    )
-
-
-def polylines_intersect(f: PolyLine, g: PolyLine) -> bool:
-    """True iff the geometric images of two polylines share a point."""
-    fp, gp = f.points, g.points
-    if len(f) == 1 and len(g) == 1:
-        return bool(np.all(fp[0] == gp[0]))
-    if len(f) == 1:
-        return any(segments_intersect(gp[j], gp[j + 1], fp[0], fp[0]) for j in range(len(g) - 1))
-    if len(g) == 1:
-        return any(segments_intersect(fp[i], fp[i + 1], gp[0], gp[0]) for i in range(len(f) - 1))
-    for i in range(len(f) - 1):
-        for j in range(len(g) - 1):
-            if segments_intersect(fp[i], fp[i + 1], gp[j], gp[j + 1]):
-                return True
-    return False
-
-
-def point_to_polyline_distance(p, g: PolyLine) -> float:
-    """Minimum Euclidean distance from ``p`` to any point of ``g``."""
-    dist, _ = nearest_point_on_polyline(p, g)
-    return dist
 
 
 def project_onto_segments(p, a: np.ndarray, d: np.ndarray):

@@ -239,29 +239,40 @@ def write_graph_csv(g: EmbeddedGraph, vertex_file, edge_file) -> None:
             w.writerow(row)
 
 
-def export_geojson(g: EmbeddedGraph, path=None) -> dict:
-    """FeatureCollection of LineString features, one per edge.
+def linestring_collection(lines: Iterable[tuple[np.ndarray, dict]]) -> dict:
+    """FeatureCollection of one LineString per ``(points, properties)`` pair of ``lines``.
 
     Coordinates stay in the input planar frame; no reprojection is applied.
+    """
+    features = [
+        {
+            "type": "Feature",
+            "geometry": {"type": "LineString", "coordinates": [[float(x), float(y)] for x, y in points]},
+            "properties": properties,
+        }
+        for points, properties in lines
+    ]
+    return {"type": "FeatureCollection", "features": features}
+
+
+def write_geojson(path, doc: dict) -> None:
+    """Write ``doc`` atomically with one-space indents and a final newline.
+
+    Keys keep the order the document was built in; they are not sorted.
+    """
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def export_geojson(g: EmbeddedGraph, path=None) -> dict:
+    """:func:`linestring_collection` of every edge, with its ``edge_id``.
+
     Returns the document; writes it to ``path`` when given.
     """
-    features = []
-    for eid, e in g.edges.items():
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "LineString",
-                    "coordinates": [[float(x), float(y)] for x, y in e.geometry.points],
-                },
-                "properties": {"edge_id": eid},
-            }
-        )
-    doc = {"type": "FeatureCollection", "features": features}
+    doc = linestring_collection((e.geometry.points, {"edge_id": eid}) for eid, e in g.edges.items())
     if path is not None:
-        with atomic_write(path) as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        write_geojson(path, doc)
     return doc
 
 

@@ -83,7 +83,7 @@ class MatchProblem:
     ``fail`` fails and every eps at or above ``hold`` holds.
     """
 
-    __slots__ = ("points", "h", "window", "rows", "cols", "_cv", "_jn", "fail", "hold", "floor", "probe")
+    __slots__ = ("points", "h", "window", "rows", "cols", "_quads", "fail", "hold", "floor", "probe")
 
     def __init__(self, points: np.ndarray, h: EmbeddedGraph):
         ((_, window, rows, cols),) = _families([points], h)
@@ -93,7 +93,7 @@ class MatchProblem:
         self.points = points
         self.h = h
         self.window, self.rows, self.cols = window, rows, cols
-        self._cv = self._jn = None
+        self._quads = None
         self.fail = -_INF
         self.hold = _INF
         self.floor = -_INF
@@ -101,15 +101,16 @@ class MatchProblem:
 
     @property
     def cv(self) -> DiscQuadratic:
-        if self._cv is None:
-            self._cv, self._jn = self.window.gather(self.rows, self.cols)
-        return self._cv
+        return self._gathered()[0]
 
     @property
     def jn(self) -> DiscQuadratic:
-        if self._jn is None:
-            self._cv, self._jn = self.window.gather(self.rows, self.cols)
-        return self._jn
+        return self._gathered()[1]
+
+    def _gathered(self) -> tuple[DiscQuadratic, DiscQuadratic]:
+        if self._quads is None:
+            self._quads = self.window.gather(self.rows, self.cols)
+        return self._quads
 
     def tables(self, eps: float):
         """The sweep's lists at ``eps``: ``free[i][s]``, ``lo[i][j]`` and ``hi[i][j]``.
@@ -188,45 +189,34 @@ def _families(curves: Iterable[np.ndarray], h: EmbeddedGraph):
     segments fit ``_WINDOW_CELLS``; a curve alone may exceed it.  ``rows``
     and ``cols`` are the curve's point and segment ids in its window.
     """
-    if h.is_empty():
-        for points in curves:
-            yield points, None, None, None
-        return
     geom = surface_geometry(h)
     S, J = geom.n_segments, geom.joint_pos.shape[0]
-    # The window's curves, the table rows and columns of their points and
-    # segments, concatenated, and the ids of its distinct points and segments.
-    window: list[np.ndarray] = []
-    rows: list[int] = []
-    cols: list[int] = []
+    # The window's curves with their own rows and columns, and the ids of
+    # its distinct points and segments.
+    window: list[tuple] = []
     point_id: dict[bytes, int] = {}
     seg_id: dict[tuple[bytes, bytes], int] = {}
     for points in curves:
+        rows = cols = None
         if points.shape[0] > 1:
             keys = np.ascontiguousarray(points, dtype=float).view(_POINT_KEY).ravel().tolist()
             segs = list(zip(keys, keys[1:]))
             n_points = len(point_id) + len(set(keys).difference(point_id))
             n_segs = len(seg_id) + len(set(segs).difference(seg_id))
             if point_id and n_points * S + J * n_segs > _WINDOW_CELLS:
-                yield from _window_families(geom, window, rows, cols, point_id, seg_id)
-                window, rows, cols, point_id, seg_id = [], [], [], {}, {}
-            rows += [point_id.setdefault(k, len(point_id)) for k in keys]
-            cols += [seg_id.setdefault(s, len(seg_id)) for s in segs]
-        window.append(points)
-    yield from _window_families(geom, window, rows, cols, point_id, seg_id)
+                yield from _window_families(geom, window, point_id, seg_id)
+                window, point_id, seg_id = [], {}, {}
+            rows = [point_id.setdefault(k, len(point_id)) for k in keys]
+            cols = [seg_id.setdefault(s, len(seg_id)) for s in segs]
+        window.append((points, rows, cols))
+    yield from _window_families(geom, window, point_id, seg_id)
 
 
-def _window_families(geom, window: list, rows: list, cols: list, point_id: dict, seg_id: dict):
+def _window_families(geom, window: list, point_id: dict, seg_id: dict):
     """:func:`_families` for one window; the arguments are as :func:`_families` keeps them."""
     shared = _Window(geom, point_id, seg_id) if point_id else None
-    r = c = 0
-    for points in window:
-        m = points.shape[0]
-        if m < 2:
-            yield points, None, None, None
-            continue
-        yield points, shared, rows[r : r + m], cols[c : c + m - 1]
-        r, c = r + m, c + m - 1
+    for points, rows, cols in window:
+        yield points, shared if rows else None, rows, cols
 
 
 class _Window:
@@ -251,7 +241,9 @@ class _Window:
         self.cv_terms = np.empty((3, len(point_id), S))
         self.cv = DiscQuadratic(table[:, None, :], geom.seg_a, geom.seg_b, geom.seg_terms, out=self.cv_terms)
         self.jn_terms = np.empty((3 * J + 2, len(seg_id)))
-        self.jn = DiscQuadratic(geom.joint_pos[:, None, :], starts, stops, out=self.jn_terms[: 3 * J].reshape(3, J, -1))
+        self.jn = DiscQuadratic(
+            geom.joint_pos[:, None, :], starts, stops, out=self.jn_terms[: 3 * J].reshape(3, J, len(seg_id))
+        )
         self.jn_terms[3 * J], self.jn_terms[3 * J + 1] = self.jn.qa4, self.jn.den
         self.geom = geom
         self.cells = len(point_id) * S + J * len(seg_id)

@@ -14,7 +14,6 @@ import csv
 import functools
 import io
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -242,14 +241,10 @@ def iter_match_records(
     computed = _distances(
         g, h, [paths[i] for i in todo], [curves[i] for i in todo], tol, workers, sub_distances
     )
-    pending: deque[float] = deque()
+    # Chunks are pulled one at a time, as the records that need them are taken.
+    distances = (d for chunk in computed for d in chunk)
     for i, (p, length) in enumerate(zip(paths, lengths)):
-        if known is not None and i in known:
-            d = known[i]
-        else:
-            while not pending:
-                pending.extend(next(computed))
-            d = pending.popleft()
+        d = known[i] if known is not None and i in known else next(distances)
         yield PathRecord(i, p, length, d)
 
 

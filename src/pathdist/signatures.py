@@ -10,16 +10,14 @@ dark red (dissimilar).
 from __future__ import annotations
 
 import csv
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from .atomic import atomic_write
 from .errors import InputError, ParseError, StructuralError
-from .graph import EmbeddedGraph
+from .graph import EmbeddedGraph, linestring_collection, write_geojson
 from .svgplot import CURVE_COLORS, PLOT_SIZE, SvgCanvas, ramp_color, world_transform
 
 __all__ = [
@@ -151,27 +149,14 @@ def export_heatmap(
         raise InputError("heat-maps are defined for edge signatures")
     rv = _ramp_values(sig, ramp)
     if fmt == "geojson":
-        features = []
-        for eid, value in sig.values.items():
-            geom = sig.graph.edges[eid].geometry
-            features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {
-                        "type": "LineString",
-                        "coordinates": [[float(x), float(y)] for x, y in geom.points],
-                    },
-                    "properties": {
-                        "edge_id": eid,
-                        "signature_m": float(value),
-                        "ramp_value": float(rv[eid]),
-                    },
-                }
+        lines = (
+            (
+                sig.graph.edges[eid].geometry.points,
+                {"edge_id": eid, "signature_m": float(value), "ramp_value": float(rv[eid])},
             )
-        doc = {"type": "FeatureCollection", "features": features}
-        with atomic_write(path) as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            for eid, value in sig.values.items()
+        )
+        write_geojson(path, linestring_collection(lines))
         return
     if fmt != "svg":
         raise InputError(f"unsupported heat-map format {fmt!r}")

@@ -119,6 +119,10 @@ class SpatialGrid:
                         cells.add((cx, cy))
             for cell in cells:
                 self.buckets.setdefault(cell, []).append(eid)
+        if self.buckets:
+            # The buckets' bounding cells: no ring past the farthest corner holds an edge.
+            xs, ys = zip(*self.buckets)
+            self.cell_bounds = (min(xs), min(ys), max(xs), max(ys))
 
     def _coord(self, x: float) -> int:
         return int(math.floor(x / self.cell_size))
@@ -149,10 +153,8 @@ class SpatialGrid:
             return nearest_point_on_graph(self.graph, p)
         p = np.asarray(p, dtype=float)
         center = self.cell_of(p)
-        keys = self.buckets.keys()
-        max_ring = max(
-            max(abs(cx - center[0]), abs(cy - center[1])) for cx, cy in keys
-        )
+        x0, y0, x1, y1 = self.cell_bounds
+        max_ring = max(center[0] - x0, x1 - center[0], center[1] - y0, y1 - center[1])
         best = math.inf
         best_pt = None
         best_edge = None

@@ -4,8 +4,9 @@ Everything here is deliberately written from scratch against the raw graph
 data (vertices, edges, geometry) so it shares no algorithmic code with the
 package: walk counting by directed enumeration, map-matching by discrete
 dynamic programming over densely resampled candidate paths, matching by
-exhaustive search, intersection radii by fine arc marching, and nearest
-graph points by a scalar per-segment scan.  F-score sampling is kept here in
+exhaustive search, intersection radii by fine arc marching, nearest
+graph points by a scalar per-segment scan, and polyline crossings by
+scalar orientation tests over every segment pair.  F-score sampling is kept here in
 its per-edge form: one ``PolyLine.point_at`` call per walked edge and a hash
 grid that accepts or rejects each sample as it is placed.
 """
@@ -494,6 +495,48 @@ def nearest_point_scan(g, p) -> tuple[float, tuple[float, float]]:
             if d < best:
                 best, best_pt = d, (pos.x, pos.y)
     return best, best_pt
+
+
+def _cross(ax, ay, bx, by, cx, cy) -> float:
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def segments_meet(p1, p2, q1, q2) -> bool:
+    """True iff closed segments ``p1p2`` and ``q1q2`` share a point; either may be a single point.
+
+    Scalar orientation tests: the segments cross properly when each one's
+    endpoints lie strictly on opposite sides of the other, and otherwise
+    meet only where an endpoint lies on the other segment.
+    """
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = (tuple(map(float, p)) for p in (p1, p2, q1, q2))
+    d1, d2 = _cross(cx, cy, dx, dy, ax, ay), _cross(cx, cy, dx, dy, bx, by)
+    d3, d4 = _cross(ax, ay, bx, by, cx, cy), _cross(ax, ay, bx, by, dx, dy)
+    if min(d1, d2) < 0.0 < max(d1, d2) and min(d3, d4) < 0.0 < max(d3, d4):
+        return True
+
+    def on_segment(sx, sy, tx, ty, x, y) -> bool:
+        return (
+            _cross(sx, sy, tx, ty, x, y) == 0.0
+            and min(sx, tx) <= x <= max(sx, tx)
+            and min(sy, ty) <= y <= max(sy, ty)
+        )
+
+    return (
+        on_segment(cx, cy, dx, dy, ax, ay)
+        or on_segment(cx, cy, dx, dy, bx, by)
+        or on_segment(ax, ay, bx, by, cx, cy)
+        or on_segment(ax, ay, bx, by, dx, dy)
+    )
+
+
+def polylines_meet(f, g) -> bool:
+    """True iff the images of polylines ``f`` and ``g`` share a point, by every segment pair."""
+
+    def segments(curve):
+        pts = curve.points.tolist()
+        return list(zip(pts[:-1], pts[1:])) or [(pts[0], pts[0])]
+
+    return any(segments_meet(a, b, c, d) for a, b in segments(f) for c, d in segments(g))
 
 
 def random_geometric_graph(rng: np.random.Generator, n_vertices: int, extra_edges: int, box: float):

@@ -118,6 +118,28 @@ def test_distance_report_matches_run_all(graph_dirs, tmp_path):
     assert out.read_bytes() == (tmp_path / "all" / "distance_gh_k1.csv").read_bytes()
 
 
+def test_cli_artifacts_match_run_all(graph_dirs, tmp_path):
+    # The CLI and run_all write each artifact format through the same writer.
+    gdir, hdir = graph_dirs
+    cli = tmp_path / "cli"
+    cli.mkdir()
+    pair = ["--from", gdir, "--to", hdir]
+    assert main(["distance", *pair, "--k", "2", "--out", str(cli / "report.csv")]) == 0
+    assert main(["separation", *pair, "--out", str(cli / "sep.json")]) == 0
+    sig = ["--out", str(cli / "sig.csv"), "--heatmap", str(cli / "sig.svg"), "--geojson", str(cli / "sig.geojson")]
+    assert main(["signature", *pair, "--k", "2", *sig]) == 0
+    out = run_all(RunConfig(gdir, hdir, str(tmp_path / "all"), k_values=(2,)))
+    pairs = [
+        ("report.csv.summary.json", "distance_gh_k2.summary.json"),
+        ("sep.json", "separation_gh.json"),
+        ("sig.csv", "signature_gh_k2.csv"),
+        ("sig.svg", "heatmap_gh_k2.svg"),
+        ("sig.geojson", "heatmap_gh_k2.geojson"),
+    ]
+    for mine, theirs in pairs:
+        assert (cli / mine).read_bytes() == (out / theirs).read_bytes(), mine
+
+
 def test_distance_strict_writes_a_subset_of_the_full_report(graph_dirs, tmp_path):
     gdir, hdir = graph_dirs
     full = tmp_path / "full.csv"

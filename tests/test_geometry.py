@@ -11,10 +11,8 @@ from pathdist.geometry import (
     PolyLine,
     disc_segment_intervals,
     nearest_point_on_polyline,
-    point_to_polyline_distance,
     project_onto_segments,
     segment_terms,
-    segments_intersect,
 )
 
 
@@ -85,9 +83,9 @@ def test_point_segment_distance_examples():
 
 def test_point_to_polyline_distance_examples():
     g = PolyLine([(-1, 0), (1, 0)])
-    assert point_to_polyline_distance((0.5, 0.0), g) == 0.0
-    assert point_to_polyline_distance((0, 1), g) == pytest.approx(1.0)
-    assert point_to_polyline_distance((2, 2), PolyLine([(0, 0), (1, 0)])) == pytest.approx(
+    assert nearest_point_on_polyline((0.5, 0.0), g)[0] == 0.0
+    assert nearest_point_on_polyline((0, 1), g)[0] == pytest.approx(1.0)
+    assert nearest_point_on_polyline((2, 2), PolyLine([(0, 0), (1, 0)]))[0] == pytest.approx(
         math.sqrt(5)
     )
 
@@ -127,15 +125,6 @@ def test_disc_segment_interval_outside_reach_is_empty():
     b = np.array([[1.0, 0.0]])
     lo, hi = disc_segment_intervals((5.0, 0.0), 1.0, a, b)
     assert lo[0] > hi[0]
-
-
-def test_segments_intersect_cases():
-    assert segments_intersect((0, 0), (2, 2), (0, 2), (2, 0))
-    assert segments_intersect((0, 0), (1, 0), (1, 0), (2, 5))  # shared endpoint
-    assert segments_intersect((0, 0), (2, 0), (1, 0), (1, 0))  # point on segment
-    assert not segments_intersect((0, 0), (1, 0), (0, 1), (1, 1))
-    assert not segments_intersect((0, 0), (1, 0), (2, 0), (3, 0))  # collinear gap
-    assert segments_intersect((0, 0), (2, 0), (1, 0), (3, 0))  # collinear overlap
 
 
 def _bits(x: np.ndarray) -> bytes:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pathdist.errors import InputError, StructuralError
 from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
 from pathdist.frechet import frechet_distance
-from pathdist.geometry import DiscQuadratic, PolyLine, point_to_polyline_distance
+from pathdist.geometry import DiscQuadratic, PolyLine, nearest_point_on_polyline
 from pathdist.graph import EmbeddedGraph
 from pathdist.geometry import collapsed_points
 import pathdist.matching as matching
@@ -49,6 +49,10 @@ def test_empty_graph_behavior():
     assert match_decision(curve, empty, 5.0) is False
     with pytest.raises(StructuralError):
         map_match_distance(curve, empty)
+    # A problem prepared against an empty graph has no segments and no joints.
+    problem = MatchProblem(collapsed_points(curve), empty)
+    assert problem.cv.qb2.shape == (2, 0) and problem.jn.qb2.shape == (0, 1)
+    assert match_decision(problem, empty, 5.0) is False and problem.decide(5.0) is False
 
 
 def test_partial_edge_match_is_free():
@@ -127,7 +131,7 @@ def test_nearest_point_matches_per_segment_scan():
             assert d == pytest.approx(want, abs=1e-12)
             assert math.hypot(*(q - p)) == pytest.approx(d, abs=1e-12)
             # The point lies on the edge the query names.
-            assert point_to_polyline_distance(q, h.edges[eid].geometry) <= 1e-12
+            assert nearest_point_on_polyline(q, h.edges[eid].geometry)[0] <= 1e-12
 
 
 def test_nearest_point_ties_take_the_lowest_segment():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathdist.errors import InputError, StructuralError
-from pathdist.geometry import DiscQuadratic, polylines_intersect
+from pathdist.geometry import DiscQuadratic
 from pathdist.graph import EmbeddedGraph
 from pathdist.matching import map_match_distance, match_decision
 from pathdist.pathdistance import (
@@ -28,7 +28,7 @@ from pathdist.pathdistance import (
 from pathdist.paths import VertexPath, enumerate_paths, path_geometry
 from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
 
-from oracles import dense_radius_scan, random_geometric_graph
+from oracles import dense_radius_scan, polylines_meet, random_geometric_graph
 from test_paths import mixed_id_graph
 
 TOL = 1e-3
@@ -736,7 +736,7 @@ def test_crossing_paths_witnesses_intersect():
     ok1, w1 = match_decision(p_horizontal, h, eps, return_witness=True)
     ok2, w2 = match_decision(p_vertical, h, eps, return_witness=True)
     assert ok1 and ok2
-    assert polylines_intersect(w1, w2)
+    assert polylines_meet(w1, w2)
 
 
 def test_strict_mode_filters_and_reports_bound():

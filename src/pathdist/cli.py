@@ -86,27 +86,30 @@ def _read_config(path) -> dict[str, str]:
     return out
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
+def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser) -> None:
     if not getattr(args, "config", None):
         return
-    values = _read_config(args.config)
-    for key, raw in values.items():
-        if not hasattr(args, key):
-            continue
+    command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    # Only the subcommand's own flags take values; a value must pass the flag's choices too.
+    flags = {a.dest: a for a in command._actions if a.option_strings and hasattr(args, a.dest)}
+    for key, raw in _read_config(args.config).items():
         # Flags given explicitly on the command line win over the file.
-        if _given_on_cli(key, argv):
+        if key not in flags or _given_on_cli(key, argv):
             continue
         current = getattr(args, key)
+        value = raw
         if isinstance(current, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
+            value = raw.lower() in ("1", "true", "yes", "on")
         elif isinstance(current, (int, float)):
             try:
-                setattr(args, key, type(current)(raw))
+                value = type(current)(raw)
             except ValueError:
                 kind = type(current).__name__
                 raise PathdistError(f"config key {key!r}: {raw!r} is not a valid {kind}") from None
-        else:
-            setattr(args, key, raw)
+        choices = flags[key].choices
+        if choices is not None and value not in choices:
+            raise PathdistError(f"config key {key!r}: {raw!r} is not one of {list(choices)}")
+        setattr(args, key, value)
 
 
 def _given_on_cli(key: str, argv: list[str]) -> bool:
@@ -134,11 +137,6 @@ def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
 def _graph_pair(args) -> tuple:
     """The ``--from`` and ``--to`` graphs, each contracted if ``--contract`` is given."""
     return load_graph_arg(getattr(args, "from"), args.contract), load_graph_arg(args.to, args.contract)
-
-
-def _summary_path(out: str) -> Path:
-    p = Path(out)
-    return p.with_suffix(p.suffix + ".summary.json") if p.suffix != ".json" else p
 
 
 def _cmd_stats(args) -> int:
@@ -195,7 +193,7 @@ def _cmd_distance(args) -> int:
                 )
             report = PathDistanceReport(k=args.k, direction=direction, records=records)
         report.direction = direction
-        write_json(_summary_path(str(out_path)), report.summary())
+        write_json(out_path.with_name(out_path.name + ".summary.json"), report.summary())
         print(f"{report.direction} k={args.k} max={report.max_distance!r}")
     return EXIT_OK
 
@@ -409,7 +407,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, list(argv))
+        _apply_config(args, list(argv), parser)
         if hasattr(args, "tol"):
             check_tolerance(args.tol)
         return args.fn(args)

@@ -223,16 +223,12 @@ def sample_neighborhood_at(g: EmbeddedGraph, point, params: FScoreParams) -> Sam
     """Like :func:`sample_neighborhood` but seeded at the closest graph point.
 
     Used for the second graph, whose seed is wherever the first graph's seed
-    lands on it.  Returns an empty sample set for an empty graph.
+    lands on it.  Returns an empty sample set for a graph without edges.
     """
     p = np.asarray(point, dtype=float)
-    if g.is_empty() or not g.edges:
+    if not g.edges:
         return SampleSet(seed=(float(p[0]), float(p[1])), points=np.empty((0, 2)))
-    grid = g._frozen_cache.get("fscore_grid")
-    if grid is None:
-        grid = SpatialGrid(g, max(params.max_path_length / 4.0, 1.0))
-        g._frozen_cache["fscore_grid"] = grid
-    _, q, eid = grid.nearest_point(p)
+    _, q, eid = SpatialGrid(g).nearest_point(p)
     edge = g.edges[eid]
     geom = edge.geometry
     # Arc position of the seed on its edge, measured from the u endpoint.

@@ -18,7 +18,6 @@ __all__ = [
     "DiscQuadratic",
     "disc_segment_intervals",
     "segment_terms",
-    "nearest_point_on_polyline",
     "project_onto_segments",
     "collapsed_points",
     "max_distance_to_point",
@@ -234,17 +233,6 @@ def project_onto_segments(p, a: np.ndarray, d: np.ndarray):
     proj = a + u[:, None] * d
     dists = np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1])
     return dists, proj, u
-
-
-def nearest_point_on_polyline(p, g: PolyLine) -> tuple[float, np.ndarray]:
-    """Distance to and coordinates of the closest point of ``g``."""
-    p = np.asarray(p, dtype=float)
-    pts = g.points
-    if pts.shape[0] == 1:
-        return float(np.hypot(*(p - pts[0]))), pts[0].copy()
-    dists, proj, _ = project_onto_segments(p, pts[:-1], np.diff(pts, axis=0))
-    i = int(np.argmin(dists))
-    return float(dists[i]), proj[i]
 
 
 def collapsed_points(curve) -> np.ndarray:

@@ -74,7 +74,6 @@ class EmbeddedGraph:
 
         eitems = edges.items() if isinstance(edges, Mapping) else edges
         self.edges: dict[EdgeId, Edge] = {}
-        adj: dict[VertexId, list[EdgeId]] = {v: [] for v in self.vertices}
         for eid, spec in eitems:
             if eid in self.edges:
                 raise StructuralError(f"duplicate edge id {eid!r}")
@@ -94,10 +93,7 @@ class EmbeddedGraph:
             ):
                 raise StructuralError(f"edge {eid!r} geometry does not join its endpoints")
             self.edges[eid] = Edge(u, v, geom)
-            adj[u].append(eid)
-            adj[v].append(eid)
-        self.adjacency = {v: tuple(ids) for v, ids in adj.items()}
-        self._frozen_cache: dict = {}
+        self._index()
 
     @staticmethod
     def _touches(pt: np.ndarray, vpos: Point2D) -> bool:
@@ -107,15 +103,17 @@ class EmbeddedGraph:
         return (self.vertices, self.edges)
 
     def __setstate__(self, state):
-        vertices, edges = state
-        self.vertices = vertices
-        self.edges = edges
-        adj: dict[VertexId, list[EdgeId]] = {v: [] for v in vertices}
-        for eid, e in edges.items():
+        self.vertices, self.edges = state
+        self._index()
+
+    def _index(self) -> None:
+        """Each vertex's incident edge ids in edge insertion order, and an empty cache."""
+        adj: dict[VertexId, list[EdgeId]] = {v: [] for v in self.vertices}
+        for eid, e in self.edges.items():
             adj[e.u].append(eid)
             adj[e.v].append(eid)
         self.adjacency = {v: tuple(ids) for v, ids in adj.items()}
-        self._frozen_cache = {}
+        self._frozen_cache: dict = {}
 
     def degree(self, vid: VertexId) -> int:
         return len(self.adjacency[vid])

@@ -3,13 +3,12 @@
 ``_SurfaceGeometry`` lays every edge out as rows of ``seg_a``/``seg_b``
 segment endpoints (cached per graph) and numbers the points where segments
 meet, graph vertices and polyline bends alike, as one array of joints.
-Free-space map matching sweeps these rows and glues them at the joints, and
-:func:`nearest_point_on_graph` projects a point onto all of them in one
-pass of ``geometry.project_onto_segments``, the segment projection that every
-nearest-point query shares.  ``SpatialGrid`` buckets edges by grid cell for the
-F-score seeding, which queries far larger maps than a single curve covers,
-and :func:`close_pairs` finds every pair of points within a radius, which
-F-score sampling thins with and its matching joins on.
+Free-space map matching sweeps these rows and glues them at the joints.
+Every nearest-point query projects a point onto a prefix of the rows in one
+pass of ``geometry.project_onto_segments``: :func:`nearest_point_on_graph`
+onto all of them, and the F-score seeding (``SpatialGrid``) onto the edge
+segments alone.  :func:`close_pairs` finds every pair of points within a
+radius, which F-score sampling thins with and its matching joins on.
 """
 
 from __future__ import annotations
@@ -19,12 +18,10 @@ from typing import Hashable
 
 import numpy as np
 
-from .geometry import nearest_point_on_polyline, project_onto_segments, segment_terms
+from .geometry import project_onto_segments, segment_terms
 from .graph import EdgeId, EmbeddedGraph
 
 __all__ = ["SpatialGrid", "close_pairs", "nearest_point_on_graph"]
-
-DEFAULT_CELL_SIZE = 50.0
 
 
 class _SurfaceGeometry:
@@ -38,7 +35,8 @@ class _SurfaceGeometry:
     points.  Segment ``s`` runs from joint ``seg_joint[s][0]`` to joint
     ``seg_joint[s][1]``, and ``incident[j]`` lists the segments that end at
     joint ``j``.  An isolated vertex gets one zero-length segment with edge
-    ``None`` after all edge segments: the constant path at that vertex.
+    ``None`` after all edge segments: the constant path at that vertex.  The
+    first ``n_edge_segments`` rows are therefore the edges alone.
     ``seg_terms`` holds the :func:`~pathdist.geometry.segment_terms` of the
     rows, which every curve's free intervals against them share.
     """
@@ -53,6 +51,7 @@ class _SurfaceGeometry:
         "seg_joint",
         "incident",
         "n_segments",
+        "n_edge_segments",
     )
 
     def __init__(self, g: EmbeddedGraph):
@@ -88,6 +87,7 @@ class _SurfaceGeometry:
         self.seg_joint = seg_joint
         self.incident = incident
         self.n_segments = len(seg_a)
+        self.n_edge_segments = self.n_segments - len(isolated)
 
 
 def surface_geometry(g: EmbeddedGraph) -> _SurfaceGeometry:
@@ -100,77 +100,20 @@ def surface_geometry(g: EmbeddedGraph) -> _SurfaceGeometry:
 
 
 class SpatialGrid:
-    """Buckets of edge ids keyed by integer grid cell."""
+    """The closest point on an edge of ``graph``: the query that seeds the F-score.
 
-    def __init__(self, graph: EmbeddedGraph, cell_size: float = DEFAULT_CELL_SIZE):
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        self.graph = graph
-        self.cell_size = float(cell_size)
-        self.buckets: dict[tuple[int, int], list[EdgeId]] = {}
-        for eid, e in graph.edges.items():
-            cells = set()
-            pts = e.geometry.points
-            for a, b in zip(pts[:-1], pts[1:]):
-                x0, x1 = sorted((a[0], b[0]))
-                y0, y1 = sorted((a[1], b[1]))
-                for cx in range(self._coord(x0), self._coord(x1) + 1):
-                    for cy in range(self._coord(y0), self._coord(y1) + 1):
-                        cells.add((cx, cy))
-            for cell in cells:
-                self.buckets.setdefault(cell, []).append(eid)
-        if self.buckets:
-            # The buckets' bounding cells: no ring past the farthest corner holds an edge.
-            xs, ys = zip(*self.buckets)
-            self.cell_bounds = (min(xs), min(ys), max(xs), max(ys))
+    It projects onto the edge segments of the graph's flattened view, so an
+    isolated vertex is never a seed while the graph has an edge; ties go to
+    the lowest segment index, as in :func:`nearest_point_on_graph`.  A graph
+    without edges answers as that function does.
+    """
 
-    def _coord(self, x: float) -> int:
-        return int(math.floor(x / self.cell_size))
-
-    def cell_of(self, p) -> tuple[int, int]:
-        return (self._coord(p[0]), self._coord(p[1]))
-
-    def _ring(self, center: tuple[int, int], r: int):
-        cx, cy = center
-        if r == 0:
-            yield (cx, cy)
-            return
-        for dx in range(-r, r + 1):
-            yield (cx + dx, cy - r)
-            yield (cx + dx, cy + r)
-        for dy in range(-r + 1, r):
-            yield (cx - r, cy + dy)
-            yield (cx + r, cy + dy)
+    def __init__(self, graph: EmbeddedGraph):
+        self.geom = surface_geometry(graph)
 
     def nearest_point(self, p) -> tuple[float, np.ndarray, EdgeId | None]:
-        """Distance to, coordinates of, and edge of the closest graph point.
-
-        Expands cell rings outward until the unexplored region cannot hold a
-        closer edge; a grid without edges defers to
-        :func:`nearest_point_on_graph`.
-        """
-        if not self.buckets:
-            return nearest_point_on_graph(self.graph, p)
-        p = np.asarray(p, dtype=float)
-        center = self.cell_of(p)
-        x0, y0, x1, y1 = self.cell_bounds
-        max_ring = max(center[0] - x0, x1 - center[0], center[1] - y0, y1 - center[1])
-        best = math.inf
-        best_pt = None
-        best_edge = None
-        seen: set[EdgeId] = set()
-        for r in range(max_ring + 1):
-            if best < (r - 1) * self.cell_size:
-                break  # cells at ring r are at least this far from p
-            for cell in self._ring(center, r):
-                for eid in self.buckets.get(cell, ()):
-                    if eid in seen:
-                        continue
-                    seen.add(eid)
-                    d, q = nearest_point_on_polyline(p, self.graph.edges[eid].geometry)
-                    if d < best:
-                        best, best_pt, best_edge = d, q, eid
-        return best, best_pt, best_edge
+        """Distance to, coordinates of, and edge of the closest edge point."""
+        return _nearest_on_segments(self.geom, p, self.geom.n_edge_segments or self.geom.n_segments)
 
 
 def nearest_point_on_graph(g: EmbeddedGraph, p) -> tuple[float, np.ndarray, EdgeId | None]:
@@ -182,9 +125,14 @@ def nearest_point_on_graph(g: EmbeddedGraph, p) -> tuple[float, np.ndarray, Edge
     A graph without vertices has no closest point: ``(inf, None, None)``.
     """
     geom = surface_geometry(g)
-    if not geom.n_segments:
+    return _nearest_on_segments(geom, p, geom.n_segments)
+
+
+def _nearest_on_segments(geom: _SurfaceGeometry, p, n: int) -> tuple[float, np.ndarray, EdgeId | None]:
+    """The closest point of ``p`` on the first ``n`` segments of ``geom``, lowest index on ties."""
+    if not n:
         return math.inf, None, None
-    dists, proj, _ = project_onto_segments(p, geom.seg_a, geom.seg_d)
+    dists, proj, _ = project_onto_segments(p, geom.seg_a[:n], geom.seg_d[:n])
     s = int(np.argmin(dists))
     return float(dists[s]), proj[s], geom.seg_edge[s]
 

@@ -389,8 +389,7 @@ def sample_neighborhood_at_oracle(g, point, params) -> np.ndarray:
     from pathdist.geometry import project_onto_segments
     from pathdist.spatial import SpatialGrid
 
-    grid = SpatialGrid(g, max(params.max_path_length / 4.0, 1.0))
-    _, q, eid = grid.nearest_point(np.asarray(point, dtype=float))
+    _, q, eid = SpatialGrid(g).nearest_point(np.asarray(point, dtype=float))
     edge = g.edges[eid]
     geom = edge.geometry
     d = np.diff(geom.points, axis=0)

@@ -110,6 +110,21 @@ def test_distance_k2_resume_after_half_the_rows(graph_dirs, tmp_path):
     assert out.read_bytes() == first
 
 
+def test_distance_report_named_json_keeps_its_rows(graph_dirs, tmp_path):
+    # The summary goes next to the report, never over it, whatever --out ends in.
+    gdir, hdir = graph_dirs
+    out = tmp_path / "r.json"
+    argv = ["distance", "--from", gdir, "--to", hdir, "--k", "1", "--out", str(out)]
+    assert main(argv) == 0
+    first = out.read_text()
+    assert first.splitlines()[0] == "path_id,vertex_sequence,path_length_m,match_distance_m"
+    assert len(first.splitlines()) == 13
+    assert json.loads((tmp_path / "r.json.summary.json").read_text())["path_count"] == 12
+    out.write_text("".join(first.splitlines(keepends=True)[:7]))
+    assert main(argv + ["--resume"]) == 0
+    assert out.read_text() == first
+
+
 def test_distance_report_matches_run_all(graph_dirs, tmp_path):
     gdir, hdir = graph_dirs
     out = tmp_path / "report.csv"
@@ -337,6 +352,28 @@ def test_config_value_that_does_not_parse_exits_2(graph_dirs, tmp_path, capsys):
     argv = ["distance", "--from", gdir, "--to", hdir, "--k", "1", "--out", str(tmp_path / "r.csv")]
     assert main(argv + ["--config", str(cfg)]) == 2
     assert "'tol'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line", [("distance", "k = 5"), ("signature", "ramp = foo")])
+def test_config_value_outside_the_flags_choices_exits_2(graph_dirs, tmp_path, capsys, command, line):
+    gdir, hdir = graph_dirs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    argv = [command, "--from", gdir, "--to", hdir, "--out", str(tmp_path / "out.csv"), "--config", str(cfg)]
+    assert main(argv) == 2
+    key, _, value = line.split()
+    err = capsys.readouterr().err
+    assert repr(key) in err and repr(value) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g", "h", "run.cfg"]
+
+
+def test_config_keys_that_name_no_flag_are_ignored(graph_dirs, tmp_path, capsys):
+    # Namespace entries that are not flags (the handler, the subcommand) take no values.
+    gdir, _ = graph_dirs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fn = x\ncommand = distance\nhelp = 1\n")
+    assert main(["stats", "--graph", gdir, "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["edge_count"] == 12
 
 
 def test_distance_resume_refuses_a_report_from_other_inputs(graph_dirs, tmp_path, capsys):

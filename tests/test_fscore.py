@@ -19,13 +19,15 @@ from pathdist.fscore import (
     sample_neighborhood,
     sample_neighborhood_at,
 )
-from pathdist.geometry import PolyLine
+from pathdist.geometry import PolyLine, project_onto_segments
 from pathdist.graph import Edge, EmbeddedGraph
-from pathdist.spatial import close_pairs
+from pathdist.spatial import SpatialGrid, close_pairs
 
 from oracles import (
     brute_close_pairs,
     exhaustive_max_matching,
+    nearest_point_scan,
+    random_geometric_graph,
     sample_neighborhood_at_oracle,
     sample_neighborhood_oracle,
 )
@@ -153,6 +155,47 @@ def test_sample_neighborhood_at_empty_graph():
     empty = EmbeddedGraph([], [])
     params = FScoreParams()
     assert len(sample_neighborhood_at(empty, (0.0, 0.0), params)) == 0
+
+
+def test_seed_skips_an_isolated_vertex_nearer_than_every_edge():
+    # The isolated vertex at the origin is 0.5 from the point, the edge 3.
+    h = EmbeddedGraph([("iso", (0, 0)), ("a", (3, 0)), ("b", (3, 2))], [("e", ("a", "b"))])
+    d, q, eid = SpatialGrid(h).nearest_point((0.0, 0.5))
+    assert (d, q.tolist(), eid) == (3.0, [3.0, 0.5], "e")
+    assert sample_neighborhood_at(h, (0.0, 0.5), FScoreParams()).seed == (3.0, 0.5)
+
+
+def test_seed_without_edges_answers_as_the_whole_view():
+    h = EmbeddedGraph([("a", (0, 0)), ("b", (3, 4))], [])
+    d, q, eid = SpatialGrid(h).nearest_point((3.0, 5.0))
+    assert (d, q.tolist(), eid) == (1.0, [3.0, 4.0], None)
+    assert SpatialGrid(EmbeddedGraph([], [])).nearest_point((0.0, 0.0)) == (math.inf, None, None)
+
+
+@pytest.mark.parametrize("order", [("north", "east"), ("east", "north")])
+def test_seed_tie_at_a_shared_vertex_takes_the_edge_inserted_first(order):
+    # (-3, -4) is 5 from the shared vertex and from nothing nearer on either edge.
+    ends = {"north": (0, 10), "east": (10, 0)}
+    h = EmbeddedGraph(
+        [("o", (0, 0)), *((name, ends[name]) for name in order)],
+        [(name, ("o", name)) for name in order],
+    )
+    d, q, eid = SpatialGrid(h).nearest_point((-3.0, -4.0))
+    assert (d, q.tolist(), eid) == (5.0, [0.0, 0.0], order[0])
+
+
+def test_seed_distance_equals_the_segment_scan():
+    for seed in range(8):
+        rng = np.random.default_rng(500 + seed)
+        h = random_geometric_graph(rng, 7, 3, 10.0)
+        grid = SpatialGrid(h)
+        for p in np.vstack([rng.uniform(-3, 13, (20, 2)), list(h.vertices.values())]):
+            d, q, eid = grid.nearest_point(p)
+            assert d == pytest.approx(nearest_point_scan(h, p)[0], abs=1e-12)
+            assert math.hypot(*(q - p)) == pytest.approx(d, abs=1e-12)
+            e = h.edges[eid]
+            a, b = np.asarray(h.vertices[e.u]), np.asarray(h.vertices[e.v])
+            assert project_onto_segments(q, a[None], (b - a)[None])[0][0] <= 1e-12
 
 
 def test_bottleneck_match_identical_sets():

@@ -10,10 +10,11 @@ from pathdist.geometry import (
     DiscQuadratic,
     PolyLine,
     disc_segment_intervals,
-    nearest_point_on_polyline,
     project_onto_segments,
     segment_terms,
 )
+from pathdist.graph import EmbeddedGraph
+from pathdist.spatial import nearest_point_on_graph
 
 
 def test_polyline_requires_finite_coordinates():
@@ -81,19 +82,22 @@ def test_point_segment_distance_examples():
     assert dists[0] == 0.0 and u[0] == 0.0 and proj[0].tolist() == [5.0, 5.0]
 
 
+def one_edge(points) -> EmbeddedGraph:
+    return EmbeddedGraph([(0, points[0]), (1, points[-1])], [("e", (0, 1, points))])
+
+
 def test_point_to_polyline_distance_examples():
-    g = PolyLine([(-1, 0), (1, 0)])
-    assert nearest_point_on_polyline((0.5, 0.0), g)[0] == 0.0
-    assert nearest_point_on_polyline((0, 1), g)[0] == pytest.approx(1.0)
-    assert nearest_point_on_polyline((2, 2), PolyLine([(0, 0), (1, 0)]))[0] == pytest.approx(
-        math.sqrt(5)
-    )
+    g = one_edge([(-1, 0), (1, 0)])
+    assert nearest_point_on_graph(g, (0.5, 0.0))[0] == 0.0
+    assert nearest_point_on_graph(g, (0, 1))[0] == pytest.approx(1.0)
+    assert nearest_point_on_graph(one_edge([(0, 0), (1, 0)]), (2, 2))[0] == pytest.approx(math.sqrt(5))
 
 
 def test_nearest_point_on_polyline_projects_onto_interior():
-    d, q = nearest_point_on_polyline((0.25, 3.0), PolyLine([(0, 0), (1, 0)]))
+    d, q, eid = nearest_point_on_graph(one_edge([(0, 0), (1, 0)]), (0.25, 3.0))
     assert d == pytest.approx(3.0)
     assert np.allclose(q, (0.25, 0.0))
+    assert eid == "e"
 
 
 def test_disc_segment_intervals_basic():

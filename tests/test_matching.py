@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pathdist.errors import InputError, StructuralError
 from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
 from pathdist.frechet import frechet_distance
-from pathdist.geometry import DiscQuadratic, PolyLine, nearest_point_on_polyline
+from pathdist.geometry import DiscQuadratic, PolyLine, project_onto_segments
 from pathdist.graph import EmbeddedGraph
 from pathdist.geometry import collapsed_points
 import pathdist.matching as matching
@@ -131,7 +131,8 @@ def test_nearest_point_matches_per_segment_scan():
             assert d == pytest.approx(want, abs=1e-12)
             assert math.hypot(*(q - p)) == pytest.approx(d, abs=1e-12)
             # The point lies on the edge the query names.
-            assert nearest_point_on_polyline(q, h.edges[eid].geometry)[0] <= 1e-12
+            pts = h.edges[eid].geometry.points
+            assert project_onto_segments(q, pts[:-1], np.diff(pts, axis=0))[0].min() <= 1e-12
 
 
 def test_nearest_point_ties_take_the_lowest_segment():

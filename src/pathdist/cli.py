@@ -31,6 +31,7 @@ from .fscore import FScoreParams, fscore_analysis
 from .geometry import PolyLine
 from .graph import csv_rows, finite_coordinates, graph_stats, write_graph_csv
 from .matching import map_match_distance
+from .parallel import run_pool
 from .pathdistance import (
     PathDistanceReport,
     directed_path_distance,
@@ -117,11 +118,22 @@ def _given_on_cli(key: str, argv: list[str]) -> bool:
     return any(a == flag or a.startswith(flag + "=") for a in argv)
 
 
+def _worker_count(text: str) -> int:
+    """A ``--workers`` value: a process count, so at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 _SHARED_FLAGS = {
     "from": dict(required=True, help="source graph"),
     "to": dict(required=True, help="target graph"),
     "tol": dict(type=float, default=DEFAULT_TOLERANCE, help="bisection tolerance in meters"),
-    "workers": dict(type=int, default=1, help="parallel worker processes"),
+    "workers": dict(type=_worker_count, default=1, help="parallel worker processes"),
     "contract": dict(action="store_true", help="contract degree-2 chains after loading"),
     "out-dir": dict(required=True, help="directory for output artifacts"),
 }
@@ -410,7 +422,9 @@ def main(argv=None) -> int:
         _apply_config(args, list(argv), parser)
         if hasattr(args, "tol"):
             check_tolerance(args.tol)
-        return args.fn(args)
+        # One pool serves every pass of the run and is joined before main returns.
+        with run_pool(getattr(args, "workers", 1)):
+            return args.fn(args)
     except FileNotFoundError as exc:
         print(f"pathdist: missing file: {exc}", file=sys.stderr)
         return EXIT_USAGE

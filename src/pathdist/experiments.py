@@ -24,7 +24,7 @@ from .atomic import atomic_write, write_json
 from .errors import InputError
 from .frechet import DEFAULT_TOLERANCE, check_tolerance
 from .graph import EmbeddedGraph, contract_degree_two, export_geojson, graph_stats, load_graph
-from .parallel import run_chunked
+from .parallel import run_chunked, run_pool
 from .pathdistance import (
     path_distance_analysis,
     max_path_distance,
@@ -210,14 +210,15 @@ def run_perturbation_study(
         raise InputError("need at least one perturbation index")
     base = grid_graph()
     result = StudyResult(p_values=list(p_values), k=k, tol=tol, rng_seed=rng_seed)
-    for pi, p in enumerate(p_values):
-        spec = PerturbationSpec(p=p, seed_count=seed_count, rng_seed=(rng_seed, pi))
-        graphs = generate_perturbed(spec)
-        fn = functools.partial(_study_distance, base, k, tol)
-        distances: list[float] = []
-        for chunk in run_chunked(fn, graphs, workers):
-            distances.extend(chunk)
-        result.rows.extend((p, s, d) for s, d in enumerate(distances))
+    with run_pool(workers):
+        for pi, p in enumerate(p_values):
+            spec = PerturbationSpec(p=p, seed_count=seed_count, rng_seed=(rng_seed, pi))
+            graphs = generate_perturbed(spec)
+            fn = functools.partial(_study_distance, base, k, tol)
+            distances: list[float] = []
+            for chunk in run_chunked(fn, graphs, workers):
+                distances.extend(chunk)
+            result.rows.extend((p, s, d) for s, d in enumerate(distances))
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -298,24 +299,25 @@ def run_all(config: RunConfig) -> Path:
     if config.both_directions:
         directions.append(("hg", h, g))
     curves = {}
-    for tag, src, dst in directions:
-        # Each k's values floor the bisections of the k+1 paths they are part of.
-        tables: dict[int, dict] = {}
-        for k in config.k_values:
-            report, edge_sig, _vertex_sig = path_distance_analysis(
-                src, dst, k, config.tol, workers=config.workers, sub_distances=tables.get(k - 1)
-            )
-            tables[k] = {r.path: r.distance for r in report.records}
-            with atomic_write(track(f"distance_{tag}_k{k}.csv"), newline="") as fh:
-                write_records_csv(report.records, fh)
-            write_json(track(f"distance_{tag}_k{k}.summary.json"), report.summary())
-            with atomic_write(track(f"signature_{tag}_k{k}.csv"), newline="") as fh:
-                write_signature_csv(edge_sig, fh)
-            export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.svg"), "svg")
-            export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.geojson"), "geojson")
-            curves[f"{tag} k={k}"] = cdf(edge_sig)
-        census = separation_census(src, dst, config.tol, workers=config.workers, tables=tables)
-        write_json(track(f"separation_{tag}.json"), [rep.summary() for rep in census])
+    with run_pool(config.workers):
+        for tag, src, dst in directions:
+            # Each k's values floor the bisections of the k+1 paths they are part of.
+            tables: dict[int, dict] = {}
+            for k in config.k_values:
+                report, edge_sig, _vertex_sig = path_distance_analysis(
+                    src, dst, k, config.tol, workers=config.workers, sub_distances=tables.get(k - 1)
+                )
+                tables[k] = {r.path: r.distance for r in report.records}
+                with atomic_write(track(f"distance_{tag}_k{k}.csv"), newline="") as fh:
+                    write_records_csv(report.records, fh)
+                write_json(track(f"distance_{tag}_k{k}.summary.json"), report.summary())
+                with atomic_write(track(f"signature_{tag}_k{k}.csv"), newline="") as fh:
+                    write_signature_csv(edge_sig, fh)
+                export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.svg"), "svg")
+                export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.geojson"), "geojson")
+                curves[f"{tag} k={k}"] = cdf(edge_sig)
+            census = separation_census(src, dst, config.tol, workers=config.workers, tables=tables)
+            write_json(track(f"separation_{tag}.json"), [rep.summary() for rep in census])
     export_cdf_plot(list(curves.values()), list(curves.keys()), track("cdf.svg"))
 
     manifest = {

@@ -300,6 +300,38 @@ def test_missing_or_unread_flag_is_a_usage_error(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "--out", "r.csv"],
+        ["signature", "--out", "s.csv"],
+        ["separation", "--out", "sep.json"],
+        ["fscore", "--out", "f.csv"],
+        ["study", "--p-values", "0.5", "--seeds", "1", "--out-dir", "study"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_workers_below_one_is_a_usage_error(argv, graph_dirs, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    gdir, hdir = graph_dirs
+    pair = [] if argv[0] == "study" else ["--from", gdir, "--to", hdir]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + pair + ["--workers", "0"])
+    assert exc.value.code == 1
+    assert "--workers: must be >= 1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g", "h"]
+
+
+def test_workers_below_one_in_a_config_file_exits_2(graph_dirs, tmp_path, capsys):
+    gdir, hdir = graph_dirs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = -2\n")
+    out = tmp_path / "r.csv"
+    assert main(["distance", "--from", gdir, "--to", hdir, "--out", str(out), "--config", str(cfg)]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "r.csv.fingerprint").exists()
+
+
 def test_data_error_dangling_edge_exits_2(tmp_path):
     (tmp_path / "vertices.csv").write_text("id,x,y\na,0,0\n")
     (tmp_path / "edges.csv").write_text("id,u,v\ne,a,zz\n")

@@ -48,6 +48,7 @@ from .pathdistance import (
     separation_census,
     undirected_path_distance,
 )
+from .parallel import run_pool
 from .paths import VertexPath, enumerate_paths, path_geometry
 from .signatures import CdfCurve, SignatureMap, cdf, cdf_at, export_cdf_plot, export_heatmap
 from .spatial import SpatialGrid
@@ -100,6 +101,7 @@ __all__ = [
     "path_geometry",
     "run_all",
     "run_perturbation_study",
+    "run_pool",
     "sample_neighborhood",
     "sample_neighborhood_at",
     "separation_census",

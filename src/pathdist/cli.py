@@ -29,12 +29,13 @@ from .experiments import (
 from .frechet import DEFAULT_TOLERANCE, check_tolerance, frechet_distance
 from .fscore import FScoreParams, fscore_analysis
 from .geometry import PolyLine
-from .graph import csv_rows, finite_coordinates, graph_stats, write_graph_csv
+from .graph import csv_rows, finite_numbers, graph_stats, open_text, write_graph_csv
 from .matching import map_match_distance
 from .parallel import run_pool
 from .pathdistance import (
     PathDistanceReport,
     directed_path_distance,
+    directions,
     iter_match_records,
     path_distance_analysis,
     read_records_csv,
@@ -69,21 +70,20 @@ def load_curve(path) -> PolyLine:
             continue
         if len(row) != 2:
             raise ParseError(f"curve row needs 2 fields, got {len(row)}", lineno)
-        pts.append(finite_coordinates(row, "curve", lineno))
+        pts.append(finite_numbers(row, "curve coordinates", lineno))
     return PolyLine(pts)
 
 
 def _read_config(path) -> dict[str, str]:
     out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise PathdistError(f"config line without '=': {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for raw in open_text(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise PathdistError(f"config line without '=': {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -107,6 +107,11 @@ def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.Ar
             except ValueError:
                 kind = type(current).__name__
                 raise PathdistError(f"config key {key!r}: {raw!r} is not a valid {kind}") from None
+        elif flags[key].type is not None:
+            try:
+                value = flags[key].type(raw)
+            except argparse.ArgumentTypeError as exc:
+                raise PathdistError(f"config key {key!r}: {exc}") from None
         choices = flags[key].choices
         if choices is not None and value not in choices:
             raise PathdistError(f"config key {key!r}: {raw!r} is not one of {list(choices)}")
@@ -127,6 +132,14 @@ def _worker_count(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def _p_values(text: str) -> list[float]:
+    """A ``--p-values`` value: comma-separated perturbation indices."""
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float list: {text!r}") from None
 
 
 _SHARED_FLAGS = {
@@ -165,13 +178,9 @@ def _cmd_distance(args) -> int:
         print("pathdist: --resume cannot be combined with --strict", file=sys.stderr)
         return EXIT_USAGE
     g, h = _graph_pair(args)
-    jobs = [("", g, h)]
-    if args.both:
-        jobs = [("_gh", g, h), ("_hg", h, g)]
-    for tag, src, dst in jobs:
-        out = Path(args.out)
-        out_path = out.with_name(out.stem + tag + out.suffix) if tag else out
-        direction = "H->G" if tag == "_hg" else "G->H"
+    out = Path(args.out)
+    for tag, direction, src, dst in directions(g, h, args.both):
+        out_path = out.with_name(f"{out.stem}_{tag}{out.suffix}") if args.both else out
         fingerprint_path = out_path.with_name(out_path.name + ".fingerprint")
         fingerprint = _fingerprint(src, dst, args.k, args.tol, direction)
         known: dict[int, float] = {}
@@ -184,24 +193,18 @@ def _cmd_distance(args) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_DATA
-            with open(out_path) as fh:
-                known = read_records_csv(fh)
+            known = read_records_csv(open_text(out_path))
         with atomic_write(fingerprint_path) as fh:
             fh.write(fingerprint + "\n")
         if args.strict:
-            report = directed_path_distance(
-                src, dst, args.k, args.tol, workers=args.workers, strict=True
-            )
+            report = directed_path_distance(src, dst, args.k, args.tol, strict=True)
             with atomic_write(out_path, newline="") as fh:
                 write_records_csv(report.records, fh)
         else:
             # Stream rows as chunks complete so long runs are restartable.
             with open(out_path, "w", newline="") as fh:
                 records = write_records_csv(
-                    iter_match_records(
-                        src, dst, args.k, args.tol, workers=args.workers, known=known or None
-                    ),
-                    fh,
+                    iter_match_records(src, dst, args.k, args.tol, known=known or None), fh
                 )
             report = PathDistanceReport(k=args.k, direction=direction, records=records)
         report.direction = direction
@@ -234,7 +237,7 @@ def _fingerprint(src, dst, k: int, tol: float, direction: str) -> str:
 
 def _cmd_signature(args) -> int:
     g, h = _graph_pair(args)
-    _, edge_sig, _ = path_distance_analysis(g, h, args.k, args.tol, workers=args.workers)
+    _, edge_sig, _ = path_distance_analysis(g, h, args.k, args.tol)
     with atomic_write(args.out, newline="") as fh:
         write_signature_csv(edge_sig, fh)
     if args.heatmap:
@@ -246,8 +249,7 @@ def _cmd_signature(args) -> int:
 
 
 def _cmd_cdf(args) -> int:
-    with open(args.sig, newline="") as fh:
-        rows = read_signature_csv(fh)
+    rows = read_signature_csv(open_text(args.sig))
     curve = cdf_from_signature_rows(rows)
     with atomic_write(args.out) as fh:
         fh.write("x_m,fraction\n")
@@ -261,7 +263,7 @@ def _cmd_cdf(args) -> int:
 
 def _cmd_separation(args) -> int:
     g, h = _graph_pair(args)
-    doc = [r.summary() for r in separation_census(g, h, args.tol, workers=args.workers)]
+    doc = [r.summary() for r in separation_census(g, h, args.tol)]
     if args.out:
         write_json(args.out, doc)
     print(json.dumps(doc, indent=1, sort_keys=True))
@@ -290,7 +292,7 @@ def _cmd_fscore(args) -> int:
         matched_distance=args.match_dist,
         max_path_length=args.max_path,
     )
-    result = fscore_analysis(g, h, params, workers=args.workers)
+    result = fscore_analysis(g, h, params)
     with atomic_write(args.out, newline="") as fh:
         write_signature_csv(result.edge_scores, fh)
     if args.heatmap:
@@ -319,9 +321,8 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    p_values = [float(x) for x in args.p_values.split(",") if x.strip()]
     result = run_perturbation_study(
-        p_values,
+        args.p_values,
         args.seeds,
         args.k,
         args.tol,
@@ -403,7 +404,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_perturb)
 
     p = sub.add_parser("study", help="perturbed-grid distance study")
-    p.add_argument("--p-values", default="0.1,0.3,0.5,0.7,0.9")
+    p.add_argument("--p-values", type=_p_values, default="0.1,0.3,0.5,0.7,0.9")
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--rng-seed", type=int, default=0)

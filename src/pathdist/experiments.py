@@ -26,6 +26,7 @@ from .frechet import DEFAULT_TOLERANCE, check_tolerance
 from .graph import EmbeddedGraph, contract_degree_two, export_geojson, graph_stats, load_graph
 from .parallel import run_chunked, run_pool
 from .pathdistance import (
+    directions,
     path_distance_analysis,
     max_path_distance,
     separation_census,
@@ -216,7 +217,7 @@ def run_perturbation_study(
             graphs = generate_perturbed(spec)
             fn = functools.partial(_study_distance, base, k, tol)
             distances: list[float] = []
-            for chunk in run_chunked(fn, graphs, workers):
+            for chunk in run_chunked(fn, graphs):
                 distances.extend(chunk)
             result.rows.extend((p, s, d) for s, d in enumerate(distances))
     if out_dir is not None:
@@ -295,18 +296,16 @@ def run_all(config: RunConfig) -> Path:
         write_json(track(f"stats_{name}.json"), graph_stats(graph)._asdict())
         export_geojson(graph, track(f"graph_{name}.geojson"))
 
-    directions = [("gh", g, h)]
-    if config.both_directions:
-        directions.append(("hg", h, g))
     curves = {}
     with run_pool(config.workers):
-        for tag, src, dst in directions:
+        for tag, direction, src, dst in directions(g, h, config.both_directions):
             # Each k's values floor the bisections of the k+1 paths they are part of.
             tables: dict[int, dict] = {}
             for k in config.k_values:
                 report, edge_sig, _vertex_sig = path_distance_analysis(
-                    src, dst, k, config.tol, workers=config.workers, sub_distances=tables.get(k - 1)
+                    src, dst, k, config.tol, sub_distances=tables.get(k - 1)
                 )
+                report.direction = direction
                 tables[k] = {r.path: r.distance for r in report.records}
                 with atomic_write(track(f"distance_{tag}_k{k}.csv"), newline="") as fh:
                     write_records_csv(report.records, fh)
@@ -316,7 +315,7 @@ def run_all(config: RunConfig) -> Path:
                 export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.svg"), "svg")
                 export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.geojson"), "geojson")
                 curves[f"{tag} k={k}"] = cdf(edge_sig)
-            census = separation_census(src, dst, config.tol, workers=config.workers, tables=tables)
+            census = separation_census(src, dst, config.tol, tables=tables)
             write_json(track(f"separation_{tag}.json"), [rep.summary() for rep in census])
     export_cdf_plot(list(curves.values()), list(curves.keys()), track("cdf.svg"))
 

@@ -383,8 +383,6 @@ def fscore_analysis(
     g: EmbeddedGraph,
     h: EmbeddedGraph,
     params: FScoreParams | None = None,
-    *,
-    workers: int = 1,
 ) -> FScoreResult:
     """Per-vertex and per-edge F-scores of ``g`` against ``h`` plus global tally.
 
@@ -398,7 +396,7 @@ def fscore_analysis(
     seeds = list(g.vertices)
     fn = functools.partial(_seed_counts, g, h, params)
     counts: list[tuple[int, int, int]] = []
-    for chunk in run_chunked(fn, seeds, workers):
+    for chunk in run_chunked(fn, seeds):
         counts.extend(chunk)
     vertex_scores: dict[VertexId, float] = {}
     per_seed = []

@@ -10,8 +10,10 @@ share across worker processes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+from pathlib import Path
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -145,24 +147,36 @@ def graph_stats(g: EmbeddedGraph) -> GraphStats:
     )
 
 
+def open_text(path) -> io.StringIO:
+    """A file's text, read as UTF-8 with its line endings kept (as ``newline=""``).
+
+    Bytes that are not UTF-8 raise a :class:`ParseError` with their line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}", line) from None
+
+
 def csv_rows(path):
     """``(line number, stripped cells)`` of each non-blank row of a CSV file."""
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            yield lineno, [cell.strip() for cell in row]
+    for lineno, row in enumerate(csv.reader(open_text(path)), start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        yield lineno, [cell.strip() for cell in row]
 
 
-def finite_coordinates(cells: list[str], what: str, lineno: int) -> list[float]:
-    """The cells as floats; a ParseError at ``lineno`` unless all are finite numbers."""
+def finite_numbers(cells: list[str], what: str, lineno: int, low: float = -math.inf) -> list[float]:
+    """The cells as floats; a ParseError at ``lineno`` unless all are finite and >= ``low``."""
     try:
-        coords = [float(c) for c in cells]
+        values = [float(c) for c in cells]
     except ValueError as exc:
-        raise ParseError(f"bad {what} coordinates: {exc}", lineno) from exc
-    if not all(math.isfinite(c) for c in coords):
-        raise ParseError(f"{what} coordinates must be finite", lineno)
-    return coords
+        raise ParseError(f"bad {what}: {exc}", lineno) from exc
+    if not all(math.isfinite(v) and v >= low for v in values):
+        raise ParseError(f"{what} out of range: {', '.join(cells)}", lineno)
+    return values
 
 
 def load_graph(vertex_file, edge_file) -> EmbeddedGraph:
@@ -182,7 +196,7 @@ def load_graph(vertex_file, edge_file) -> EmbeddedGraph:
         if len(row) != 3:
             raise ParseError(f"vertex row needs 3 fields, got {len(row)}", lineno)
         vid = row[0]
-        x, y = finite_coordinates(row[1:], "vertex", lineno)
+        x, y = finite_numbers(row[1:], "vertex coordinates", lineno)
         if vid in seen_v:
             raise ParseError(f"duplicate vertex id {vid!r}", lineno)
         seen_v.add(vid)
@@ -202,7 +216,7 @@ def load_graph(vertex_file, edge_file) -> EmbeddedGraph:
         if eid in seen_e:
             raise ParseError(f"duplicate edge id {eid!r}", lineno)
         seen_e.add(eid)
-        coords = finite_coordinates(row[3:], "edge", lineno)
+        coords = finite_numbers(row[3:], "edge coordinates", lineno)
         interior = list(zip(coords[0::2], coords[1::2]))
         if u not in vpos or v not in vpos:
             missing = u if u not in vpos else v

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InputError, ParseError, StructuralError
 from .frechet import DEFAULT_TOLERANCE
 from .geometry import max_distance_to_point
-from .graph import EmbeddedGraph, VertexId
+from .graph import EmbeddedGraph, VertexId, finite_numbers
 from .matching import map_match_distance, prepare_problems
 from .parallel import iter_chunked, run_chunked
 from .paths import VertexPath, canonical_test, enumerate_paths, path_curves
@@ -97,6 +97,11 @@ class PathDistanceReport:
             out["strict"] = True
             out["strict_bound"] = self.strict_bound
         return out
+
+
+def directions(g: EmbeddedGraph, h: EmbeddedGraph, both: bool) -> list[tuple]:
+    """``(tag, direction, source, target)`` per pass, G->H then H->G if ``both``; tags name files."""
+    return [("gh", "G->H", g, h), ("hg", "H->G", h, g)][: 2 if both else 1]
 
 
 @dataclass
@@ -190,7 +195,6 @@ def _distances(
     paths: list[VertexPath],
     curves: list[np.ndarray],
     tol: float,
-    workers: int,
     sub_distances: dict | None = None,
 ):
     """Yield chunks of the distances of ``paths`` (all of one link-length), in order.
@@ -203,10 +207,10 @@ def _distances(
     if sub_distances is None and paths and paths[0].link_length > 1:
         subs = list(dict.fromkeys(s for pair in _sub_paths(g, paths) for s in pair))
         sub_curves = path_curves(g, subs)
-        chunks = _distances(g, h, subs, sub_curves, tol, workers)
+        chunks = _distances(g, h, subs, sub_curves, tol)
         sub_distances = dict(zip(subs, (d for chunk in chunks for d in chunk)))
     items = list(zip(curves, _lower_bounds(g, paths, sub_distances)))
-    yield from iter_chunked(functools.partial(_chunk_distances, h, tol), items, workers)
+    yield from iter_chunked(functools.partial(_chunk_distances, h, tol), items)
 
 
 def iter_match_records(
@@ -215,7 +219,6 @@ def iter_match_records(
     k: int,
     tol: float = DEFAULT_TOLERANCE,
     *,
-    workers: int = 1,
     known: dict[int, float] | None = None,
     sub_distances: dict[VertexPath, float] | None = None,
 ):
@@ -238,9 +241,7 @@ def iter_match_records(
     paths = list(enumerate_paths(g, k))
     curves, lengths = path_curves(g, paths, return_lengths=True)
     todo = [i for i in range(len(paths)) if known is None or i not in known]
-    computed = _distances(
-        g, h, [paths[i] for i in todo], [curves[i] for i in todo], tol, workers, sub_distances
-    )
+    computed = _distances(g, h, [paths[i] for i in todo], [curves[i] for i in todo], tol, sub_distances)
     # Chunks are pulled one at a time, as the records that need them are taken.
     distances = (d for chunk in computed for d in chunk)
     for i, (p, length) in enumerate(zip(paths, lengths)):
@@ -254,7 +255,6 @@ def match_all_paths(
     k: int,
     tol: float = DEFAULT_TOLERANCE,
     *,
-    workers: int = 1,
     known: dict[int, float] | None = None,
     sub_distances: dict[VertexPath, float] | None = None,
 ) -> list[PathRecord]:
@@ -262,11 +262,7 @@ def match_all_paths(
 
     ``known`` and ``sub_distances`` are as for :func:`iter_match_records`.
     """
-    return list(
-        iter_match_records(
-            g, h, k, tol, workers=workers, known=known, sub_distances=sub_distances
-        )
-    )
+    return list(iter_match_records(g, h, k, tol, known=known, sub_distances=sub_distances))
 
 
 def max_path_distance(
@@ -275,7 +271,6 @@ def max_path_distance(
     k: int,
     tol: float = DEFAULT_TOLERANCE,
     *,
-    workers: int = 1,
     sub_distances: dict[VertexPath, float] | None = None,
 ) -> float:
     """The directed distance alone, skipping per-path bookkeeping.
@@ -291,11 +286,11 @@ def max_path_distance(
     paths = list(enumerate_paths(g, k))
     items = list(zip(path_curves(g, paths), _lower_bounds(g, paths, sub_distances)))
     fn = functools.partial(_chunk_max, h, tol)
-    maxima = run_chunked(fn, items, workers)
+    maxima = run_chunked(fn, items)
     return max(maxima, default=0.0)
 
 
-def _delta(g: EmbeddedGraph, h: EmbeddedGraph, k: int, tol: float, workers: int, tables: dict) -> float:
+def _delta(g: EmbeddedGraph, h: EmbeddedGraph, k: int, tol: float, tables: dict) -> float:
     """Δk from what ``tables`` (as for :func:`separation_census`) already holds.
 
     With Δk's own table, Δk is its maximum, the float :func:`max_path_distance`
@@ -303,18 +298,17 @@ def _delta(g: EmbeddedGraph, h: EmbeddedGraph, k: int, tol: float, workers: int,
     """
     if k in tables:
         return max(tables[k].values(), default=0.0)
-    return max_path_distance(g, h, k, tol, workers=workers, sub_distances=tables.get(k - 1))
+    return max_path_distance(g, h, k, tol, sub_distances=tables.get(k - 1))
 
 
 def _strict_good_vertices(
     g: EmbeddedGraph,
     h: EmbeddedGraph,
     tol: float,
-    workers: int,
     tables: dict,
 ) -> tuple[set[VertexId], float, dict[VertexId, float]]:
     """Vertices admissible as strict path interiors, with Δ3 (see :func:`_delta`) and radii."""
-    d3 = _delta(g, h, 3, tol, workers, tables)
+    d3 = _delta(g, h, 3, tol, tables)
     radii = {v: intersection_radius(g, v, d3) for v in g.vertices}
     good = {v for v in g.vertices if math.isfinite(radii[v]) and g.degree(v) != 3}
     return good, d3, radii
@@ -326,7 +320,6 @@ def directed_path_distance(
     k: int,
     tol: float = DEFAULT_TOLERANCE,
     *,
-    workers: int = 1,
     strict: bool = False,
 ) -> PathDistanceReport:
     """Directed link-length-``k`` path distance from ``g`` into ``h``.
@@ -338,11 +331,11 @@ def directed_path_distance(
     apart, the report carries the diagnostic upper bound ``2*r + Δ3`` for
     the unrestricted-path distance.
     """
-    records = match_all_paths(g, h, k, tol, workers=workers)
+    records = match_all_paths(g, h, k, tol)
     report = PathDistanceReport(k=k, direction="G->H", records=records)
     if strict:
         tables = {k: {r.path: r.distance for r in records}}
-        good, d3, radii = _strict_good_vertices(g, h, tol, workers, tables)
+        good, d3, radii = _strict_good_vertices(g, h, tol, tables)
         report.records = [
             r for r in records if all(v in good for v in r.path.vertex_ids[1:-1])
         ]
@@ -356,13 +349,11 @@ def undirected_path_distance(
     h: EmbeddedGraph,
     k: int,
     tol: float = DEFAULT_TOLERANCE,
-    *,
-    workers: int = 1,
 ) -> float:
     """Maximum of the two directional distances, like undirected Hausdorff."""
     return max(
-        max_path_distance(g, h, k, tol, workers=workers),
-        max_path_distance(h, g, k, tol, workers=workers),
+        max_path_distance(g, h, k, tol),
+        max_path_distance(h, g, k, tol),
     )
 
 
@@ -397,7 +388,6 @@ def path_distance_analysis(
     k: int,
     tol: float = DEFAULT_TOLERANCE,
     *,
-    workers: int = 1,
     sub_distances: dict[VertexPath, float] | None = None,
 ) -> tuple[PathDistanceReport, SignatureMap, SignatureMap]:
     """One matching pass yielding the report and both signature maps.
@@ -407,7 +397,7 @@ def path_distance_analysis(
     edges and vertices, so both maps fall out of the same records.
     ``sub_distances`` is as for :func:`iter_match_records`.
     """
-    records = match_all_paths(g, h, k, tol, workers=workers, sub_distances=sub_distances)
+    records = match_all_paths(g, h, k, tol, sub_distances=sub_distances)
     report = PathDistanceReport(k=k, direction="G->H", records=records)
     # Keys in first-path order, not set order, which PYTHONHASHSEED changes.
     edge_values = _aggregate(records, lambda p: p.edge_ids)
@@ -519,7 +509,6 @@ def separation_census(
     h: EmbeddedGraph,
     tol: float = DEFAULT_TOLERANCE,
     *,
-    workers: int = 1,
     tables: dict[int, dict[VertexPath, float]] | None = None,
 ) -> list[SeparationReport]:
     """Count d-separated vertices of ``g`` for d = Δ1, Δ2, Δ3 into ``h``.
@@ -532,7 +521,7 @@ def separation_census(
     tables = tables or {}
     reports = []
     for k in (1, 2, 3):
-        dk = _delta(g, h, k, tol, workers, tables)
+        dk = _delta(g, h, k, tol, tables)
         per_vertex = {v: intersection_radius(g, v, dk) for v in g.vertices}
         reports.append(SeparationReport(k=k, d=dk, per_vertex=per_vertex))
     return reports
@@ -560,7 +549,8 @@ def read_records_csv(fh) -> dict[int, float]:
 
     The writer ends every row with a newline and flushes it, so a last line
     without one was cut off mid-write (say, by a crash) and is dropped.  Any
-    other malformed row raises a :class:`ParseError` with its line number.
+    other malformed row, or a distance that is not a finite number >= 0,
+    raises a :class:`ParseError` with its line number.
     """
     text = fh.read()
     if not text.endswith("\n"):
@@ -572,7 +562,8 @@ def read_records_csv(fh) -> dict[int, float]:
         if len(row) != 4:
             raise ParseError(f"report row needs 4 fields, got {len(row)}", reader.line_num)
         try:
-            out[int(row[0])] = float(row[3])
+            path_id = int(row[0])
         except ValueError as exc:
             raise ParseError(f"bad report row: {exc}", reader.line_num) from exc
+        out[path_id] = finite_numbers(row[3:], "match distance", reader.line_num, 0.0)[0]
     return out

@@ -17,7 +17,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .errors import InputError, ParseError, StructuralError
-from .graph import EmbeddedGraph, linestring_collection, write_geojson
+from .graph import EmbeddedGraph, finite_numbers, linestring_collection, write_geojson
 from .svgplot import CURVE_COLORS, PLOT_SIZE, SvgCanvas, ramp_color, world_transform
 
 __all__ = [
@@ -242,7 +242,8 @@ def write_signature_csv(sig: SignatureMap, fh) -> None:
 def read_signature_csv(fh) -> list[tuple[str, float, float]]:
     """(edge_id, length, signature) triples from a signature CSV.
 
-    A malformed row raises a :class:`ParseError` with its line number.
+    A malformed row, or a length or signature that is not a finite number
+    >= 0, raises a :class:`ParseError` with its line number.
     """
     reader = csv.reader(fh)
     next(reader, None)  # header
@@ -250,10 +251,8 @@ def read_signature_csv(fh) -> list[tuple[str, float, float]]:
     for row in filter(None, reader):
         if len(row) != 3:
             raise ParseError(f"signature row needs 3 fields, got {len(row)}", reader.line_num)
-        try:
-            rows.append((row[0], float(row[1]), float(row[2])))
-        except ValueError as exc:
-            raise ParseError(f"bad signature row: {exc}", reader.line_num) from exc
+        length, value = finite_numbers(row[1:], "signature row", reader.line_num, 0.0)
+        rows.append((row[0], length, value))
     return rows
 
 

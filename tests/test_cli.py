@@ -139,13 +139,16 @@ def test_cli_artifacts_match_run_all(graph_dirs, tmp_path):
     cli = tmp_path / "cli"
     cli.mkdir()
     pair = ["--from", gdir, "--to", hdir]
-    assert main(["distance", *pair, "--k", "2", "--out", str(cli / "report.csv")]) == 0
+    assert main(["distance", *pair, "--k", "2", "--both", "--out", str(cli / "report.csv")]) == 0
     assert main(["separation", *pair, "--out", str(cli / "sep.json")]) == 0
     sig = ["--out", str(cli / "sig.csv"), "--heatmap", str(cli / "sig.svg"), "--geojson", str(cli / "sig.geojson")]
     assert main(["signature", *pair, "--k", "2", *sig]) == 0
-    out = run_all(RunConfig(gdir, hdir, str(tmp_path / "all"), k_values=(2,)))
+    out = run_all(RunConfig(gdir, hdir, str(tmp_path / "all"), k_values=(2,), both_directions=True))
     pairs = [
-        ("report.csv.summary.json", "distance_gh_k2.summary.json"),
+        ("report_gh.csv", "distance_gh_k2.csv"),
+        ("report_hg.csv", "distance_hg_k2.csv"),
+        ("report_gh.csv.summary.json", "distance_gh_k2.summary.json"),
+        ("report_hg.csv.summary.json", "distance_hg_k2.summary.json"),
         ("sep.json", "separation_gh.json"),
         ("sig.csv", "signature_gh_k2.csv"),
         ("sig.svg", "heatmap_gh_k2.svg"),
@@ -377,6 +380,53 @@ def test_bad_curve_row_exits_2_with_its_line(graph_dirs, tmp_path, capsys, rows,
     assert main(["frechet", "--curve-a", good, "--curve-b", str(curve)]) == 2
 
 
+@pytest.mark.parametrize("case", ["vertices", "edges", "curve", "config", "report", "signature"])
+def test_bytes_that_are_not_utf8_exit_2_with_their_line(case, graph_dirs, tmp_path, capsys):
+    gdir, hdir = graph_dirs
+    pair = ["--from", gdir, "--to", hdir]
+    if case in ("vertices", "edges"):
+        target = Path(gdir) / f"{case}.csv"
+        argv = ["stats", "--graph", gdir]
+    elif case == "curve":
+        target = Path(write_curve(tmp_path / "c.csv", [(0, 0), (1, 0), (2, 0)]))
+        argv = ["mapmatch", "--graph", gdir, "--curve", str(target)]
+    elif case == "config":
+        target = tmp_path / "run.cfg"
+        target.write_text("tol = 0.5\nk = 1\n")
+        argv = ["distance", *pair, "--out", str(tmp_path / "r.csv"), "--config", str(target)]
+    elif case == "report":
+        target = tmp_path / "r.csv"
+        argv = ["distance", *pair, "--k", "1", "--out", str(target)]
+        assert main(argv) == 0
+        argv.append("--resume")
+    else:
+        target = tmp_path / "sig.csv"
+        assert main(["signature", *pair, "--k", "1", "--out", str(target)]) == 0
+        argv = ["cdf", "--sig", str(target), "--out", str(tmp_path / "cdf.csv")]
+    lines = target.read_bytes().splitlines(keepends=True)
+    lines[1] = b"\xff" + lines[1]
+    target.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "line 2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_p_values_that_do_not_parse_are_refused(source, tmp_path, capsys):
+    argv = ["study", "--seeds", "1", "--out-dir", str(tmp_path / "study")]
+    if source == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--p-values", "0.1,abc"])
+        assert exc.value.code == 1
+        assert "--p-values: invalid float list: '0.1,abc'" in capsys.readouterr().err
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p-values = 0.1,abc\n")
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert "'p_values': invalid float list: '0.1,abc'" in capsys.readouterr().err
+    assert not (tmp_path / "study").exists()
+
+
 def test_config_value_that_does_not_parse_exits_2(graph_dirs, tmp_path, capsys):
     gdir, hdir = graph_dirs
     cfg = tmp_path / "run.cfg"
@@ -428,7 +478,11 @@ def test_distance_resume_refuses_a_report_from_other_inputs(graph_dirs, tmp_path
     assert "max=0.0" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("row", ["2,bad-row,xx,yy", "2,0-1,2.0"], ids=["not-a-number", "three-fields"])
+@pytest.mark.parametrize(
+    "row",
+    ["2,bad-row,xx,yy", "2,0-1,2.0", "2,0-1,2.0,nan", "2,0-1,2.0,inf", "2,0-1,2.0,-5"],
+    ids=["not-a-number", "three-fields", "nan", "inf", "negative"],
+)
 def test_distance_resume_bad_row_exits_2_with_its_line(graph_dirs, tmp_path, capsys, row):
     gdir, hdir = graph_dirs
     out = tmp_path / "rep.csv"
@@ -442,7 +496,11 @@ def test_distance_resume_bad_row_exits_2_with_its_line(graph_dirs, tmp_path, cap
     assert out.read_text() == "".join(lines)
 
 
-@pytest.mark.parametrize("row", ["e1,10.0,abc", "e1,10.0"], ids=["not-a-number", "two-fields"])
+@pytest.mark.parametrize(
+    "row",
+    ["e1,10.0,abc", "e1,10.0", "e1,10.0,nan", "e1,inf,1.5", "e1,-5,1.5"],
+    ids=["not-a-number", "two-fields", "nan", "inf", "negative"],
+)
 def test_cdf_bad_signature_row_exits_2_with_its_line(tmp_path, capsys, row):
     sig = tmp_path / "sig.csv"
     sig.write_text(f"edge_id,length_m,signature_m\ne0,5.0,1.5\n{row}\n")

@@ -21,6 +21,7 @@ from pathdist.fscore import (
 )
 from pathdist.geometry import PolyLine, project_onto_segments
 from pathdist.graph import Edge, EmbeddedGraph
+from pathdist.parallel import run_pool
 from pathdist.spatial import SpatialGrid, close_pairs
 
 from oracles import (
@@ -425,6 +426,7 @@ def test_fscore_analysis_per_seed_equal_with_two_workers(tee):
         [(eid, (e.u, e.v)) for eid, e in tee.edges.items()],
     )
     params = FScoreParams(sampling_interval=1.5, matched_distance=1.0, max_path_length=12.0)
-    one = fscore_analysis(tee, shifted, params, workers=1)
-    two = fscore_analysis(tee, shifted, params, workers=2)
+    one = fscore_analysis(tee, shifted, params)
+    with run_pool(2):
+        two = fscore_analysis(tee, shifted, params)
     assert one.per_seed == two.per_seed

@@ -46,7 +46,19 @@ def _squares(chunk):
 
 
 def _sees_no_run_pool(chunk):
-    return parallel._open_pool() is None
+    return parallel._open_run() is None
+
+
+# Where _logging_call_chunk records the pid of each process that runs a chunk.
+_PID_DIR = None
+
+
+def _logging_call_chunk(fn_bytes, chunk):
+    (_PID_DIR / str(os.getpid())).touch()
+    return _CALL_CHUNK(fn_bytes, chunk)
+
+
+_CALL_CHUNK = parallel._call_chunk
 
 
 def _raise_input_error(h, tol, items):
@@ -89,10 +101,6 @@ def _no_children_left() -> bool:
 @pytest.mark.parametrize("workers", [0, -2])
 def test_worker_count_below_one_raises_input_error(workers):
     with pytest.raises(InputError, match="workers must be >= 1"):
-        list(iter_chunked(_squares, [1, 2, 3], workers))
-    with pytest.raises(InputError, match="workers must be >= 1"):
-        run_chunked(_squares, [1, 2, 3], workers)
-    with pytest.raises(InputError, match="workers must be >= 1"):
         with run_pool(workers):
             pass
 
@@ -100,7 +108,7 @@ def test_worker_count_below_one_raises_input_error(workers):
 def test_each_worker_unpickles_the_function_once_per_run(counting_pool):
     fn = functools.partial(_loads_so_far, _Target())
     with run_pool(2):
-        seen = [r for _ in range(3) for r in iter_chunked(fn, list(range(16)), 2)]
+        seen = [r for _ in range(3) for r in iter_chunked(fn, list(range(16)))]
     assert len(seen) == 3 * 8
     assert {loads for _, loads in seen} == {1}
     assert len({pid for pid, _ in seen}) <= 2
@@ -110,7 +118,7 @@ def test_each_worker_unpickles_the_function_once_per_run(counting_pool):
 
 def test_a_forked_worker_never_uses_the_inherited_run_pool():
     with run_pool(2):
-        assert all(iter_chunked(_sees_no_run_pool, list(range(8)), 2))
+        assert all(iter_chunked(_sees_no_run_pool, list(range(8))))
     assert _no_children_left()
 
 
@@ -130,6 +138,44 @@ def test_one_pool_serves_a_whole_run(run, pair_dirs, tmp_path, counting_pool):
     assert _no_children_left()
 
 
+def test_the_run_pool_sets_the_chunk_count():
+    items = list(range(100))
+    with run_pool(2):
+        assert len(list(iter_chunked(_squares, items))) == 8
+        assert len(run_chunked(_squares, items)) == 8
+        # A nested block uses the outer pool and its count.
+        with run_pool(3):
+            assert len(list(iter_chunked(_squares, items))) == 8
+    # Outside a run pool chunks run serially: four streamed, one eager.
+    assert len(list(iter_chunked(_squares, items))) == 4
+    assert len(run_chunked(_squares, items)) == 1
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("in_run", [False, True], ids=["serial", "run-pool"])
+def test_library_calls_share_the_open_pool(in_run, counting_pool, monkeypatch, tmp_path):
+    g = grid_graph(6.0, 2.0)
+    h = generate_perturbed(PerturbationSpec(p=0.3, seed_count=1, rng_seed=5, extent=6.0, spacing=2.0))[0]
+    # Patched before the pool starts, so the forked workers run the logging version.
+    monkeypatch.setattr(parallel, "_call_chunk", _logging_call_chunk)
+    monkeypatch.setitem(globals(), "_PID_DIR", tmp_path)
+    calls = [
+        lambda: pathdistance.undirected_path_distance(g, h, 2),
+        lambda: pathdistance.separation_census(g, h),
+        lambda: pathdistance.path_distance_analysis(g, h, 3),
+        lambda: pathdistance.directed_path_distance(g, h, 2, strict=True),
+    ]
+    with run_pool(2) if in_run else contextlib.nullcontext():
+        for call in calls:
+            call()
+            logs = list(tmp_path.iterdir())
+            assert bool(logs) == in_run and str(os.getpid()) not in {p.name for p in logs}
+            for log in logs:
+                log.unlink()
+    assert counting_pool.made == in_run
+    assert _no_children_left()
+
+
 def test_an_error_inside_a_worker_exits_2_and_leaves_no_child(pair_dirs, tmp_path, capsys, monkeypatch):
     gdir, hdir = pair_dirs
     # Patched before the pool starts, so the forked workers resolve the patched name.
@@ -140,10 +186,9 @@ def test_an_error_inside_a_worker_exits_2_and_leaves_no_child(pair_dirs, tmp_pat
     assert _no_children_left()
 
 
-@pytest.mark.parametrize("in_run", [False, True], ids=["own-pool", "run-pool"])
-def test_an_abandoned_stream_leaves_no_child(in_run):
-    with run_pool(2) if in_run else contextlib.nullcontext():
-        stream = iter_chunked(_squares, list(range(40)), 2)
+def test_an_abandoned_stream_leaves_no_child():
+    with run_pool(2):
+        stream = iter_chunked(_squares, list(range(40)))
         assert next(stream) == [0, 1, 4, 9, 16]
         stream.close()
     assert _no_children_left()
@@ -152,7 +197,7 @@ def test_an_abandoned_stream_leaves_no_child(in_run):
 def test_an_interrupted_run_leaves_no_child():
     with pytest.raises(KeyboardInterrupt):
         with run_pool(2):
-            assert list(iter_chunked(_squares, [1, 2, 3], 2)) == [[1], [4], [9]]
+            assert list(iter_chunked(_squares, [1, 2, 3])) == [[1], [4], [9]]
             raise KeyboardInterrupt
     assert _no_children_left()
 

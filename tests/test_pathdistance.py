@@ -12,6 +12,7 @@ from pathdist.errors import InputError, StructuralError
 from pathdist.geometry import DiscQuadratic
 from pathdist.graph import EmbeddedGraph
 from pathdist.matching import map_match_distance, match_decision
+from pathdist.parallel import run_pool
 from pathdist.pathdistance import (
     _RADIUS_STEPS,
     _sub_paths,
@@ -62,14 +63,16 @@ def test_max_only_mode_equals_full_records(grid6):
     full_max = max(r.distance for r in records)
     assert max_path_distance(gp, grid6, 2, TOL) == full_max
     # Chunked workers reduce to the exact same maximum.
-    assert max_path_distance(gp, grid6, 2, TOL, workers=2) == full_max
+    with run_pool(2):
+        assert max_path_distance(gp, grid6, 2, TOL) == full_max
 
 
 def test_workers_do_not_change_records(grid6):
     spec = PerturbationSpec(p=0.3, seed_count=1, rng_seed=5)
     gp = generate_perturbed(spec)[0]
-    r1 = match_all_paths(gp, grid6, 2, TOL, workers=1)
-    r2 = match_all_paths(gp, grid6, 2, TOL, workers=3)
+    r1 = match_all_paths(gp, grid6, 2, TOL)
+    with run_pool(3):
+        r2 = match_all_paths(gp, grid6, 2, TOL)
     assert [r.distance for r in r1] == [r.distance for r in r2]
 
 
@@ -265,7 +268,7 @@ def test_sub_path_floor_saves_decisions(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(matching, "match_decision", counting)
-    records = match_all_paths(g, h, 2, TOL, workers=1, sub_distances=table)
+    records = match_all_paths(g, h, 2, TOL, sub_distances=table)
     assert len(calls) / len(records) <= 4.0
     # Without the floor each path pays a full bisection.
     calls.clear()
@@ -287,7 +290,8 @@ def test_max_path_distance_is_the_maximum_of_the_records(seed):
         top = max(tables[k].values()).hex()
         for sub in [None] if k == 1 else [None, tables[k - 1]]:
             for workers in (1, 2):
-                d = max_path_distance(g, h, k, TOL, workers=workers, sub_distances=sub)
+                with run_pool(workers):
+                    d = max_path_distance(g, h, k, TOL, sub_distances=sub)
                 assert d.hex() == top, (k, sub is not None, workers)
 
 
@@ -351,7 +355,8 @@ def test_study_route_is_pinned_bit_for_bit():
     h = grid_graph()
     graphs = generate_perturbed(PerturbationSpec(p=0.5, seed_count=2, rng_seed=7))
     for workers in (1, 2):
-        assert [max_path_distance(g, h, 3, TOL, workers=workers).hex() for g in graphs] == PINNED_STUDY
+        with run_pool(workers):
+            assert [max_path_distance(g, h, 3, TOL).hex() for g in graphs] == PINNED_STUDY
 
 
 def test_records_census_and_witness_are_pinned_bit_for_bit():

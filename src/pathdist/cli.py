@@ -87,6 +87,11 @@ def _read_config(path) -> dict[str, str]:
     return out
 
 
+_CONFIG_BOOLS = {word: True for word in ("1", "true", "yes", "on")} | {
+    word: False for word in ("0", "false", "no", "off")
+}
+
+
 def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser) -> None:
     if not getattr(args, "config", None):
         return
@@ -100,7 +105,9 @@ def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.Ar
         current = getattr(args, key)
         value = raw
         if isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
+            value = _CONFIG_BOOLS.get(raw.lower())
+            if value is None:
+                raise PathdistError(f"config key {key!r}: {raw!r} is not a valid bool")
         elif isinstance(current, (int, float)):
             try:
                 value = type(current)(raw)

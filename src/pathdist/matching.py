@@ -10,11 +10,23 @@ vertices and interior polyline bends alike).
 Key fact making the sweep cheap: inside a single cell (one curve segment x
 one graph segment) the free region is convex, so from an entry at curve time
 ``t0`` every free point with time >= ``t0`` is reachable.  Each cell
-therefore carries a single label, the earliest reachable curve time, and a
-Dijkstra pass over these labels decides reachability exactly.  A cell hands
-its label to the next curve segment along its own graph segment, and to
-every cell at the same curve segment whose graph segment shares one of its
-joints.
+therefore carries a single label, the earliest reachable curve time found so
+far.  A cell hands its label to the next curve segment along its own graph
+segment (label ``i+1`` for curve row ``i+1``), and to every cell at the same
+curve segment whose graph segment shares one of its joints (the later of its
+label and the joint's first free time, if the joint is free by then).
+
+The sweep keeps one heap per curve row, ordered by label, and always pops
+the deepest row that has cells: a step into row ``i+1`` moves there, and a
+row that runs empty hands back to the one before it.  A cell is pushed again
+whenever its label drops, so the labels end at the same least fixpoint as a
+pass in label order: each relaxation is monotone in the label it starts
+from.  The sweep accepts the first cell of the last row it reaches whose
+graph segment meets the disc about the curve's last vertex; any reached
+label there will do, since the cell's free region is convex and holds the
+end.  A decision that holds thus dives to the last row instead of first
+popping every reachable cell of the earlier rows; it gives the same boolean
+as label order, and only its witness may be another matched path.
 
 The sweep runs over the graph's flattened segment view from
 :mod:`pathdist.spatial`, where an isolated vertex is a zero-length segment;
@@ -177,6 +189,14 @@ def prepare_problems(curves: Iterable[np.ndarray], h: EmbeddedGraph) -> Iterator
 # exceeds it alone).
 _WINDOW_CELLS = 1 << 14
 
+# The fixed cost of one root step, in table cells: what a ``_step`` call
+# costs beyond its cells, plus a problem's first ``gather``.  A linear fit
+# of ``_step`` time against cells, over one-curve tables (350-2300 cells)
+# and whole-window tables (6500-16400 cells) of the study's grids and a
+# 3x3-block city, gave about 12 us + 24 ns per cell (about 530 cells) on a
+# 2-vCPU x86 VM with numpy 2; a first gather adds about 5.7 us (about 240).
+_STEP_CELLS = 770
+
 # A point's two float64 coordinates as one key: equal keys, equal bits.
 _POINT_KEY = np.dtype((np.void, 16))
 
@@ -266,20 +286,21 @@ class _Window:
     def tables(self, rows: list, cols: list, eps: float):
         """:meth:`MatchProblem.tables` from the window's step at ``eps``, or None to step alone.
 
-        The window steps only once the cells its curves stepped alone at
-        ``eps`` (since it was last asked another eps), plus this curve's,
-        would reach its own cells.  A run of decisions at one eps, as the
-        early exits of :func:`~pathdist.pathdistance.max_path_distance`
-        make, then costs at most twice what stepping every curve alone
-        would, and usually much less; a lone eps, as in a bisection, steps
-        its curve alone.
+        Each step is priced in cells: its table cells plus ``_STEP_CELLS``,
+        the fixed cost of one call.  The window steps only once the prices
+        of the steps its curves took alone at ``eps`` (since it was last
+        asked another eps), plus this curve's, would reach the price of its
+        own step.  A run of decisions at one eps, as the early exits of
+        :func:`~pathdist.pathdistance.max_path_distance` make, then costs at
+        most twice what stepping every curve alone would, and usually much
+        less; a lone eps, as in a bisection, steps its curve alone.
         """
         if eps != self.eps:
             if eps != self.asked:
                 self.asked, self.spent = eps, 0
             S, J = self.geom.n_segments, self.geom.joint_pos.shape[0]
-            self.spent += len(rows) * S + J * len(cols)
-            if self.spent < self.cells:
+            self.spent += len(rows) * S + J * len(cols) + _STEP_CELLS
+            if self.spent < self.cells + _STEP_CELLS:
                 return None
             self.step(eps)
         free, lo, hi = self.free, self.lo, self.hi
@@ -344,28 +365,32 @@ def match_decision(
     # State id of cell (segment s, curve segment i): s*M + i.  ``dist`` holds
     # each cell's label; ``back`` holds how each relaxed cell got its label:
     # (previous state, the joint crossed, or -1 for a step along segment s).
-    # Every cell free at curve time 0 is a seed at label 0.0; listed in
-    # ascending state order, the seeds already form a valid heap.
+    # Row i's heap holds its cells by label, and the sweep always pops the
+    # deepest row that has any.  Every cell free at curve time 0 is a seed
+    # at label 0.0; listed in ascending state order, the seeds already form
+    # a valid heap.
     dist = [_INF] * (geom.n_segments * M)
     back: dict[int, tuple[int, int]] = {}
     seeds = [s * M for s in compress(range(geom.n_segments), free[0])]
-    heap: list[tuple[float, int]] = [(0.0, state) for state in seeds]
+    heaps: list[list[tuple[float, int]]] = [[] for _ in range(M)]
+    heaps[0] = [(0.0, state) for state in seeds]
     for state in seeds:
         dist[state] = 0.0
 
-    while heap:
+    i = 0
+    while i >= 0:
+        heap = heaps[i]
+        if not heap:
+            i -= 1
+            continue
         t, state = heappop(heap)
         if t > dist[state]:
             continue
-        s, i = divmod(state, M)
+        s = state // M
         if i == M - 1 and free[M][s]:
             if not return_witness:
                 return True
             return True, _witness(geom, problem.cv.intervals(eps)[0], back, state, M)
-        if i + 1 < M and free[i + 1][s] and i + 1 < dist[state + 1]:
-            dist[state + 1] = t_next = float(i + 1)
-            back[state + 1] = (state, -1)
-            heappush(heap, (t_next, state + 1))
         lo, hi = jn_lo[i], jn_hi[i]
         for j in seg_joint[s]:
             blo, bhi = lo[j], hi[j]
@@ -378,6 +403,11 @@ def match_decision(
                         dist[nxt] = t_j
                         back[nxt] = (state, j)
                         heappush(heap, (t_j, nxt))
+        if i + 1 < M and free[i + 1][s] and i + 1 < dist[state + 1]:
+            dist[state + 1] = t_next = float(i + 1)
+            back[state + 1] = (state, -1)
+            i += 1
+            heappush(heaps[i], (t_next, state + 1))
 
     return (False, None) if return_witness else False
 

@@ -9,6 +9,11 @@ graph points by a scalar per-segment scan, and polyline crossings by
 scalar orientation tests over every segment pair.  F-score sampling is kept here in
 its per-edge form: one ``PolyLine.point_at`` call per walked edge and a hash
 grid that accepts or rejects each sample as it is placed.
+
+One reference checks a single part of the package instead:
+``label_order_decision`` reads the package's own free-interval tables and
+sweeps them in plain label order, so it differs from ``match_decision`` only
+in the order the sweep takes cells.
 """
 
 from __future__ import annotations
@@ -575,3 +580,46 @@ def random_curve_near_graph(rng: np.random.Generator, g, n_points: int, step: fl
         p = p + rng.uniform(-step, step, 2)
         pts.append(p)
     return np.asarray(pts)
+
+
+def label_order_decision(points: np.ndarray, h, eps: float) -> bool:
+    """``match_decision`` for collapsed ``points`` (two or more) by a sweep in label order.
+
+    One heap holds every cell of the free-space surface by its label, the
+    earliest reachable curve time, and the first accepting cell popped
+    decides; a cell is expanded once, at its least label.  The intervals are
+    the package's own (``MatchProblem.tables``), so only the sweep's order
+    is checked.
+    """
+    from pathdist.matching import MatchProblem
+
+    problem = MatchProblem(points, h)
+    geom = problem.window.geom
+    free, jn_lo, jn_hi = problem.tables(eps)
+    M = points.shape[0] - 1
+    # State id of cell (segment s, curve segment i): s*M + i.
+    dist = [math.inf] * (geom.n_segments * M)
+    heap = []
+    for s in range(geom.n_segments):
+        if free[0][s]:
+            dist[s * M] = 0.0
+            heapq.heappush(heap, (0.0, s * M))
+    while heap:
+        t, state = heapq.heappop(heap)
+        if t > dist[state]:
+            continue
+        s, i = divmod(state, M)
+        if i == M - 1 and free[M][s]:
+            return True
+        if i + 1 < M and free[i + 1][s] and i + 1 < dist[state + 1]:
+            dist[state + 1] = float(i + 1)
+            heapq.heappush(heap, (float(i + 1), state + 1))
+        for j in geom.seg_joint[s]:
+            blo, bhi = jn_lo[i][j], jn_hi[i][j]
+            if blo <= bhi and i + bhi >= t:
+                t_j = max(t, i + blo)
+                for nbr in geom.incident[j]:
+                    if t_j < dist[nbr * M + i]:
+                        dist[nbr * M + i] = t_j
+                        heapq.heappush(heap, (t_j, nbr * M + i))
+    return False

@@ -436,6 +436,18 @@ def test_config_value_that_does_not_parse_exits_2(graph_dirs, tmp_path, capsys):
     assert "'tol'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, written", [("yes", ["r_gh.csv", "r_hg.csv"]), ("off", ["r.csv"]), ("ture", [])])
+def test_config_bool_takes_only_known_words(graph_dirs, tmp_path, capsys, value, written):
+    gdir, hdir = graph_dirs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"both = {value}\n")
+    argv = ["distance", "--from", gdir, "--to", hdir, "--k", "1", "--out", str(tmp_path / "r.csv")]
+    assert main(argv + ["--config", str(cfg)]) == (0 if written else 2)
+    if not written:
+        assert "config key 'both': 'ture'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.glob("r*.csv")) == written
+
+
 @pytest.mark.parametrize("command, line", [("distance", "k = 5"), ("signature", "ramp = foo")])
 def test_config_value_outside_the_flags_choices_exits_2(graph_dirs, tmp_path, capsys, command, line):
     gdir, hdir = graph_dirs

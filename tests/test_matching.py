@@ -19,6 +19,7 @@ from pathdist.spatial import nearest_point_on_graph
 from oracles import (
     DenseWalkOracle,
     DiscreteMatchOracle,
+    label_order_decision,
     nearest_point_scan,
     random_curve_near_graph,
     random_geometric_graph,
@@ -312,6 +313,77 @@ def test_witness_lies_on_the_graph_and_matches_the_curve(target):
         assert frechet_distance(curve, witness, 1e-3) <= d + 2e-3
 
 
+def degenerate_target(rng, n_vertices: int, twins: int, isolated: int) -> EmbeddedGraph:
+    """A random geometric graph plus zero-length edges and isolated vertices.
+
+    Each twin is a new vertex on top of an old one, joined to it by a
+    zero-length edge and, when the draw allows, onward to another vertex.
+    """
+    base = random_geometric_graph(rng, n_vertices, 2, 10.0)
+    vertices = list(base.vertices.items())
+    edges = [(eid, (e.u, e.v, e.geometry)) for eid, e in base.edges.items()]
+    for k in range(twins):
+        v, w = (int(x) for x in rng.integers(0, n_vertices, 2))
+        vertices.append((("twin", k), tuple(base.vertices[v])))
+        edges.append((("zero", k), (v, ("twin", k))))
+        if w != v:
+            edges.append((("onward", k), (("twin", k), w)))
+    vertices += [(("iso", k), tuple(rng.uniform(0.0, 10.0, 2))) for k in range(isolated)]
+    return EmbeddedGraph(vertices, edges)
+
+
+def assert_decides_like_label_order(h, curve: PolyLine, eps_values) -> None:
+    """``match_decision`` equals the label-order sweep at each eps, and its witness matches."""
+    points = collapsed_points(curve)
+    for eps in eps_values:
+        if eps < 0.0:
+            continue
+        ok, witness = match_decision(curve, h, eps, return_witness=True)
+        assert ok == label_order_decision(points, h, eps), eps
+        if ok:
+            for pt in witness.points:
+                assert distance_to_graph(h, pt) <= 1e-9
+            assert frechet_distance(curve, witness, 1e-3) <= eps + 1e-3
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.integers(2, 6),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+def test_sweep_decides_like_label_order(seed, n_vertices, n_points, twins, isolated):
+    # The sweep pops the deepest curve row first and accepts the first
+    # accepting cell it reaches; it must decide as the label-order sweep does.
+    rng = np.random.default_rng(seed)
+    h = degenerate_target(rng, n_vertices, twins, isolated)
+    curve = PolyLine(random_curve_near_graph(rng, h, n_points, 2.5))
+    d = map_match_distance(curve, h, 1e-3)
+    assert_decides_like_label_order(h, curve, (d - 1e-3, d, d + 1e-3, *rng.uniform(0.0, 2.0 * d + 1.0, 3)))
+
+
+@settings(max_examples=30)
+@given(st.floats(0.0, 2.0 * math.pi), st.floats(0.5, 50.0), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+def test_a_cell_whose_label_drops_is_expanded_again(angle, scale, dx, dy):
+    # At eps = scale the sweep first reaches X in curve row 1 through P, at
+    # a label past the short time the joint b of X and Z is free; only X's
+    # own step from row 0, at the row's earliest label, opens b, and Z is
+    # the only way to the curve's end.
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]) * scale
+    move = lambda pts: np.asarray(pts, float) @ rot.T + (dx, dy)
+    spots = {"a": (1.0, -0.99), "p": (-0.3, -0.3), "b": (0.2, 0.99), "z": (10.0, 0.5)}
+    h = EmbeddedGraph(
+        [(v, tuple(move(p))) for v, p in spots.items()],
+        [("P", ("a", "p")), ("X", ("a", "b")), ("Z", ("b", "z"))],
+    )
+    curve = PolyLine(move([(1.0, -0.5), (0.0, 0.0), (10.0, 0.0)]))
+    assert match_decision(curve, h, scale)
+    d = map_match_distance(curve, h, 1e-3 * scale)
+    assert_decides_like_label_order(h, curve, (scale, d - 1e-3 * scale, d, d + 1e-3 * scale))
+
+
 def test_map_match_distance_survives_utm_offset():
     rng = np.random.default_rng(23)
     h = bend_edges(random_geometric_graph(rng, 8, 3, 100.0), rng, 15.0)
@@ -516,6 +588,34 @@ def test_window_step_decides_like_each_curve_alone(monkeypatch, offset, budget):
             else:
                 assert got_witness.points.tobytes() == witness.points.tobytes()
     assert 0 < served["steps"] < served["reads"]
+
+
+def test_a_run_at_one_eps_costs_at_most_twice_stepping_alone(monkeypatch):
+    # Every root step is priced at its cells plus the fixed cost of a call;
+    # the window steps once, when its curves' own steps would cost as much.
+    h, curves = chunk_case(np.zeros(2))
+    geom = matching.surface_geometry(h)
+    prices = []
+    step = matching._step
+
+    def priced(cv, jn, eps):
+        prices.append(cv.qb2.size + jn.qb2.size + matching._STEP_CELLS)
+        return step(cv, jn, eps)
+
+    monkeypatch.setattr(matching, "_step", priced)
+    problems = [p for p in prepare_problems(curves, h) if p.window]
+    window = problems[0].window
+    alone = 0
+    for _ in range(3):
+        for problem in problems:
+            match_decision(problem, h, 5.0)
+            alone += len(problem.rows) * geom.n_segments + geom.joint_pos.shape[0] * len(problem.cols)
+            alone += matching._STEP_CELLS
+            assert sum(prices) <= 2 * alone
+    whole = window.cells + matching._STEP_CELLS
+    assert prices.count(whole) == 1
+    # ...and not later: the steps alone before it cost less than its own.
+    assert sum(prices[: prices.index(whole)]) < whole
 
 
 @pytest.mark.parametrize("offset", [(0.0, 0.0), (5e5, 4.5e6)])

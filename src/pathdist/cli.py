@@ -258,12 +258,13 @@ def _cmd_signature(args) -> int:
 def _cmd_cdf(args) -> int:
     rows = read_signature_csv(open_text(args.sig))
     curve = cdf_from_signature_rows(rows)
+    # The plot first: it refuses a reference line that is not finite.
+    if args.plot:
+        export_cdf_plot([curve], [Path(args.sig).stem], args.plot, reference_x=args.reference)
     with atomic_write(args.out) as fh:
         fh.write("x_m,fraction\n")
         for x, y in zip(curve.xs, curve.ys):
             fh.write(f"{x!r},{y!r}\n")
-    if args.plot:
-        export_cdf_plot([curve], [Path(args.sig).stem], args.plot, reference_x=args.reference)
     print(f"cdf: {len(curve.xs)} breakpoints")
     return EXIT_OK
 

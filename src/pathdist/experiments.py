@@ -299,14 +299,9 @@ def run_all(config: RunConfig) -> Path:
     curves = {}
     with run_pool(config.workers):
         for tag, direction, src, dst in directions(g, h, config.both_directions):
-            # Each k's values floor the bisections of the k+1 paths they are part of.
-            tables: dict[int, dict] = {}
             for k in config.k_values:
-                report, edge_sig, _vertex_sig = path_distance_analysis(
-                    src, dst, k, config.tol, sub_distances=tables.get(k - 1)
-                )
+                report, edge_sig, _vertex_sig = path_distance_analysis(src, dst, k, config.tol)
                 report.direction = direction
-                tables[k] = {r.path: r.distance for r in report.records}
                 with atomic_write(track(f"distance_{tag}_k{k}.csv"), newline="") as fh:
                     write_records_csv(report.records, fh)
                 write_json(track(f"distance_{tag}_k{k}.summary.json"), report.summary())
@@ -314,10 +309,13 @@ def run_all(config: RunConfig) -> Path:
                     write_signature_csv(edge_sig, fh)
                 export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.svg"), "svg")
                 export_heatmap(edge_sig, track(f"heatmap_{tag}_k{k}.geojson"), "geojson")
-                curves[f"{tag} k={k}"] = cdf(edge_sig)
-            census = separation_census(src, dst, config.tol, tables=tables)
+                # An empty signature (a map without edges) has no CDF.
+                if edge_sig.values:
+                    curves[f"{tag} k={k}"] = cdf(edge_sig)
+            census = separation_census(src, dst, config.tol)
             write_json(track(f"separation_{tag}.json"), [rep.summary() for rep in census])
-    export_cdf_plot(list(curves.values()), list(curves.keys()), track("cdf.svg"))
+    if curves:
+        export_cdf_plot(list(curves.values()), list(curves.keys()), track("cdf.svg"))
 
     manifest = {
         "config": asdict(config),

@@ -20,8 +20,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InputError, ParseError, StructuralError
-from .frechet import DEFAULT_TOLERANCE
-from .geometry import max_distance_to_point
+from .frechet import DEFAULT_TOLERANCE, check_tolerance
+from .geometry import DiscQuadratic, max_distance_to_point
 from .graph import EmbeddedGraph, VertexId, finite_numbers
 from .matching import map_match_distance, prepare_problems
 from .parallel import iter_chunked, run_chunked
@@ -180,13 +180,25 @@ def _sub_paths(g: EmbeddedGraph, paths: list[VertexPath]) -> list[tuple[VertexPa
     ]
 
 
-def _lower_bounds(
-    g: EmbeddedGraph, paths: list[VertexPath], sub_distances: dict | None
-) -> list[float | None]:
-    """Each path's ``lower`` for :func:`map_match_distance`: the max of its sub-paths' values."""
-    if sub_distances is None:
+def _computed(g: EmbeddedGraph, h: EmbeddedGraph, tol: float, *, fill: bool = False) -> dict[VertexPath, float]:
+    """The distances into ``h`` at ``tol`` of the paths of ``g`` computed so far, by path.
+
+    Graphs never change, so no value goes stale.  The record holds ``h``,
+    so only a caller that will ``fill`` it makes one.  A pickled graph
+    arrives with an empty cache: pool workers neither read nor fill it.
+    """
+    records = g._frozen_cache.setdefault(("distances", tol), {})
+    return records.setdefault(h, {}) if fill else records.get(h, {})
+
+
+def _floors(g: EmbeddedGraph, paths: list[VertexPath], computed: dict) -> list[float | None]:
+    """Each path's ``lower`` for :func:`map_match_distance`: its sub-paths' larger value, if both are known."""
+    if not computed or not paths or paths[0].link_length == 1:
         return [None] * len(paths)
-    return [max(sub_distances[a], sub_distances[b]) for a, b in _sub_paths(g, paths)]
+    return [
+        max(computed[a], computed[b]) if a in computed and b in computed else None
+        for a, b in _sub_paths(g, paths)
+    ]
 
 
 def _distances(
@@ -195,22 +207,26 @@ def _distances(
     paths: list[VertexPath],
     curves: list[np.ndarray],
     tol: float,
-    sub_distances: dict | None = None,
 ):
     """Yield chunks of the distances of ``paths`` (all of one link-length), in order.
 
-    ``curves`` holds each path's geometry points, collapsed.  Without
-    ``sub_distances`` the values of the sub-paths of ``paths`` are computed
+    ``curves`` holds each path's geometry points, collapsed.  The sub-paths
+    of ``paths`` that :func:`_computed` does not hold yet are computed
     first, the same way, so every path of link-length >= 2 is bisected
-    under its sub-paths' floor.
+    under its sub-paths' floor.  Each chunk's values join the record as the
+    chunk is yielded.
     """
-    if sub_distances is None and paths and paths[0].link_length > 1:
-        subs = list(dict.fromkeys(s for pair in _sub_paths(g, paths) for s in pair))
-        sub_curves = path_curves(g, subs)
-        chunks = _distances(g, h, subs, sub_curves, tol)
-        sub_distances = dict(zip(subs, (d for chunk in chunks for d in chunk)))
-    items = list(zip(curves, _lower_bounds(g, paths, sub_distances)))
-    yield from iter_chunked(functools.partial(_chunk_distances, h, tol), items)
+    computed = _computed(g, h, tol, fill=True)
+    if paths and paths[0].link_length > 1:
+        subs = [s for s in dict.fromkeys(s for pair in _sub_paths(g, paths) for s in pair) if s not in computed]
+        for _ in _distances(g, h, subs, path_curves(g, subs), tol):
+            pass
+    items = list(zip(curves, _floors(g, paths, computed)))
+    done = 0
+    for chunk in iter_chunked(functools.partial(_chunk_distances, h, tol), items):
+        computed.update(zip(paths[done : done + len(chunk)], chunk))
+        done += len(chunk)
+        yield chunk
 
 
 def iter_match_records(
@@ -220,30 +236,29 @@ def iter_match_records(
     tol: float = DEFAULT_TOLERANCE,
     *,
     known: dict[int, float] | None = None,
-    sub_distances: dict[VertexPath, float] | None = None,
 ):
     """Yield per-path records in canonical order as chunks complete.
 
     ``known`` maps path ids to distances from an earlier, possibly partial
-    run (see ``read_records_csv``); those paths are not recomputed.
-    Streaming consumers can persist records as they arrive, which is what
-    makes long link-3 runs restartable.
+    run (see ``read_records_csv``); those paths are not recomputed, and
+    their values, read from a file, are not remembered.  Streaming
+    consumers can persist records as they arrive, which is what makes long
+    link-3 runs restartable.
 
-    ``sub_distances`` maps every canonical link-``k-1`` path of ``g`` to its
-    distance at this ``tol``, such as ``{r.path: r.distance for r in
-    records}`` over the link-``k-1`` records.  Each path is then bisected
-    under the larger of its prefix's and suffix's values, which saves most
-    decisions and changes no value.  Without it, the values of the
-    sub-paths of the paths still to compute are computed first, recursively.
+    ``g`` remembers every value computed here (see :func:`_computed`).  Each
+    path is bisected under the larger of its prefix's and suffix's values,
+    computed first if ``g`` does not remember them, which saves most
+    decisions and changes no value.
     """
+    check_tolerance(tol)
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
     paths = list(enumerate_paths(g, k))
     curves, lengths = path_curves(g, paths, return_lengths=True)
     todo = [i for i in range(len(paths)) if known is None or i not in known]
-    computed = _distances(g, h, [paths[i] for i in todo], [curves[i] for i in todo], tol, sub_distances)
+    chunks = _distances(g, h, [paths[i] for i in todo], [curves[i] for i in todo], tol)
     # Chunks are pulled one at a time, as the records that need them are taken.
-    distances = (d for chunk in computed for d in chunk)
+    distances = (d for chunk in chunks for d in chunk)
     for i, (p, length) in enumerate(zip(paths, lengths)):
         d = known[i] if known is not None and i in known else next(distances)
         yield PathRecord(i, p, length, d)
@@ -256,13 +271,12 @@ def match_all_paths(
     tol: float = DEFAULT_TOLERANCE,
     *,
     known: dict[int, float] | None = None,
-    sub_distances: dict[VertexPath, float] | None = None,
 ) -> list[PathRecord]:
     """Match every canonical link-length-``k`` path of ``g`` into ``h``.
 
-    ``known`` and ``sub_distances`` are as for :func:`iter_match_records`.
+    ``known`` is as for :func:`iter_match_records`.
     """
-    return list(iter_match_records(g, h, k, tol, known=known, sub_distances=sub_distances))
+    return list(iter_match_records(g, h, k, tol, known=known))
 
 
 def max_path_distance(
@@ -270,48 +284,28 @@ def max_path_distance(
     h: EmbeddedGraph,
     k: int,
     tol: float = DEFAULT_TOLERANCE,
-    *,
-    sub_distances: dict[VertexPath, float] | None = None,
 ) -> float:
     """The directed distance alone, skipping per-path bookkeeping.
 
     Equals the maximum of the per-path distances that ``match_all_paths``
-    would produce, for any worker count.  ``sub_distances`` is as for
-    :func:`iter_match_records`; without it no path gets a floor and no
-    sub-path is computed, which suits the early exit (most paths are
-    settled by one decision at the running maximum).
+    would produce, for any worker count.  When ``g`` remembers every path's
+    value (see :func:`iter_match_records`), this is their maximum.
+    Otherwise each path is decided under the floor its remembered sub-path
+    values give, if any; no sub-path is computed and nothing is
+    remembered, which suits the early exit (most paths are settled by one
+    decision at the running maximum).
     """
+    check_tolerance(tol)
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
     paths = list(enumerate_paths(g, k))
-    items = list(zip(path_curves(g, paths), _lower_bounds(g, paths, sub_distances)))
+    computed = _computed(g, h, tol)
+    if all(p in computed for p in paths):
+        return max((computed[p] for p in paths), default=0.0)
+    items = list(zip(path_curves(g, paths), _floors(g, paths, computed)))
     fn = functools.partial(_chunk_max, h, tol)
     maxima = run_chunked(fn, items)
     return max(maxima, default=0.0)
-
-
-def _delta(g: EmbeddedGraph, h: EmbeddedGraph, k: int, tol: float, tables: dict) -> float:
-    """Δk from what ``tables`` (as for :func:`separation_census`) already holds.
-
-    With Δk's own table, Δk is its maximum, the float :func:`max_path_distance`
-    gives; otherwise Δk is computed under the link-``k-1`` table, if any.
-    """
-    if k in tables:
-        return max(tables[k].values(), default=0.0)
-    return max_path_distance(g, h, k, tol, sub_distances=tables.get(k - 1))
-
-
-def _strict_good_vertices(
-    g: EmbeddedGraph,
-    h: EmbeddedGraph,
-    tol: float,
-    tables: dict,
-) -> tuple[set[VertexId], float, dict[VertexId, float]]:
-    """Vertices admissible as strict path interiors, with Δ3 (see :func:`_delta`) and radii."""
-    d3 = _delta(g, h, 3, tol, tables)
-    radii = {v: intersection_radius(g, v, d3) for v in g.vertices}
-    good = {v for v in g.vertices if math.isfinite(radii[v]) and g.degree(v) != 3}
-    return good, d3, radii
 
 
 def directed_path_distance(
@@ -334,8 +328,9 @@ def directed_path_distance(
     records = match_all_paths(g, h, k, tol)
     report = PathDistanceReport(k=k, direction="G->H", records=records)
     if strict:
-        tables = {k: {r.path: r.distance for r in records}}
-        good, d3, radii = _strict_good_vertices(g, h, tol, tables)
+        d3 = max_path_distance(g, h, 3, tol)
+        radii = {v: intersection_radius(g, v, d3) for v in g.vertices}
+        good = {v for v in g.vertices if math.isfinite(radii[v]) and g.degree(v) != 3}
         report.records = [
             r for r in records if all(v in good for v in r.path.vertex_ids[1:-1])
         ]
@@ -387,17 +382,14 @@ def path_distance_analysis(
     h: EmbeddedGraph,
     k: int,
     tol: float = DEFAULT_TOLERANCE,
-    *,
-    sub_distances: dict[VertexPath, float] | None = None,
 ) -> tuple[PathDistanceReport, SignatureMap, SignatureMap]:
     """One matching pass yielding the report and both signature maps.
 
     The per-edge signature of ``e`` is the maximum distance over paths
     traversing ``e``; per-vertex analogously.  Every path contains its own
     edges and vertices, so both maps fall out of the same records.
-    ``sub_distances`` is as for :func:`iter_match_records`.
     """
-    records = match_all_paths(g, h, k, tol, sub_distances=sub_distances)
+    records = match_all_paths(g, h, k, tol)
     report = PathDistanceReport(k=k, direction="G->H", records=records)
     # Keys in first-path order, not set order, which PYTHONHASHSEED changes.
     edge_values = _aggregate(records, lambda p: p.edge_ids)
@@ -412,29 +404,34 @@ def path_distance_analysis(
 _RADIUS_STEPS = 256
 
 
-def _first_crossings(points: np.ndarray, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """First point at distance ``r`` walking the polyline from ``center``, per ``r`` in ``radii``.
+def _first_crossings(walks: list[np.ndarray], center: np.ndarray):
+    """A function of ``radii``: per walk, the first point at each distance ``r`` from ``center``.
 
-    ``points`` must start at ``center`` and have no zero-length segments
-    (see ``PolyLine.collapsed``).  Distance to ``center`` is convex along
-    each segment, so the first segment whose far endpoint reaches ``r``
-    holds the crossing.  Rows are NaN where the walk never reaches ``r``.
+    Each walk is a polyline that starts at ``center`` and has no zero-length
+    segments (see ``PolyLine.collapsed``).  Distance to ``center`` is convex
+    along each segment, so the first segment whose far endpoint reaches
+    ``r`` holds the crossing, at the far root of the segment-disc quadratic.
+    The quadratic of every segment of every walk is prepared once, for all
+    the radii asked.  Rows are NaN where a walk never reaches ``r``.
     """
-    far = np.hypot(points[1:, 0] - center[0], points[1:, 1] - center[1])
-    seg = np.searchsorted(np.maximum.accumulate(far), radii)
-    missed = seg == far.size
-    seg[missed] = 0
-    a = points[seg]
-    dvec = points[seg + 1] - a
-    f = a - center
-    qa = dvec[:, 0] * dvec[:, 0] + dvec[:, 1] * dvec[:, 1]
-    qb = 2.0 * (f[:, 0] * dvec[:, 0] + f[:, 1] * dvec[:, 1])
-    qc = f[:, 0] * f[:, 0] + f[:, 1] * f[:, 1] - radii * radii
-    disc = np.maximum(qb * qb - 4.0 * qa * qc, 0.0)
-    u = np.clip((-qb + np.sqrt(disc)) / (2.0 * qa), 0.0, 1.0)
-    out = a + u[:, None] * dvec
-    out[missed] = np.nan
-    return out
+    points = np.concatenate(walks)
+    starts = np.cumsum([0] + [len(w) for w in walks[:-1]])[:, None]
+    # The segments between one walk's end and the next one's start are never picked.
+    quad = DiscQuadratic(center, points[:-1], points[1:])
+    reach = [np.maximum.accumulate(np.hypot(w[1:, 0] - center[0], w[1:, 1] - center[1])) for w in walks]
+
+    def crossings(radii: np.ndarray) -> np.ndarray:
+        seg = np.stack([np.searchsorted(r, radii) for r in reach])
+        missed = seg == np.array([[r.size] for r in reach])
+        seg = np.where(missed, 0, seg) + starts
+        rows = DiscQuadratic.of_terms(quad.qa4[seg], quad.den[seg], None, quad.qb2[seg], quad.nqb[seg], quad.ff[seg])
+        u = np.clip(rows._roots(radii)[1], 0.0, 1.0)
+        a = points[seg]
+        out = a + u[..., None] * (points[seg + 1] - a)
+        out[missed] = np.nan
+        return out
+
+    return crossings
 
 
 def intersection_radius(g: EmbeddedGraph, v: VertexId, d: float) -> float:
@@ -487,11 +484,12 @@ def intersection_radius(g: EmbeddedGraph, v: VertexId, d: float) -> float:
     if reach < d or reach == 0.0:
         return math.inf
 
+    crossings_at = _first_crossings(geoms, center)
     first, second = np.triu_indices(len(geoms), 1)
     lo, hi = d, reach
     while True:
         radii = np.linspace(lo, hi, _RADIUS_STEPS)
-        crossings = np.stack([_first_crossings(pts, center, radii) for pts in geoms])
+        crossings = crossings_at(radii)
         gaps = crossings[first] - crossings[second]
         ok = (np.hypot(gaps[..., 0], gaps[..., 1]) > 2.0 * d).all(axis=0)
         if not ok.any():
@@ -508,20 +506,16 @@ def separation_census(
     g: EmbeddedGraph,
     h: EmbeddedGraph,
     tol: float = DEFAULT_TOLERANCE,
-    *,
-    tables: dict[int, dict[VertexPath, float]] | None = None,
 ) -> list[SeparationReport]:
     """Count d-separated vertices of ``g`` for d = Δ1, Δ2, Δ3 into ``h``.
 
-    ``tables`` maps k to the distances of every canonical link-``k`` path at
-    this ``tol``.  A Δk whose table is given is its maximum; a missing Δk is
-    computed with the link-``k-1`` table, when there is one, as
-    ``sub_distances``.
+    Each Δk is :func:`max_path_distance`, so a Δk whose path values ``g``
+    remembers is read off them, and a missing one is decided under the
+    floors the remembered link-``k-1`` values give.
     """
-    tables = tables or {}
     reports = []
     for k in (1, 2, 3):
-        dk = _delta(g, h, k, tol, tables)
+        dk = max_path_distance(g, h, k, tol)
         per_vertex = {v: intersection_radius(g, v, dk) for v in g.vertices}
         reports.append(SeparationReport(k=k, d=dk, per_vertex=per_vertex))
     return reports

@@ -126,6 +126,8 @@ def _ramp_values(sig: SignatureMap, ramp: str) -> dict[Hashable, float]:
             return {k: 0.0 for k in sig.values}
         return {k: v / top for k, v in sig.values.items()}
     if ramp == "quantile":
+        if not sig.values:
+            return {}  # no edge to colour, and no CDF to build
         curve = cdf(sig)
         return {k: curve.value_at(v) for k, v in sig.values.items()}
     raise InputError(f"unknown ramp {ramp!r} (expected 'linear' or 'quantile')")
@@ -191,6 +193,8 @@ def export_cdf_plot(
         raise InputError("need at least one CDF curve to plot")
     if len(labels) != len(curves):
         raise InputError("labels must match curves one to one")
+    if not np.isfinite(reference_x):
+        raise InputError("the reference line needs a finite x")
     width, height = PLOT_SIZE
     margin = 50.0
     xmax = max(max(c.xs) for c in curves)

@@ -14,16 +14,26 @@ One reference checks a single part of the package instead:
 ``label_order_decision`` reads the package's own free-interval tables and
 sweeps them in plain label order, so it differs from ``match_decision`` only
 in the order the sweep takes cells.
+
+``fresh`` is no oracle: it copies a graph without the path distances the
+package remembers on it, for tests that need a run without a sub-path floor
+or a reference that does its own work.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import pickle
 
 import numpy as np
 
 from pathdist.geometry import PolyLine
+
+
+def fresh(g):
+    """A copy of ``g`` with nothing remembered (a pickled graph arrives with an empty cache)."""
+    return pickle.loads(pickle.dumps(g))
 
 
 def adjacency_from_edges(g) -> dict:

@@ -598,6 +598,45 @@ def test_non_finite_tolerance_exits_2_before_writing(graph_dirs, tmp_path, capsy
     assert main(["mapmatch", "--graph", gdir, "--curve", curve, "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_cdf_reference_exits_2_before_writing(graph_dirs, tmp_path, capsys, source, value):
+    gdir, hdir = graph_dirs
+    sig = tmp_path / "sig.csv"
+    assert main(["signature", "--from", gdir, "--to", hdir, "--k", "1", "--out", str(sig)]) == 0
+    out, plot = tmp_path / "cdf.csv", tmp_path / "cdf.svg"
+    argv = ["cdf", "--sig", str(sig), "--out", str(out), "--plot", str(plot)]
+    if source == "flag":
+        argv.append(f"--reference={value}")
+    else:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"reference = {value}\n")
+        argv += ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "reference line needs a finite x" in capsys.readouterr().err
+    assert not out.exists() and not plot.exists()
+
+
+def test_a_source_map_without_edges_runs_through(tmp_path):
+    # No edge, so no path and an empty signature: there is nothing to colour
+    # and no CDF to draw, and the reverse pass still has its own.
+    g = EmbeddedGraph([(0, (0.0, 0.0)), (1, (5.0, 0.0))], [])
+    write_graph_csv(g, tmp_path / "g.vertices.csv", tmp_path / "g.edges.csv")
+    write_graph_csv(grid_graph(4.0, 2.0), tmp_path / "h.vertices.csv", tmp_path / "h.edges.csv")
+    gp, hp = str(tmp_path / "g"), str(tmp_path / "h")
+    for both in (False, True):
+        out = run_all(RunConfig(gp, hp, str(tmp_path / f"out{both}"), k_values=(1, 2), both_directions=both))
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert all((out / name).exists() for name in files)
+        assert ("cdf.svg" in files) == both == (out / "cdf.svg").exists()
+        assert (out / "signature_gh_k2.csv").read_text() == "edge_id,length_m,signature_m\n"
+    heat = tmp_path / "sig.svg"
+    argv = ["signature", "--from", gp, "--to", hp, "--k", "1", "--out", str(tmp_path / "s.csv")]
+    assert main(argv + ["--heatmap", str(heat)]) == 0
+    assert heat.exists()
+
+
 @pytest.mark.parametrize("option", ["--interval", "--match-dist", "--max-path"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_fscore_parameter_exits_2_before_writing(graph_dirs, tmp_path, capsys, option, value):

@@ -179,6 +179,7 @@ def test_atomic_write_replaces_the_file_only_when_the_block_ends(tmp_path):
 
 
 def test_run_all_census_reuses_the_distances_it_has(tmp_path, monkeypatch):
+    import pathdist.matching as matching
     import pathdist.pathdistance as pd
     from pathdist.experiments import load_graph_arg
 
@@ -189,16 +190,52 @@ def test_run_all_census_reuses_the_distances_it_has(tmp_path, monkeypatch):
         for r in pd.separation_census(g, h, 1e-3)
     ]
     calls = []
-    original = pd.max_path_distance
+    original = matching.match_decision
 
-    def counting(g, h, k, *args, **kwargs):
-        calls.append(k)
-        return original(g, h, k, *args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(pd, "max_path_distance", counting)
+    monkeypatch.setattr(matching, "match_decision", counting)
+    # The k=1 and k=2 records and a Δ3 under the k=2 floors, on graphs of their own.
+    g, h = load_graph_arg(gdir), load_graph_arg(hdir)
+    for k in (1, 2):
+        pd.match_all_paths(g, h, k, 1e-3)
+    records = len(calls)
+    pd.max_path_distance(g, h, 3, 1e-3)
+    reference = len(calls)
+    assert reference > records
+    calls.clear()
     out = run_all(RunConfig(gdir, hdir, str(tmp_path / "out"), k_values=(1, 2), tol=1e-3))
-    assert calls == [3]
+    # The census adds Δ3's decisions alone: Δ1 and Δ2 are the records' maxima.
+    assert len(calls) == reference
     assert json.loads((out / "separation_gh.json").read_text()) == expected
+
+
+def test_run_all_takes_the_lower_k_values_from_the_higher_k_pass(tmp_path, monkeypatch):
+    # k=3 computes the k=1 and k=2 values of its sub-paths first, so a run
+    # of k=3 alone, or of k=1 and k=3, decides as often as one of k=1..3.
+    import pathdist.matching as matching
+
+    from test_pathdistance import small_city_pair
+
+    for name, graph in zip("gh", small_city_pair(0)):
+        write_graph_csv(graph, tmp_path / f"{name}.vertices.csv", tmp_path / f"{name}.edges.csv")
+    gp, hp = str(tmp_path / "g"), str(tmp_path / "h")
+    calls = []
+    original = matching.match_decision
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "match_decision", counting)
+    counts = {}
+    for k_values in ((1, 2, 3), (1, 3), (3,)):
+        calls.clear()
+        run_all(RunConfig(gp, hp, str(tmp_path / "-".join(map(str, k_values))), k_values=k_values, tol=1e-3))
+        counts[k_values] = len(calls)
+    assert counts[1, 3] == counts[3,] == counts[1, 2, 3]
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])

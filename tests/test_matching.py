@@ -19,6 +19,7 @@ from pathdist.spatial import nearest_point_on_graph
 from oracles import (
     DenseWalkOracle,
     DiscreteMatchOracle,
+    fresh,
     label_order_decision,
     nearest_point_scan,
     random_curve_near_graph,
@@ -632,11 +633,13 @@ def test_window_step_keeps_the_maximum_bit_for_bit(monkeypatch, offset):
         )
         for x in (g, h)
     )
-    table = {r.path: r.distance for r in match_all_paths(g, h, 1, 1e-3)}
-    runs = [(2, None), (3, None), (2, table)]
-    windowed = [max_path_distance(g, h, k, 1e-3, sub_distances=sub).hex() for k, sub in runs]
+    # g remembers nothing, and floored the k=1 values that floor its k=2 paths.
+    floored = fresh(g)
+    match_all_paths(floored, h, 1, 1e-3)
+    runs = [(g, 2), (g, 3), (floored, 2)]
+    windowed = [max_path_distance(source, h, k, 1e-3).hex() for source, k in runs]
     step_alone(monkeypatch)
-    assert [max_path_distance(g, h, k, 1e-3, sub_distances=sub).hex() for k, sub in runs] == windowed
+    assert [max_path_distance(source, h, k, 1e-3).hex() for source, k in runs] == windowed
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])

@@ -16,6 +16,7 @@ from pathdist.matching import map_match_distance, match_decision
 from pathdist.parallel import run_pool
 from pathdist.pathdistance import (
     _RADIUS_STEPS,
+    _computed,
     _sub_paths,
     directed_path_distance,
     intersection_radius,
@@ -30,7 +31,7 @@ from pathdist.pathdistance import (
 from pathdist.paths import VertexPath, enumerate_paths, path_geometry
 from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
 
-from oracles import dense_radius_scan, polylines_meet, random_geometric_graph
+from oracles import dense_radius_scan, fresh, polylines_meet, random_geometric_graph
 from test_matching import distance_to_graph
 from test_paths import mixed_id_graph
 
@@ -178,7 +179,8 @@ def test_distances_never_fall_as_k_grows_on_bent_cities(seed):
     tables = {}
     for k in (1, 2, 3):
         plain = _plain_distances(g, h, k)
-        records = match_all_paths(g, h, k, TOL, sub_distances=tables.get(k - 1))
+        # Under the link-(k-1) values, which g remembers from the pass before.
+        records = match_all_paths(g, h, k, TOL)
         assert [r.distance for r in records] == [plain[r.path] for r in records]
         if k > 1:
             for p, d in plain.items():
@@ -241,27 +243,31 @@ def test_sub_paths_keep_the_canonical_choice_on_mixed_ids():
 
 @pytest.mark.parametrize("pair", [0, 1, 2, "city"])
 def test_sub_path_floor_never_changes_a_value(pair):
-    # Each k >= 2 path is bisected under its sub-paths' values, with the
-    # table given or computed on the way; every value must be the float a
-    # bisection without the floor returns.
+    # Each k >= 2 path is bisected under its sub-paths' values, remembered
+    # from the pass before or computed on the way; every value must be the
+    # float a bisection without the floor returns.
     g, h = monotonicity_pair(pair)
-    tables = {1: {r.path: r.distance for r in match_all_paths(g, h, 1, TOL)}}
+    match_all_paths(g, h, 1, TOL)
+    tables = {}
     for k in (2, 3):
-        records = match_all_paths(g, h, k, TOL, sub_distances=tables[k - 1])
-        assert records == match_all_paths(g, h, k, TOL)
+        records = match_all_paths(g, h, k, TOL)
+        assert records == match_all_paths(fresh(g), h, k, TOL)
         for rec in records:
             plain = map_match_distance(path_geometry(g, rec.path), h, TOL)
             assert rec.distance.hex() == plain.hex(), rec.path
         tables[k] = {r.path: r.distance for r in records}
-    d3 = max_path_distance(g, h, 3, TOL, sub_distances=tables[2])
-    assert d3 == max_path_distance(g, h, 3, TOL) == max(tables[3].values())
+    floored = fresh(g)
+    match_all_paths(floored, h, 2, TOL)
+    d3 = max_path_distance(floored, h, 3, TOL)
+    assert d3 == max_path_distance(fresh(g), h, 3, TOL) == max(tables[3].values())
+    assert max_path_distance(g, h, 3, TOL) == d3
 
 
 def test_sub_path_floor_saves_decisions(monkeypatch):
     import pathdist.matching as matching
 
     g, h = small_city_pair(0)
-    table = {r.path: r.distance for r in match_all_paths(g, h, 1, TOL)}
+    match_all_paths(g, h, 1, TOL)
     calls = []
     original = matching.match_decision
 
@@ -270,7 +276,7 @@ def test_sub_path_floor_saves_decisions(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(matching, "match_decision", counting)
-    records = match_all_paths(g, h, 2, TOL, sub_distances=table)
+    records = match_all_paths(g, h, 2, TOL)
     assert len(calls) / len(records) <= 4.0
     # Without the floor each path pays a full bisection.
     calls.clear()
@@ -283,25 +289,40 @@ def test_sub_path_floor_saves_decisions(monkeypatch):
 def test_max_path_distance_is_the_maximum_of_the_records(seed):
     # The early exit and the bisection share each curve's memo, and a
     # serial maximum is one chunk; neither may move the maximum off the
-    # float the records give, with or without floors, for any worker count.
+    # float the records give, with or without floors, for any worker count;
+    # nor may reading it off the remembered records.
     g, h = small_city_pair(seed)
-    tables = {}
     for k in (1, 2, 3):
-        records = match_all_paths(g, h, k, TOL, sub_distances=tables.get(k - 1))
-        tables[k] = {r.path: r.distance for r in records}
-        top = max(tables[k].values()).hex()
-        for sub in [None] if k == 1 else [None, tables[k - 1]]:
+        floored = fresh(g)
+        if k > 1:
+            match_all_paths(floored, h, k - 1, TOL)
+        top = max(r.distance for r in match_all_paths(g, h, k, TOL)).hex()
+        sources = {"remembered": g, "no floor": fresh(g)} | ({"floor": floored} if k > 1 else {})
+        for how, source in sources.items():
             for workers in (1, 2):
                 with run_pool(workers):
-                    d = max_path_distance(g, h, k, TOL, sub_distances=sub)
-                assert d.hex() == top, (k, sub is not None, workers)
+                    d = max_path_distance(source, h, k, TOL)
+                assert d.hex() == top, (k, how, workers)
+
+
+def test_a_graph_remembers_only_the_values_it_computed(grid6):
+    # A record holds its target, so a call that remembers nothing makes none;
+    # a resumed value comes from a file and must floor no other path.
+    g = generate_perturbed(PerturbationSpec(p=0.3, seed_count=1, rng_seed=3))[0]
+    max_path_distance(g, grid6, 2, TOL)
+    assert grid6 not in g._frozen_cache[("distances", TOL)]
+    records = match_all_paths(g, grid6, 1, TOL, known={0: 123.0})
+    assert records[0].distance == 123.0
+    assert _computed(g, grid6, TOL) == {r.path: r.distance for r in records[1:]}
+    match_all_paths(g, grid6, 2, TOL)
+    assert _computed(g, grid6, TOL)[records[0].path] == match_all_paths(fresh(g), grid6, 1, TOL)[0].distance
 
 
 def test_delta3_early_exits_settle_at_the_path_scale(monkeypatch):
     # Every sweep steps both interval families once, wherever it is called from.
     g, h = small_city_pair(0)
-    table1 = {r.path: r.distance for r in match_all_paths(g, h, 1, TOL)}
-    table2 = {r.path: r.distance for r in match_all_paths(g, h, 2, TOL, sub_distances=table1)}
+    for k in (1, 2):
+        match_all_paths(g, h, k, TOL)
     steps = []
     original = DiscQuadratic._roots
 
@@ -310,7 +331,7 @@ def test_delta3_early_exits_settle_at_the_path_scale(monkeypatch):
         return original(self, radius)
 
     monkeypatch.setattr(DiscQuadratic, "_roots", counting)
-    d3 = max_path_distance(g, h, 3, TOL, sub_distances=table2)
+    d3 = max_path_distance(g, h, 3, TOL)
     assert d3.hex() == PINNED_DELTAS[2]
     # 179 sweeps when each early exit swept at the running maximum and a
     # serial maximum restarted in four chunks; 151 with both settled.
@@ -348,7 +369,7 @@ PINNED_WITNESS = [
 ]
 
 
-# float.hex of max_path_distance(k=3) without sub_distances on two perturbed
+# float.hex of max_path_distance(k=3) without sub-path floors on two perturbed
 # 6x6 grids, recorded before curves were prepared a window at a time.
 PINNED_STUDY = ["0x1.2e227b587ce6cp-1", "0x1.347c184af98e7p-1"]
 
@@ -366,16 +387,18 @@ def test_study_route_is_pinned_bit_for_bit():
 def test_records_census_and_witness_are_pinned_bit_for_bit():
     # Speed-ups of matching must leave every float as it was.
     g, h = small_city_pair(0)
+    floored = fresh(g)
     tables = {}
     for k in (1, 2, 3):
-        records = match_all_paths(g, h, k, TOL, sub_distances=tables.get(k - 1))
+        records = match_all_paths(g, h, k, TOL)
         assert (len(records), _hex_digest(r.distance for r in records)) == PINNED_RECORDS[k], k
         tables[k] = {r.path: r.distance for r in records}
-    for census in (
-        separation_census(g, h, TOL),
-        separation_census(g, h, TOL, tables={1: tables[1], 2: tables[2]}),
-    ):
-        assert [r.d.hex() for r in census] == PINNED_DELTAS
+        if k < 3:
+            match_all_paths(floored, h, k, TOL)
+    # Without floors, with Δ1 and Δ2 remembered and Δ3 under the k=2 floor,
+    # and with every Δk remembered.
+    for source in (fresh(g), floored, g):
+        assert [r.d.hex() for r in separation_census(source, h, TOL)] == PINNED_DELTAS
     worst = max(tables[3], key=tables[3].get)
     curve = path_geometry(g, worst)
     ok, witness = match_decision(curve, h, tables[3][worst] + TOL, return_witness=True)
@@ -411,8 +434,8 @@ def test_strict_k2_takes_delta3_under_the_k2_table(monkeypatch):
     report = directed_path_distance(g, h, 2, TOL, strict=True)
     strict_calls = len(calls)
     calls.clear()
-    records = match_all_paths(g, h, 2, TOL)
-    d3 = original_max(g, h, 3, TOL)
+    records = match_all_paths(fresh(g), h, 2, TOL)
+    d3 = original_max(fresh(g), h, 3, TOL)
     # Delta3 and the report are the floats a Delta3 without floors gives.
     assert [d.hex() for d in deltas] == [d3.hex()] == ["0x1.8c5f99371950bp-2"]
     summary = {k: v.hex() if isinstance(v, float) else v for k, v in report.summary().items()}
@@ -685,6 +708,33 @@ def test_intersection_radius_survives_utm_offset():
                     assert abs(r - r_moved) < 1e-6
 
 
+UTM = np.array([5e5, 4.5e6])
+
+# float.hex digests of every intersection_radius of both maps of
+# small_city_pair(seed), as is and moved by a UTM-size offset, at Δ1..Δ3 of
+# the unmoved pair halved 0..5 times (every radius at Δk itself is inf on
+# these 100 m blocks); recorded before the crossings shared DiscQuadratic.
+PINNED_RADII = {
+    (0, False): "105a7e69e83888758afac63f3f98467de2eb14f3c280b09907c67bb0f2410c4c",
+    (0, True): "a041a59187000beca71c5c1880ce567165052864ef77613da1ea8872d7aaf1e4",
+    (1, False): "e15eefb38f9012de3b27ce53632b30c069c0839bc99ac14f076f1d98cb286540",
+    (1, True): "10012627519464aee871e4d36016a298b017bdede0ba92de4968773f32f90b17",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_intersection_radii_are_pinned_bit_for_bit(seed):
+    g, h = small_city_pair(seed)
+    deltas = [r.d for r in separation_census(g, h, TOL)]
+    for moved in (False, True):
+        pair = (shifted(g, UTM), shifted(h, UTM)) if moved else (g, h)
+        radii = [
+            intersection_radius(x, v, d / 2**j) for x in pair for d in deltas for j in range(6) for v in x.vertices
+        ]
+        assert sum(map(math.isfinite, radii)) == 270
+        assert _hex_digest(radii) == PINNED_RADII[seed, moved], moved
+
+
 def shifted(g: EmbeddedGraph, shift: np.ndarray) -> EmbeddedGraph:
     return EmbeddedGraph(
         [(v, (p.x + shift[0], p.y + shift[1])) for v, p in g.vertices.items()],
@@ -697,7 +747,6 @@ def test_reports_survive_utm_offset(pair):
     g, h = monotonicity_pair(pair)
     shift = np.array([5e5, 4.5e6])
     g_moved, h_moved = shifted(g, shift), shifted(h, shift)
-    tables, tables_moved = {}, {}
     for k in (1, 2, 3) if pair == 0 else (1, 2):
         report, edge_sig, _ = path_distance_analysis(g, h, k, TOL)
         moved, edge_sig_moved, _ = path_distance_analysis(g_moved, h_moved, k, TOL)
@@ -707,10 +756,8 @@ def test_reports_survive_utm_offset(pair):
         assert list(edge_sig_moved.values) == list(edge_sig.values)
         for eid, value in edge_sig.values.items():
             assert abs(edge_sig_moved.values[eid] - value) < TOL
-        tables[k] = {r.path: r.distance for r in report.records}
-        tables_moved[k] = {r.path: r.distance for r in moved.records}
-    counts = [r.separated_count for r in separation_census(g, h, TOL, tables=tables)]
-    moved_counts = [r.separated_count for r in separation_census(g_moved, h_moved, TOL, tables=tables_moved)]
+    counts = [r.separated_count for r in separation_census(g, h, TOL)]
+    moved_counts = [r.separated_count for r in separation_census(g_moved, h_moved, TOL)]
     assert moved_counts == counts
 
 
@@ -774,6 +821,18 @@ def test_undirected_is_max_of_directions(grid6):
     gh = max_path_distance(gp, grid6, 1, TOL)
     hg = max_path_distance(grid6, gp, 1, TOL)
     assert undirected_path_distance(gp, grid6, 1, TOL) == max(gh, hg)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_tolerance_is_checked_where_the_source_has_no_path(tol, grid6):
+    g = EmbeddedGraph([(0, (0.0, 0.0)), (1, (5.0, 0.0))], [])
+    for call in (
+        lambda: max_path_distance(g, grid6, 1, tol),
+        lambda: separation_census(g, grid6, tol),
+        lambda: match_all_paths(g, grid6, 1, tol),
+    ):
+        with pytest.raises(InputError, match="tol"):
+            call()
 
 
 def test_empty_target_graph_raises(grid6):

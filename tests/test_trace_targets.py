@@ -3,9 +3,11 @@
 ``bench/tracer.py`` wraps the names in its ``TARGETS`` table and counts the
 items that generator targets yield.  A renamed or deleted target, or a
 generator turned into a list-returning function, breaks ``--trace 1``; these
-checks catch it in the test suite instead.
+checks catch it in the test suite instead.  So does a removed parameter or
+function that a ``pathdist.*`` call in ``bench/`` still uses.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -17,6 +19,8 @@ import pathdist.geometry
 import pathdist.matching
 import pathdist.pathdistance
 from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
+
+from oracles import fresh
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -91,7 +95,8 @@ def test_every_sweep_goes_through_the_traced_decision(tmp_path, monkeypatch):
 
     h = grid_graph(6.0, 2.0)
     g = generate_perturbed(PerturbationSpec(p=0.4, seed_count=1, rng_seed=5, extent=6.0))[0]
-    table = {r.path: r.distance for r in pathdist.pathdistance.match_all_paths(g, h, 1, 1e-3)}
+    floored = fresh(g)
+    pathdist.pathdistance.match_all_paths(floored, h, 1, 1e-3)
     monkeypatch.setattr(pathdist.geometry.DiscQuadratic, "_roots", traced_step)
     monkeypatch.setattr(pathdist.matching._Window, "tables", counted_tables)
     monkeypatch.setattr(pathdist.matching._Window, "step", counted_step)
@@ -101,7 +106,7 @@ def test_every_sweep_goes_through_the_traced_decision(tmp_path, monkeypatch):
         pathdist.matching.map_match_distance(curve, h, 1e-3)
         pathdist.pathdistance.max_path_distance(g, h, 2, 1e-3)
         # Under a floor the early exits probe at the path's own scale.
-        pathdist.pathdistance.max_path_distance(g, h, 2, 1e-3, sub_distances=table)
+        pathdist.pathdistance.max_path_distance(floored, h, 2, 1e-3)
         # Every record's bisection, on problems prepared a window at a time.
         pathdist.pathdistance.match_all_paths(g, h, 2, 1e-3)
     finally:
@@ -116,3 +121,39 @@ def test_every_sweep_goes_through_the_traced_decision(tmp_path, monkeypatch):
     # decisions at that eps read them without a step.
     assert 0 < served["window steps"] < served["window"]
     assert len(callers) == 2 * (served["alone"] + served["window steps"])
+
+
+def _pathdist_callee(func):
+    """The package object a ``pathdist.a.b(...)`` call names, or None for any other call."""
+    names = []
+    while isinstance(func, ast.Attribute):
+        names.append(func.attr)
+        func = func.value
+    if not (isinstance(func, ast.Name) and func.id == "pathdist" and names):
+        return None
+    obj = pathdist
+    for name in reversed(names):
+        # A submodule, such as pathdist.cli, is an attribute only once imported.
+        obj = getattr(obj, name) if hasattr(obj, name) else importlib.import_module(f"{obj.__name__}.{name}")
+    return obj
+
+
+def test_bench_calls_bind_to_the_package():
+    # A removed parameter or function would otherwise break bench/run.py unseen.
+    bound = 0
+    for path in sorted(TRACER.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = _pathdist_callee(node.func)
+            if callee is None:
+                continue
+            where = f"{path.name}:{node.lineno}"
+            assert not any(isinstance(a, ast.Starred) for a in node.args), where
+            assert all(kw.arg is not None for kw in node.keywords), where
+            try:
+                inspect.signature(callee).bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+            except TypeError as exc:
+                raise AssertionError(f"{where}: {exc}") from None
+            bound += 1
+    assert bound >= 15

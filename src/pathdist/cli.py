@@ -92,15 +92,21 @@ _CONFIG_BOOLS = {word: True for word in ("1", "true", "yes", "on")} | {
 }
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser) -> None:
+def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser):
+    """``argv`` parsed again with the ``--config`` values as the subcommand's defaults.
+
+    argparse then decides precedence, so a flag given in ``argv`` in any
+    form it accepts (``--both``, ``--bo``, ``--k=2``) wins over the file.
+    Without ``--config`` this is ``args``.
+    """
     if not getattr(args, "config", None):
-        return
+        return args
     command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
     # Only the subcommand's own flags take values; a value must pass the flag's choices too.
     flags = {a.dest: a for a in command._actions if a.option_strings and hasattr(args, a.dest)}
+    defaults = {}
     for key, raw in _read_config(args.config).items():
-        # Flags given explicitly on the command line win over the file.
-        if key not in flags or _given_on_cli(key, argv):
+        if key not in flags:
             continue
         current = getattr(args, key)
         value = raw
@@ -122,12 +128,9 @@ def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.Ar
         choices = flags[key].choices
         if choices is not None and value not in choices:
             raise PathdistError(f"config key {key!r}: {raw!r} is not one of {list(choices)}")
-        setattr(args, key, value)
-
-
-def _given_on_cli(key: str, argv: list[str]) -> bool:
-    flag = "--" + key.replace("_", "-")
-    return any(a == flag or a.startswith(flag + "=") for a in argv)
+        defaults[key] = value
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _worker_count(text: str) -> int:
@@ -428,7 +431,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, list(argv), parser)
+        args = _apply_config(args, list(argv), parser)
         if hasattr(args, "tol"):
             check_tolerance(args.tol)
         # One pool serves every pass of the run and is joined before main returns.

@@ -9,6 +9,7 @@ share across worker processes.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -150,9 +151,11 @@ def graph_stats(g: EmbeddedGraph) -> GraphStats:
 def open_text(path) -> io.StringIO:
     """A file's text, read as UTF-8 with its line endings kept (as ``newline=""``).
 
-    Bytes that are not UTF-8 raise a :class:`ParseError` with their line.
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is
+    dropped.  Bytes that are not UTF-8 raise a :class:`ParseError` with
+    their line.
     """
-    data = Path(path).read_bytes()
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return io.StringIO(data.decode("utf-8"), newline="")
     except UnicodeDecodeError as exc:

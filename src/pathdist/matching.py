@@ -92,7 +92,9 @@ class MatchProblem:
     window's tables and gathers neither.
 
     It also holds the monotone memo of :meth:`decide`: every eps at or below
-    ``fail`` fails and every eps at or above ``hold`` holds.
+    ``fail`` fails and every eps at or above ``hold`` holds, and every eps
+    below ``floor`` fails; ``floor`` and one ``probe`` are set by
+    :func:`map_match_distance` alone.
     """
 
     __slots__ = ("points", "h", "window", "rows", "cols", "_quads", "fail", "hold", "floor", "probe")
@@ -136,19 +138,6 @@ class MatchProblem:
         """
         tables = self.window.tables(self.rows, self.cols, eps)
         return tables if tables is not None else _step(self.cv, self.jn, eps)
-
-    def bound_below(self, lower: float | None, tol: float) -> None:
-        """Let :meth:`decide` use a sub-curve's distance ``lower`` at ``tol``.
-
-        Every eps strictly below ``lower - tol/2`` then fails: ``lower`` is a
-        bisection midpoint, so within ``tol/2`` of the sub-curve's threshold,
-        which the whole curve's threshold is never below.  The first eps
-        above ``lower + tol/2`` is preceded by one probe at that point.
-        """
-        if lower is None:
-            self.floor, self.probe = -_INF, None
-        else:
-            self.floor, self.probe = lower - 0.5 * tol, lower + 0.5 * tol
 
     def decide(self, eps: float) -> bool:
         """:func:`match_decision` at ``eps``, answered from the memo when it can be."""
@@ -457,13 +446,15 @@ def map_match_distance(
     it only sweeps inside a window about ``tol`` wide.
 
     ``curve`` may be a :class:`MatchProblem` prepared against ``h``, such as
-    one that already made an early-exit decision.
+    one that already made an early-exit decision; that decision stays in
+    its memo.
     """
     check_tolerance(tol)
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
     problem = _problem(curve, h)
-    problem.bound_below(lower, tol)
+    # ``lower`` lies within tol/2 of the sub-curve's threshold, which this curve's is never below.
+    problem.floor, problem.probe = (-_INF, None) if lower is None else (lower - 0.5 * tol, lower + 0.5 * tol)
     decide = problem.decide
     C = problem.points
     d0, q0, _ = nearest_point_on_graph(h, C[0])

@@ -148,18 +148,18 @@ def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
 
     A curve whose decision at ``best - tol`` holds cannot raise the maximum
     (its canonical distance is <= best), so it is skipped after that
-    decision; every record-breaker gets the full bisection.  The decision
-    goes through the curve's memo (:meth:`MatchProblem.decide`) under its
-    floor: below the floor it fails without a sweep, above it a probe at
-    the path's own scale, ``lower + tol/2``, usually settles it, and a
-    failure stays in the memo for the bisection that follows.  The result
-    equals the maximum of the individually computed distances, so chunking
-    never changes it.  Items are ``(collapsed points, lower)``.
+    decision; every record-breaker gets the full bisection.  Every curve is
+    decided at that one running maximum, so the decisions of a window share
+    its root steps; a failure stays in the curve's memo for the bisection
+    that follows.  The decision is left out where the curve's floor
+    (``lower - tol/2``, see :func:`map_match_distance`) proves it fails.
+    The result equals the maximum of the individually computed distances,
+    so chunking never changes it.  Items are ``(collapsed points, lower)``.
     """
     best = -math.inf
     for problem, (_, lower) in zip(prepare_problems([pts for pts, _ in items], h), items):
-        problem.bound_below(lower, tol)
-        if best > tol and problem.decide(best - tol):
+        eps = best - tol
+        if best > tol and (lower is None or eps >= lower - 0.5 * tol) and problem.decide(eps):
             continue
         d = map_match_distance(problem, h, tol, lower=lower)
         if d > best:

@@ -17,18 +17,31 @@ in the order the sweep takes cells.
 
 ``fresh`` is no oracle: it copies a graph without the path distances the
 package remembers on it, for tests that need a run without a sub-path floor
-or a reference that does its own work.
+or a reference that does its own work.  Nor is ``city_pair``, the
+benchmark's seeded city pair, for tests that need maps of its size.
 """
 
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 
 from pathdist.geometry import PolyLine
+
+CITYGEN = Path(__file__).resolve().parents[1] / "bench" / "citygen.py"
+
+
+def city_pair(seed: int, blocks: int):
+    """The benchmark's seeded curved city pair (``bench/citygen.py``)."""
+    spec = importlib.util.spec_from_file_location("bench_citygen", CITYGEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.city_pair(seed, blocks)
 
 
 def fresh(g):

@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -380,8 +381,11 @@ def test_bad_curve_row_exits_2_with_its_line(graph_dirs, tmp_path, capsys, rows,
     assert main(["frechet", "--curve-a", good, "--curve-b", str(curve)]) == 2
 
 
-@pytest.mark.parametrize("case", ["vertices", "edges", "curve", "config", "report", "signature"])
-def test_bytes_that_are_not_utf8_exit_2_with_their_line(case, graph_dirs, tmp_path, capsys):
+INPUT_FILES = ["vertices", "edges", "curve", "config", "report", "signature"]
+
+
+def input_file(case, graph_dirs, tmp_path):
+    """An input file of kind ``case`` and the command line that reads it."""
     gdir, hdir = graph_dirs
     pair = ["--from", gdir, "--to", hdir]
     if case in ("vertices", "edges"):
@@ -403,12 +407,47 @@ def test_bytes_that_are_not_utf8_exit_2_with_their_line(case, graph_dirs, tmp_pa
         target = tmp_path / "sig.csv"
         assert main(["signature", *pair, "--k", "1", "--out", str(target)]) == 0
         argv = ["cdf", "--sig", str(target), "--out", str(tmp_path / "cdf.csv")]
+    return target, argv
+
+
+@pytest.mark.parametrize("case", INPUT_FILES)
+def test_bytes_that_are_not_utf8_exit_2_with_their_line(case, graph_dirs, tmp_path, capsys):
+    target, argv = input_file(case, graph_dirs, tmp_path)
     lines = target.read_bytes().splitlines(keepends=True)
     lines[1] = b"\xff" + lines[1]
     target.write_bytes(b"".join(lines))
     capsys.readouterr()
     assert main(argv) == 2
     assert "line 2:" in capsys.readouterr().err
+
+
+def _outputs(tmp_path) -> dict:
+    """The bytes of every report and CDF written into ``tmp_path``."""
+    return {p.name: p.read_bytes() for pattern in ("r*.csv", "cdf.csv") for p in sorted(tmp_path.glob(pattern))}
+
+
+@pytest.mark.parametrize("case", INPUT_FILES)
+def test_input_files_that_start_with_a_byte_order_mark_load(case, graph_dirs, tmp_path, capsys):
+    # Spreadsheet exports start with a UTF-8 byte-order mark; it is no part of the first cell.
+    target, argv = input_file(case, graph_dirs, tmp_path)
+    plain = target.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 0
+    expected = capsys.readouterr().out, _outputs(tmp_path)
+    target.write_bytes(codecs.BOM_UTF8 + plain)
+    assert main(argv) == 0
+    assert (capsys.readouterr().out, _outputs(tmp_path)) == expected
+
+
+@pytest.mark.parametrize("case", INPUT_FILES)
+def test_a_bad_byte_after_a_byte_order_mark_names_its_line(case, graph_dirs, tmp_path, capsys):
+    target, argv = input_file(case, graph_dirs, tmp_path)
+    lines = target.read_bytes().splitlines(keepends=True)
+    lines[-1] = b"\xff" + lines[-1]
+    target.write_bytes(codecs.BOM_UTF8 + b"".join(lines))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"line {len(lines)}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -540,6 +579,28 @@ def test_config_file_defaults_flags_override(graph_dirs, tmp_path, capsys):
     )
     assert code == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("flags, line", [(["--bo"], "both = no"), (["--wor", "1"], "workers = 0")], ids=["bo", "wor"])
+def test_a_flag_in_any_form_argparse_accepts_wins_over_the_config_file(graph_dirs, tmp_path, flags, line):
+    # argparse takes an unambiguous prefix of a long flag, so the file must lose to it too.
+    gdir, hdir = graph_dirs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    argv = ["distance", "--from", gdir, "--to", hdir, "--k", "1", "--out", str(tmp_path / "r.csv")]
+    assert main(argv + flags + ["--config", str(cfg)]) == 0
+    expected = ["r.csv"] if "workers" in line else ["r_gh.csv", "r_hg.csv"]
+    assert sorted(p.name for p in tmp_path.glob("r*.csv")) == expected
+
+
+def test_a_bad_config_value_exits_2_even_where_a_flag_overrides_it(graph_dirs, tmp_path, capsys):
+    gdir, hdir = graph_dirs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 5\n")
+    argv = ["distance", "--from", gdir, "--to", hdir, "--k", "1", "--out", str(tmp_path / "r.csv")]
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "config key 'k': '5'" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def _demo_city(missing_street: bool, shift: float) -> EmbeddedGraph:

@@ -197,7 +197,8 @@ def test_run_all_census_reuses_the_distances_it_has(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(matching, "match_decision", counting)
-    # The k=1 and k=2 records and a Δ3 under the k=2 floors, on graphs of their own.
+    # The k=1 and k=2 records and a Δ3 under the k=2 floors (early exits at
+    # the running maximum, bisections from each floor), on graphs of their own.
     g, h = load_graph_arg(gdir), load_graph_arg(hdir)
     for k in (1, 2):
         pd.match_all_paths(g, h, k, 1e-3)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import math
@@ -31,7 +32,7 @@ from pathdist.pathdistance import (
 from pathdist.paths import VertexPath, enumerate_paths, path_geometry
 from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
 
-from oracles import dense_radius_scan, fresh, polylines_meet, random_geometric_graph
+from oracles import city_pair, dense_radius_scan, fresh, polylines_meet, random_geometric_graph
 from test_matching import distance_to_graph
 from test_paths import mixed_id_graph
 
@@ -173,8 +174,8 @@ def _plain_distances(g, h, k):
 @settings(max_examples=6)
 @given(st.integers(0, 2**16))
 def test_distances_never_fall_as_k_grows_on_bent_cities(seed):
-    # The sub-path floor and the early exit's probe both rest on this: a
-    # matching of a path restricts to its prefix and its suffix.
+    # The sub-path floor and its probe both rest on this: a matching of a
+    # path restricts to its prefix and its suffix.
     g, h = small_city_pair(seed)
     tables = {}
     for k in (1, 2, 3):
@@ -318,11 +319,9 @@ def test_a_graph_remembers_only_the_values_it_computed(grid6):
     assert _computed(g, grid6, TOL)[records[0].path] == match_all_paths(fresh(g), grid6, 1, TOL)[0].distance
 
 
-def test_delta3_early_exits_settle_at_the_path_scale(monkeypatch):
-    # Every sweep steps both interval families once, wherever it is called from.
-    g, h = small_city_pair(0)
-    for k in (1, 2):
-        match_all_paths(g, h, k, TOL)
+@pytest.fixture
+def root_steps(monkeypatch):
+    """The radius of every root step; each sweep steps both interval families once, or its window does."""
     steps = []
     original = DiscQuadratic._roots
 
@@ -331,11 +330,37 @@ def test_delta3_early_exits_settle_at_the_path_scale(monkeypatch):
         return original(self, radius)
 
     monkeypatch.setattr(DiscQuadratic, "_roots", counting)
+    return steps
+
+
+def test_delta3_early_exits_decide_at_the_running_maximum(root_steps):
+    g, h = small_city_pair(0)
+    for k in (1, 2):
+        match_all_paths(g, h, k, TOL)
+    root_steps.clear()
     d3 = max_path_distance(g, h, 3, TOL)
     assert d3.hex() == PINNED_DELTAS[2]
-    # 179 sweeps when each early exit swept at the running maximum and a
-    # serial maximum restarted in four chunks; 151 with both settled.
-    assert len(steps) / 2 < 179
+    # 179 root steps when a serial maximum restarted in four chunks; 146
+    # when each early exit first probed at its own path's lower + tol/2;
+    # 82 when every early exit decides at the one running maximum.
+    assert len(root_steps) / 2 <= 82
+
+
+@pytest.mark.parametrize("kind, seed", [("small", seed) for seed in range(5)] + [("city3", seed) for seed in range(3)])
+def test_floors_never_cost_delta3_root_steps(kind, seed, root_steps):
+    # A sub-path floor only answers decisions without a sweep: Δ3 with the
+    # k=1 and k=2 values remembered steps no more often than Δ3 on a copy
+    # that remembers nothing.  Early exits that probed at each path's own
+    # scale kept windows from stepping at the shared eps and stepped more.
+    g, h = small_city_pair(seed) if kind == "small" else city_pair(seed, 3)
+    for k in (1, 2):
+        match_all_paths(g, h, k, TOL)
+    root_steps.clear()
+    floored = max_path_distance(g, h, 3, TOL)
+    floored_steps = len(root_steps)
+    root_steps.clear()
+    assert max_path_distance(fresh(g), h, 3, TOL) == floored
+    assert floored_steps <= len(root_steps)
 
 
 def _hex_digest(values) -> str:
@@ -450,7 +475,10 @@ def test_strict_k2_takes_delta3_under_the_k2_table(monkeypatch):
         "strict_bound": None,
     }
     assert set(report.records) <= set(records)
-    # ... with fewer decisions than the k=2 records plus an unfloored Delta3.
+    # ... with fewer decisions than the k=2 records plus an unfloored Delta3:
+    # the k=2 floors answer the early exits they prove to fail, and narrow
+    # each bisection, while every other early exit decides at the running
+    # maximum as it would without them.
     assert strict_calls < len(calls)
 
 
@@ -759,6 +787,65 @@ def test_reports_survive_utm_offset(pair):
     counts = [r.separated_count for r in separation_census(g, h, TOL)]
     moved_counts = [r.separated_count for r in separation_census(g_moved, h_moved, TOL)]
     assert moved_counts == counts
+
+
+def rotated(g: EmbeddedGraph, angle: float, offset: np.ndarray) -> EmbeddedGraph:
+    """``g`` turned by ``angle`` about the origin, then moved by ``offset``.
+
+    Elementwise, so a vertex and the edge ends on it land on the same floats.
+    """
+    c, s = math.cos(angle), math.sin(angle)
+
+    def move(points: np.ndarray) -> np.ndarray:
+        x, y = points[..., 0], points[..., 1]
+        return np.stack([c * x - s * y + offset[0], s * x + c * y + offset[1]], axis=-1)
+
+    return EmbeddedGraph(
+        [(v, tuple(move(np.array([p.x, p.y])).tolist())) for v, p in g.vertices.items()],
+        [(eid, (e.u, e.v, move(e.geometry.points))) for eid, e in g.edges.items()],
+    )
+
+
+# Each bisection returns a midpoint within tol/2 of its own threshold, so two
+# runs on the same geometry differ by at most TOL.  A rotation and a move to
+# UTM-size coordinates change the geometry only by rounding: about 1e-9 m per
+# coordinate near 6e6, and a Fréchet threshold moves by no more than twice
+# the largest point moved.  ROUNDING_SLACK covers that with a wide margin.
+ROUNDING_SLACK = 1e-6
+# A radius at a fixed scale moves only with the rounded crossing points.
+RADIUS_REL = 1e-6
+
+
+@functools.cache
+def unrotated_run(seed: int):
+    g, h = small_city_pair(seed)
+    records = {k: match_all_paths(g, h, k, TOL) for k in (1, 2)}
+    deltas = [r.d for r in separation_census(g, h, TOL)]
+    scales = [d / 2**j for d in deltas for j in range(4)]
+    radii = [[intersection_radius(g, v, d) for v in g.vertices] for d in scales]
+    return records, deltas, scales, radii
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 4), st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+def test_distances_and_radii_survive_rotation_at_utm_size(seed, angle):
+    records, deltas, scales, radii = unrotated_run(seed)
+    g, h = (rotated(x, angle, np.array([5e5, 5.8e6])) for x in small_city_pair(seed))
+    for k in (1, 2):
+        moved = match_all_paths(g, h, k, TOL)
+        assert [r.path for r in moved] == [r.path for r in records[k]]
+        for r, r_moved in zip(records[k], moved):
+            assert abs(r_moved.distance - r.distance) <= TOL + ROUNDING_SLACK, (k, r.path)
+    census = separation_census(g, h, TOL)
+    for d, report in zip(deltas, census):
+        assert abs(report.d - d) <= TOL + ROUNDING_SLACK, report.k
+    # Radii at the unrotated scales, so that only the rotation moves them.
+    for d, expected in zip(scales, radii):
+        got = [intersection_radius(g, v, d) for v in g.vertices]
+        assert [math.isfinite(r) for r in got] == [math.isfinite(r) for r in expected], d
+        for r, r_expected in zip(got, expected):
+            if math.isfinite(r):
+                assert abs(r - r_expected) <= RADIUS_REL * r_expected, d
 
 
 def test_separation_census_identity(grid6):

@@ -105,7 +105,8 @@ def test_every_sweep_goes_through_the_traced_decision(tmp_path, monkeypatch):
     try:
         pathdist.matching.map_match_distance(curve, h, 1e-3)
         pathdist.pathdistance.max_path_distance(g, h, 2, 1e-3)
-        # Under a floor the early exits probe at the path's own scale.
+        # Under a floor the early exits still decide at the running maximum,
+        # except where the floor already proves that decision fails.
         pathdist.pathdistance.max_path_distance(floored, h, 2, 1e-3)
         # Every record's bisection, on problems prepared a window at a time.
         pathdist.pathdistance.match_all_paths(g, h, 2, 1e-3)

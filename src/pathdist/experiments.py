@@ -14,6 +14,7 @@ count.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -46,8 +47,15 @@ __all__ = [
 ]
 
 
+def _check_grid(extent: float, spacing: float) -> None:
+    """Raise :class:`InputError` unless ``extent`` and ``spacing`` are finite and positive."""
+    if not (0.0 < extent < math.inf and 0.0 < spacing < math.inf):
+        raise InputError("grid extent and spacing must be positive and finite")
+
+
 def grid_graph(extent: float = 10.0, spacing: float = 2.0) -> EmbeddedGraph:
     """Regular grid over [0, extent]^2 with vertices every ``spacing`` meters."""
+    _check_grid(extent, spacing)
     n = int(round(extent / spacing)) + 1
     vertices = []
     for j in range(n):
@@ -82,6 +90,7 @@ class PerturbationSpec:
             raise InputError("perturbation index p must be in [0, 1]")
         if self.seed_count < 1:
             raise InputError("seed_count must be >= 1")
+        _check_grid(self.extent, self.spacing)
 
 
 def generate_perturbed(spec: PerturbationSpec) -> list[EmbeddedGraph]:

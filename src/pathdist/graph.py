@@ -20,7 +20,7 @@ from typing import Hashable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import ParseError, StructuralError
+from .errors import InputError, ParseError, StructuralError
 from .geometry import Point2D, PolyLine
 
 __all__ = [
@@ -73,7 +73,10 @@ class EmbeddedGraph:
         for vid, p in vitems:
             if vid in self.vertices:
                 raise StructuralError(f"duplicate vertex id {vid!r}")
-            self.vertices[vid] = Point2D(float(p[0]), float(p[1]))
+            x, y = float(p[0]), float(p[1])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise InputError(f"vertex {vid!r} has non-finite coordinates ({x!r}, {y!r})")
+            self.vertices[vid] = Point2D(x, y)
 
         eitems = edges.items() if isinstance(edges, Mapping) else edges
         self.edges: dict[EdgeId, Edge] = {}

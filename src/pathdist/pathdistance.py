@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InputError, ParseError, StructuralError
-from .frechet import DEFAULT_TOLERANCE, check_tolerance
+from .frechet import DEFAULT_TOLERANCE, check_tolerance, discrete_frechet
 from .geometry import DiscQuadratic, max_distance_to_point
 from .graph import EmbeddedGraph, VertexId, finite_numbers
 from .matching import map_match_distance, prepare_problems
@@ -146,25 +146,61 @@ def _chunk_distances(h: EmbeddedGraph, tol: float, items: list) -> list[float]:
 def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
     """Exact maximum of canonical per-curve distances over one chunk.
 
-    A curve whose decision at ``best - tol`` holds cannot raise the maximum
-    (its canonical distance is <= best), so it is skipped after that
-    decision; every record-breaker gets the full bisection.  Every curve is
-    decided at that one running maximum, so the decisions of a window share
-    its root steps; a failure stays in the curve's memo for the bisection
-    that follows.  The decision is left out where the curve's floor
-    (``lower - tol/2``, see :func:`map_match_distance`) proves it fails.
-    The result equals the maximum of the individually computed distances,
-    so chunking never changes it.  Items are ``(collapsed points, lower)``.
+    A curve cannot raise the maximum when its distance is <= ``best - tol``
+    (its bisection would return less than ``best``), so it is skipped when
+    its upper bound (see :func:`_path_bounds`) is at most that, with no
+    decision, or else when its decision at ``best - tol`` holds; every
+    record-breaker gets the full bisection.  Every curve is decided at that
+    one running maximum, so the decisions of a window share its root steps;
+    a failure stays in the curve's memo for the bisection that follows.
+    The decision is left out where the curve's floor (``lower - tol/2``,
+    see :func:`map_match_distance`) proves it fails.  The result equals the
+    maximum of the individually computed distances, so chunking never
+    changes it.  Items are ``(collapsed points, lower, bound)``.
     """
     best = -math.inf
-    for problem, (_, lower) in zip(prepare_problems([pts for pts, _ in items], h), items):
+    for problem, (_, lower, bound) in zip(prepare_problems([pts for pts, _, _ in items], h), items):
         eps = best - tol
-        if best > tol and (lower is None or eps >= lower - 0.5 * tol) and problem.decide(eps):
+        if bound <= eps or (
+            best > tol and (lower is None or eps >= lower - 0.5 * tol) and problem.decide(eps)
+        ):
             continue
         d = map_match_distance(problem, h, tol, lower=lower)
         if d > best:
             best = d
     return best
+
+
+def _path_bounds(g: EmbeddedGraph, h: EmbeddedGraph, paths: list[VertexPath]) -> list[float]:
+    """An upper bound on each of ``paths``' distance into ``h``, from one bound per edge of ``g``.
+
+    Each vertex u of ``g`` is anchored at its nearest vertex a(u) of ``h``
+    (the first in insertion order on a tie).  The bound of an edge from u
+    to v is the smallest discrete Fréchet distance between its geometry and
+    an edge of ``h`` from a(u) to a(v), in that orientation, and ``inf``
+    when no edge of ``h`` joins them.  The edges matched along a path meet
+    at the anchors, so they form a walk in ``h``; the largest bound of the
+    path's edges therefore bounds the walk's discrete, and so its
+    continuous, Fréchet distance to the path, and with it the path's
+    map-matching distance.
+    """
+    ids = list(h.vertices)
+    xy = np.asarray(list(h.vertices.values()))
+    anchor = {
+        v: ids[int(np.argmin(np.hypot(xy[:, 0] - p.x, xy[:, 1] - p.y)))] for v, p in g.vertices.items()
+    }
+    joining: dict = {}
+    for e in h.edges.values():
+        joining.setdefault((e.u, e.v), []).append(e.geometry)
+        joining.setdefault((e.v, e.u), []).append(e.geometry.reversed())
+    bounds = {
+        eid: min(
+            (discrete_frechet(e.geometry, f) for f in joining.get((anchor[e.u], anchor[e.v]), ())),
+            default=math.inf,
+        )
+        for eid, e in g.edges.items()
+    }
+    return [max(bounds[e] for e in p.edge_ids) for p in paths]
 
 
 def _sub_paths(g: EmbeddedGraph, paths: list[VertexPath]) -> list[tuple[VertexPath, VertexPath]]:
@@ -292,8 +328,10 @@ def max_path_distance(
     value (see :func:`iter_match_records`), this is their maximum.
     Otherwise each path is decided under the floor its remembered sub-path
     values give, if any; no sub-path is computed and nothing is
-    remembered, which suits the early exit (most paths are settled by one
-    decision at the running maximum).
+    remembered, which suits the early exit: most paths are settled by
+    their upper bound from ``h``'s edges between the vertices nearest to
+    theirs (see :func:`_path_bounds`), computed once per call, or else by
+    one decision at the running maximum.
     """
     check_tolerance(tol)
     if h.is_empty():
@@ -302,7 +340,7 @@ def max_path_distance(
     computed = _computed(g, h, tol)
     if all(p in computed for p in paths):
         return max((computed[p] for p in paths), default=0.0)
-    items = list(zip(path_curves(g, paths), _floors(g, paths, computed)))
+    items = list(zip(path_curves(g, paths), _floors(g, paths, computed), _path_bounds(g, h, paths)))
     fn = functools.partial(_chunk_max, h, tol)
     maxima = run_chunked(fn, items)
     return max(maxima, default=0.0)

@@ -31,6 +31,17 @@ def test_spec_validation():
         PerturbationSpec(p=0.5, seed_count=0)
 
 
+@pytest.mark.parametrize(
+    "extent, spacing",
+    [(10.0, 0.0), (10.0, -2.0), (10.0, math.nan), (10.0, math.inf), (0.0, 2.0), (-10.0, 2.0), (math.nan, 2.0)],
+)
+def test_grid_extent_and_spacing_must_be_positive_and_finite(extent, spacing):
+    with pytest.raises(InputError, match="extent and spacing"):
+        grid_graph(extent, spacing)
+    with pytest.raises(InputError, match="extent and spacing"):
+        PerturbationSpec(p=0.5, seed_count=1, extent=extent, spacing=spacing)
+
+
 def test_zero_perturbation_is_identity(grid6):
     gp = generate_perturbed(PerturbationSpec(p=0.0, seed_count=1, rng_seed=1))[0]
     for vid, pos in grid6.vertices.items():

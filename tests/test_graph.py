@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from pathdist.errors import ParseError, StructuralError
+from pathdist.errors import InputError, ParseError, StructuralError
 from pathdist.geometry import PolyLine
 from pathdist.graph import (
     EmbeddedGraph,
@@ -61,6 +62,13 @@ def test_load_reports_malformed_row_line(tmp_path):
 def test_self_loop_rejected():
     with pytest.raises(StructuralError):
         EmbeddedGraph([(0, (0, 0))], [(0, (0, 0))])
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_vertex_rejected_without_edges(x):
+    # No edge geometry checks an isolated vertex, so the graph checks it.
+    with pytest.raises(InputError, match="vertex 'far'"):
+        EmbeddedGraph([("a", (0, 0)), ("b", (1, 0)), ("far", (x, 0))], [("e", ("a", "b"))])
 
 
 def test_grid_counts_and_stats(grid6):

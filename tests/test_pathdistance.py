@@ -18,6 +18,7 @@ from pathdist.parallel import run_pool
 from pathdist.pathdistance import (
     _RADIUS_STEPS,
     _computed,
+    _path_bounds,
     _sub_paths,
     directed_path_distance,
     intersection_radius,
@@ -286,13 +287,17 @@ def test_sub_path_floor_saves_decisions(monkeypatch):
     assert len(calls) / len(records) > 8.0
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_max_path_distance_is_the_maximum_of_the_records(seed):
-    # The early exit and the bisection share each curve's memo, and a
-    # serial maximum is one chunk; neither may move the maximum off the
-    # float the records give, with or without floors, for any worker count;
-    # nor may reading it off the remembered records.
-    g, h = small_city_pair(seed)
+@pytest.mark.parametrize(
+    "kind, seed",
+    [("small", seed) for seed in range(3)] + [("city3", seed) for seed in range(3)],
+    ids=["0", "1", "2", "city3-0", "city3-1", "city3-2"],
+)
+def test_max_path_distance_is_the_maximum_of_the_records(kind, seed):
+    # The early exit, by bound or by decision, and the bisection share each
+    # curve's memo, and a serial maximum is one chunk; neither may move the
+    # maximum off the float the records give, with or without floors, for
+    # any worker count; nor may reading it off the remembered records.
+    g, h = small_city_pair(seed) if kind == "small" else city_pair(seed, 3)
     for k in (1, 2, 3):
         floored = fresh(g)
         if k > 1:
@@ -304,6 +309,33 @@ def test_max_path_distance_is_the_maximum_of_the_records(seed):
                 with run_pool(workers):
                     d = max_path_distance(source, h, k, TOL)
                 assert d.hex() == top, (k, how, workers)
+
+
+@pytest.mark.parametrize(
+    "kind, seed",
+    [("small", seed) for seed in range(5)] + [(kind, seed) for kind in ("grid", "city3") for seed in range(3)],
+)
+def test_path_bounds_are_upper_bounds(kind, seed):
+    # max_path_distance skips a path without a decision when its bound is
+    # at most the running maximum minus tol, which keeps the maximum only if
+    # no path's distance (the record map_match_distance gives) exceeds its
+    # bound by more than tol.
+    if kind == "small":
+        g, h = small_city_pair(seed)
+    elif kind == "grid":
+        g, h = generate_perturbed(PerturbationSpec(p=0.5, seed_count=1, rng_seed=seed))[0], grid_graph()
+    else:
+        g, h = city_pair(seed, 3)
+    g = fresh(g)
+    bounds = []
+    for k in (1, 2, 3):
+        records = match_all_paths(g, h, k, TOL)
+        for r, bound in zip(records, _path_bounds(g, h, [r.path for r in records])):
+            bounds.append(bound)
+            assert not r.distance > bound + TOL, (k, r.path, r.distance, bound)
+    assert any(math.isfinite(b) for b in bounds)
+    # The city targets miss streets, so some paths have no anchored walk.
+    assert any(math.isinf(b) for b in bounds) == (kind != "grid")
 
 
 def test_a_graph_remembers_only_the_values_it_computed(grid6):
@@ -407,6 +439,27 @@ def test_study_route_is_pinned_bit_for_bit():
     for workers in (1, 2):
         with run_pool(workers):
             assert [max_path_distance(g, h, 3, TOL).hex() for g in graphs] == PINNED_STUDY
+
+
+def test_study_early_exits_mostly_settle_by_their_bound(monkeypatch):
+    # Without the path bounds the two study graphs made 845 and 848
+    # decisions: most paths settled by one decision at the running maximum.
+    import pathdist.matching as matching
+
+    calls = []
+    original = matching.match_decision
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "match_decision", counting)
+    h = grid_graph()
+    graphs = generate_perturbed(PerturbationSpec(p=0.5, seed_count=2, rng_seed=7))
+    for g, pinned in zip(graphs, PINNED_STUDY):
+        calls.clear()
+        assert max_path_distance(g, h, 3, TOL).hex() == pinned
+        assert len(calls) <= 250
 
 
 def test_records_census_and_witness_are_pinned_bit_for_bit():

@@ -33,6 +33,7 @@ from .pathdistance import (
     separation_census,
     write_records_csv,
 )
+from .paths import check_link_length
 from .signatures import cdf, export_cdf_plot, export_heatmap, write_signature_csv
 from .svgplot import PLOT_SIZE, SvgCanvas
 
@@ -253,6 +254,8 @@ class RunConfig:
 
     def __post_init__(self):
         check_tolerance(self.tol)
+        for k in self.k_values:
+            check_link_length(k)
         if self.workers < 1:
             raise InputError("workers must be >= 1")
 

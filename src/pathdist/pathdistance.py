@@ -146,24 +146,29 @@ def _chunk_distances(h: EmbeddedGraph, tol: float, items: list) -> list[float]:
 def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
     """Exact maximum of canonical per-curve distances over one chunk.
 
-    A curve cannot raise the maximum when its distance is <= ``best - tol``
-    (its bisection would return less than ``best``), so it is skipped when
-    its upper bound (see :func:`_path_bounds`) is at most that, with no
-    decision, or else when its decision at ``best - tol`` holds; every
+    Curves are visited by their upper bound (see :func:`_path_bounds`),
+    largest first; ties keep the chunk's order.  A curve cannot raise the
+    maximum when its distance is <= ``best - tol`` (its bisection would
+    return less than ``best``), so the visit stops at the first curve whose
+    bound is at most that: every later bound is no larger, and ``best``
+    only rises.  Curves after the stop are never prepared.  A curve visited
+    before it is skipped when its decision at ``best - tol`` holds; every
     record-breaker gets the full bisection.  Every curve is decided at that
     one running maximum, so the decisions of a window share its root steps;
     a failure stays in the curve's memo for the bisection that follows.
     The decision is left out where the curve's floor (``lower - tol/2``,
     see :func:`map_match_distance`) proves it fails.  The result equals the
-    maximum of the individually computed distances, so chunking never
-    changes it.  Items are ``(collapsed points, lower, bound)``.
+    maximum of the individually computed distances, so neither the order
+    nor the chunking changes it.  Items are ``(collapsed points, lower,
+    bound)``.
     """
+    items = sorted(items, key=lambda item: -item[2])
     best = -math.inf
     for problem, (_, lower, bound) in zip(prepare_problems([pts for pts, _, _ in items], h), items):
         eps = best - tol
-        if bound <= eps or (
-            best > tol and (lower is None or eps >= lower - 0.5 * tol) and problem.decide(eps)
-        ):
+        if bound <= eps:
+            break
+        if best > tol and (lower is None or eps >= lower - 0.5 * tol) and problem.decide(eps):
             continue
         d = map_match_distance(problem, h, tol, lower=lower)
         if d > best:
@@ -328,10 +333,12 @@ def max_path_distance(
     value (see :func:`iter_match_records`), this is their maximum.
     Otherwise each path is decided under the floor its remembered sub-path
     values give, if any; no sub-path is computed and nothing is
-    remembered, which suits the early exit: most paths are settled by
+    remembered, which suits the early exit.  Each chunk visits its paths by
     their upper bound from ``h``'s edges between the vertices nearest to
-    theirs (see :func:`_path_bounds`), computed once per call, or else by
-    one decision at the running maximum.
+    theirs (see :func:`_path_bounds`, computed once per call), largest
+    first, and stops at the first path whose bound the running maximum
+    rules out; most paths before it are settled by one decision at the
+    running maximum.
     """
     check_tolerance(tol)
     if h.is_empty():

@@ -10,6 +10,7 @@ is produced.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -23,6 +24,7 @@ from .graph import EdgeId, EmbeddedGraph, VertexId, _merge_chain_geometry
 __all__ = [
     "VertexPath",
     "canonical_test",
+    "check_link_length",
     "enumerate_paths",
     "path_curves",
     "path_geometry",
@@ -109,15 +111,21 @@ def canonical_test(g: EmbeddedGraph) -> Callable[[Sequence, Sequence], bool]:
     return is_canonical
 
 
+def check_link_length(k) -> None:
+    """Raise :class:`InputError` unless ``k`` is an integer >= 1 (a bool is not one)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise InputError(f"link-length k must be an integer >= 1, got {k!r}")
+
+
 def enumerate_paths(g: EmbeddedGraph, k: int) -> Iterator[VertexPath]:
     """Stream every link-length-``k`` vertex-path of ``g`` once up to reversal.
 
     Walks are generated in vertex insertion order, so the stream is
     deterministic.  Non-simple walks (repeated vertices or edges) are
-    included.
+    included.  ``k`` is checked by :func:`check_link_length` before the
+    first path.
     """
-    if k < 1:
-        raise InputError("link-length k must be >= 1")
+    check_link_length(k)
     if k > 3:
         warnings.warn(
             f"enumerating link-length {k} paths is combinatorially expensive",

@@ -211,6 +211,11 @@ class DiscreteMatchOracle:
             start_mask[:n_first] = True
             end_mask = np.zeros(d.shape[1], dtype=bool)
             end_mask[d.shape[1] - n_last :] = True
+            # A candidate infeasible at ``best`` has its threshold above it, and
+            # the bisection's ``hi`` is always feasible, so its value exceeds
+            # ``best``: skipping it leaves the minimum as it was.
+            if best < math.inf and not self._feasible(d, best, start_mask, end_mask):
+                continue
             lo, hi = lb, float(d.max())
             if not self._feasible(d, hi, start_mask, end_mask):
                 continue

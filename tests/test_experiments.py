@@ -254,3 +254,10 @@ def test_run_all_takes_the_lower_k_values_from_the_higher_k_pass(tmp_path, monke
 def test_run_config_rejects_a_tolerance_that_is_not_positive_and_finite(tmp_path, tol):
     with pytest.raises(InputError, match="tol"):
         RunConfig("g", "h", str(tmp_path), tol=tol)
+
+
+@pytest.mark.parametrize("k_values", [(0,), (1.5,), (1, -2), (1, True), (math.nan,), (1, "3")])
+def test_run_config_rejects_a_link_length_that_is_not_an_integer_of_at_least_one(tmp_path, k_values):
+    # Rejected before run_all writes any file.
+    with pytest.raises(InputError, match="link-length"):
+        RunConfig("g", "h", str(tmp_path / "out"), k_values=k_values)

@@ -14,10 +14,12 @@ from pathdist.frechet import frechet_distance
 from pathdist.geometry import DiscQuadratic
 from pathdist.graph import EmbeddedGraph
 from pathdist.matching import map_match_distance, match_decision
-from pathdist.parallel import run_pool
+from pathdist.parallel import run_pool, split_chunks
 from pathdist.pathdistance import (
     _RADIUS_STEPS,
+    _chunk_max,
     _computed,
+    _floors,
     _path_bounds,
     _sub_paths,
     directed_path_distance,
@@ -30,7 +32,7 @@ from pathdist.pathdistance import (
     separation_census,
     write_records_csv,
 )
-from pathdist.paths import VertexPath, enumerate_paths, path_geometry
+from pathdist.paths import VertexPath, enumerate_paths, path_curves, path_geometry
 from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
 
 from oracles import city_pair, dense_radius_scan, fresh, polylines_meet, random_geometric_graph
@@ -459,7 +461,32 @@ def test_study_early_exits_mostly_settle_by_their_bound(monkeypatch):
     for g, pinned in zip(graphs, PINNED_STUDY):
         calls.clear()
         assert max_path_distance(g, h, 3, TOL).hex() == pinned
-        assert len(calls) <= 250
+        assert len(calls) <= 175
+
+
+def test_pooled_chunks_stay_cheap(monkeypatch):
+    # run_pool(2) cuts max_path_distance's items into 8 contiguous chunks,
+    # and each starts at no maximum.  Visiting each chunk by bound made 537
+    # decisions here; enumeration order made 818, and one sort over the
+    # whole call before the cut 960, since it leaves every high bound to the
+    # first chunk.
+    import pathdist.matching as matching
+
+    calls = []
+    original = matching.match_decision
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    g, h = city_pair(0, 3)
+    serial = max_path_distance(fresh(g), h, 3, TOL)
+    paths = list(enumerate_paths(g, 3))
+    items = list(zip(path_curves(g, paths), _floors(g, paths, _computed(g, h, TOL)), _path_bounds(g, h, paths)))
+    monkeypatch.setattr(matching, "match_decision", counting)
+    pooled = max(_chunk_max(h, TOL, chunk) for chunk in split_chunks(items, -(-len(items) // 8)))
+    assert pooled.hex() == serial.hex()
+    assert len(calls) <= 600
 
 
 def test_records_census_and_witness_are_pinned_bit_for_bit():

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from pathdist.errors import StructuralError
+from pathdist.errors import InputError, StructuralError
 from pathdist.graph import EmbeddedGraph
+from pathdist.pathdistance import match_all_paths, max_path_distance
 from pathdist.paths import VertexPath, enumerate_paths, path_curves, path_geometry
 
 from oracles import count_canonical_walks, random_geometric_graph
@@ -154,6 +157,22 @@ def test_path_geometry_single_edge_identity():
 def test_large_k_warns(grid6):
     with pytest.warns(UserWarning):
         next(iter(enumerate_paths(grid6, 4)))
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, math.nan, math.inf, True, "2", None])
+def test_link_length_must_be_an_integer_of_at_least_one(k):
+    g = star(3)
+    with pytest.raises(InputError, match="link-length"):
+        list(enumerate_paths(g, k))
+    with pytest.raises(InputError, match="link-length"):
+        max_path_distance(g, g, k)
+    with pytest.raises(InputError, match="link-length"):
+        match_all_paths(g, g, k)
+
+
+def test_numpy_integer_link_lengths_are_accepted():
+    g = star(3)
+    assert list(enumerate_paths(g, np.int64(2))) == list(enumerate_paths(g, 2))
 
 
 def degenerate_joins_graph(offset=(0.0, 0.0)):

@@ -25,6 +25,7 @@ from .errors import InputError, StructuralError
 from .geometry import PolyLine, project_onto_segments
 from .graph import EdgeId, EmbeddedGraph, VertexId
 from .parallel import run_chunked
+from .paths import dart_table
 from .signatures import SignatureMap
 from .spatial import SpatialGrid, _lex_keys, close_pairs
 
@@ -71,35 +72,26 @@ class SampleSet:
 
 
 class _EdgeTable:
-    """Both directions of every edge of a graph as point rows, for sampling.
+    """Arc lengths along the rows of a graph's dart table, for sampling.
 
-    Row ``2*i`` is the ``i``-th edge (insertion order) from ``u`` to ``v``
-    and row ``2*i + 1`` is its reverse, so a walk entering at ``u`` reads
-    the edge forward, as :meth:`EmbeddedGraph.edge_geometry_from` does, even
-    for a self-loop.  Rows lie back to back: row ``r`` is ``points[start[r]:
-    start[r + 1]]``, and ``cum`` holds its
-    :meth:`PolyLine.cumulative_lengths`, computed from that row's own
-    points; ``length[r]`` is the row's :meth:`PolyLine.length` (a pairwise
-    sum, which can differ from the last ``cum`` entry).  A one-point
-    geometry is stored twice, so every row has a segment.  ``keys`` pair
-    each point's row with its ``cum`` as lexicographic keys, so one search
-    finds the segment of any (row, arc).
+    ``darts`` is :func:`~pathdist.paths.dart_table` of the graph: a walk
+    entering an edge at a vertex reads the row of the dart that enters it
+    there.  ``cum`` holds each row's :meth:`PolyLine.cumulative_lengths`,
+    computed from that row's own points and laid out like the rows;
+    ``length[d]`` is row ``d``'s :meth:`PolyLine.length` (a pairwise sum,
+    which can differ from the last ``cum`` entry).  ``keys`` pair each
+    point's row with its ``cum`` as lexicographic keys, so one search finds
+    the segment of any (row, arc).
     """
 
-    __slots__ = ("first_row", "start", "points", "cum", "length", "keys")
+    __slots__ = ("darts", "cum", "length", "keys")
 
     def __init__(self, g: EmbeddedGraph):
-        self.first_row = {eid: 2 * i for i, eid in enumerate(g.edges)}
-        rows = []
-        for e in g.edges.values():
-            for geom in (e.geometry, e.geometry.reversed()):
-                rows.append(geom if len(geom) > 1 else PolyLine(np.repeat(geom.points, 2, axis=0)))
-        sizes = [len(geom) for geom in rows]
-        self.start = np.concatenate([[0], np.cumsum(sizes, dtype=np.intp)])
-        self.points = np.concatenate([geom.points for geom in rows]) if rows else np.empty((0, 2))
+        self.darts = dart_table(g)
+        rows = [PolyLine(self.darts.row(d)) for d in range(2 * len(g.edges))]
         self.cum = np.concatenate([geom.cumulative_lengths() for geom in rows]) if rows else np.empty(0)
         self.length = [geom.length() for geom in rows]
-        self.keys = _lex_keys(np.repeat(np.arange(len(rows), dtype=float), sizes), self.cum)
+        self.keys = _lex_keys(np.repeat(np.arange(len(rows), dtype=float), np.diff(self.darts.start)), self.cum)
 
     def samples(self, walked: list[tuple[int, float, float, float]], interval: float) -> np.ndarray:
         """Sample points of every walked ``(row, offset, d0, limit)``, in order.
@@ -109,7 +101,8 @@ class _EdgeTable:
         that is at arcs ``offset + k*interval - d0``, with the float operations
         of :meth:`PolyLine.point_at` on the row: the clamp to the row, the
         segment holding the arc (the count of ``cum`` entries at most the arc),
-        and ``points[i] + u*(points[i+1] - points[i])``.
+        and ``points[i] + u*(points[i+1] - points[i])``.  A row of length 0 places
+        its first point (a one-point row's ``i`` falls on the row before).
         """
         if not walked:
             return np.empty((0, 2))
@@ -123,23 +116,23 @@ class _EdgeTable:
         inside = (dist > d0[owner]) & (dist <= end[owner])
         owner, dist = owner[inside], dist[inside]
         row = row[owner]
-        first, last = self.start[row], self.start[row + 1] - 1
+        start, points = self.darts.start, self.darts.points
+        first, last = start[row], start[row + 1] - 1
         total = self.cum[last]
         arc = np.clip(offset[owner] + dist - d0[owner], 0.0, total)
         ahead = np.searchsorted(self.keys, _lex_keys(row.astype(float), arc), side="right") - first
         i = first + np.minimum(ahead - 1, last - first - 1)
         seg = self.cum[i + 1] - self.cum[i]
         u = np.where(seg == 0.0, 0.0, (arc - self.cum[i]) / np.where(seg == 0.0, 1.0, seg))
-        pts = self.points[i] + u[:, None] * (self.points[i + 1] - self.points[i])
-        return np.where((total == 0.0)[:, None], self.points[first], pts)
+        pts = points[i] + u[:, None] * (points[i + 1] - points[i])
+        return np.where((total == 0.0)[:, None], points[first], pts)
 
 
 def _edge_table(g: EmbeddedGraph) -> _EdgeTable:
     """The cached sampling table of ``g``, built on first use."""
     table = g._frozen_cache.get("fscore_edges")
     if table is None:
-        table = _EdgeTable(g)
-        g._frozen_cache["fscore_edges"] = table
+        table = g._frozen_cache["fscore_edges"] = _EdgeTable(g)
     return table
 
 
@@ -167,12 +160,11 @@ def _walk(
         if eid in visited or d0 > max_len:
             continue
         visited.add(eid)
-        row = table.first_row[eid] + (vid != g.edges[eid].u)
+        row, far = table.darts.dart_of[eid, vid]
         length = table.length[row]
         walked.append((row, 0.0, d0, min(length, max_len - d0)))
         end_dist = d0 + length
         if end_dist < max_len:
-            far = g.other_endpoint(eid, vid)
             for nxt in g.adjacency[far]:
                 if nxt not in visited:
                     heapq.heappush(heap, (end_dist, order, nxt, far))
@@ -231,13 +223,15 @@ def sample_neighborhood_at(g: EmbeddedGraph, point, params: FScoreParams) -> Sam
     _, q, eid = SpatialGrid(g).nearest_point(p)
     edge = g.edges[eid]
     geom = edge.geometry
-    # Arc position of the seed on its edge, measured from the u endpoint.
-    d = np.diff(geom.points, axis=0)
-    dists, _, u = project_onto_segments(q, geom.points[:-1], d)
-    i = int(np.argmin(dists))
-    seed_arc = float(geom.cumulative_lengths()[i]) + float(u[i]) * math.sqrt(float(d[i] @ d[i]))
+    # Arc position of the seed on its edge, measured from the u endpoint (0 on a one-point edge).
+    seed_arc = 0.0
+    if len(geom) > 1:
+        d = np.diff(geom.points, axis=0)
+        dists, _, u = project_onto_segments(q, geom.points[:-1], d)
+        i = int(np.argmin(dists))
+        seed_arc = float(geom.cumulative_lengths()[i]) + float(u[i]) * math.sqrt(float(d[i] @ d[i]))
     table = _edge_table(g)
-    row = table.first_row[eid]
+    row, _ = table.darts.dart_of[eid, edge.u]
     length = table.length[row]
     max_len = params.max_path_length
     walked: list[tuple[int, float, float, float]] = []

@@ -124,15 +124,6 @@ class EmbeddedGraph:
     def degree(self, vid: VertexId) -> int:
         return len(self.adjacency[vid])
 
-    def other_endpoint(self, eid: EdgeId, vid: VertexId) -> VertexId:
-        e = self.edges[eid]
-        return e.v if vid == e.u else e.u
-
-    def edge_geometry_from(self, eid: EdgeId, start: VertexId) -> PolyLine:
-        """Edge polyline oriented to begin at ``start``."""
-        e = self.edges[eid]
-        return e.geometry if start == e.u else e.geometry.reversed()
-
     def total_length(self) -> float:
         return float(sum(e.geometry.length() for e in self.edges.values()))
 
@@ -294,18 +285,6 @@ def export_geojson(g: EmbeddedGraph, path=None) -> dict:
     return doc
 
 
-def _merge_chain_geometry(g: EmbeddedGraph, chain: list[tuple[EdgeId, VertexId]]) -> PolyLine:
-    """Concatenate chain edges, each given as (edge id, entry vertex)."""
-    pts: list[np.ndarray] = []
-    for eid, start in chain:
-        geom = g.edge_geometry_from(eid, start).points
-        if pts:
-            pts.extend(geom[1:])
-        else:
-            pts.extend(geom)
-    return PolyLine(np.asarray(pts))
-
-
 def contract_degree_two(g: EmbeddedGraph) -> EmbeddedGraph:
     """Merge maximal chains through degree-2 vertices into single edges.
 
@@ -316,6 +295,8 @@ def contract_degree_two(g: EmbeddedGraph) -> EmbeddedGraph:
     keeps two anchor vertices and becomes two parallel edges.  The operation
     is idempotent and preserves total length.
     """
+    from .paths import VertexPath, dart_table, path_geometry  # paths imports this module
+    dart_of = dart_table(g).dart_of
     is_interior = {v: g.degree(v) == 2 for v in g.vertices}
     visited_edges: set[EdgeId] = set()
     new_edges: list[tuple[EdgeId, tuple]] = []
@@ -325,7 +306,7 @@ def contract_degree_two(g: EmbeddedGraph) -> EmbeddedGraph:
         """Follow a chain from anchor ``start`` until a non-interior vertex."""
         chain = [(eid, start)]
         visited_edges.add(eid)
-        cur = g.other_endpoint(eid, start)
+        cur = dart_of[eid, start][1]
         prev_eid = eid
         while is_interior[cur] and cur != start:
             e1, e2 = g.adjacency[cur]
@@ -335,7 +316,7 @@ def contract_degree_two(g: EmbeddedGraph) -> EmbeddedGraph:
             chain.append((nxt, cur))
             visited_edges.add(nxt)
             prev_eid = nxt
-            cur = g.other_endpoint(nxt, cur)
+            cur = dart_of[nxt, cur][1]
         return chain, cur
 
     def emit(chain: list[tuple[EdgeId, VertexId]], start: VertexId, end: VertexId) -> None:
@@ -347,7 +328,8 @@ def contract_degree_two(g: EmbeddedGraph) -> EmbeddedGraph:
             emit(chain[:half], start, mid_vertex)
             emit(chain[half:], mid_vertex, end)
             return
-        geom = _merge_chain_geometry(g, chain)
+        eids, entries = zip(*chain)
+        geom = path_geometry(g, VertexPath((*entries, end), eids))
         kept_vertices.add(start)
         kept_vertices.add(end)
         new_edges.append((chain[0][0], (start, end, geom)))

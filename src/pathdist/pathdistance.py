@@ -21,11 +21,11 @@ import numpy as np
 
 from .errors import InputError, ParseError, StructuralError
 from .frechet import DEFAULT_TOLERANCE, check_tolerance, discrete_frechet
-from .geometry import DiscQuadratic, max_distance_to_point
+from .geometry import DiscQuadratic, PolyLine, max_distance_to_point
 from .graph import EmbeddedGraph, VertexId, finite_numbers
 from .matching import map_match_distance, prepare_problems
 from .parallel import iter_chunked, run_chunked
-from .paths import VertexPath, canonical_test, enumerate_paths, path_curves
+from .paths import VertexPath, canonical_test, dart_table, enumerate_paths, path_curves
 from .signatures import SignatureMap
 
 __all__ = [
@@ -70,7 +70,9 @@ class PathDistanceReport:
         return max((r.distance for r in self.records), default=0.0)
 
     def percentile(self, q: float = 0.9) -> float:
-        """Length-weighted ``q``-quantile of the per-path distances."""
+        """Length-weighted ``q``-quantile of the per-path distances; ``q`` lies in [0, 1]."""
+        if not 0.0 <= q <= 1.0:  # NaN fails too
+            raise InputError(f"quantile q must lie in [0, 1], got {q!r}")
         if not self.records:
             return 0.0
         values = np.asarray([r.distance for r in self.records])
@@ -150,17 +152,18 @@ def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
     largest first; ties keep the chunk's order.  A curve cannot raise the
     maximum when its distance is <= ``best - tol`` (its bisection would
     return less than ``best``), so the visit stops at the first curve whose
-    bound is at most that: every later bound is no larger, and ``best``
-    only rises.  Curves after the stop are never prepared.  A curve visited
-    before it is skipped when its decision at ``best - tol`` holds; every
-    record-breaker gets the full bisection.  Every curve is decided at that
-    one running maximum, so the decisions of a window share its root steps;
-    a failure stays in the curve's memo for the bisection that follows.
-    The decision is left out where the curve's floor (``lower - tol/2``,
-    see :func:`map_match_distance`) proves it fails.  The result equals the
-    maximum of the individually computed distances, so neither the order
-    nor the chunking changes it.  Items are ``(collapsed points, lower,
-    bound)``.
+    bound is at most that: every later bound is no larger, and ``best`` only
+    rises.  Curves after the stop are never decided, though their window
+    keyed them all first (see :func:`~pathdist.matching._families`).  A
+    curve visited before it is skipped when its decision at ``best - tol``
+    holds; every record-breaker gets the full bisection.  Every curve is
+    decided at that one running maximum, so the decisions of a window share
+    its root steps; a failure stays in the curve's memo for the bisection
+    that follows.  The decision is left out where the curve's floor
+    (``lower - tol/2``, see :func:`map_match_distance`) proves it fails.  The
+    result equals the maximum of the individually computed distances, so
+    neither the order nor the chunking changes it.  Items are ``(collapsed
+    points, lower, bound)``.
     """
     items = sorted(items, key=lambda item: -item[2])
     best = -math.inf
@@ -182,8 +185,8 @@ def _path_bounds(g: EmbeddedGraph, h: EmbeddedGraph, paths: list[VertexPath]) ->
     Each vertex u of ``g`` is anchored at its nearest vertex a(u) of ``h``
     (the first in insertion order on a tie).  The bound of an edge from u
     to v is the smallest discrete Fréchet distance between its geometry and
-    an edge of ``h`` from a(u) to a(v), in that orientation, and ``inf``
-    when no edge of ``h`` joins them.  The edges matched along a path meet
+    a dart of ``h`` from a(u) to a(v) (see :func:`~pathdist.paths.dart_table`),
+    and ``inf`` when no edge of ``h`` joins them.  The edges matched along a path meet
     at the anchors, so they form a walk in ``h``; the largest bound of the
     path's edges therefore bounds the walk's discrete, and so its
     continuous, Fréchet distance to the path, and with it the path's
@@ -194,10 +197,11 @@ def _path_bounds(g: EmbeddedGraph, h: EmbeddedGraph, paths: list[VertexPath]) ->
     anchor = {
         v: ids[int(np.argmin(np.hypot(xy[:, 0] - p.x, xy[:, 1] - p.y)))] for v, p in g.vertices.items()
     }
+    darts = dart_table(h)
     joining: dict = {}
-    for e in h.edges.values():
-        joining.setdefault((e.u, e.v), []).append(e.geometry)
-        joining.setdefault((e.v, e.u), []).append(e.geometry.reversed())
+    for i, e in enumerate(h.edges.values()):
+        joining.setdefault((e.u, e.v), []).append(darts.row(2 * i))
+        joining.setdefault((e.v, e.u), []).append(darts.row(2 * i + 1))
     bounds = {
         eid: min(
             (discrete_frechet(e.geometry, f) for f in joining.get((anchor[e.u], anchor[e.v]), ())),
@@ -503,7 +507,8 @@ def intersection_radius(g: EmbeddedGraph, v: VertexId, d: float) -> float:
     if len(incident) == 1:
         return 0.0  # one crossing, no pair constraint; any radius works
     center = np.asarray(g.vertices[v], dtype=float)
-    geoms = [g.edge_geometry_from(eid, v).collapsed().points for eid in incident]
+    darts = dart_table(g)
+    geoms = [PolyLine(darts.row(darts.dart_of[eid, v][0])).collapsed().points for eid in incident]
 
     if all(pts.shape[0] == 2 for pts in geoms):
         dirs = []

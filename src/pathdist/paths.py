@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError, StructuralError
 from .geometry import PolyLine
-from .graph import EdgeId, EmbeddedGraph, VertexId, _merge_chain_geometry
+from .graph import EdgeId, EmbeddedGraph, VertexId
 
 __all__ = [
     "VertexPath",
@@ -69,26 +69,56 @@ class VertexPath:
         return "-".join(str(v).replace("\\", "\\\\").replace("-", "\\-") for v in self.vertex_ids)
 
 
-def validate_path(g: EmbeddedGraph, p: VertexPath) -> None:
-    """Raise unless every hop of ``p`` uses a real edge of ``g``."""
-    for i, eid in enumerate(p.edge_ids):
-        if eid not in g.edges:
-            raise StructuralError(f"unknown edge id {eid!r}")
-        e = g.edges[eid]
-        a, b = p.vertex_ids[i], p.vertex_ids[i + 1]
-        if {a, b} != {e.u, e.v}:
-            raise StructuralError(f"edge {eid!r} does not join {a!r} and {b!r}")
+class _Darts:
+    """Both directions of every edge of a graph, as rows of one point array.
+
+    Dart ``2*i`` runs along the ``i``-th edge (insertion order) from ``u``
+    to ``v`` and dart ``2*i + 1`` runs back; row ``d`` is ``points[start[d]
+    : start[d + 1]]``.  ``dart_of[eid, w]`` is the dart that enters edge
+    ``eid`` at vertex ``w`` and the vertex it ends at.  A self-loop, which
+    only a pickle carries, runs forward from both ends.  This table alone
+    decides which way an edge's points run along a walk.
+    """
+
+    def __init__(self, g: EmbeddedGraph):
+        rows: list[np.ndarray] = []
+        self.dart_of: dict = {}
+        for i, (eid, e) in enumerate(g.edges.items()):
+            rows += (e.geometry.points, e.geometry.points[::-1])
+            self.dart_of[eid, e.v] = (2 * i + 1, e.u)
+            self.dart_of[eid, e.u] = (2 * i, e.v)
+        self.start = np.cumsum([0] + [len(r) for r in rows], dtype=np.intp)
+        self.points = np.concatenate(rows) if rows else np.empty((0, 2))
+
+    def row(self, d: int) -> np.ndarray:
+        return self.points[self.start[d] : self.start[d + 1]]
+
+    def walk(self, p: VertexPath) -> Iterator[int]:
+        """The darts ``p`` takes, in order; a :class:`StructuralError` names an edge it cannot take."""
+        for eid, a, b in zip(p.edge_ids, p.vertex_ids, p.vertex_ids[1:]):
+            hop = self.dart_of.get((eid, a))
+            if hop is None or hop[1] != b:
+                raise StructuralError(f"no edge {eid!r} joins {a!r} and {b!r}")
+            yield hop[0]
 
 
-def _extensions(g: EmbeddedGraph, vseq: list, eseq: list, k: int) -> Iterator[tuple[tuple, tuple]]:
+def dart_table(g: EmbeddedGraph) -> _Darts:
+    """The cached dart table of ``g``, built on first use (again after unpickling)."""
+    darts = g._frozen_cache.get("darts")
+    if darts is None:
+        darts = g._frozen_cache["darts"] = _Darts(g)
+    return darts
+
+
+def _extensions(g: EmbeddedGraph, dart_of: dict, vseq: list, eseq: list, k: int) -> Iterator[tuple[tuple, tuple]]:
     if len(eseq) == k:
         yield tuple(vseq), tuple(eseq)
         return
     last = vseq[-1]
     for eid in g.adjacency[last]:
-        vseq.append(g.other_endpoint(eid, last))
+        vseq.append(dart_of[eid, last][1])
         eseq.append(eid)
-        yield from _extensions(g, vseq, eseq, k)
+        yield from _extensions(g, dart_of, vseq, eseq, k)
         vseq.pop()
         eseq.pop()
 
@@ -132,8 +162,9 @@ def enumerate_paths(g: EmbeddedGraph, k: int) -> Iterator[VertexPath]:
             stacklevel=2,
         )
     is_canonical = canonical_test(g)
+    dart_of = dart_table(g).dart_of
     for v0 in g.vertices:
-        for vseq, eseq in _extensions(g, [v0], [], k):
+        for vseq, eseq in _extensions(g, dart_of, [v0], [], k):
             if is_canonical(vseq, eseq):
                 yield VertexPath(vseq, eseq)
 
@@ -143,46 +174,33 @@ def path_geometry(g: EmbeddedGraph, p: VertexPath) -> PolyLine:
 
     Shared junction points are not duplicated.
     """
-    validate_path(g, p)
-    return _merge_chain_geometry(g, list(zip(p.edge_ids, p.vertex_ids)))
+    darts = dart_table(g)
+    rows = [darts.row(d) for d in darts.walk(p)]
+    return PolyLine(np.concatenate([rows[0], *(r[1:] for r in rows[1:])]))
 
 
 def path_curves(g: EmbeddedGraph, paths: Sequence[VertexPath], *, return_lengths: bool = False):
-    """Each path's curve points, collapsed, gathered from one flat table of ``g``'s edge points.
+    """Each path's curve points, collapsed, gathered from the rows of ``g``'s dart table.
 
     Row for row and bit for bit, the curve of ``p`` is
-    ``path_geometry(g, p).collapsed().points``: the first edge in full, each
-    later edge oriented from its entry vertex without its first point, and
-    then consecutive duplicate points dropped.  All paths share one gather
-    and one pass over their segment lengths; each curve is a read-only
-    slice of the kept rows.  With ``return_lengths=True`` returns
-    ``(curves, lengths)``, each length the float
-    ``path_geometry(g, p).length()``.
+    ``path_geometry(g, p).collapsed().points``: the first dart in full, each
+    later dart without its first point, and then consecutive duplicate
+    points dropped.  All paths share one gather and one pass over their
+    segment lengths; each curve is a read-only slice of the kept rows.  With
+    ``return_lengths=True`` returns ``(curves, lengths)``, each length the
+    float ``path_geometry(g, p).length()``.
     """
-    # Per edge: its rows of the table forward and reversed, each in full and
-    # without its first row.
-    rows: dict = {}
-    at = 0
-    for eid, e in g.edges.items():
-        fwd = list(range(at, at + len(e.geometry)))
-        rev = fwd[::-1]
-        rows[eid] = (e.u, fwd, fwd[1:], rev, rev[1:])
-        at += len(fwd)
+    darts = dart_table(g)
+    start = darts.start.tolist()
     index: list[int] = []
     starts = []
     for p in paths:
-        validate_path(g, p)
         starts.append(len(index))
-        for i, (eid, start) in enumerate(zip(p.edge_ids, p.vertex_ids)):
-            u, fwd, fwd_tail, rev, rev_tail = rows[eid]
-            if start == u:
-                index += fwd_tail if i else fwd
-            else:
-                index += rev_tail if i else rev
+        for i, d in enumerate(darts.walk(p)):
+            index += range(start[d] + (i > 0), start[d + 1])
     if not starts:
         return ([], []) if return_lengths else []
-    table = np.concatenate([e.geometry.points for e in g.edges.values()])
-    points = table[np.asarray(index, dtype=np.intp)]
+    points = darts.points[np.asarray(index, dtype=np.intp)]
     d = np.diff(points, axis=0)
     seg = np.hypot(d[:, 0], d[:, 1])
     keep = np.empty(len(index), dtype=bool)

@@ -65,12 +65,11 @@ def world_transform(
 
 
 class SvgCanvas:
-    def __init__(self, width: float, height: float, background: str | None = "white"):
+    def __init__(self, width: float, height: float):
         self.width = width
         self.height = height
         self._parts: list[str] = []
-        if background:
-            self.rect(0, 0, width, height, fill=background)
+        self.rect(0, 0, width, height, fill="white")
 
     def rect(self, x, y, w, h, fill="none", stroke="none", stroke_width=1.0):
         self._parts.append(
@@ -92,9 +91,6 @@ class SvgCanvas:
             f'stroke-width="{_f(stroke_width)}" stroke-linecap="round" '
             f'stroke-linejoin="round"/>'
         )
-
-    def circle(self, x, y, r, fill="black"):
-        self._parts.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" fill="{fill}"/>')
 
     def text(self, x, y, s, size=11.0, anchor="start", fill="black"):
         self._parts.append(

@@ -390,12 +390,13 @@ def walk_samples(g, starts, params, dedup, samples, visited) -> None:
         if eid in visited or d0 > max_len:
             continue
         visited.add(eid)
-        geom = g.edge_geometry_from(eid, vid)
+        e = g.edges[eid]
+        geom = e.geometry if vid == e.u else e.geometry.reversed()
         length = geom.length()
         sample_edge(geom, 0.0, d0, min(length, max_len - d0), interval, dedup, samples)
         end_dist = d0 + length
         if end_dist < max_len:
-            far = g.other_endpoint(eid, vid)
+            far = e.v if vid == e.u else e.u
             for nxt in g.adjacency[far]:
                 if nxt not in visited:
                     heapq.heappush(heap, (end_dist, order, nxt, far))
@@ -425,10 +426,12 @@ def sample_neighborhood_at_oracle(g, point, params) -> np.ndarray:
     _, q, eid = SpatialGrid(g).nearest_point(np.asarray(point, dtype=float))
     edge = g.edges[eid]
     geom = edge.geometry
-    d = np.diff(geom.points, axis=0)
-    dists, _, u = project_onto_segments(q, geom.points[:-1], d)
-    i = int(np.argmin(dists))
-    seed_arc = float(geom.cumulative_lengths()[i]) + float(u[i]) * math.sqrt(float(d[i] @ d[i]))
+    seed_arc = 0.0
+    if len(geom) > 1:
+        d = np.diff(geom.points, axis=0)
+        dists, _, u = project_onto_segments(q, geom.points[:-1], d)
+        i = int(np.argmin(dists))
+        seed_arc = float(geom.cumulative_lengths()[i]) + float(u[i]) * math.sqrt(float(d[i] @ d[i]))
     length = geom.length()
     seed_xy = (float(q[0]), float(q[1]))
     interval, max_len = params.sampling_interval, params.max_path_length

@@ -359,6 +359,19 @@ def test_sampling_places_the_oracles_points_bit_for_bit(case):
     assert got.tobytes() == sample_neighborhood_at_oracle(g, probe, params).tobytes()
 
 
+def test_one_point_edges_sample_the_oracles_points():
+    from test_paths import one_point_edges_graph
+
+    g = one_point_edges_graph()
+    params = FScoreParams(sampling_interval=1.5, matched_distance=5.0, max_path_length=20.0)
+    for v in g.vertices:
+        assert sample_neighborhood(g, v, params).points.tobytes() == sample_neighborhood_oracle(g, v, params).tobytes()
+    # (4, 0) and (5, -1) seed on the one-point edge inserted first; (2, 1) walks onto it.
+    for probe in [(4.0, 0.0), (5.0, -1.0), (2.0, 1.0)]:
+        got = sample_neighborhood_at(g, probe, params).points
+        assert got.tobytes() == sample_neighborhood_at_oracle(g, probe, params).tobytes(), probe
+
+
 def _pair_set(i, j):
     return sorted(zip(i.tolist(), j.tolist()))
 

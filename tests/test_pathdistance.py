@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathdist.errors import InputError, StructuralError
-from pathdist.frechet import frechet_distance
+from pathdist.frechet import discrete_frechet, frechet_distance
 from pathdist.geometry import DiscQuadratic
 from pathdist.graph import EmbeddedGraph
 from pathdist.matching import map_match_distance, match_decision
 from pathdist.parallel import run_pool, split_chunks
 from pathdist.pathdistance import (
+    PathDistanceReport,
     _RADIUS_STEPS,
     _chunk_max,
     _computed,
@@ -61,6 +62,16 @@ def test_identity_distance_is_zero(grid6):
         assert report.max_distance <= TOL
         assert report.weighted_mean <= TOL
         assert report.percentile(0.9) <= TOL
+
+
+@pytest.mark.parametrize("q", [math.nan, 1.5, math.inf, -0.5, -math.inf])
+def test_percentile_rejects_a_quantile_outside_0_to_1(grid6, q):
+    report = directed_path_distance(grid6, grid6, 1, TOL)
+    with pytest.raises(InputError, match="quantile"):
+        report.percentile(q)
+    with pytest.raises(InputError, match="quantile"):
+        PathDistanceReport(k=1, direction="G->H", records=[]).percentile(q)
+    assert report.percentile(0.0) <= report.percentile(1.0) == report.max_distance
 
 
 def test_max_only_mode_equals_full_records(grid6):
@@ -338,6 +349,42 @@ def test_path_bounds_are_upper_bounds(kind, seed):
     assert any(math.isfinite(b) for b in bounds)
     # The city targets miss streets, so some paths have no anchored walk.
     assert any(math.isinf(b) for b in bounds) == (kind != "grid")
+
+
+# sha256 of each pass's paths, curves, lengths and bounds (see the test
+# below), recorded before walks, curves and bounds read one dart table.
+PINNED_SELF_LOOP = [
+    (6, "a871e175d24421d27af8daaa49041b4d2c6d4cc8e7e72e193ced21e2665679bc"),
+    (26, "8e05c3a1aa14587212ae22a57e51592c1afa428c5876b1d783c6f731401c72b7"),
+    (68, "36203ea292d469e88b0977a4dd45999e5eaff518af60761e65e66162bde0415d"),
+    (6, "67862384d5ce71f97f9dac6dfd790fea86c527067eb4ec54a1a41f6542fb7567"),
+    (26, "3a0ec8866d9163252c40aae8464939f9d3679302246c15519f14ddf61b79e180"),
+    (68, "232633a7578c599dda5a80720aadf6a5bc0f578f62f154cc82785aa516e92018"),
+]
+
+
+def test_a_self_loop_is_walked_forward_from_both_ends_and_bounded_both_ways():
+    # A self-loop, which only a pickle carries, appears twice in its vertex's
+    # adjacency; its curve runs forward whichever end a walk enters at, and as
+    # a target edge both of its orientations bound a source edge.
+    from test_fscore import _with_self_loop
+
+    g = _with_self_loop(cross(), "c", (3.0, 4.0))
+    h = _with_self_loop(cross(1.0, 0.5), "c", (3.0, -4.0))
+    loop = VertexPath(("c", "c"), ("loop",))
+    assert path_curves(g, [loop])[0].tobytes() == g.edges["loop"].geometry.points.tobytes()
+    target = h.edges["loop"].geometry
+    both = [discrete_frechet(g.edges["loop"].geometry, f) for f in (target, target.reversed())]
+    assert _path_bounds(g, h, [loop]) == [min(both)] and both[1] < both[0]
+    got = []
+    for source, target in ((g, h), (h, g)):
+        for k in (1, 2, 3):
+            paths = list(enumerate_paths(source, k))
+            curves, lengths = path_curves(source, paths, return_lengths=True)
+            bounds = _path_bounds(source, target, paths)
+            text = repr(paths) + "".join(c.tobytes().hex() for c in curves) + " ".join(x.hex() for x in lengths + bounds)
+            got.append((len(paths), hashlib.sha256(text.encode()).hexdigest()))
+    assert got == PINNED_SELF_LOOP
 
 
 def test_a_graph_remembers_only_the_values_it_computed(grid6):
@@ -756,7 +803,7 @@ def bent_graph(seed: int, shift=(0.0, 0.0)) -> EmbeddedGraph:
 def _reach(g, v) -> float:
     center = np.asarray(g.vertices[v], float)
     return min(
-        float(np.hypot(*(g.edge_geometry_from(e, v).points - center).T).max())
+        float(np.hypot(*(g.edges[e].geometry.points - center).T).max())
         for e in g.adjacency[v]
     )
 

@@ -1,14 +1,16 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from pathdist.errors import InputError, StructuralError
+from pathdist.geometry import PolyLine
 from pathdist.graph import EmbeddedGraph
 from pathdist.pathdistance import match_all_paths, max_path_distance
-from pathdist.paths import VertexPath, enumerate_paths, path_curves, path_geometry
+from pathdist.paths import VertexPath, dart_table, enumerate_paths, path_curves, path_geometry
 
-from oracles import count_canonical_walks, random_geometric_graph
+from oracles import adjacency_from_edges, count_canonical_walks, random_geometric_graph, walk_geometry
 
 
 def single_edge():
@@ -73,14 +75,15 @@ def mixed_id_graph():
 
 def test_enumeration_keeps_the_key_order_on_mixed_ids():
     g = mixed_id_graph()
+    adj = adjacency_from_edges(g)
 
     def walks(vseq, eseq, k):
         # Every directed walk, starts in insertion order, hops in adjacency order.
         if len(eseq) == k:
             yield VertexPath(tuple(vseq), tuple(eseq))
             return
-        for eid in g.adjacency[vseq[-1]]:
-            yield from walks(vseq + [g.other_endpoint(eid, vseq[-1])], eseq + [eid], k)
+        for eid, w in adj[vseq[-1]]:
+            yield from walks(vseq + [w], eseq + [eid], k)
 
     for k in (1, 2, 3):
         expected = [
@@ -202,11 +205,10 @@ def degenerate_joins_graph(offset=(0.0, 0.0)):
 
 def walks(g, k):
     """Every directed walk of link-length ``k``, so each edge is taken both ways."""
+    adj = adjacency_from_edges(g)
     out = [((v,), ()) for v in g.vertices]
     for _ in range(k):
-        out = [
-            (vs + (g.other_endpoint(e, vs[-1]),), es + (e,)) for vs, es in out for e in g.adjacency[vs[-1]]
-        ]
+        out = [(vs + (w,), es + (e,)) for vs, es in out for e, w in adj[vs[-1]]]
     return [VertexPath(vs, es) for vs, es in out]
 
 
@@ -286,3 +288,36 @@ def test_path_curves_validate_every_path():
         path_curves(g, [VertexPath((0, 1), ("a",)), VertexPath((0, 2), ("a",))])
     with pytest.raises(StructuralError):
         path_curves(g, [VertexPath((0, 1), ("zz",))])
+
+
+def one_point_edges_graph():
+    """Two one-point edges between vertices at one position, which ``EmbeddedGraph`` accepts."""
+    return EmbeddedGraph(
+        [(0, (0.0, 0.0)), (1, (4.0, 0.0)), (2, (4.0, 0.0)), (3, (4.0, 3.0))],
+        [("p", (1, 2, [(4.0, 0.0)])), ("a", (0, 1)), ("b", (2, 3)), ("q", (2, 1, [(4.0, 0.0)]))],
+    )
+
+
+def test_one_point_edges_gather_the_oracles_points():
+    g = one_point_edges_graph()
+    for k in (1, 2, 3):
+        paths = walks(g, k)
+        curves, lengths = path_curves(g, paths, return_lengths=True)
+        for p, curve, length in zip(paths, curves, lengths):
+            expected = PolyLine(walk_geometry(g, p.vertex_ids, p.edge_ids))
+            assert path_geometry(g, p).points.tobytes() == expected.points.tobytes(), p
+            assert curve.tobytes() == expected.collapsed().points.tobytes(), p
+            assert length.hex() == expected.length().hex(), p
+
+
+def test_a_pickled_graph_rebuilds_its_dart_table(grid6):
+    darts = dart_table(grid6)
+    copy = pickle.loads(pickle.dumps(grid6))
+    assert "darts" not in copy._frozen_cache
+    rebuilt = dart_table(copy)
+    assert rebuilt is not darts and dart_table(copy) is rebuilt
+    assert rebuilt.points.tobytes() == darts.points.tobytes()
+    assert rebuilt.start.tolist() == darts.start.tolist()
+    assert rebuilt.dart_of == darts.dart_of
+    paths = list(enumerate_paths(grid6, 2))
+    assert [c.tobytes() for c in path_curves(copy, paths)] == [c.tobytes() for c in path_curves(grid6, paths)]

@@ -292,8 +292,10 @@ def contract_degree_two(g: EmbeddedGraph) -> EmbeddedGraph:
     keeps the id of its first constituent edge.  A chain with both ends at
     the same anchor would contract to a self-loop, so it is split at one of
     its interior vertices instead; an isolated cycle of degree-2 vertices
-    keeps two anchor vertices and becomes two parallel edges.  The operation
-    is idempotent and preserves total length.
+    keeps two anchor vertices and becomes two parallel edges.  A self-loop,
+    which only a pickle carries, is a chain of one edge and stays one edge,
+    so the result then carries it the way a pickle does.  The operation is
+    idempotent and preserves total length.
     """
     from .paths import VertexPath, dart_table, path_geometry  # paths imports this module
     dart_of = dart_table(g).dart_of
@@ -320,7 +322,7 @@ def contract_degree_two(g: EmbeddedGraph) -> EmbeddedGraph:
         return chain, cur
 
     def emit(chain: list[tuple[EdgeId, VertexId]], start: VertexId, end: VertexId) -> None:
-        if start == end:
+        if start == end and len(chain) > 1:
             # Would form a self-loop: split at the interior vertex halfway in.
             half = max(1, len(chain) // 2)
             mid_vertex = chain[half][1]
@@ -355,4 +357,7 @@ def contract_degree_two(g: EmbeddedGraph) -> EmbeddedGraph:
         emit(chain, vid, end)
 
     vertex_items = [(v, g.vertices[v]) for v in g.vertices if v in kept_vertices]
-    return EmbeddedGraph(vertex_items, new_edges)
+    out = EmbeddedGraph(vertex_items, [(eid, spec) for eid, spec in new_edges if spec[0] != spec[1]])
+    if len(out.edges) < len(new_edges):
+        out.__setstate__((out.vertices, {eid: Edge(*spec) for eid, spec in new_edges}))
+    return out

@@ -50,7 +50,10 @@ root step over the whole window instead (see :meth:`_Window.tables`); the
 step is elementwise, so both routes give the same floats.  Windows are
 bounded by a fixed number of table cells, and the lists a window keeps from
 its last step by the same number, so memory stays bounded on large maps; a
-lone curve is the one-curve window.
+lone curve is the one-curve window.  All curves prepared together are keyed
+in a few array passes: one sort gives every point an id by its bit pattern
+and one every oriented segment, and each window numbers its ids in the
+order its curves first meet them, so table rows keep the curves' order.
 """
 
 from __future__ import annotations
@@ -186,46 +189,138 @@ _WINDOW_CELLS = 1 << 14
 # 2-vCPU x86 VM with numpy 2; a first gather adds about 5.7 us (about 240).
 _STEP_CELLS = 770
 
-# A point's two float64 coordinates as one key: equal keys, equal bits.
-_POINT_KEY = np.dtype((np.void, 16))
-
-
 def _families(curves: Iterable[np.ndarray], h: EmbeddedGraph):
     """Yield ``(points, window, rows, cols)`` per curve; all but ``points`` are None below two points.
 
     Curves are taken in windows of consecutive curves whose distinct points
     (by bit pattern, so -0.0 and 0.0 stay apart) and distinct oriented
     segments fit ``_WINDOW_CELLS``; a curve alone may exceed it.  ``rows``
-    and ``cols`` are the curve's point and segment ids in its window.
+    and ``cols`` are the curve's point and segment ids in its window,
+    numbered in the order the window first meets them.  All curves are
+    keyed at once (see :class:`_Keys`); a window's tables are built when
+    its first curve is taken.
     """
+    curves = list(curves)
     geom = surface_geometry(h)
-    S, J = geom.n_segments, geom.joint_pos.shape[0]
-    # The window's curves with their own rows and columns, and the ids of
-    # its distinct points and segments.
-    window: list[tuple] = []
-    point_id: dict[bytes, int] = {}
-    seg_id: dict[tuple[bytes, bytes], int] = {}
-    for points in curves:
-        rows = cols = None
-        if points.shape[0] > 1:
-            keys = np.ascontiguousarray(points, dtype=float).view(_POINT_KEY).ravel().tolist()
-            segs = list(zip(keys, keys[1:]))
-            n_points = len(point_id) + len(set(keys).difference(point_id))
-            n_segs = len(seg_id) + len(set(segs).difference(seg_id))
-            if point_id and n_points * S + J * n_segs > _WINDOW_CELLS:
-                yield from _window_families(geom, window, point_id, seg_id)
-                window, point_id, seg_id = [], {}, {}
-            rows = [point_id.setdefault(k, len(point_id)) for k in keys]
-            cols = [seg_id.setdefault(s, len(seg_id)) for s in segs]
-        window.append((points, rows, cols))
-    yield from _window_families(geom, window, point_id, seg_id)
+    # A window runs from its first curve of two or more points to the next window's.
+    first = [i for i, points in enumerate(curves) if points.shape[0] > 1]
+    keys = _Keys([curves[i] for i in first])
+    w = 0
+    for e in keys.windows(geom.n_segments, geom.joint_pos.shape[0]):
+        lo = first[w] if w else 0
+        hi = first[e] if e < len(first) else len(curves)
+        yield from _window_families(geom, curves[lo:hi], *keys.window(w, e))
+        w = e
+    if not first:
+        yield from _window_families(geom, curves, *keys.window(0, 0))
 
 
-def _window_families(geom, window: list, point_id: dict, seg_id: dict):
-    """:func:`_families` for one window; the arguments are as :func:`_families` keeps them."""
-    shared = _Window(geom, point_id, seg_id) if point_id else None
-    for points, rows, cols in window:
-        yield points, shared if rows else None, rows, cols
+class _Keys:
+    """Ids of the distinct points and oriented segments of curves, all of two or more points.
+
+    The curves' points lie back to back in ``flat``, curve ``c``'s from
+    ``offset[c]``; its segments are the pairs of consecutive points in it,
+    curve ``c``'s from ``seg_offset[c]``, each at the row ``seg_at`` of its
+    first point.  ``point_id`` and ``seg_id`` number them by bit pattern,
+    and ``point_prev``, ``seg_prev`` give the curve of the last earlier item
+    with the same id, or -1: an item is new to a window of curves from
+    ``w`` on exactly when that curve is below ``w``.
+    """
+
+    def __init__(self, curves: list[np.ndarray]):
+        sizes = np.array([points.shape[0] for points in curves], dtype=np.intp)
+        self.offset = np.concatenate(([0], np.cumsum(sizes)))
+        self.seg_offset = self.offset - np.arange(len(sizes) + 1)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        self.flat = np.concatenate(curves).astype(float, copy=False) if curves else np.empty((0, 2))
+        bits = np.ascontiguousarray(self.flat).view(np.uint64)
+        order = np.lexsort((bits[:, 1], bits[:, 0]))
+        repeat = np.zeros(len(order), dtype=bool)
+        repeat[1:] = (bits[order[1:]] == bits[order[:-1]]).all(axis=1)
+        self.point_id, self.point_prev = _numbered(order, repeat, owner)
+        is_seg = np.ones(len(owner), dtype=bool)
+        is_seg[self.offset[1:] - 1] = False
+        self.seg_at = np.flatnonzero(is_seg)
+        pairs = self.point_id[self.seg_at] * (len(order) + 1) + self.point_id[self.seg_at + 1]
+        order = np.argsort(pairs, kind="stable")
+        repeat = np.zeros(len(order), dtype=bool)
+        repeat[1:] = pairs[order[1:]] == pairs[order[:-1]]
+        self.seg_id, self.seg_prev = _numbered(order, repeat, owner[self.seg_at])
+        self.local = np.empty(len(self.point_id), dtype=np.intp)
+
+    def windows(self, S: int, J: int) -> Iterator[int]:
+        """Yield the end of each window, in curves: the greedy cut of :func:`_families`.
+
+        A window's cells after each curve are counted over a span of curves
+        from its start, first all of them, then twice the last window's;
+        the span doubles until the budget is crossed or the curves run out.
+        """
+        w, m = 0, len(self.offset) - 1
+        span = m
+        while w < m:
+            e = min(m, w + span)
+            cells = S * _fresh(self.point_prev, self.offset, w, e)
+            cells += J * _fresh(self.seg_prev, self.seg_offset, w, e)
+            # A window's first curve is taken however many cells it holds.
+            cut = max(1, int(cells.searchsorted(_WINDOW_CELLS, side="right")))
+            if cut >= e - w and e < m:
+                span *= 2
+                continue
+            span = 2 * min(cut, e - w)
+            w += min(cut, e - w)
+            yield w
+
+    def window(self, w: int, e: int):
+        """``(rows, cols, table, starts, stops)`` of the window of curves ``w`` to ``e``.
+
+        ``rows`` and ``cols`` list every point's and segment's id in the
+        window, curve after curve; ``table`` holds its distinct points and
+        ``starts``, ``stops`` the ends of its distinct segments, in id order.
+        """
+        a, b = self.offset[w], self.offset[e]
+        rows, first = self._renumber(self.point_id[a:b], self.point_prev[a:b] < w)
+        table = self.flat[a + first]
+        a, b = self.seg_offset[w], self.seg_offset[e]
+        cols, first = self._renumber(self.seg_id[a:b], self.seg_prev[a:b] < w)
+        at = self.seg_at[a + first]
+        return rows.tolist(), cols.tolist(), table, self.flat[at], self.flat[at + 1]
+
+    def _renumber(self, ids: np.ndarray, new: np.ndarray):
+        """``ids`` renumbered in the order they first occur (where ``new``), and those places."""
+        (first,) = new.nonzero()
+        self.local[ids[first]] = np.arange(len(first))
+        return self.local[ids], first
+
+
+def _fresh(prev: np.ndarray, offset: np.ndarray, w: int, e: int) -> np.ndarray:
+    """Per curve from ``w`` to ``e``, the items new to a window from ``w`` up to that curve's end."""
+    return (prev[offset[w] : offset[e]] < w).cumsum()[offset[w + 1 : e + 1] - offset[w] - 1]
+
+
+def _numbered(order: np.ndarray, repeat: np.ndarray, owner: np.ndarray):
+    """Ids of items sorted by ``order`` (``repeat``: same key as the one before), and each item's earlier owner.
+
+    The ids count distinct keys in sorted order; the earlier owner is the
+    ``owner`` of the last item before it, in item order, with its key, or -1.
+    """
+    ids = np.empty(len(order), dtype=np.intp)
+    ids[order] = np.cumsum(~repeat) - 1
+    prev = np.full(len(order), -1, dtype=np.intp)
+    prev[order[1:][repeat[1:]]] = owner[order[:-1][repeat[1:]]]
+    return ids, prev
+
+
+def _window_families(geom, window: list, rows: list, cols: list, table, starts, stops):
+    """:func:`_families` for one window: its curves, with the ids and tables of :meth:`_Keys.window`."""
+    shared = _Window(geom, table, starts, stops) if len(table) else None
+    p = s = 0
+    for points in window:
+        n = points.shape[0]
+        if n < 2:
+            yield points, None, None, None
+            continue
+        yield points, shared, rows[p : p + n], cols[s : s + n - 1]
+        p, s = p + n, s + n - 1
 
 
 class _Window:
@@ -239,23 +334,20 @@ class _Window:
 
     __slots__ = ("geom", "cv_terms", "jn_terms", "cv", "jn", "cells", "asked", "spent", "eps", "free", "lo", "hi")
 
-    def __init__(self, geom, point_id: dict, seg_id: dict):
+    def __init__(self, geom, table: np.ndarray, starts: np.ndarray, stops: np.ndarray):
         S, J = geom.n_segments, geom.joint_pos.shape[0]
-        table = np.frombuffer(b"".join(point_id), dtype=float).reshape(-1, 2)
-        starts = np.frombuffer(b"".join(a for a, _ in seg_id), dtype=float).reshape(-1, 2)
-        stops = np.frombuffer(b"".join(b for _, b in seg_id), dtype=float).reshape(-1, 2)
         # Each table stacks its radius-free terms so that one gather takes a
         # curve's share: cv rows qb^2, -qb and |a-c|^2; jn rows qb^2, -qb and
         # |a-c|^2 of every joint, then 4*qa and 2*safe_qa.
-        self.cv_terms = np.empty((3, len(point_id), S))
+        self.cv_terms = np.empty((3, len(table), S))
         self.cv = DiscQuadratic(table[:, None, :], geom.seg_a, geom.seg_b, geom.seg_terms, out=self.cv_terms)
-        self.jn_terms = np.empty((3 * J + 2, len(seg_id)))
+        self.jn_terms = np.empty((3 * J + 2, len(starts)))
         self.jn = DiscQuadratic(
-            geom.joint_pos[:, None, :], starts, stops, out=self.jn_terms[: 3 * J].reshape(3, J, len(seg_id))
+            geom.joint_pos[:, None, :], starts, stops, out=self.jn_terms[: 3 * J].reshape(3, J, len(starts))
         )
         self.jn_terms[3 * J], self.jn_terms[3 * J + 1] = self.jn.qa4, self.jn.den
         self.geom = geom
-        self.cells = len(point_id) * S + J * len(seg_id)
+        self.cells = len(table) * S + J * len(starts)
         self.asked = self.eps = None
         self.spent = 0
 

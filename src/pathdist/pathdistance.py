@@ -25,7 +25,7 @@ from .geometry import DiscQuadratic, PolyLine, max_distance_to_point
 from .graph import EmbeddedGraph, VertexId, finite_numbers
 from .matching import map_match_distance, prepare_problems
 from .parallel import iter_chunked, run_chunked
-from .paths import VertexPath, canonical_test, dart_table, enumerate_paths, path_curves
+from .paths import VertexPath, Walks, as_walks, canonical_walks, dart_table, enumerate_paths, path_curves
 from .signatures import SignatureMap
 
 __all__ = [
@@ -153,10 +153,12 @@ def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
     maximum when its distance is <= ``best - tol`` (its bisection would
     return less than ``best``), so the visit stops at the first curve whose
     bound is at most that: every later bound is no larger, and ``best`` only
-    rises.  Curves after the stop are never decided, though their window
-    keyed them all first (see :func:`~pathdist.matching._families`).  A
-    curve visited before it is skipped when its decision at ``best - tol``
-    holds; every record-breaker gets the full bisection.  Every curve is
+    rises.  Curves after the stop are never prepared or decided; keying
+    them is a few array passes over the chunk, and their window's tables,
+    built with its first curve, hold their points too (see
+    :func:`~pathdist.matching._families`).  A curve visited before the stop
+    is skipped when its decision at ``best - tol`` holds; every
+    record-breaker gets the full bisection.  Every curve is
     decided at that one running maximum, so the decisions of a window share
     its root steps; a failure stays in the curve's memo for the bisection
     that follows.  The decision is left out where the curve's floor
@@ -179,8 +181,8 @@ def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
     return best
 
 
-def _path_bounds(g: EmbeddedGraph, h: EmbeddedGraph, paths: list[VertexPath]) -> list[float]:
-    """An upper bound on each of ``paths``' distance into ``h``, from one bound per edge of ``g``.
+def _path_bounds(g: EmbeddedGraph, h: EmbeddedGraph, walks: Walks) -> list[float]:
+    """An upper bound on each of ``walks``' distance into ``h``, from one bound per edge of ``g``.
 
     Each vertex u of ``g`` is anchored at its nearest vertex a(u) of ``h``
     (the first in insertion order on a tie).  The bound of an edge from u
@@ -190,10 +192,12 @@ def _path_bounds(g: EmbeddedGraph, h: EmbeddedGraph, paths: list[VertexPath]) ->
     at the anchors, so they form a walk in ``h``; the largest bound of the
     path's edges therefore bounds the walk's discrete, and so its
     continuous, Fréchet distance to the path, and with it the path's
-    map-matching distance.
+    map-matching distance.  All walks take that largest bound at once, off
+    their rows of edge indices.
     """
     ids = list(h.vertices)
     xy = np.asarray(list(h.vertices.values()))
+    # One vertex at a time: a matrix of all pairs would grow with the product of the maps' sizes.
     anchor = {
         v: ids[int(np.argmin(np.hypot(xy[:, 0] - p.x, xy[:, 1] - p.y)))] for v, p in g.vertices.items()
     }
@@ -202,27 +206,17 @@ def _path_bounds(g: EmbeddedGraph, h: EmbeddedGraph, paths: list[VertexPath]) ->
     for i, e in enumerate(h.edges.values()):
         joining.setdefault((e.u, e.v), []).append(darts.row(2 * i))
         joining.setdefault((e.v, e.u), []).append(darts.row(2 * i + 1))
-    bounds = {
-        eid: min(
-            (discrete_frechet(e.geometry, f) for f in joining.get((anchor[e.u], anchor[e.v]), ())),
-            default=math.inf,
-        )
-        for eid, e in g.edges.items()
-    }
-    return [max(bounds[e] for e in p.edge_ids) for p in paths]
-
-
-def _sub_paths(g: EmbeddedGraph, paths: list[VertexPath]) -> list[tuple[VertexPath, VertexPath]]:
-    """The canonical prefix and suffix of each of ``paths`` in ``g``, one link shorter."""
-    is_canonical = canonical_test(g)
-
-    def canonical(v: tuple, e: tuple) -> VertexPath:
-        return VertexPath(v, e) if is_canonical(v, e) else VertexPath(v[::-1], e[::-1])
-
-    return [
-        (canonical(p.vertex_ids[:-1], p.edge_ids[:-1]), canonical(p.vertex_ids[1:], p.edge_ids[1:]))
-        for p in paths
-    ]
+    bound = np.array(
+        [
+            min(
+                (discrete_frechet(e.geometry, f) for f in joining.get((anchor[e.u], anchor[e.v]), ())),
+                default=math.inf,
+            )
+            for e in g.edges.values()
+        ],
+        dtype=float,
+    )
+    return bound[walks.darts >> 1].max(axis=1).tolist()
 
 
 def _computed(g: EmbeddedGraph, h: EmbeddedGraph, tol: float, *, fill: bool = False) -> dict[VertexPath, float]:
@@ -236,37 +230,39 @@ def _computed(g: EmbeddedGraph, h: EmbeddedGraph, tol: float, *, fill: bool = Fa
     return records.setdefault(h, {}) if fill else records.get(h, {})
 
 
-def _floors(g: EmbeddedGraph, paths: list[VertexPath], computed: dict) -> list[float | None]:
-    """Each path's ``lower`` for :func:`map_match_distance`: its sub-paths' larger value, if both are known."""
-    if not computed or not paths or paths[0].link_length == 1:
-        return [None] * len(paths)
+def _floors(walks: Walks, computed: dict) -> list[float | None]:
+    """Each walk's ``lower`` for :func:`map_match_distance`: its sub-paths' larger value, if both are known."""
+    if not computed or walks.link_length == 1:
+        return [None] * len(walks)
     return [
         max(computed[a], computed[b]) if a in computed and b in computed else None
-        for a, b in _sub_paths(g, paths)
+        for a, b in walks.sub_paths()
     ]
 
 
 def _distances(
     g: EmbeddedGraph,
     h: EmbeddedGraph,
+    walks: Walks,
     paths: list[VertexPath],
     curves: list[np.ndarray],
     tol: float,
 ):
-    """Yield chunks of the distances of ``paths`` (all of one link-length), in order.
+    """Yield chunks of the distances of ``walks`` (all of one link-length), in order.
 
-    ``curves`` holds each path's geometry points, collapsed.  The sub-paths
-    of ``paths`` that :func:`_computed` does not hold yet are computed
-    first, the same way, so every path of link-length >= 2 is bisected
-    under its sub-paths' floor.  Each chunk's values join the record as the
-    chunk is yielded.
+    ``paths`` and ``curves`` hold each walk as a :class:`VertexPath` and its
+    geometry points, collapsed.  The sub-paths of ``walks`` that
+    :func:`_computed` does not hold yet are computed first, the same way,
+    so every path of link-length >= 2 is bisected under its sub-paths'
+    floor.  Each chunk's values join the record as the chunk is yielded.
     """
     computed = _computed(g, h, tol, fill=True)
-    if paths and paths[0].link_length > 1:
-        subs = [s for s in dict.fromkeys(s for pair in _sub_paths(g, paths) for s in pair) if s not in computed]
-        for _ in _distances(g, h, subs, path_curves(g, subs), tol):
+    if walks.link_length > 1:
+        subs = [s for s in dict.fromkeys(s for pair in walks.sub_paths() for s in pair) if s not in computed]
+        sub_walks = as_walks(g, subs)
+        for _ in _distances(g, h, sub_walks, subs, path_curves(g, sub_walks), tol):
             pass
-    items = list(zip(curves, _floors(g, paths, computed)))
+    items = list(zip(curves, _floors(walks, computed)))
     done = 0
     for chunk in iter_chunked(functools.partial(_chunk_distances, h, tol), items):
         computed.update(zip(paths[done : done + len(chunk)], chunk))
@@ -299,9 +295,10 @@ def iter_match_records(
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
     paths = list(enumerate_paths(g, k))
-    curves, lengths = path_curves(g, paths, return_lengths=True)
+    walks = canonical_walks(g, k)
+    curves, lengths = path_curves(g, walks, return_lengths=True)
     todo = [i for i in range(len(paths)) if known is None or i not in known]
-    chunks = _distances(g, h, [paths[i] for i in todo], [curves[i] for i in todo], tol)
+    chunks = _distances(g, h, walks[todo], [paths[i] for i in todo], [curves[i] for i in todo], tol)
     # Chunks are pulled one at a time, as the records that need them are taken.
     distances = (d for chunk in chunks for d in chunk)
     for i, (p, length) in enumerate(zip(paths, lengths)):
@@ -343,15 +340,21 @@ def max_path_distance(
     first, and stops at the first path whose bound the running maximum
     rules out; most paths before it are settled by one decision at the
     running maximum.
+
+    The paths are read as :func:`~pathdist.paths.canonical_walks` rows:
+    their curves, bounds and floors come from the arrays, and a
+    :class:`VertexPath` is built only to look up remembered values.
     """
     check_tolerance(tol)
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
-    paths = list(enumerate_paths(g, k))
+    walks = canonical_walks(g, k)
     computed = _computed(g, h, tol)
-    if all(p in computed for p in paths):
-        return max((computed[p] for p in paths), default=0.0)
-    items = list(zip(path_curves(g, paths), _floors(g, paths, computed), _path_bounds(g, h, paths)))
+    if computed:
+        paths = walks.paths()
+        if all(p in computed for p in paths):
+            return max((computed[p] for p in paths), default=0.0)
+    items = list(zip(path_curves(g, walks), _floors(walks, computed), _path_bounds(g, h, walks)))
     fn = functools.partial(_chunk_max, h, tol)
     maxima = run_chunked(fn, items)
     return max(maxima, default=0.0)

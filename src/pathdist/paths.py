@@ -6,6 +6,14 @@ valid link-length-2 path).  Because the graphs are undirected and matching
 costs are reversal-invariant, paths are enumerated canonically up to
 reversal: of a walk and its reverse, only the lexicographically smaller one
 is produced.
+
+The walks of one link-length are integer arrays (:class:`Walks`): each row
+holds a walk's vertex indices and the darts of :func:`dart_table` it takes.
+They are built level by level over the darts leaving each vertex, in
+``g.adjacency`` order, so the rows come in depth-first order, and a walk is
+kept when it is canonical by the ranks of its ids' ``repr``s.  Curves,
+bounds and sub-paths read the rows by index; :class:`VertexPath` objects
+are built only where a record, report or signature needs one.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,7 +31,9 @@ from .graph import EdgeId, EmbeddedGraph, VertexId
 
 __all__ = [
     "VertexPath",
-    "canonical_test",
+    "Walks",
+    "as_walks",
+    "canonical_walks",
     "check_link_length",
     "enumerate_paths",
     "path_curves",
@@ -69,26 +79,49 @@ class VertexPath:
         return "-".join(str(v).replace("\\", "\\\\").replace("-", "\\-") for v in self.vertex_ids)
 
 
+def _ranks(ids) -> np.ndarray:
+    """Each id's rank among the ``repr``s of ``ids``, in ``str`` order: equal reprs, equal ranks."""
+    reprs = [repr(x) for x in ids]
+    rank = {r: i for i, r in enumerate(sorted(set(reprs)))}
+    return np.array([rank[r] for r in reprs], dtype=np.intp)
+
+
 class _Darts:
     """Both directions of every edge of a graph, as rows of one point array.
 
     Dart ``2*i`` runs along the ``i``-th edge (insertion order) from ``u``
     to ``v`` and dart ``2*i + 1`` runs back; row ``d`` is ``points[start[d]
     : start[d + 1]]``.  ``dart_of[eid, w]`` is the dart that enters edge
-    ``eid`` at vertex ``w`` and the vertex it ends at.  A self-loop, which
-    only a pickle carries, runs forward from both ends.  This table alone
-    decides which way an edge's points run along a walk.
+    ``eid`` at vertex ``w`` and the vertex it ends at, and ``head[d]`` the
+    index (insertion order) of that vertex.  A self-loop, which only a
+    pickle carries, runs forward from both ends.  This table alone decides
+    which way an edge's points run along a walk.
+
+    The darts leaving vertex ``v`` are ``out[out_start[v] : out_start[v +
+    1]]``, in ``g.adjacency`` order: a self-loop is listed there twice.
+    ``vertex_rank`` and ``edge_rank`` order the ids by their ``repr``s.
     """
 
     def __init__(self, g: EmbeddedGraph):
         rows: list[np.ndarray] = []
         self.dart_of: dict = {}
+        self.index = {v: i for i, v in enumerate(g.vertices)}
+        head: list[int] = []
         for i, (eid, e) in enumerate(g.edges.items()):
             rows += (e.geometry.points, e.geometry.points[::-1])
             self.dart_of[eid, e.v] = (2 * i + 1, e.u)
             self.dart_of[eid, e.u] = (2 * i, e.v)
+            head += (self.index[e.v], self.index[e.u])
         self.start = np.cumsum([0] + [len(r) for r in rows], dtype=np.intp)
         self.points = np.concatenate(rows) if rows else np.empty((0, 2))
+        self.head = np.asarray(head, dtype=np.intp)
+        out = [self.dart_of[eid, v][0] for v, ids in g.adjacency.items() for eid in ids]
+        self.out = np.asarray(out, dtype=np.intp)
+        self.out_start = np.cumsum([0] + [len(ids) for ids in g.adjacency.values()], dtype=np.intp)
+        self.vertex_ids = list(g.vertices)
+        self.edge_ids = list(g.edges)
+        self.vertex_rank = _ranks(self.vertex_ids)
+        self.edge_rank = _ranks(self.edge_ids)
 
     def row(self, d: int) -> np.ndarray:
         return self.points[self.start[d] : self.start[d + 1]]
@@ -110,35 +143,71 @@ def dart_table(g: EmbeddedGraph) -> _Darts:
     return darts
 
 
-def _extensions(g: EmbeddedGraph, dart_of: dict, vseq: list, eseq: list, k: int) -> Iterator[tuple[tuple, tuple]]:
-    if len(eseq) == k:
-        yield tuple(vseq), tuple(eseq)
-        return
-    last = vseq[-1]
-    for eid in g.adjacency[last]:
-        vseq.append(dart_of[eid, last][1])
-        eseq.append(eid)
-        yield from _extensions(g, dart_of, vseq, eseq, k)
-        vseq.pop()
-        eseq.pop()
+def _below_reverse(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: whether it is lexicographically less than its reverse, and whether equal."""
+    rev = rows[:, ::-1]
+    differ = rows != rev
+    first = differ.argmax(axis=1)[:, None]
+    less = np.take_along_axis(rows, first, 1) < np.take_along_axis(rev, first, 1)
+    return less[:, 0], ~differ.any(axis=1)
 
 
-def canonical_test(g: EmbeddedGraph) -> Callable[[Sequence, Sequence], bool]:
-    """A test of whether the walk ``(vertex ids, edge ids)`` in ``g`` is canonical.
+def _canonical(t: _Darts, vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Which walks (rows of vertex and edge indices) :meth:`VertexPath.canonical` keeps as they are.
 
-    It decides :meth:`VertexPath.canonical`'s ``key() <= reversed().key()``
-    from one ``repr`` per vertex id and edge id of ``g``, without building
-    either key or the reversed path.
+    That is ``key() <= reversed().key()``: the vertex ids' ``repr``s compare
+    below their reverse's, or equal and the edge ids' ``repr``s no greater.
+    The ranks of the ``repr``s decide it without a string.
     """
-    vkey = {v: repr(v) for v in g.vertices}
-    ekey = {e: repr(e) for e in g.edges}
+    v_less, v_equal = _below_reverse(t.vertex_rank[vertices])
+    e_less, e_equal = _below_reverse(t.edge_rank[edges])
+    return v_less | (v_equal & (e_less | e_equal))
 
-    def is_canonical(vseq: Sequence, eseq: Sequence) -> bool:
-        vk = [vkey[v] for v in vseq]
-        rk = vk[::-1]
-        return vk < rk or (vk == rk and [ekey[e] for e in eseq] <= [ekey[e] for e in eseq[::-1]])
 
-    return is_canonical
+def _vertex_paths(t: _Darts, vertices: np.ndarray, edges: np.ndarray) -> list[VertexPath]:
+    """The walks (rows of vertex and edge indices) as :class:`VertexPath` objects."""
+    vid, eid = t.vertex_ids, t.edge_ids
+    return [
+        VertexPath(tuple(map(vid.__getitem__, v)), tuple(map(eid.__getitem__, e)))
+        for v, e in zip(vertices.tolist(), edges.tolist())
+    ]
+
+
+class Walks:
+    """Walks of one link-length ``k`` in a graph, one per row.
+
+    ``vertices`` holds each walk's k+1 vertex indices (insertion order) and
+    ``darts`` the k darts of :func:`dart_table` it takes.  Indexing with an
+    array or a list of rows gives those walks.
+    """
+
+    __slots__ = ("table", "vertices", "darts")
+
+    def __init__(self, table: _Darts, vertices: np.ndarray, darts: np.ndarray):
+        self.table, self.vertices, self.darts = table, vertices, darts
+
+    def __len__(self) -> int:
+        return self.darts.shape[0]
+
+    def __getitem__(self, rows) -> "Walks":
+        return Walks(self.table, self.vertices[rows], self.darts[rows])
+
+    @property
+    def link_length(self) -> int:
+        return self.darts.shape[1]
+
+    def paths(self) -> list[VertexPath]:
+        """The walks as :class:`VertexPath` objects, in row order."""
+        return _vertex_paths(self.table, self.vertices, self.darts >> 1)
+
+    def sub_paths(self) -> list[tuple[VertexPath, VertexPath]]:
+        """The canonical prefix and suffix of each walk, one link shorter."""
+        halves = []
+        for part in (slice(None, -1), slice(1, None)):
+            v, e = self.vertices[:, part], (self.darts >> 1)[:, part]
+            keep = _canonical(self.table, v, e)[:, None]
+            halves.append(_vertex_paths(self.table, np.where(keep, v, v[:, ::-1]), np.where(keep, e, e[:, ::-1])))
+        return list(zip(*halves))
 
 
 def check_link_length(k) -> None:
@@ -147,26 +216,58 @@ def check_link_length(k) -> None:
         raise InputError(f"link-length k must be an integer >= 1, got {k!r}")
 
 
+def canonical_walks(g: EmbeddedGraph, k: int) -> Walks:
+    """Every link-length-``k`` walk of ``g`` once up to reversal, cached on ``g``.
+
+    Rows are in depth-first order: starts in vertex insertion order, each
+    hop in ``g.adjacency`` order.  Non-simple walks (repeated vertices or
+    edges) are included.  ``k`` is checked by :func:`check_link_length`.
+    """
+    check_link_length(k)
+    walks = g._frozen_cache.get(("walks", int(k)))
+    if walks is None:
+        if k > 3:
+            warnings.warn(f"enumerating link-length {k} paths is combinatorially expensive", stacklevel=3)
+        t = dart_table(g)
+        vertices = np.arange(len(t.vertex_ids), dtype=np.intp)[:, None]
+        darts = np.empty((len(vertices), 0), dtype=np.intp)
+        # Each level repeats every walk once per dart leaving its last vertex.
+        for _ in range(k):
+            lo = t.out_start[vertices[:, -1]]
+            n = t.out_start[vertices[:, -1] + 1] - lo
+            parent = np.repeat(np.arange(len(n)), n)
+            hop = t.out[np.arange(len(parent)) + np.repeat(lo - (np.cumsum(n) - n), n)]
+            vertices = np.column_stack((vertices[parent], t.head[hop]))
+            darts = np.column_stack((darts[parent], hop))
+        walks = Walks(t, vertices, darts)[_canonical(t, vertices, darts >> 1)]
+        # Every caller shares them.
+        walks.vertices.setflags(write=False)
+        walks.darts.setflags(write=False)
+        g._frozen_cache["walks", int(k)] = walks
+    return walks
+
+
 def enumerate_paths(g: EmbeddedGraph, k: int) -> Iterator[VertexPath]:
     """Stream every link-length-``k`` vertex-path of ``g`` once up to reversal.
 
-    Walks are generated in vertex insertion order, so the stream is
-    deterministic.  Non-simple walks (repeated vertices or edges) are
-    included.  ``k`` is checked by :func:`check_link_length` before the
-    first path.
+    The paths are the rows of :func:`canonical_walks`, in order, so the
+    stream is deterministic.  ``k`` is checked by :func:`check_link_length`
+    before the first path.
     """
-    check_link_length(k)
-    if k > 3:
-        warnings.warn(
-            f"enumerating link-length {k} paths is combinatorially expensive",
-            stacklevel=2,
-        )
-    is_canonical = canonical_test(g)
-    dart_of = dart_table(g).dart_of
-    for v0 in g.vertices:
-        for vseq, eseq in _extensions(g, dart_of, [v0], [], k):
-            if is_canonical(vseq, eseq):
-                yield VertexPath(vseq, eseq)
+    yield from canonical_walks(g, k).paths()
+
+
+def as_walks(g: EmbeddedGraph, paths: Walks | Sequence[VertexPath]) -> Walks:
+    """``paths``, all of one link-length, as :class:`Walks` of ``g``; each hop is checked (see :meth:`_Darts.walk`)."""
+    if isinstance(paths, Walks):
+        return paths
+    t = dart_table(g)
+    k = paths[0].link_length if paths else 1
+    if any(p.link_length != k for p in paths):
+        raise InputError("the paths must all have one link-length")
+    vertices = np.array([t.index[v] for p in paths for v in p.vertex_ids], dtype=np.intp)
+    darts = np.array([d for p in paths for d in t.walk(p)], dtype=np.intp)
+    return Walks(t, vertices.reshape(-1, k + 1), darts.reshape(-1, k))
 
 
 def path_geometry(g: EmbeddedGraph, p: VertexPath) -> PolyLine:
@@ -179,39 +280,44 @@ def path_geometry(g: EmbeddedGraph, p: VertexPath) -> PolyLine:
     return PolyLine(np.concatenate([rows[0], *(r[1:] for r in rows[1:])]))
 
 
-def path_curves(g: EmbeddedGraph, paths: Sequence[VertexPath], *, return_lengths: bool = False):
+def path_curves(g: EmbeddedGraph, paths: Walks | Sequence[VertexPath], *, return_lengths: bool = False):
     """Each path's curve points, collapsed, gathered from the rows of ``g``'s dart table.
 
-    Row for row and bit for bit, the curve of ``p`` is
-    ``path_geometry(g, p).collapsed().points``: the first dart in full, each
-    later dart without its first point, and then consecutive duplicate
+    ``paths`` are :class:`Walks` of ``g``, read by index, or
+    :class:`VertexPath` objects of one link-length, read through
+    :func:`as_walks`.  Row for row and bit for bit, the curve of ``p`` is
+    ``path_geometry(g, p).collapsed().points``: the first dart in full,
+    each later dart without its first point, and then consecutive duplicate
     points dropped.  All paths share one gather and one pass over their
     segment lengths; each curve is a read-only slice of the kept rows.  With
     ``return_lengths=True`` returns ``(curves, lengths)``, each length the
     float ``path_geometry(g, p).length()``.
     """
-    darts = dart_table(g)
-    start = darts.start.tolist()
-    index: list[int] = []
-    starts = []
-    for p in paths:
-        starts.append(len(index))
-        for i, d in enumerate(darts.walk(p)):
-            index += range(start[d] + (i > 0), start[d + 1])
-    if not starts:
+    walks = as_walks(g, paths)
+    if not len(walks):
         return ([], []) if return_lengths else []
-    points = darts.points[np.asarray(index, dtype=np.intp)]
+    darts = dart_table(g)
+    hops = walks.darts.ravel()
+    lead = np.arange(len(walks)) * walks.link_length
+    # Each hop's rows of the point table: all of the first dart, then each without its first point.
+    lo = darts.start[hops] + 1
+    lo[lead] -= 1
+    count = darts.start[hops + 1] - lo
+    offset = np.cumsum(count) - count
+    index = np.arange(count.sum()) + np.repeat(lo - offset, count)
+    points = darts.points[index]
     d = np.diff(points, axis=0)
     seg = np.hypot(d[:, 0], d[:, 1])
+    starts = offset[lead]
     keep = np.empty(len(index), dtype=bool)
     keep[1:] = seg > 0.0
     keep[starts] = True
     kept = points[keep]
     kept.setflags(write=False)
     # Each path's first and one-past-last row among the kept rows.
-    ends = starts[1:] + [len(index)]
-    upto = np.cumsum(keep).tolist()
-    curves = [kept[upto[a] - 1 : upto[b - 1]] for a, b in zip(starts, ends)]
+    ends = np.append(starts[1:], len(index))
+    upto = np.cumsum(keep)
+    curves = [kept[a:b] for a, b in zip((upto[starts] - 1).tolist(), upto[ends - 1].tolist())]
     if not return_lengths:
         return curves
-    return curves, [float(seg[a : b - 1].sum()) for a, b in zip(starts, ends)]
+    return curves, [float(seg[a : b - 1].sum()) for a, b in zip(starts.tolist(), ends.tolist())]

@@ -654,3 +654,79 @@ def label_order_decision(points: np.ndarray, h, eps: float) -> bool:
                         dist[nbr * M + i] = t_j
                         heapq.heappush(heap, (t_j, nbr * M + i))
     return False
+
+
+def recursive_paths(g, k: int):
+    """Canonical link-length-``k`` paths of ``g``, as the package enumerated them by recursion.
+
+    Depth-first from each vertex in insertion order, each hop in
+    ``g.adjacency`` order (a self-loop twice, walked forward from both of
+    its ends, as the package's dart table takes it); a walk is kept when its
+    vertex ids' ``repr``s, then its edge ids', compare no greater than its
+    reverse's.
+    """
+    from pathdist.paths import VertexPath
+
+    vkey = {v: repr(v) for v in g.vertices}
+    ekey = {e: repr(e) for e in g.edges}
+
+    def canonical(vseq, eseq) -> bool:
+        vk = [vkey[v] for v in vseq]
+        rk = vk[::-1]
+        return vk < rk or (vk == rk and [ekey[e] for e in eseq] <= [ekey[e] for e in eseq[::-1]])
+
+    def end(eid, at):
+        e = g.edges[eid]
+        return e.v if at == e.u else e.u
+
+    def extend(vseq, eseq):
+        if len(eseq) == k:
+            yield tuple(vseq), tuple(eseq)
+            return
+        for eid in g.adjacency[vseq[-1]]:
+            yield from extend(vseq + [end(eid, vseq[-1])], eseq + [eid])
+
+    for v in g.vertices:
+        for vseq, eseq in extend([v], []):
+            if canonical(vseq, eseq):
+                yield VertexPath(vseq, eseq)
+
+
+def bytes_keyed_windows(curves, n_segments: int, n_joints: int, budget: int):
+    """The windows of ``matching._families``, keyed the way the package keyed them by bytes.
+
+    Each point is the bytes of its two float64 coordinates and each segment
+    the pair of its ends' bytes; a window takes consecutive curves while its
+    distinct points x ``n_segments`` plus ``n_joints`` x distinct segments
+    stay within ``budget`` (a window's first curve of two or more points
+    always fits).  Returns ``(families, windows)``: per curve ``(window
+    index, rows, cols)``, all None below two points, and per window its
+    distinct points, segment starts and segment stops in first-seen order.
+    """
+    key = np.dtype((np.void, 16))
+    families, windows = [], []
+    point_id: dict = {}
+    seg_id: dict = {}
+
+    def close():
+        def table(keys):
+            return np.frombuffer(b"".join(keys), dtype=float).reshape(-1, 2)
+
+        windows.append((table(point_id), table(a for a, _ in seg_id), table(b for _, b in seg_id)))
+
+    for points in curves:
+        rows = cols = None
+        if points.shape[0] > 1:
+            keys = np.ascontiguousarray(points, dtype=float).view(key).ravel().tolist()
+            segs = list(zip(keys, keys[1:]))
+            n_points = len(point_id) + len(set(keys).difference(point_id))
+            n_segs = len(seg_id) + len(set(segs).difference(seg_id))
+            if point_id and n_points * n_segments + n_joints * n_segs > budget:
+                close()
+                point_id, seg_id = {}, {}
+            rows = [point_id.setdefault(k, len(point_id)) for k in keys]
+            cols = [seg_id.setdefault(s, len(seg_id)) for s in segs]
+        families.append((len(windows) if rows else None, rows, cols))
+    if point_id:
+        close()
+    return families, windows

@@ -7,6 +7,7 @@ import pytest
 from pathdist.errors import InputError, ParseError, StructuralError
 from pathdist.geometry import PolyLine
 from pathdist.graph import (
+    Edge,
     EmbeddedGraph,
     contract_degree_two,
     export_geojson,
@@ -147,6 +148,33 @@ def test_contract_idempotent_and_length_preserving(grid6):
     assert set(c1.vertices) == set(c2.vertices)
     assert len(c1.edges) == len(c2.edges)
     assert c2.total_length() == pytest.approx(grid6.total_length(), rel=1e-9)
+
+
+def test_contract_keeps_a_self_loop_as_one_edge():
+    # A self-loop, which only a pickle carries, is a chain of one edge from
+    # its vertex back to it: on an anchor (c) and on a vertex of its own (z).
+    g = EmbeddedGraph(
+        [("c", (0, 0)), ("m", (5, 0)), ("e", (10, 0)), ("n", (0, 10)), ("w", (-10, 0)), ("z", (20, 20))],
+        [(0, ("c", "m")), (1, ("m", "e")), (2, ("c", "n")), (3, ("c", "w"))],
+    )
+    edges = dict(g.edges)
+    for eid, v, (x, y) in (("loop", "c", (0.0, 0.0)), ("lone", "z", (20.0, 20.0))):
+        edges[eid] = Edge(v, v, PolyLine([(x, y), (x + 3, y + 4), (x + 3, y), (x, y)]))
+    looped = EmbeddedGraph.__new__(EmbeddedGraph)
+    looped.__setstate__((dict(g.vertices), edges))
+    c = contract_degree_two(looped)
+    assert list(c.vertices) == ["c", "e", "n", "w", "z"]
+    assert list(c.edges) == [0, 2, 3, "loop", "lone"]
+    for eid in ("loop", "lone"):
+        assert (c.edges[eid].u, c.edges[eid].v) == (looped.edges[eid].u,) * 2
+        assert c.edges[eid].geometry.points.tobytes() == looped.edges[eid].geometry.points.tobytes()
+    assert c.total_length() == pytest.approx(looped.total_length(), rel=1e-12)
+    again = contract_degree_two(c)
+    assert list(again.vertices) == list(c.vertices)
+    assert list(again.edges) == list(c.edges)
+    for eid, e in c.edges.items():
+        assert (again.edges[eid].u, again.edges[eid].v) == (e.u, e.v)
+        assert again.edges[eid].geometry.points.tobytes() == e.geometry.points.tobytes()
 
 
 def test_contract_inverts_subdivision():

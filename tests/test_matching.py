@@ -19,6 +19,8 @@ from pathdist.spatial import nearest_point_on_graph
 from oracles import (
     DenseWalkOracle,
     DiscreteMatchOracle,
+    bytes_keyed_windows,
+    city_pair,
     fresh,
     label_order_decision,
     nearest_point_scan,
@@ -482,7 +484,8 @@ def chunk_case(offset):
         [(0.0, 20.0), (1e-200, 20.0), (30.0, 25.0)],  # a segment whose length squared is 0
         random_curve_near_graph(rng, base, 3, 10.0),
     ]
-    return h, [collapsed_points(np.asarray(c, float) + offset) for c in curves]
+    # Adding a zero offset would turn -0.0 into 0.0.
+    return h, [collapsed_points(np.asarray(c, float) + offset if offset.any() else np.asarray(c, float)) for c in curves]
 
 
 def assert_same_quadratic(chunked, single):
@@ -538,6 +541,63 @@ def test_chunk_prepared_problems_equal_one_curve_problems(monkeypatch, offset, b
         for eps in (0.0, 0.5 * d, d - 1e-3, d + 1e-3):
             assert match_decision(problem, h, eps) == match_decision(single, h, eps)
         assert map_match_distance(problem, h, 1e-3).hex() == d.hex()
+
+
+def assert_keyed_like_bytes(curves, h) -> int:
+    """``_families`` gives the rows, columns, windows and tables of the bytes keying; returns the window count."""
+    geom = matching.surface_geometry(h)
+    families, tables = bytes_keyed_windows(curves, geom.n_segments, geom.joint_pos.shape[0], matching._WINDOW_CELLS)
+    windows = []
+    for (points, window, rows, cols), curve, (at, want_rows, want_cols) in zip(
+        matching._families(curves, h), curves, families, strict=True
+    ):
+        assert points is curve
+        assert rows == want_rows and cols == want_cols
+        assert (window is None) == (at is None)
+        if window is not None:
+            if not windows or windows[-1] is not window:
+                windows.append(window)
+            assert len(windows) - 1 == at
+    assert len(windows) == len(tables)
+    for window, (table, starts, stops) in zip(windows, tables):
+        want = matching._Window(geom, table, starts, stops)
+        assert window.cv_terms.tobytes() == want.cv_terms.tobytes()
+        assert window.jn_terms.tobytes() == want.jn_terms.tobytes()
+        assert window.cells == want.cells
+    return len(windows)
+
+
+def test_index_keying_equals_bytes_keying_on_study_paths_by_bound():
+    from pathdist.pathdistance import _path_bounds
+    from pathdist.paths import canonical_walks, path_curves
+
+    h = grid_graph()
+    for p in (0.1, 0.5, 0.9):
+        g = generate_perturbed(PerturbationSpec(p=p, seed_count=1, rng_seed=3))[0]
+        walks = canonical_walks(g, 3)
+        curves, bounds = path_curves(g, walks), _path_bounds(g, h, walks)
+        # The order in which max_path_distance's chunk takes them.
+        by_bound = sorted(range(len(curves)), key=lambda i: -bounds[i])
+        assert assert_keyed_like_bytes([curves[i] for i in by_bound], h) == 1
+
+
+def test_index_keying_equals_bytes_keying_across_windows():
+    from pathdist.paths import canonical_walks, path_curves
+
+    g, h = city_pair(0, 3)
+    assert assert_keyed_like_bytes(path_curves(g, canonical_walks(g, 2)), h) == 3
+    assert assert_keyed_like_bytes(path_curves(h, canonical_walks(h, 3)), g) == 8
+
+
+@pytest.mark.parametrize("budget", [None, "small", 1])
+def test_index_keying_equals_bytes_keying_on_signed_zeros_and_repeated_points(monkeypatch, budget):
+    h, curves = chunk_case(np.zeros(2))
+    geom = matching.surface_geometry(h)
+    if budget is not None:
+        monkeypatch.setattr(matching, "_WINDOW_CELLS", 1 if budget == 1 else 8 * (geom.n_segments + geom.joint_pos.shape[0]))
+    # Also a lone one-point curve, one-point curves around a two-point one, and no curve.
+    for case in (curves, curves[::-1], curves + curves, [curves[5]], [curves[5], curves[1], curves[5]], []):
+        assert_keyed_like_bytes(case, h)
 
 
 def step_alone(monkeypatch):

@@ -22,7 +22,6 @@ from pathdist.pathdistance import (
     _computed,
     _floors,
     _path_bounds,
-    _sub_paths,
     directed_path_distance,
     intersection_radius,
     iter_match_records,
@@ -33,7 +32,7 @@ from pathdist.pathdistance import (
     separation_census,
     write_records_csv,
 )
-from pathdist.paths import VertexPath, enumerate_paths, path_curves, path_geometry
+from pathdist.paths import VertexPath, as_walks, canonical_walks, enumerate_paths, path_curves, path_geometry
 from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
 
 from oracles import city_pair, dense_radius_scan, fresh, polylines_meet, random_geometric_graph
@@ -253,7 +252,7 @@ def test_sub_paths_keep_the_canonical_choice_on_mixed_ids():
             )
             for p in paths
         ]
-        assert _sub_paths(g, paths) == expected, k
+        assert canonical_walks(g, k).sub_paths() == expected, k
 
 
 @pytest.mark.parametrize("pair", [0, 1, 2, "city"])
@@ -343,7 +342,7 @@ def test_path_bounds_are_upper_bounds(kind, seed):
     bounds = []
     for k in (1, 2, 3):
         records = match_all_paths(g, h, k, TOL)
-        for r, bound in zip(records, _path_bounds(g, h, [r.path for r in records])):
+        for r, bound in zip(records, _path_bounds(g, h, as_walks(g, [r.path for r in records]))):
             bounds.append(bound)
             assert not r.distance > bound + TOL, (k, r.path, r.distance, bound)
     assert any(math.isfinite(b) for b in bounds)
@@ -375,13 +374,13 @@ def test_a_self_loop_is_walked_forward_from_both_ends_and_bounded_both_ways():
     assert path_curves(g, [loop])[0].tobytes() == g.edges["loop"].geometry.points.tobytes()
     target = h.edges["loop"].geometry
     both = [discrete_frechet(g.edges["loop"].geometry, f) for f in (target, target.reversed())]
-    assert _path_bounds(g, h, [loop]) == [min(both)] and both[1] < both[0]
+    assert _path_bounds(g, h, as_walks(g, [loop])) == [min(both)] and both[1] < both[0]
     got = []
     for source, target in ((g, h), (h, g)):
         for k in (1, 2, 3):
             paths = list(enumerate_paths(source, k))
             curves, lengths = path_curves(source, paths, return_lengths=True)
-            bounds = _path_bounds(source, target, paths)
+            bounds = _path_bounds(source, target, as_walks(source, paths))
             text = repr(paths) + "".join(c.tobytes().hex() for c in curves) + " ".join(x.hex() for x in lengths + bounds)
             got.append((len(paths), hashlib.sha256(text.encode()).hexdigest()))
     assert got == PINNED_SELF_LOOP
@@ -528,8 +527,8 @@ def test_pooled_chunks_stay_cheap(monkeypatch):
 
     g, h = city_pair(0, 3)
     serial = max_path_distance(fresh(g), h, 3, TOL)
-    paths = list(enumerate_paths(g, 3))
-    items = list(zip(path_curves(g, paths), _floors(g, paths, _computed(g, h, TOL)), _path_bounds(g, h, paths)))
+    walks = canonical_walks(g, 3)
+    items = list(zip(path_curves(g, walks), _floors(walks, _computed(g, h, TOL)), _path_bounds(g, h, walks)))
     monkeypatch.setattr(matching, "match_decision", counting)
     pooled = max(_chunk_max(h, TOL, chunk) for chunk in split_chunks(items, -(-len(items) // 8)))
     assert pooled.hex() == serial.hex()

@@ -8,9 +8,9 @@ from pathdist.errors import InputError, StructuralError
 from pathdist.geometry import PolyLine
 from pathdist.graph import EmbeddedGraph
 from pathdist.pathdistance import match_all_paths, max_path_distance
-from pathdist.paths import VertexPath, dart_table, enumerate_paths, path_curves, path_geometry
+from pathdist.paths import VertexPath, canonical_walks, dart_table, enumerate_paths, path_curves, path_geometry
 
-from oracles import adjacency_from_edges, count_canonical_walks, random_geometric_graph, walk_geometry
+from oracles import adjacency_from_edges, count_canonical_walks, random_geometric_graph, recursive_paths, walk_geometry
 
 
 def single_edge():
@@ -92,6 +92,92 @@ def test_enumeration_keeps_the_key_order_on_mixed_ids():
         assert list(enumerate_paths(g, k)) == expected, k
     assert VertexPath((9, 10, 9), ("p", 10)) in enumerate_paths(g, 2)
     assert VertexPath((9, 10, 9), (10, "p")) not in enumerate_paths(g, 2)
+
+
+class SameRepr:
+    """An id whose ``repr`` every instance shares, so distinct ids tie on it."""
+
+    def __repr__(self):
+        return "v"
+
+
+def tied_repr_graph():
+    """Ids whose ``repr``s tie in a prefix (``1``, ``10``, ``'1'``), and distinct ids with one ``repr``.
+
+    Vertices ``a`` and ``b`` and edges ``x`` and ``y`` are :class:`SameRepr`,
+    so a walk ``a-b-a`` over ``x`` and ``y`` equals its reverse by ``repr``.
+    """
+    a, b, x, y = SameRepr(), SameRepr(), SameRepr(), SameRepr()
+    verts = [(10, (0.0, 0.0)), (1, (10.0, 0.0)), ("1", (10.0, 10.0)), ("10", (0.0, 10.0)), (a, (5.0, 5.0)), (b, (5.0, -5.0))]
+    edges = [
+        ("1", (1, 10)),
+        (1, (10, "10")),
+        (10, ("1", "10")),
+        ("10", (1, "1")),
+        (x, (a, b)),
+        (y, (b, a, [(5.0, -5.0), (8.0, 0.0), (5.0, 5.0)])),
+        (11, (a, 10)),
+        ("11", (b, 1)),
+    ]
+    return EmbeddedGraph(verts, edges)
+
+
+def enumeration_case(name, grid6):
+    from test_fscore import _with_self_loop
+    from test_pathdistance import cross
+
+    if name == "grid6":
+        return [grid6]
+    if name == "random":
+        rng = np.random.default_rng(11)
+        return [random_geometric_graph(rng, 8, 3, 10.0) for _ in range(3)]
+    if name == "parallel edges":
+        return [degenerate_joins_graph()]
+    if name == "self-loop":
+        return [_with_self_loop(cross(), "c", (3.0, 4.0)), _with_self_loop(mixed_id_graph(), 9, (-2.0, 3.0))]
+    if name == "tied reprs":
+        return [tied_repr_graph()]
+    return [mixed_id_graph()]
+
+
+@pytest.mark.parametrize("name", ["grid6", "random", "parallel edges", "self-loop", "tied reprs", "mixed ids"])
+def test_array_enumeration_keeps_the_recursive_order(name, grid6):
+    for g in enumeration_case(name, grid6):
+        for k in (1, 2, 3):
+            walks = canonical_walks(g, k)
+            paths = list(enumerate_paths(g, k))
+            assert paths == list(recursive_paths(g, k)), k
+            assert walks.paths() == paths and len(walks) == len(paths)
+            # Read by index, the walks gather what their paths, checked hop by hop, do.
+            curves, lengths = path_curves(g, walks, return_lengths=True)
+            want, want_lengths = path_curves(g, paths, return_lengths=True)
+            assert [c.tobytes() for c in curves] == [c.tobytes() for c in want]
+            assert [x.hex() for x in lengths] == [x.hex() for x in want_lengths]
+            if k > 1:
+                halves = [
+                    (
+                        VertexPath(p.vertex_ids[:-1], p.edge_ids[:-1]).canonical(),
+                        VertexPath(p.vertex_ids[1:], p.edge_ids[1:]).canonical(),
+                    )
+                    for p in paths
+                ]
+                assert walks.sub_paths() == halves, k
+    if name == "tied reprs":
+        a, b = list(g.vertices)[4:]
+        x, y = list(g.edges)[4:6]
+        # Equal reprs all the way: a walk and its reverse are both canonical.
+        paths = list(enumerate_paths(g, 2))
+        assert VertexPath((a, b, a), (x, y)) in paths and VertexPath((a, b, a), (y, x)) in paths
+
+
+def test_walks_are_enumerated_once_per_graph_and_link_length(grid6):
+    g = pickle.loads(pickle.dumps(grid6))
+    assert canonical_walks(g, 2) is canonical_walks(g, np.int64(2))
+    assert canonical_walks(g, 2) is not canonical_walks(g, 3)
+    assert not canonical_walks(g, 2).darts.flags.writeable
+    # A pickled graph arrives without them, as with its dart table.
+    assert ("walks", 2) in g._frozen_cache
+    assert ("walks", 2) not in pickle.loads(pickle.dumps(g))._frozen_cache
 
 
 def test_grid_counts_match_bruteforce(grid6):
@@ -239,9 +325,9 @@ def test_path_curves_match_path_geometry_on_degenerate_joins(offset):
     assert path_curves(g, [into_c])[0].shape == (4, 2)
     assert path_curves(g, [out_of_d])[0].shape == (4, 2)
     # A path that starts where the one before it ended keeps its first point.
-    first, second = path_curves(g, [loop, VertexPath((0, 1), ("a",))])
+    first, second = path_curves(g, [loop, VertexPath((0, 1, 0), ("a", "a"))])
     assert second[0].tobytes() == first[-1].tobytes()
-    assert second.shape == (2, 2)
+    assert second.shape == (3, 2)
 
 
 def test_each_curve_starts_with_its_own_first_point():
@@ -250,7 +336,7 @@ def test_each_curve_starts_with_its_own_first_point():
         [(0, (0.0, 0.0)), (1, (4.0, 0.0))],
         [("a", (0, 1)), ("b", (1, 0, [(4.0, 0.0), (2.0, 1.0), (-0.0, -0.0)]))],
     )
-    paths = [VertexPath((0, 1, 0), ("a", "b")), VertexPath((0, 1), ("a",))]
+    paths = [VertexPath((0, 1, 0), ("a", "b")), VertexPath((0, 1, 0), ("a", "a"))]
     assert_gathered_bit_for_bit(g, paths)
     assert_gathered_bit_for_bit(g, [p.reversed() for p in paths[::-1]])
 
@@ -258,14 +344,12 @@ def test_each_curve_starts_with_its_own_first_point():
 def test_path_curves_match_path_geometry_on_bent_city_paths_and_sub_paths():
     from test_pathdistance import small_city_pair
 
-    from pathdist.pathdistance import _sub_paths
-
     for g in small_city_pair(0):
         for k in (1, 2, 3):
             paths = list(enumerate_paths(g, k))
             assert_gathered_bit_for_bit(g, paths)
             if k > 1:
-                subs = list(dict.fromkeys(s for pair in _sub_paths(g, paths) for s in pair))
+                subs = list(dict.fromkeys(s for pair in canonical_walks(g, k).sub_paths() for s in pair))
                 assert_gathered_bit_for_bit(g, subs)
                 assert_gathered_bit_for_bit(g, [p.reversed() for p in paths])
 
@@ -288,6 +372,8 @@ def test_path_curves_validate_every_path():
         path_curves(g, [VertexPath((0, 1), ("a",)), VertexPath((0, 2), ("a",))])
     with pytest.raises(StructuralError):
         path_curves(g, [VertexPath((0, 1), ("zz",))])
+    with pytest.raises(InputError, match="one link-length"):
+        path_curves(g, [VertexPath((0, 1), ("a",)), VertexPath((0, 1, 0), ("a", "a"))])
 
 
 def one_point_edges_graph():

@@ -320,9 +320,9 @@ def _cmd_fscore(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    spec = PerturbationSpec(p=args.p, seed_count=args.count, rng_seed=args.rng_seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = PerturbationSpec(p=args.p, seed_count=args.count, rng_seed=args.rng_seed)
     base = grid_graph(spec.extent, spec.spacing)
     write_graph_csv(base, out / "grid.vertices.csv", out / "grid.edges.csv")
     for i, gp in enumerate(generate_perturbed(spec)):

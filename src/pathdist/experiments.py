@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -54,6 +55,11 @@ def _check_grid(extent: float, spacing: float) -> None:
         raise InputError("grid extent and spacing must be positive and finite")
 
 
+def _is_int(x, least: int) -> bool:
+    """Whether ``x`` is an integer (a bool is not one) of at least ``least``."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least
+
+
 def grid_graph(extent: float = 10.0, spacing: float = 2.0) -> EmbeddedGraph:
     """Regular grid over [0, extent]^2 with vertices every ``spacing`` meters."""
     _check_grid(extent, spacing)
@@ -89,8 +95,11 @@ class PerturbationSpec:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise InputError("perturbation index p must be in [0, 1]")
-        if self.seed_count < 1:
-            raise InputError("seed_count must be >= 1")
+        if not _is_int(self.seed_count, 1):
+            raise InputError(f"seed_count must be an integer >= 1, got {self.seed_count!r}")
+        for seed in self.rng_seed if isinstance(self.rng_seed, tuple) else (self.rng_seed,):
+            if not _is_int(seed, 0):
+                raise InputError(f"rng_seed must be a non-negative integer or a tuple of them, got {seed!r}")
         _check_grid(self.extent, self.spacing)
 
 

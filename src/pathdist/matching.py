@@ -530,7 +530,9 @@ def map_match_distance(
     ``lower``, if given, must be a value this function returned, at the same
     ``tol``, for a prefix or suffix of ``curve`` (a curve's distance is never
     below a sub-curve's, since a matching of the whole restricts to the
-    part).  The decisions go through the problem's monotone memo of the
+    part).  Any ``lower`` but ``None`` or a finite number >= 0 raises
+    :class:`InputError`; a finite one above the true value is not detected.
+    The decisions go through the problem's monotone memo of the
     largest failing and the smallest holding eps; with ``lower``, every eps
     strictly below ``lower - tol/2`` fails without a sweep, and one probe at
     ``lower + tol/2`` usually settles every larger eps.  The search still
@@ -542,6 +544,8 @@ def map_match_distance(
     its memo.
     """
     check_tolerance(tol)
+    if lower is not None and not 0.0 <= lower < _INF:  # NaN fails too
+        raise InputError(f"lower must be None or a finite number >= 0, got {lower!r}")
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
     problem = _problem(curve, h)

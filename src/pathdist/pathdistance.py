@@ -25,7 +25,7 @@ from .geometry import DiscQuadratic, PolyLine, max_distance_to_point
 from .graph import EmbeddedGraph, VertexId, finite_numbers
 from .matching import map_match_distance, prepare_problems
 from .parallel import iter_chunked, run_chunked
-from .paths import VertexPath, Walks, as_walks, canonical_walks, dart_table, enumerate_paths, path_curves
+from .paths import VertexPath, Walks, canonical_walks, dart_table, enumerate_paths, path_curves, sub_rows
 from .signatures import SignatureMap
 
 __all__ = [
@@ -219,9 +219,11 @@ def _path_bounds(g: EmbeddedGraph, h: EmbeddedGraph, walks: Walks) -> list[float
     return bound[walks.darts >> 1].max(axis=1).tolist()
 
 
-def _computed(g: EmbeddedGraph, h: EmbeddedGraph, tol: float, *, fill: bool = False) -> dict[VertexPath, float]:
-    """The distances into ``h`` at ``tol`` of the paths of ``g`` computed so far, by path.
+def _computed(g: EmbeddedGraph, h: EmbeddedGraph, tol: float, *, fill: bool = False) -> dict[int, np.ndarray]:
+    """The distances into ``h`` at ``tol`` of the paths of ``g`` computed so far.
 
+    Per link-length k, one array aligned with the rows of
+    :func:`~pathdist.paths.canonical_walks` ``(g, k)``; NaN is not computed.
     Graphs never change, so no value goes stale.  The record holds ``h``,
     so only a caller that will ``fill`` it makes one.  A pickled graph
     arrives with an empty cache: pool workers neither read nor fill it.
@@ -230,42 +232,35 @@ def _computed(g: EmbeddedGraph, h: EmbeddedGraph, tol: float, *, fill: bool = Fa
     return records.setdefault(h, {}) if fill else records.get(h, {})
 
 
-def _floors(walks: Walks, computed: dict) -> list[float | None]:
-    """Each walk's ``lower`` for :func:`map_match_distance`: its sub-paths' larger value, if both are known."""
-    if not computed or walks.link_length == 1:
-        return [None] * len(walks)
-    return [
-        max(computed[a], computed[b]) if a in computed and b in computed else None
-        for a, b in walks.sub_paths()
-    ]
+def _floors(g: EmbeddedGraph, k: int, rows: np.ndarray, memo: dict) -> list[float | None]:
+    """Each link-``k`` row's ``lower`` for :func:`map_match_distance`: its sub rows' larger value, if both are known."""
+    below = memo.get(k - 1)
+    if below is None:
+        return [None] * len(rows)
+    floors = below[sub_rows(g, k)[rows]].max(axis=1).tolist()
+    return [None if math.isnan(f) else f for f in floors]
 
 
-def _distances(
-    g: EmbeddedGraph,
-    h: EmbeddedGraph,
-    walks: Walks,
-    paths: list[VertexPath],
-    curves: list[np.ndarray],
-    tol: float,
-):
-    """Yield chunks of the distances of ``walks`` (all of one link-length), in order.
+def _distances(g: EmbeddedGraph, h: EmbeddedGraph, k: int, rows: np.ndarray, curves: list[np.ndarray], tol: float):
+    """Yield chunks of the distances of ``rows`` of ``canonical_walks(g, k)``, in order.
 
-    ``paths`` and ``curves`` hold each walk as a :class:`VertexPath` and its
-    geometry points, collapsed.  The sub-paths of ``walks`` that
-    :func:`_computed` does not hold yet are computed first, the same way,
-    so every path of link-length >= 2 is bisected under its sub-paths'
-    floor.  Each chunk's values join the record as the chunk is yielded.
+    ``curves`` holds each row's geometry points, collapsed.  The sub rows
+    (see :func:`~pathdist.paths.sub_rows`) that :func:`_computed` does not
+    hold yet are computed first, the same way and in the order they first
+    occur, so every path of link-length >= 2 is bisected under its
+    sub-paths' floor.  Each chunk's values join the record as it is yielded.
     """
-    computed = _computed(g, h, tol, fill=True)
-    if walks.link_length > 1:
-        subs = [s for s in dict.fromkeys(s for pair in walks.sub_paths() for s in pair) if s not in computed]
-        sub_walks = as_walks(g, subs)
-        for _ in _distances(g, h, sub_walks, subs, path_curves(g, sub_walks), tol):
+    memo = _computed(g, h, tol, fill=True)
+    values = memo.setdefault(k, np.full(len(canonical_walks(g, k)), np.nan))
+    if k > 1:
+        subs = np.fromiter(dict.fromkeys(sub_rows(g, k)[rows].ravel().tolist()), np.intp)
+        subs = subs[np.isnan(memo[k - 1][subs])] if k - 1 in memo else subs
+        for _ in _distances(g, h, k - 1, subs, path_curves(g, canonical_walks(g, k - 1)[subs]), tol):
             pass
-    items = list(zip(curves, _floors(walks, computed)))
+    items = list(zip(curves, _floors(g, k, rows, memo)))
     done = 0
     for chunk in iter_chunked(functools.partial(_chunk_distances, h, tol), items):
-        computed.update(zip(paths[done : done + len(chunk)], chunk))
+        values[rows[done : done + len(chunk)]] = chunk
         done += len(chunk)
         yield chunk
 
@@ -286,10 +281,12 @@ def iter_match_records(
     consumers can persist records as they arrive, which is what makes long
     link-3 runs restartable.
 
-    ``g`` remembers every value computed here (see :func:`_computed`).  Each
-    path is bisected under the larger of its prefix's and suffix's values,
-    computed first if ``g`` does not remember them, which saves most
-    decisions and changes no value.
+    ``g`` remembers every value computed here by its row (see
+    :func:`_computed`); the records' paths are those rows as
+    :func:`~pathdist.paths.enumerate_paths` yields them.  Each path is
+    bisected under the larger of its prefix's and suffix's values, computed
+    first if ``g`` does not remember them, which saves most decisions and
+    changes no value.
     """
     check_tolerance(tol)
     if h.is_empty():
@@ -298,7 +295,7 @@ def iter_match_records(
     walks = canonical_walks(g, k)
     curves, lengths = path_curves(g, walks, return_lengths=True)
     todo = [i for i in range(len(paths)) if known is None or i not in known]
-    chunks = _distances(g, h, walks[todo], [paths[i] for i in todo], [curves[i] for i in todo], tol)
+    chunks = _distances(g, h, k, np.asarray(todo, dtype=np.intp), [curves[i] for i in todo], tol)
     # Chunks are pulled one at a time, as the records that need them are taken.
     distances = (d for chunk in chunks for d in chunk)
     for i, (p, length) in enumerate(zip(paths, lengths)):
@@ -342,19 +339,17 @@ def max_path_distance(
     running maximum.
 
     The paths are read as :func:`~pathdist.paths.canonical_walks` rows:
-    their curves, bounds and floors come from the arrays, and a
-    :class:`VertexPath` is built only to look up remembered values.
+    their curves, bounds, floors and remembered values come from the
+    arrays, and no :class:`VertexPath` is built.
     """
     check_tolerance(tol)
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
     walks = canonical_walks(g, k)
-    computed = _computed(g, h, tol)
-    if computed:
-        paths = walks.paths()
-        if all(p in computed for p in paths):
-            return max((computed[p] for p in paths), default=0.0)
-    items = list(zip(path_curves(g, walks), _floors(walks, computed), _path_bounds(g, h, walks)))
+    memo = _computed(g, h, tol)
+    if k in memo and not np.isnan(memo[k]).any():
+        return max(memo[k].tolist(), default=0.0)
+    items = list(zip(path_curves(g, walks), _floors(g, k, np.arange(len(walks)), memo), _path_bounds(g, h, walks)))
     fn = functools.partial(_chunk_max, h, tol)
     maxima = run_chunked(fn, items)
     return max(maxima, default=0.0)

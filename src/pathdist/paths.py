@@ -12,8 +12,8 @@ holds a walk's vertex indices and the darts of :func:`dart_table` it takes.
 They are built level by level over the darts leaving each vertex, in
 ``g.adjacency`` order, so the rows come in depth-first order, and a walk is
 kept when it is canonical by the ranks of its ids' ``repr``s.  Curves,
-bounds and sub-paths read the rows by index; :class:`VertexPath` objects
-are built only where a record, report or signature needs one.
+bounds and sub-paths (:func:`sub_rows`) read the rows by index;
+:class:`VertexPath` objects are built only for records, reports and signatures.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -32,12 +32,12 @@ from .graph import EdgeId, EmbeddedGraph, VertexId
 __all__ = [
     "VertexPath",
     "Walks",
-    "as_walks",
     "canonical_walks",
     "check_link_length",
     "enumerate_paths",
     "path_curves",
     "path_geometry",
+    "sub_rows",
 ]
 
 
@@ -105,13 +105,13 @@ class _Darts:
     def __init__(self, g: EmbeddedGraph):
         rows: list[np.ndarray] = []
         self.dart_of: dict = {}
-        self.index = {v: i for i, v in enumerate(g.vertices)}
+        index = {v: i for i, v in enumerate(g.vertices)}
         head: list[int] = []
         for i, (eid, e) in enumerate(g.edges.items()):
             rows += (e.geometry.points, e.geometry.points[::-1])
             self.dart_of[eid, e.v] = (2 * i + 1, e.u)
             self.dart_of[eid, e.u] = (2 * i, e.v)
-            head += (self.index[e.v], self.index[e.u])
+            head += (index[e.v], index[e.u])
         self.start = np.cumsum([0] + [len(r) for r in rows], dtype=np.intp)
         self.points = np.concatenate(rows) if rows else np.empty((0, 2))
         self.head = np.asarray(head, dtype=np.intp)
@@ -164,15 +164,6 @@ def _canonical(t: _Darts, vertices: np.ndarray, edges: np.ndarray) -> np.ndarray
     return v_less | (v_equal & (e_less | e_equal))
 
 
-def _vertex_paths(t: _Darts, vertices: np.ndarray, edges: np.ndarray) -> list[VertexPath]:
-    """The walks (rows of vertex and edge indices) as :class:`VertexPath` objects."""
-    vid, eid = t.vertex_ids, t.edge_ids
-    return [
-        VertexPath(tuple(map(vid.__getitem__, v)), tuple(map(eid.__getitem__, e)))
-        for v, e in zip(vertices.tolist(), edges.tolist())
-    ]
-
-
 class Walks:
     """Walks of one link-length ``k`` in a graph, one per row.
 
@@ -192,22 +183,13 @@ class Walks:
     def __getitem__(self, rows) -> "Walks":
         return Walks(self.table, self.vertices[rows], self.darts[rows])
 
-    @property
-    def link_length(self) -> int:
-        return self.darts.shape[1]
-
     def paths(self) -> list[VertexPath]:
         """The walks as :class:`VertexPath` objects, in row order."""
-        return _vertex_paths(self.table, self.vertices, self.darts >> 1)
-
-    def sub_paths(self) -> list[tuple[VertexPath, VertexPath]]:
-        """The canonical prefix and suffix of each walk, one link shorter."""
-        halves = []
-        for part in (slice(None, -1), slice(1, None)):
-            v, e = self.vertices[:, part], (self.darts >> 1)[:, part]
-            keep = _canonical(self.table, v, e)[:, None]
-            halves.append(_vertex_paths(self.table, np.where(keep, v, v[:, ::-1]), np.where(keep, e, e[:, ::-1])))
-        return list(zip(*halves))
+        vid, eid = self.table.vertex_ids, self.table.edge_ids
+        return [
+            VertexPath(tuple(map(vid.__getitem__, v)), tuple(map(eid.__getitem__, e)))
+            for v, e in zip(self.vertices.tolist(), (self.darts >> 1).tolist())
+        ]
 
 
 def check_link_length(k) -> None:
@@ -257,17 +239,26 @@ def enumerate_paths(g: EmbeddedGraph, k: int) -> Iterator[VertexPath]:
     yield from canonical_walks(g, k).paths()
 
 
-def as_walks(g: EmbeddedGraph, paths: Walks | Sequence[VertexPath]) -> Walks:
-    """``paths``, all of one link-length, as :class:`Walks` of ``g``; each hop is checked (see :meth:`_Darts.walk`)."""
-    if isinstance(paths, Walks):
-        return paths
-    t = dart_table(g)
-    k = paths[0].link_length if paths else 1
-    if any(p.link_length != k for p in paths):
-        raise InputError("the paths must all have one link-length")
-    vertices = np.array([t.index[v] for p in paths for v in p.vertex_ids], dtype=np.intp)
-    darts = np.array([d for p in paths for d in t.walk(p)], dtype=np.intp)
-    return Walks(t, vertices.reshape(-1, k + 1), darts.reshape(-1, k))
+def sub_rows(g: EmbeddedGraph, k: int) -> np.ndarray:
+    """Per row of ``canonical_walks(g, k)``, k >= 2, the rows of its canonical prefix and suffix, cached on ``g``.
+
+    Each half, oriented as :meth:`VertexPath.canonical` would, is found among
+    the rows of ``canonical_walks(g, k - 1)`` by its vertex and edge indices;
+    of two alike rows, which a self-loop can make, the first serves.
+    """
+    subs = g._frozen_cache.get(("sub_rows", k))
+    if subs is None:
+        walks, shorter = canonical_walks(g, k), canonical_walks(g, k - 1)
+        v = np.vstack((walks.vertices[:, :-1], walks.vertices[:, 1:]))  # prefixes, then suffixes
+        e = np.vstack(((walks.darts >> 1)[:, :-1], (walks.darts >> 1)[:, 1:]))
+        keep = _canonical(walks.table, v, e)[:, None]
+        halves = np.where(keep, np.hstack((v, e)), np.hstack((v[:, ::-1], e[:, ::-1])))
+        rows = np.vstack((np.hstack((shorter.vertices, shorter.darts >> 1)), halves))
+        _, first, group = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        subs = first[group.ravel()[len(shorter) :]].reshape(2, -1).T
+        subs.setflags(write=False)
+        g._frozen_cache["sub_rows", k] = subs
+    return subs
 
 
 def path_geometry(g: EmbeddedGraph, p: VertexPath) -> PolyLine:
@@ -280,25 +271,22 @@ def path_geometry(g: EmbeddedGraph, p: VertexPath) -> PolyLine:
     return PolyLine(np.concatenate([rows[0], *(r[1:] for r in rows[1:])]))
 
 
-def path_curves(g: EmbeddedGraph, paths: Walks | Sequence[VertexPath], *, return_lengths: bool = False):
-    """Each path's curve points, collapsed, gathered from the rows of ``g``'s dart table.
+def path_curves(g: EmbeddedGraph, walks: Walks, *, return_lengths: bool = False):
+    """Each walk's curve points, collapsed, gathered from the rows of ``g``'s dart table.
 
-    ``paths`` are :class:`Walks` of ``g``, read by index, or
-    :class:`VertexPath` objects of one link-length, read through
-    :func:`as_walks`.  Row for row and bit for bit, the curve of ``p`` is
-    ``path_geometry(g, p).collapsed().points``: the first dart in full,
+    Row for row and bit for bit, the curve of walk ``p`` (as a :class:`VertexPath`)
+    is ``path_geometry(g, p).collapsed().points``: the first dart in full,
     each later dart without its first point, and then consecutive duplicate
-    points dropped.  All paths share one gather and one pass over their
+    points dropped.  All walks share one gather and one pass over their
     segment lengths; each curve is a read-only slice of the kept rows.  With
     ``return_lengths=True`` returns ``(curves, lengths)``, each length the
     float ``path_geometry(g, p).length()``.
     """
-    walks = as_walks(g, paths)
     if not len(walks):
         return ([], []) if return_lengths else []
     darts = dart_table(g)
     hops = walks.darts.ravel()
-    lead = np.arange(len(walks)) * walks.link_length
+    lead = np.arange(len(walks)) * walks.darts.shape[1]
     # Each hop's rows of the point table: all of the first dart, then each without its first point.
     lo = darts.start[hops] + 1
     lo[lead] -= 1

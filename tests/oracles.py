@@ -18,7 +18,8 @@ in the order the sweep takes cells.
 ``fresh`` is no oracle: it copies a graph without the path distances the
 package remembers on it, for tests that need a run without a sub-path floor
 or a reference that does its own work.  Nor is ``city_pair``, the
-benchmark's seeded city pair, for tests that need maps of its size.
+benchmark's seeded city pair, for tests that need maps of its size, nor
+``as_walks``, which turns hand-made paths into the package's walk rows.
 """
 
 from __future__ import annotations
@@ -47,6 +48,18 @@ def city_pair(seed: int, blocks: int):
 def fresh(g):
     """A copy of ``g`` with nothing remembered (a pickled graph arrives with an empty cache)."""
     return pickle.loads(pickle.dumps(g))
+
+
+def as_walks(g, paths):
+    """``VertexPath``s of one link-length as ``paths.Walks`` rows of ``g``; the dart table checks each hop."""
+    from pathdist.paths import Walks, dart_table
+
+    table = dart_table(g)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    k = paths[0].link_length if paths else 1
+    vertices = np.array([index[v] for p in paths for v in p.vertex_ids], dtype=np.intp)
+    darts = np.array([d for p in paths for d in table.walk(p)], dtype=np.intp)
+    return Walks(table, vertices.reshape(-1, k + 1), darts.reshape(-1, k))
 
 
 def adjacency_from_edges(g) -> dict:

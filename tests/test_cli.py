@@ -273,6 +273,22 @@ def test_perturb_writes_graphs(tmp_path, capsys):
     assert (out / "perturbed_1.edges.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["perturb", "--p", "0.3", "--rng-seed", "-1"], "rng_seed"),
+        (["perturb", "--p", "0.3", "--count", "0"], "seed_count"),
+        (["study", "--p-values", "0.2", "--seeds", "1", "--k", "1", "--rng-seed", "-1"], "rng_seed"),
+    ],
+)
+def test_a_refused_seed_exits_2_and_writes_nothing(args, named, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(args + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"pathdist: {named} must be") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_study_outputs_and_worker_determinism(tmp_path):
     args = ["study", "--p-values", "0.2,0.6", "--seeds", "2", "--k", "1", "--rng-seed", "5"]
     out1 = tmp_path / "w1"

@@ -31,6 +31,24 @@ def test_spec_validation():
         PerturbationSpec(p=0.5, seed_count=0)
 
 
+@pytest.mark.parametrize("seed_count", [2.5, 2.0, True, "2", None, -1])
+def test_seed_count_must_be_an_integer_of_at_least_one(seed_count):
+    with pytest.raises(InputError, match="seed_count"):
+        PerturbationSpec(p=0.1, seed_count=seed_count)
+
+
+@pytest.mark.parametrize("rng_seed", [-1, 1.5, (0, -2), (0, 1.0), [0, 1], True, None, "3"])
+def test_rng_seed_must_be_non_negative_integers(rng_seed):
+    # numpy's SeedSequence would raise a TypeError or ValueError of its own.
+    with pytest.raises(InputError, match="rng_seed"):
+        PerturbationSpec(p=0.1, seed_count=1, rng_seed=rng_seed)
+
+
+@pytest.mark.parametrize("rng_seed", [0, 2**70, np.int64(5), (3, 0), (np.uint32(1), 7)])
+def test_non_negative_integer_seeds_draw_graphs(rng_seed):
+    assert len(generate_perturbed(PerturbationSpec(p=0.1, seed_count=2, rng_seed=rng_seed))) == 2
+
+
 @pytest.mark.parametrize(
     "extent, spacing",
     [(10.0, 0.0), (10.0, -2.0), (10.0, math.nan), (10.0, math.inf), (0.0, 2.0), (-10.0, 2.0), (math.nan, 2.0)],

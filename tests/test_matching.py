@@ -102,6 +102,19 @@ def test_adding_edges_never_hurts():
         assert map_match_distance(curve, h_sup, 1e-3) <= map_match_distance(curve, h, 1e-3) + 2e-3
 
 
+@pytest.mark.parametrize("lower", [math.inf, -math.inf, -1.0, math.nan])
+def test_lower_must_be_a_finite_number_of_at_least_zero(lower):
+    # inf once tripped the bisection's upper-bound assertion, -1 read as a
+    # negative eps, and NaN was silently ignored.
+    g = grid_graph()
+    curve = PolyLine([(0.5, 0.3), (4.0, 0.2)])
+    with pytest.raises(InputError, match="lower"):
+        map_match_distance(curve, g, 1e-3, lower=lower)
+    plain = map_match_distance(curve, g, 1e-3)
+    assert map_match_distance(curve, g, 1e-3, lower=0.0) == plain
+    assert map_match_distance(curve, g, 1e-3, lower=np.float64(0.1)) == plain
+
+
 def test_endpoint_lower_bound(grid6):
     rng = np.random.default_rng(5)
     for _ in range(5):

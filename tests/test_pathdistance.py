@@ -32,12 +32,12 @@ from pathdist.pathdistance import (
     separation_census,
     write_records_csv,
 )
-from pathdist.paths import VertexPath, as_walks, canonical_walks, enumerate_paths, path_curves, path_geometry
+from pathdist.paths import VertexPath, canonical_walks, enumerate_paths, path_curves, path_geometry
 from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
 
-from oracles import city_pair, dense_radius_scan, fresh, polylines_meet, random_geometric_graph
+from oracles import as_walks, city_pair, dense_radius_scan, fresh, polylines_meet, random_geometric_graph
 from test_matching import distance_to_graph
-from test_paths import mixed_id_graph
+from test_paths import assert_sub_rows_are_canonical_halves, mixed_id_graph
 
 TOL = 1e-3
 
@@ -243,16 +243,8 @@ def test_adding_target_streets_never_raises_the_distance(seed, count):
 
 def test_sub_paths_keep_the_canonical_choice_on_mixed_ids():
     g = mixed_id_graph()
-    for k in (2, 3):
-        paths = list(enumerate_paths(g, k))
-        expected = [
-            (
-                VertexPath(p.vertex_ids[:-1], p.edge_ids[:-1]).canonical(),
-                VertexPath(p.vertex_ids[1:], p.edge_ids[1:]).canonical(),
-            )
-            for p in paths
-        ]
-        assert canonical_walks(g, k).sub_paths() == expected, k
+    for k in (2, 3, 4):
+        assert_sub_rows_are_canonical_halves(g, k)
 
 
 @pytest.mark.parametrize("pair", [0, 1, 2, "city"])
@@ -342,7 +334,7 @@ def test_path_bounds_are_upper_bounds(kind, seed):
     bounds = []
     for k in (1, 2, 3):
         records = match_all_paths(g, h, k, TOL)
-        for r, bound in zip(records, _path_bounds(g, h, as_walks(g, [r.path for r in records]))):
+        for r, bound in zip(records, _path_bounds(g, h, canonical_walks(g, k))):
             bounds.append(bound)
             assert not r.distance > bound + TOL, (k, r.path, r.distance, bound)
     assert any(math.isfinite(b) for b in bounds)
@@ -371,7 +363,7 @@ def test_a_self_loop_is_walked_forward_from_both_ends_and_bounded_both_ways():
     g = _with_self_loop(cross(), "c", (3.0, 4.0))
     h = _with_self_loop(cross(1.0, 0.5), "c", (3.0, -4.0))
     loop = VertexPath(("c", "c"), ("loop",))
-    assert path_curves(g, [loop])[0].tobytes() == g.edges["loop"].geometry.points.tobytes()
+    assert path_curves(g, as_walks(g, [loop]))[0].tobytes() == g.edges["loop"].geometry.points.tobytes()
     target = h.edges["loop"].geometry
     both = [discrete_frechet(g.edges["loop"].geometry, f) for f in (target, target.reversed())]
     assert _path_bounds(g, h, as_walks(g, [loop])) == [min(both)] and both[1] < both[0]
@@ -379,7 +371,7 @@ def test_a_self_loop_is_walked_forward_from_both_ends_and_bounded_both_ways():
     for source, target in ((g, h), (h, g)):
         for k in (1, 2, 3):
             paths = list(enumerate_paths(source, k))
-            curves, lengths = path_curves(source, paths, return_lengths=True)
+            curves, lengths = path_curves(source, as_walks(source, paths), return_lengths=True)
             bounds = _path_bounds(source, target, as_walks(source, paths))
             text = repr(paths) + "".join(c.tobytes().hex() for c in curves) + " ".join(x.hex() for x in lengths + bounds)
             got.append((len(paths), hashlib.sha256(text.encode()).hexdigest()))
@@ -394,9 +386,27 @@ def test_a_graph_remembers_only_the_values_it_computed(grid6):
     assert grid6 not in g._frozen_cache[("distances", TOL)]
     records = match_all_paths(g, grid6, 1, TOL, known={0: 123.0})
     assert records[0].distance == 123.0
-    assert _computed(g, grid6, TOL) == {r.path: r.distance for r in records[1:]}
+    # One array per link-length, aligned with the rows; NaN is not computed.
+    memo = _computed(g, grid6, TOL)
+    assert list(memo) == [1] and len(memo[1]) == len(canonical_walks(g, 1))
+    assert math.isnan(memo[1][0]) and memo[1][1:].tolist() == [r.distance for r in records[1:]]
     match_all_paths(g, grid6, 2, TOL)
-    assert _computed(g, grid6, TOL)[records[0].path] == match_all_paths(fresh(g), grid6, 1, TOL)[0].distance
+    assert memo[1][0] == match_all_paths(fresh(g), grid6, 1, TOL)[0].distance
+    assert not np.isnan(memo[2]).any()
+
+
+def test_a_remembered_maximum_decides_nothing_and_builds_no_path(monkeypatch):
+    # After the records, each Δk is the maximum of the remembered array.
+    import pathdist.matching as matching
+
+    g, h = small_city_pair(0)
+    maxima = [max(r.distance for r in match_all_paths(g, h, k, TOL)) for k in (1, 2, 3)]
+    calls = []
+    monkeypatch.setattr(matching, "match_decision", lambda *args, **kwargs: calls.append(args))
+    original = VertexPath.__post_init__
+    monkeypatch.setattr(VertexPath, "__post_init__", lambda self: calls.append(self) or original(self))
+    assert [max_path_distance(g, h, k, TOL) for k in (1, 2, 3)] == maxima
+    assert calls == []
 
 
 @pytest.fixture
@@ -528,7 +538,8 @@ def test_pooled_chunks_stay_cheap(monkeypatch):
     g, h = city_pair(0, 3)
     serial = max_path_distance(fresh(g), h, 3, TOL)
     walks = canonical_walks(g, 3)
-    items = list(zip(path_curves(g, walks), _floors(walks, _computed(g, h, TOL)), _path_bounds(g, h, walks)))
+    floors = _floors(g, 3, np.arange(len(walks)), _computed(g, h, TOL))
+    items = list(zip(path_curves(g, walks), floors, _path_bounds(g, h, walks)))
     monkeypatch.setattr(matching, "match_decision", counting)
     pooled = max(_chunk_max(h, TOL, chunk) for chunk in split_chunks(items, -(-len(items) // 8)))
     assert pooled.hex() == serial.hex()

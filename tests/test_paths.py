@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,16 @@ from pathdist.errors import InputError, StructuralError
 from pathdist.geometry import PolyLine
 from pathdist.graph import EmbeddedGraph
 from pathdist.pathdistance import match_all_paths, max_path_distance
-from pathdist.paths import VertexPath, canonical_walks, dart_table, enumerate_paths, path_curves, path_geometry
+from pathdist.paths import VertexPath, canonical_walks, dart_table, enumerate_paths, path_curves, path_geometry, sub_rows
 
-from oracles import adjacency_from_edges, count_canonical_walks, random_geometric_graph, recursive_paths, walk_geometry
+from oracles import (
+    adjacency_from_edges,
+    as_walks,
+    count_canonical_walks,
+    random_geometric_graph,
+    recursive_paths,
+    walk_geometry,
+)
 
 
 def single_edge():
@@ -150,24 +158,39 @@ def test_array_enumeration_keeps_the_recursive_order(name, grid6):
             assert walks.paths() == paths and len(walks) == len(paths)
             # Read by index, the walks gather what their paths, checked hop by hop, do.
             curves, lengths = path_curves(g, walks, return_lengths=True)
-            want, want_lengths = path_curves(g, paths, return_lengths=True)
+            want, want_lengths = path_curves(g, as_walks(g, paths), return_lengths=True)
             assert [c.tobytes() for c in curves] == [c.tobytes() for c in want]
             assert [x.hex() for x in lengths] == [x.hex() for x in want_lengths]
-            if k > 1:
-                halves = [
-                    (
-                        VertexPath(p.vertex_ids[:-1], p.edge_ids[:-1]).canonical(),
-                        VertexPath(p.vertex_ids[1:], p.edge_ids[1:]).canonical(),
-                    )
-                    for p in paths
-                ]
-                assert walks.sub_paths() == halves, k
+        for k in (2, 3, 4):
+            assert_sub_rows_are_canonical_halves(g, k)
     if name == "tied reprs":
         a, b = list(g.vertices)[4:]
         x, y = list(g.edges)[4:6]
         # Equal reprs all the way: a walk and its reverse are both canonical.
         paths = list(enumerate_paths(g, 2))
         assert VertexPath((a, b, a), (x, y)) in paths and VertexPath((a, b, a), (y, x)) in paths
+
+
+def assert_sub_rows_are_canonical_halves(g, k):
+    """Each link-``k`` walk's sub rows hold its prefix's and suffix's ``canonical()``, and gather their curves."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # k > 3 warns once per graph
+        paths = canonical_walks(g, k).paths()
+    shorter = canonical_walks(g, k - 1).paths()
+    halves = [
+        (
+            VertexPath(p.vertex_ids[:-1], p.edge_ids[:-1]).canonical(),
+            VertexPath(p.vertex_ids[1:], p.edge_ids[1:]).canonical(),
+        )
+        for p in paths
+    ]
+    subs = sub_rows(g, k)
+    assert [(shorter[a], shorter[b]) for a, b in subs.tolist()] == halves, k
+    assert sub_rows(g, k) is subs and not subs.flags.writeable
+    rows = np.unique(subs)
+    curves = path_curves(g, canonical_walks(g, k - 1)[rows])
+    for r, curve in zip(rows.tolist(), curves):
+        assert curve.tobytes() == path_geometry(g, shorter[r]).collapsed().points.tobytes(), (k, r)
 
 
 def test_walks_are_enumerated_once_per_graph_and_link_length(grid6):
@@ -299,9 +322,9 @@ def walks(g, k):
 
 
 def assert_gathered_bit_for_bit(g, paths):
-    curves, lengths = path_curves(g, paths, return_lengths=True)
+    curves, lengths = path_curves(g, as_walks(g, paths), return_lengths=True)
     assert len(curves) == len(lengths) == len(paths)
-    assert [c.tobytes() for c in path_curves(g, paths)] == [c.tobytes() for c in curves]
+    assert [c.tobytes() for c in path_curves(g, as_walks(g, paths))] == [c.tobytes() for c in curves]
     for p, curve, length in zip(paths, curves, lengths):
         geom = path_geometry(g, p)
         assert curve.shape == geom.collapsed().points.shape, p
@@ -322,10 +345,10 @@ def test_path_curves_match_path_geometry_on_degenerate_joins(offset):
         assert_gathered_bit_for_bit(g, paths[::-1])
     assert_gathered_bit_for_bit(g, [loop, loop.reversed(), into_c, out_of_d, out_of_d.reversed()])
     # A join onto a repeated point leaves it out of the curve, but not out of the length.
-    assert path_curves(g, [into_c])[0].shape == (4, 2)
-    assert path_curves(g, [out_of_d])[0].shape == (4, 2)
+    assert path_curves(g, as_walks(g, [into_c]))[0].shape == (4, 2)
+    assert path_curves(g, as_walks(g, [out_of_d]))[0].shape == (4, 2)
     # A path that starts where the one before it ended keeps its first point.
-    first, second = path_curves(g, [loop, VertexPath((0, 1, 0), ("a", "a"))])
+    first, second = path_curves(g, as_walks(g, [loop, VertexPath((0, 1, 0), ("a", "a"))]))
     assert second[0].tobytes() == first[-1].tobytes()
     assert second.shape == (3, 2)
 
@@ -349,9 +372,9 @@ def test_path_curves_match_path_geometry_on_bent_city_paths_and_sub_paths():
             paths = list(enumerate_paths(g, k))
             assert_gathered_bit_for_bit(g, paths)
             if k > 1:
-                subs = list(dict.fromkeys(s for pair in canonical_walks(g, k).sub_paths() for s in pair))
-                assert_gathered_bit_for_bit(g, subs)
                 assert_gathered_bit_for_bit(g, [p.reversed() for p in paths])
+        for k in (2, 3, 4):
+            assert_sub_rows_are_canonical_halves(g, k)
 
 
 def test_path_record_lengths_are_path_geometry_lengths():
@@ -366,14 +389,16 @@ def test_path_record_lengths_are_path_geometry_lengths():
 
 def test_path_curves_validate_every_path():
     g = degenerate_joins_graph()
-    assert path_curves(g, []) == []
-    assert path_curves(g, [], return_lengths=True) == ([], [])
-    with pytest.raises(StructuralError):
-        path_curves(g, [VertexPath((0, 1), ("a",)), VertexPath((0, 2), ("a",))])
-    with pytest.raises(StructuralError):
-        path_curves(g, [VertexPath((0, 1), ("zz",))])
-    with pytest.raises(InputError, match="one link-length"):
-        path_curves(g, [VertexPath((0, 1), ("a",)), VertexPath((0, 1, 0), ("a", "a"))])
+    none = canonical_walks(g, 1)[[]]
+    assert path_curves(g, none) == []
+    assert path_curves(g, none, return_lengths=True) == ([], [])
+    # Every hop of a hand-made path is checked against the dart table.
+    with pytest.raises(StructuralError, match="'a' joins 0 and 2"):
+        path_geometry(g, VertexPath((0, 2), ("a",)))
+    with pytest.raises(StructuralError, match="'a' joins 1 and 2"):
+        path_geometry(g, VertexPath((0, 1, 2), ("a", "a")))
+    with pytest.raises(StructuralError, match="'zz'"):
+        path_geometry(g, VertexPath((0, 1), ("zz",)))
 
 
 def one_point_edges_graph():
@@ -388,7 +413,7 @@ def test_one_point_edges_gather_the_oracles_points():
     g = one_point_edges_graph()
     for k in (1, 2, 3):
         paths = walks(g, k)
-        curves, lengths = path_curves(g, paths, return_lengths=True)
+        curves, lengths = path_curves(g, as_walks(g, paths), return_lengths=True)
         for p, curve, length in zip(paths, curves, lengths):
             expected = PolyLine(walk_geometry(g, p.vertex_ids, p.edge_ids))
             assert path_geometry(g, p).points.tobytes() == expected.points.tobytes(), p
@@ -406,4 +431,6 @@ def test_a_pickled_graph_rebuilds_its_dart_table(grid6):
     assert rebuilt.start.tolist() == darts.start.tolist()
     assert rebuilt.dart_of == darts.dart_of
     paths = list(enumerate_paths(grid6, 2))
-    assert [c.tobytes() for c in path_curves(copy, paths)] == [c.tobytes() for c in path_curves(grid6, paths)]
+    assert [c.tobytes() for c in path_curves(copy, as_walks(copy, paths))] == [
+        c.tobytes() for c in path_curves(grid6, as_walks(grid6, paths))
+    ]

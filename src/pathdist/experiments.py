@@ -338,20 +338,13 @@ def run_all(config: RunConfig) -> Path:
     if curves:
         export_cdf_plot(list(curves.values()), list(curves.keys()), track("cdf.svg"))
 
+    from . import __version__  # the package defines it after importing this module
+
     manifest = {
         "config": asdict(config),
         "python": sys.version.split()[0],
-        "package_version": _package_version(),
+        "package_version": __version__,
         "files": sorted(emitted),
     }
     write_json(out / "manifest.json", manifest)
     return out
-
-
-def _package_version() -> str:
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        return version("pathdist")
-    except PackageNotFoundError:
-        return "unknown"

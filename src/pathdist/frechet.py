@@ -32,10 +32,14 @@ def bisect_decision(decide, lo: float, hi: float, tol: float) -> float:
     """Bisect a monotone decision, failing at ``lo`` and holding at ``hi``, down to ``tol``.
 
     Returns the midpoint of the final bracket, within ``tol / 2`` of the
-    threshold where ``decide`` switches.
+    threshold where ``decide`` switches.  A ``tol`` below the float spacing
+    of the bracket cannot be met: the search ends once the midpoint rounds
+    to an end of the bracket, which then holds no float between its ends.
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if decide(mid):
             hi = mid
         else:

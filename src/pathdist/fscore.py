@@ -4,10 +4,12 @@ Around each seed location, walks explore every branch of the graph up to a
 maximum network distance, dropping sample points at a regular interval.
 A walk only records the edges it reaches; one numpy pass over a per-graph
 table of edge points then places every sample of the whole walk, and one
-close-pair pass drops those within half an interval of an earlier one.
+self-join drops those within half an interval of an earlier one.
 Samples of one graph (marbles) are matched one-to-one to samples of the
 other (holes) when closer than a matched-distance threshold; precision,
-recall, and their harmonic mean summarize the tallies.  This is the
+recall, and their harmonic mean summarize the tallies.  The matching tries
+each marble's nearest cell column of holes first and stops as soon as it
+matches every marble with a hole or every hole with a marble.  This is the
 standard sampling-based comparison, useful as a contrast to the path-based
 signature.
 """
@@ -27,7 +29,7 @@ from .graph import EdgeId, EmbeddedGraph, VertexId
 from .parallel import run_chunked
 from .paths import dart_table
 from .signatures import SignatureMap
-from .spatial import SpatialGrid, _lex_keys, close_pairs
+from .spatial import SpatialGrid, _lex_keys, close_pairs, close_pairs_within
 
 __all__ = [
     "FScoreParams",
@@ -173,11 +175,10 @@ def _walk(
 
 def _thinned(points: np.ndarray, radius: float) -> np.ndarray:
     """``points`` without each one closer than ``radius`` to an earlier kept one."""
-    later, earlier = close_pairs(points, points, radius, strict=True)
-    back = earlier < later
+    later, earlier = close_pairs_within(points, radius)
     keep = [True] * len(points)
     # Pairs come sorted by the later point, so each earlier one is settled.
-    for e, l in zip(earlier[back].tolist(), later[back].tolist()):
+    for e, l in zip(earlier.tolist(), later.tolist()):
         if keep[e]:
             keep[l] = False
     return points[np.asarray(keep, dtype=bool)]
@@ -279,30 +280,46 @@ def _augment(root: int, adj: list[list[int]], match_r: list[int], seen: list[boo
     return False
 
 
-def _max_matching(adj: list[list[int]], n_right: int) -> int:
+def _max_matching(adj: list[list[int]], n_right: int, bound: int | None = None) -> int:
     """Maximum cardinality matching size for a bipartite adjacency list.
 
     A greedy pass matches what it can; then each pass runs one augmenting
-    search from every unmatched left vertex, holes visited once per pass.
-    A pass that augments nothing has searched every alternating path, so the
-    matching is maximum.
+    search from every unmatched left vertex with a neighbor, holes visited
+    once per pass.  The matching is maximum once a pass augments nothing,
+    since that pass searched every alternating path, or once its size
+    reaches ``bound``, an upper bound such as ``min(left vertices with a
+    neighbor, right vertices with a neighbor)``; stopping there spares the
+    pass in which every search fails.  ``bound`` defaults to the left
+    vertices with a neighbor, at most ``n_right``.
     """
     match_r = [-1] * n_right
     free = []
+    matched = 0
     for u, nbrs in enumerate(adj):
         for v in nbrs:
             if match_r[v] == -1:
                 match_r[v] = u
+                matched += 1
                 break
         else:
-            free.append(u)
-    while free:
+            if nbrs:
+                free.append(u)
+    if bound is None:
+        bound = min(matched + len(free), n_right)
+    while free and matched < bound:
         seen = [False] * n_right
-        left = [u for u in free if not _augment(u, adj, match_r, seen)]
+        left = []
+        for u in free:
+            if _augment(u, adj, match_r, seen):
+                matched += 1
+                if matched == bound:
+                    return matched
+            else:
+                left.append(u)
         if len(left) == len(free):
             break
         free = left
-    return n_right - match_r.count(-1)
+    return matched
 
 
 def bottleneck_match(
@@ -315,7 +332,10 @@ def bottleneck_match(
     Each hole holds at most one marble.  Returns (matched count, unmatched
     marbles, unmatched holes).  The matching is maximum-cardinality over the
     thresholded distance graph (the pairs :func:`~pathdist.spatial.close_pairs`
-    finds with ``<=``), found by augmenting paths.
+    finds with ``<=``), found by augmenting paths that try each marble's
+    holes in its own cell column first.  No matching outgrows the marbles
+    with a hole or the holes with a marble; the search stops once it
+    matches the fewer of the two.
     """
     if not max_dist >= 0:  # NaN fails too
         raise InputError("max_dist must be non-negative")
@@ -327,7 +347,8 @@ def bottleneck_match(
     m, h = close_pairs(mpts, hpts, max_dist, strict=False)
     bounds = np.searchsorted(m, np.arange(nm + 1)).tolist()
     holes_of = h.tolist()
-    matched = _max_matching([holes_of[a:b] for a, b in zip(bounds[:-1], bounds[1:])], nh)
+    bound = min(np.count_nonzero(np.diff(bounds)), np.count_nonzero(np.bincount(h, minlength=nh)))
+    matched = _max_matching([holes_of[a:b] for a, b in zip(bounds[:-1], bounds[1:])], nh, int(bound))
     return matched, nm - matched, nh - matched
 
 

@@ -7,8 +7,10 @@ Free-space map matching sweeps these rows and glues them at the joints.
 Every nearest-point query projects a point onto a prefix of the rows in one
 pass of ``geometry.project_onto_segments``: :func:`nearest_point_on_graph`
 onto all of them, and the F-score seeding (``SpatialGrid``) onto the edge
-segments alone.  :func:`close_pairs` finds every pair of points within a
-radius, which F-score sampling thins with and its matching joins on.
+segments alone.  :func:`close_pairs` finds every pair of points of two
+sets within a radius, own cell column first, which the F-score matching
+joins marbles to holes on; :func:`close_pairs_within` finds each close pair
+of one set once, which F-score sampling thins with.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .geometry import project_onto_segments, segment_terms
 from .graph import EdgeId, EmbeddedGraph
 
-__all__ = ["SpatialGrid", "close_pairs", "nearest_point_on_graph"]
+__all__ = ["SpatialGrid", "close_pairs", "close_pairs_within", "nearest_point_on_graph"]
 
 
 class _SurfaceGeometry:
@@ -145,40 +147,94 @@ def _lex_keys(x, y) -> np.ndarray:
     return keys
 
 
-def close_pairs(a, b, radius: float, *, strict: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs ``(i, j)`` with ``a[i]`` within ``radius`` of ``b[j]``, grouped by ascending ``i``.
+def _cells(points: np.ndarray, radius: float, scale: float) -> np.ndarray:
+    """Cell ``floor(p / side)`` of each point, cells a little wider than ``radius``.
 
-    The test is ``(ax-bx)**2 + (ay-by)**2 < radius*radius`` (``<=`` unless
-    ``strict``) as Python floats compute it, and every pair that passes it is
-    found.  Points fall into square cells ``floor(p / side)`` and only pairs
-    in the same or adjacent cells are tested.  ``side`` exceeds ``radius`` by
-    ``2**-40`` of the largest coordinate: enough that rounding in ``p / side``
-    cannot put a pair at exactly ``radius`` two cells apart, small enough that
-    cell numbers stay exact integers, and never 0.
+    ``side`` exceeds ``radius`` by ``2**-40`` of ``scale``, the largest
+    coordinate: enough that rounding in ``p / side`` cannot put a pair at
+    exactly ``radius`` two cells apart, small enough that cell numbers stay
+    exact integers, and never 0.
     """
-    a = np.asarray(a, dtype=float).reshape(-1, 2)
-    b = np.asarray(b, dtype=float).reshape(-1, 2)
-    if not len(a) or not len(b):
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
-    side = (radius + scale * 2.0**-40) or 1.0
-    cell_a, cell_b = np.floor(a / side), np.floor(b / side)
-    order = np.argsort(_lex_keys(cell_b[:, 0], cell_b[:, 1]), kind="stable")
-    keys = _lex_keys(cell_b[order, 0], cell_b[order, 1])
-    # Sorted by column, then row, the three cells of one adjacent column are
-    # one run of keys: each point of ``a`` looks up three runs.
-    cx = (cell_a[:, 0, None] + np.array([-1.0, 0.0, 1.0])).ravel()
-    cy = np.repeat(cell_a[:, 1], 3)
-    lo = np.searchsorted(keys, _lex_keys(cx, cy - 1.0), side="left")
-    count = np.searchsorted(keys, _lex_keys(cx, cy + 1.0), side="right") - lo
-    i = np.repeat(np.arange(len(cx)) // 3, count)
-    j = order[np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(int(count.sum()))]
-    dx, dy = a[i, 0] - b[j, 0], a[i, 1] - b[j, 1]
+    return np.floor(points / ((radius + scale * 2.0**-40) or 1.0))
+
+
+def _runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(q, s)`` with ``lo[q] <= s < hi[q]``, grouped by ascending ``q``."""
+    count = hi - lo
+    q = np.repeat(np.arange(len(lo)), count)
+    s = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(int(count.sum()))
+    return q, s
+
+
+def _within(dx: np.ndarray, dy: np.ndarray, radius: float, strict: bool) -> np.ndarray:
+    """Whether ``dx**2 + dy**2 < radius*radius`` (``<=`` unless ``strict``) as Python floats compute it."""
     d2 = dx * dx + dy * dy
     # Python's float power may round a square one unit off ``x*x``; that can
     # only decide sums this close to the threshold, so those take its floats.
     rr = radius * radius
     near = np.abs(d2 - rr) <= rr * 2.0**-40
     d2[near] = np.float_power(dx[near], 2) + np.float_power(dy[near], 2)
-    close = d2 < rr if strict else d2 <= rr
+    return d2 < rr if strict else d2 <= rr
+
+
+def close_pairs(a, b, radius: float, *, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``(i, j)`` with ``a[i]`` within ``radius`` of ``b[j]``, grouped by ascending ``i``.
+
+    The test is ``(ax-bx)**2 + (ay-by)**2 < radius*radius`` (``<=`` unless
+    ``strict``) as Python floats compute it, and every pair that passes it is
+    found.  Points fall into square cells a little wider than ``radius`` and
+    only pairs in the same or adjacent cells are tested.  Within a group the
+    pairs of ``a[i]``'s own cell column come first, then those of the column
+    to its west, then east; in each column by cell row, then by ``j``.  A
+    matcher that tries a marble's holes in this order tries the nearest
+    column first.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    if not len(a) or not len(b):
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
+    cell_a, cell_b = _cells(a, radius, scale), _cells(b, radius, scale)
+    order = np.argsort(_lex_keys(cell_b[:, 0], cell_b[:, 1]), kind="stable")
+    keys = _lex_keys(cell_b[order, 0], cell_b[order, 1])
+    # Sorted by column, then row, the three cells of one adjacent column are
+    # one run of keys: each point of ``a`` looks up three runs.
+    cx = (cell_a[:, 0, None] + np.array([0.0, -1.0, 1.0])).ravel()
+    cy = np.repeat(cell_a[:, 1], 3)
+    lo = np.searchsorted(keys, _lex_keys(cx, cy - 1.0), side="left")
+    hi = np.searchsorted(keys, _lex_keys(cx, cy + 1.0), side="right")
+    i, j = _runs(lo, hi)
+    i, j = i // 3, order[j]
+    close = _within(a[i, 0] - b[j, 0], a[i, 1] - b[j, 1], radius, strict)
     return i[close], j[close]
+
+
+def close_pairs_within(points, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``(later, earlier)`` of ``points`` closer than ``radius``, sorted by ``later``.
+
+    Each unordered pair of distinct indices comes once, with ``earlier <
+    later``; the test is :func:`close_pairs`' strict one, ties included.
+    With the points sorted by cell, each point searches half the stencil:
+    the rest of its own cell column from its own place on (its cell and the
+    one above), and the three cells of the column to its east.  That meets
+    every pair of the same or adjacent cells once and no point with itself.
+    """
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = len(p)
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    cell = _cells(p, radius, float(np.abs(p).max()))
+    order = np.argsort(_lex_keys(cell[:, 0], cell[:, 1]), kind="stable")
+    cx, cy = cell[order, 0], cell[order, 1]
+    keys = _lex_keys(cx, cy)
+    own_hi = np.searchsorted(keys, _lex_keys(cx, cy + 1.0), side="right")
+    east_lo = np.searchsorted(keys, _lex_keys(cx + 1.0, cy - 1.0), side="left")
+    east_hi = np.searchsorted(keys, _lex_keys(cx + 1.0, cy + 1.0), side="right")
+    lo = np.column_stack([np.arange(1, n + 1), east_lo]).ravel()
+    i, j = _runs(lo, np.column_stack([own_hi, east_hi]).ravel())
+    i, j = order[i // 2], order[j]
+    close = _within(p[i, 0] - p[j, 0], p[i, 1] - p[j, 1], radius, True)
+    i, j = i[close], j[close]
+    later, earlier = np.maximum(i, j), np.minimum(i, j)
+    by_later = np.argsort(later, kind="stable")
+    return later[by_later], earlier[by_later]

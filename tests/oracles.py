@@ -333,12 +333,16 @@ class DenseWalkOracle:
 
 def exhaustive_max_matching(marbles: np.ndarray, holes: np.ndarray, max_dist: float) -> int:
     """Optimal matching size by branch and bound; fine up to ~8x8."""
-    nm, nh = len(marbles), len(holes)
     allowed = [
-        [j for j in range(nh) if np.hypot(*(marbles[i] - holes[j])) <= max_dist]
-        for i in range(nm)
+        [j for j in range(len(holes)) if np.hypot(*(marbles[i] - holes[j])) <= max_dist]
+        for i in range(len(marbles))
     ]
+    return exhaustive_matching_size(allowed)
 
+
+def exhaustive_matching_size(allowed: list[list[int]]) -> int:
+    """Largest matching of left vertex ``i`` to one of ``allowed[i]``, by branch and bound."""
+    nm = len(allowed)
     best = 0
 
     def rec(i: int, used: int, size: int):

@@ -1,4 +1,7 @@
-"""Smoke test: the demos that write no files run to completion."""
+"""Smoke test: the demos that write no files run to completion.
+
+A demo in ``PINNED`` must print its ``demos/output/<name>.txt`` byte for byte.
+"""
 
 import os
 import subprocess
@@ -10,6 +13,7 @@ import pytest
 import pathdist
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+PINNED = {"05_fscore_baseline"}
 
 
 @pytest.mark.parametrize("name", ["01_frechet_basics", "02_map_matching", "05_fscore_baseline"])
@@ -20,6 +24,7 @@ def test_demo_runs(name, tmp_path):
         env={**os.environ, "PYTHONPATH": src},
         cwd=tmp_path,
         capture_output=True,
-        text=True,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 0, done.stderr.decode()
+    if name in PINNED:
+        assert done.stdout == (DEMOS / "output" / f"{name}.txt").read_bytes()

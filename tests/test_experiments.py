@@ -1,9 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pathdist
 from pathdist.errors import InputError
 from pathdist.experiments import (
     PerturbationSpec,
@@ -147,6 +150,17 @@ def test_run_all_emits_artifacts_and_manifest(tmp_path):
     summary = json.loads((out / "distance_gh_k1.summary.json").read_text())
     assert summary["path_count"] == 12
     assert summary["max"] <= math.sqrt(2) * 0.2 + 2e-3
+
+
+def test_run_all_manifest_carries_the_package_version(tmp_path):
+    gdir, hdir = _write_pair(tmp_path)
+    out = run_all(RunConfig(gdir, hdir, str(tmp_path / "out"), k_values=(1,), tol=1e-3))
+    assert json.loads((out / "manifest.json").read_text())["package_version"] == pathdist.__version__
+
+
+def test_package_version_is_the_one_in_pyproject():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == pathdist.__version__
 
 
 def test_run_all_manifest_records_no_strict_switch(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pathdist.errors import InputError
-from pathdist.frechet import discrete_frechet, frechet_decision, frechet_distance
+from pathdist.frechet import bisect_decision, discrete_frechet, frechet_decision, frechet_distance
 from pathdist.geometry import PolyLine
 
 from oracles import resample_points
@@ -126,3 +126,35 @@ def test_non_finite_tolerance_and_nan_eps_are_rejected(bad):
             frechet_decision(f, f, bad)
     else:
         assert frechet_decision(f, f, bad)
+
+
+def _counted(decide, limit=2000):
+    calls = []
+
+    def counted(eps):
+        calls.append(eps)
+        assert len(calls) <= limit, "bisection does not end"
+        return decide(eps)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("tol", [1e-300, 5e-324])
+def test_bisection_ends_below_the_float_spacing_of_its_bracket(tol):
+    decide, calls = _counted(lambda e: e >= 0.3)
+    mid = bisect_decision(decide, 0.0, 1.0, tol)
+    # The final bracket holds no float between its ends, around 0.3.
+    assert mid in (0.3, math.nextafter(0.3, 0.0))
+    assert len(calls) < 1100
+
+
+def test_bisection_at_a_coarse_tolerance_visits_the_same_midpoints():
+    decide, calls = _counted(lambda e: e >= 0.3)
+    assert bisect_decision(decide, 0.0, 1.0, 1e-3) == 0.30029296875
+    assert calls == [0.5, 0.25, 0.375, 0.3125, 0.28125, 0.296875, 0.3046875, 0.30078125, 0.298828125, 0.2998046875]
+
+
+def test_frechet_distance_ends_at_a_tolerance_below_the_float_spacing():
+    f = PolyLine([(0.0, 0.0), (10.0, 0.0)])
+    g = PolyLine([(0.0, 0.5), (5.0, 3.0), (10.0, 0.5)])
+    assert frechet_distance(f, g, 1e-300) == pytest.approx(3.0, abs=1e-12)

@@ -13,6 +13,7 @@ from pathdist.errors import InputError
 from pathdist.fscore import (
     FScoreParams,
     _max_matching,
+    _thinned,
     bottleneck_match,
     f_score,
     fscore_analysis,
@@ -22,10 +23,11 @@ from pathdist.fscore import (
 from pathdist.geometry import PolyLine, project_onto_segments
 from pathdist.graph import Edge, EmbeddedGraph
 from pathdist.parallel import run_pool
-from pathdist.spatial import SpatialGrid, close_pairs
+from pathdist.spatial import SpatialGrid, close_pairs, close_pairs_within
 
 from oracles import (
     brute_close_pairs,
+    exhaustive_matching_size,
     exhaustive_max_matching,
     nearest_point_scan,
     random_geometric_graph,
@@ -283,11 +285,23 @@ def test_empty_target_scores_zero(tee):
 
 def test_bottleneck_match_on_a_1500_point_chain():
     # Marble k lies between the holes at 5k - 2.5 and 5k + 2.5, listed in
-    # reverse: a matcher that gives each marble its right-hand hole first
-    # must shift every marble back along one 3000-step augmenting path.
+    # reverse.  Marble 0's own cell column holds its right-hand hole, which
+    # it tries first; each later marble then finds its left-hand hole taken
+    # and takes its right-hand one, until the last marble's only hole is
+    # taken: one 3000-step augmenting path shifts every marble back.
     n = 1500
     marbles = np.array([(5.0 * k, 0.0) for k in range(n)])
     holes = np.array([(5.0 * k - 2.5, 0.0) for k in reversed(range(n))])
+    assert bottleneck_match(marbles, holes, 2.6) == (n, 0, 0)
+
+
+def test_bottleneck_match_on_a_mirrored_1500_point_chain():
+    # The chain above reflected in x: marble k now lies between the holes
+    # at -5k - 2.5 and -5k + 2.5, and searching the west column before the
+    # east one sends the greedy pass down the long augmenting path.
+    n = 1500
+    marbles = np.array([(-5.0 * k, 0.0) for k in range(n)])
+    holes = np.array([(2.5 - 5.0 * k, 0.0) for k in reversed(range(n))])
     assert bottleneck_match(marbles, holes, 2.6) == (n, 0, 0)
 
 
@@ -297,6 +311,48 @@ def test_matching_follows_a_1500_step_augmenting_path():
     n = 1500
     adj = [[k + 1, k] for k in range(n - 1)] + [[n - 1]]
     assert _max_matching(adj, n) == n
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Up to 7x7 bipartite graphs, each hole list in a drawn order."""
+    n_right = draw(st.integers(0, 7))
+    holes = st.lists(st.integers(0, n_right - 1), unique=True, max_size=n_right) if n_right else st.just([])
+    return draw(st.lists(holes, max_size=7)), n_right
+
+
+def _cardinality_bound(adj):
+    return min(sum(1 for nbrs in adj if nbrs), len({v for nbrs in adj for v in nbrs}))
+
+
+@settings(max_examples=300)
+@given(bipartite_graphs())
+def test_matching_with_and_without_the_bound_equals_exhaustive_optimum(case):
+    adj, n_right = case
+    best = exhaustive_matching_size(adj)
+    assert _max_matching(adj, n_right, _cardinality_bound(adj)) == best
+    assert _max_matching(adj, n_right) == best
+
+
+def test_matching_below_the_bound_searches_to_the_end():
+    # Hall's condition fails: marbles 0 and 1 share their only hole, so the
+    # bound of 3 (three marbles with a hole, three holes with a marble) is
+    # never reached and the last pass augments nothing.
+    adj = [[0], [0], [1, 2]]
+    assert _cardinality_bound(adj) == 3
+    assert _max_matching(adj, 3, 3) == _max_matching(adj, 3) == exhaustive_matching_size(adj) == 2
+
+
+def test_matching_of_shuffled_close_pairs_equals_exhaustive_optimum():
+    rng = np.random.default_rng(30)
+    for _ in range(40):
+        nm, nh = rng.integers(1, 9, size=2)
+        marbles = rng.uniform(0, 10, (nm, 2))
+        holes = rng.uniform(0, 10, (nh, 2))
+        thresh = float(rng.uniform(1.0, 6.0))
+        m, h = close_pairs(marbles, holes, thresh, strict=False)
+        adj = [rng.permutation(h[m == i]).tolist() for i in range(nm)]
+        assert _max_matching(adj, nh, _cardinality_bound(adj)) == exhaustive_max_matching(marbles, holes, thresh)
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():
@@ -415,6 +471,75 @@ def test_close_pairs_decide_ties_with_python_float_power():
         b = np.array([(x, 0.0)])
         for strict in (True, False):
             assert _pair_set(*close_pairs(a, b, x, strict=strict)) == brute_close_pairs(a, b, x, strict)
+
+
+def _brute_pairs_within(p, radius):
+    return sorted((i, j) for i, j in brute_close_pairs(p, p, radius, True) if j < i)
+
+
+def _check_pairs_within(p, radius):
+    later, earlier = close_pairs_within(p, radius)
+    assert list(later) == sorted(later)
+    assert _pair_set(later, earlier) == _brute_pairs_within(p, radius)
+
+
+@settings(max_examples=300)
+@given(point_sets())
+def test_close_pairs_within_equal_brute_force(case):
+    a, b, radius = case
+    _check_pairs_within(a, radius)
+    _check_pairs_within(np.vstack([a, b, a[:3]]), radius)  # duplicate points too
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (-123.25, -987.5), (500000.0, 4649776.0)])
+def test_close_pairs_within_at_exactly_the_radius(offset):
+    p = np.array([(0.0, 0.0), (3.0, 4.0), (-3.0, -4.0), (5.0, 0.0), (0.0, -4.999), (0.0, 0.0)]) + offset
+    _check_pairs_within(p, 5.0)
+    pairs = _pair_set(*close_pairs_within(p, 5.0))
+    # Points 1 to 3 lie exactly 5 from points 0 and 5, which a strict test excludes.
+    assert [pair for pair in pairs if 0 in pair or 5 in pair] == [(4, 0), (5, 0), (5, 4)]
+
+
+def test_close_pairs_within_decide_ties_with_python_float_power():
+    xs = [x for x in np.random.default_rng(3).uniform(1.0, 100.0, 100000).tolist() if x**2 != x * x]
+    for x in xs[:40]:
+        p = np.array([(x, 0.0), (0.0, 0.0), (0.0, x)])
+        _check_pairs_within(p, x)
+
+
+def test_close_pairs_within_of_no_or_one_point():
+    for p in (np.empty((0, 2)), np.array([(1.0, 2.0)])):
+        later, earlier = close_pairs_within(p, 3.0)
+        assert len(later) == len(earlier) == 0
+
+
+def _thinned_by_full_join(points, radius):
+    """Thinning by the full-stencil self-join: every ordered pair, then ``earlier < later``."""
+    later, earlier = close_pairs(points, points, radius, strict=True)
+    back = earlier < later
+    keep = [True] * len(points)
+    for e, l in zip(earlier[back].tolist(), later[back].tolist()):
+        if keep[e]:
+            keep[l] = False
+    return points[np.asarray(keep, dtype=bool)]
+
+
+@settings(max_examples=200)
+@given(point_sets())
+def test_thinning_keeps_the_points_of_the_full_join(case):
+    a, b, radius = case
+    points = np.vstack([a, b, a[::2]])
+    assert _thinned(points, radius).tobytes() == _thinned_by_full_join(points, radius).tobytes()
+
+
+def test_thinning_of_samples_keeps_the_points_of_the_full_join():
+    g = random_geometric_graph(np.random.default_rng(11), 30, 8, 60.0)
+    for v in list(g.vertices)[:10]:
+        points = sample_neighborhood(g, v, FScoreParams(sampling_interval=1.0, max_path_length=40.0)).points
+        for radius in (0.5, 3.0):
+            got = _thinned(points, radius)
+            assert got.tobytes() == _thinned_by_full_join(points, radius).tobytes()
+        assert len(got) < len(points)
 
 
 def test_close_pairs_of_empty_sets():

@@ -47,6 +47,12 @@ def test_offset_segment_decision_and_distance():
     assert map_match_distance(curve, h, 1e-3) == pytest.approx(1.0, abs=1e-3)
 
 
+def test_map_match_distance_ends_at_a_tolerance_below_the_float_spacing():
+    # The bisection runs between 2 and 4; no float bracket there is 1e-300 wide.
+    curve = PolyLine([(0.0, 0.5), (5.0, 3.0), (10.0, 0.5)])
+    assert map_match_distance(curve, segment_graph(), 1e-300) == pytest.approx(3.0, abs=1e-12)
+
+
 def test_empty_graph_behavior():
     empty = EmbeddedGraph([], [])
     curve = PolyLine([(0, 0), (1, 0)])

@@ -25,7 +25,7 @@ from .geometry import DiscQuadratic, PolyLine, max_distance_to_point
 from .graph import EmbeddedGraph, VertexId, finite_numbers
 from .matching import map_match_distance, prepare_problems
 from .parallel import iter_chunked, run_chunked
-from .paths import VertexPath, Walks, canonical_walks, dart_table, enumerate_paths, path_curves, sub_rows
+from .paths import Walks, canonical_walks, dart_table, path_curves, sub_rows
 from .signatures import SignatureMap
 
 __all__ = [
@@ -47,10 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathRecord:
-    """One matched path: id, the path, its length, and its match distance."""
+    """One matched path: its row ``path_id`` of ``walks``, its length, and its match distance.
+
+    ``walks`` is the source graph's shared :func:`~pathdist.paths.canonical_walks`
+    table, so ``walks.vertices[path_id]`` holds the path's vertex indices.
+    Records compare by row, length and distance.
+    """
 
     path_id: int
-    path: VertexPath
+    walks: Walks = field(repr=False, compare=False)
     length: float
     distance: float
 
@@ -281,26 +286,25 @@ def iter_match_records(
     consumers can persist records as they arrive, which is what makes long
     link-3 runs restartable.
 
-    ``g`` remembers every value computed here by its row (see
-    :func:`_computed`); the records' paths are those rows as
-    :func:`~pathdist.paths.enumerate_paths` yields them.  Each path is
-    bisected under the larger of its prefix's and suffix's values, computed
-    first if ``g`` does not remember them, which saves most decisions and
-    changes no value.
+    Each record's path is its row of
+    :func:`~pathdist.paths.canonical_walks` ``(g, k)``, and ``g``
+    remembers every value computed here by that row (see
+    :func:`_computed`).  Each path is bisected under the larger of its
+    prefix's and suffix's values, computed first if ``g`` does not remember
+    them, which saves most decisions and changes no value.
     """
     check_tolerance(tol)
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
-    paths = list(enumerate_paths(g, k))
     walks = canonical_walks(g, k)
     curves, lengths = path_curves(g, walks, return_lengths=True)
-    todo = [i for i in range(len(paths)) if known is None or i not in known]
+    todo = [i for i in range(len(walks)) if known is None or i not in known]
     chunks = _distances(g, h, k, np.asarray(todo, dtype=np.intp), [curves[i] for i in todo], tol)
     # Chunks are pulled one at a time, as the records that need them are taken.
     distances = (d for chunk in chunks for d in chunk)
-    for i, (p, length) in enumerate(zip(paths, lengths)):
+    for i, length in enumerate(lengths):
         d = known[i] if known is not None and i in known else next(distances)
-        yield PathRecord(i, p, length, d)
+        yield PathRecord(i, walks, length, d)
 
 
 def match_all_paths(
@@ -338,9 +342,9 @@ def max_path_distance(
     rules out; most paths before it are settled by one decision at the
     running maximum.
 
-    The paths are read as :func:`~pathdist.paths.canonical_walks` rows:
-    their curves, bounds, floors and remembered values come from the
-    arrays, and no :class:`VertexPath` is built.
+    The paths are read as :func:`~pathdist.paths.canonical_walks` rows, as
+    everywhere in this module: their curves, bounds, floors and remembered
+    values come from the arrays.
     """
     check_tolerance(tol)
     if h.is_empty():
@@ -377,10 +381,10 @@ def directed_path_distance(
     if strict:
         d3 = max_path_distance(g, h, 3, tol)
         radii = {v: intersection_radius(g, v, d3) for v in g.vertices}
-        good = {v for v in g.vertices if math.isfinite(radii[v]) and g.degree(v) != 3}
-        report.records = [
-            r for r in records if all(v in good for v in r.path.vertex_ids[1:-1])
-        ]
+        # One flag per vertex index; a path is kept when its interior vertices all qualify.
+        good = np.array([math.isfinite(radii[v]) and g.degree(v) != 3 for v in g.vertices], dtype=bool)
+        keep = good[canonical_walks(g, k).vertices[:, 1:-1]].all(axis=1)
+        report.records = [r for r in records if keep[r.path_id]]
         report.strict = True
         report.strict_bound = _strict_bound(g, good, d3, radii)
     return report
@@ -400,9 +404,9 @@ def undirected_path_distance(
 
 
 def _strict_bound(
-    g: EmbeddedGraph, good: set, d3: float, radii: dict[VertexId, float]
+    g: EmbeddedGraph, good: np.ndarray, d3: float, radii: dict[VertexId, float]
 ) -> float | None:
-    if set(g.vertices) != good or not radii:
+    if not good.all() or not radii:
         return None
     r_max = max(radii.values())
     spacing_ok = all(
@@ -412,16 +416,19 @@ def _strict_bound(
     return 2.0 * r_max + d3 if spacing_ok else None
 
 
-def _aggregate(
-    records: list[PathRecord], key_of
-) -> dict:
-    out: dict = {}
-    for rec in records:
-        for key in key_of(rec.path):
-            cur = out.get(key)
-            if cur is None or rec.distance > cur:
-                out[key] = rec.distance
-    return out
+def _signature(rows: np.ndarray, ids: list, distances: np.ndarray) -> dict:
+    """Per id, the largest of ``distances`` over the walks whose row of ``rows`` holds its index.
+
+    Keys come in the order their indices first occur in ``rows``, read row
+    by row, not in set order, which PYTHONHASHSEED changes; an id on no
+    walk gets no entry.
+    """
+    best = np.full(len(ids), -np.inf)
+    np.maximum.at(best, rows, distances[:, None])
+    first = np.full(len(ids), rows.size)
+    np.minimum.at(first, rows.ravel(), np.arange(rows.size))
+    order = np.argsort(first, kind="stable")[: np.count_nonzero(first < rows.size)]
+    return dict(zip([ids[i] for i in order.tolist()], best[order].tolist()))
 
 
 def path_distance_analysis(
@@ -438,10 +445,10 @@ def path_distance_analysis(
     """
     records = match_all_paths(g, h, k, tol)
     report = PathDistanceReport(k=k, direction="G->H", records=records)
-    # Keys in first-path order, not set order, which PYTHONHASHSEED changes.
-    edge_values = _aggregate(records, lambda p: p.edge_ids)
-    vertex_values = _aggregate(records, lambda p: p.vertex_ids)
-    # Edges or vertices on no canonical path (isolated pieces) get no entry.
+    walks = canonical_walks(g, k)
+    distances = np.array([r.distance for r in records], dtype=float)
+    edge_values = _signature(walks.darts >> 1, walks.table.edge_ids, distances)
+    vertex_values = _signature(walks.vertices, walks.table.vertex_ids, distances)
     edge_sig = SignatureMap(target="edge", k=k, values=edge_values, graph=g)
     vertex_sig = SignatureMap(target="vertex", k=k, values=vertex_values, graph=g)
     return report, edge_sig, vertex_sig
@@ -570,17 +577,27 @@ def separation_census(
 
 
 def write_records_csv(records: Iterable[PathRecord], fh) -> list[PathRecord]:
-    """Stream per-path rows: path_id, vertex_sequence, path_length_m, match_distance_m.
+    r"""Stream per-path rows: path_id, vertex_sequence, path_length_m, match_distance_m.
 
     ``records`` may be any iterable, such as :func:`iter_match_records`.
     Each row is flushed as it is written, so a run that stops keeps every
     finished row for ``--resume``.  Returns the records written.
+
+    A path's ``vertex_sequence`` joins its vertex ids with ``-``.  Inside
+    each id, ``\`` becomes ``\\`` and ``-`` becomes ``\-``, so the label
+    splits back into its ids; other ids keep their text.
     """
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(["path_id", "vertex_sequence", "path_length_m", "match_distance_m"])
     written = []
+    escaped: dict = {}  # per dart table, each vertex id's text in a label
     for rec in records:
-        w.writerow([rec.path_id, rec.path.label(), repr(rec.length), repr(rec.distance)])
+        names = escaped.get(rec.walks.table)
+        if names is None:
+            ids = rec.walks.table.vertex_ids
+            names = escaped[rec.walks.table] = [str(v).replace("\\", "\\\\").replace("-", "\\-") for v in ids]
+        label = "-".join(map(names.__getitem__, rec.walks.vertices[rec.path_id].tolist()))
+        w.writerow([rec.path_id, label, repr(rec.length), repr(rec.distance)])
         fh.flush()
         written.append(rec)
     return written

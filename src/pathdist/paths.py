@@ -12,8 +12,9 @@ holds a walk's vertex indices and the darts of :func:`dart_table` it takes.
 They are built level by level over the darts leaving each vertex, in
 ``g.adjacency`` order, so the rows come in depth-first order, and a walk is
 kept when it is canonical by the ranks of its ids' ``repr``s.  Curves,
-bounds and sub-paths (:func:`sub_rows`) read the rows by index;
-:class:`VertexPath` objects are built only for records, reports and signatures.
+bounds, sub-paths (:func:`sub_rows`), records, signatures and report labels
+read the rows by index.  :class:`VertexPath` objects are built only by
+:func:`enumerate_paths` and for hand-made paths given to :func:`path_geometry`.
 """
 
 from __future__ import annotations
@@ -51,32 +52,6 @@ class VertexPath:
     def __post_init__(self):
         if len(self.edge_ids) < 1 or len(self.vertex_ids) != len(self.edge_ids) + 1:
             raise InputError("a vertex-path needs k>=1 edges and k+1 vertices")
-
-    @property
-    def link_length(self) -> int:
-        return len(self.edge_ids)
-
-    def reversed(self) -> "VertexPath":
-        return VertexPath(self.vertex_ids[::-1], self.edge_ids[::-1])
-
-    def key(self) -> tuple:
-        """Total-order key used for canonicalization up to reversal."""
-        return (
-            tuple(repr(v) for v in self.vertex_ids),
-            tuple(repr(e) for e in self.edge_ids),
-        )
-
-    def canonical(self) -> "VertexPath":
-        rev = self.reversed()
-        return self if self.key() <= rev.key() else rev
-
-    def label(self) -> str:
-        r"""Vertex ids joined by ``-``, used in report CSVs.
-
-        Inside each id, ``\`` becomes ``\\`` and ``-`` becomes ``\-``, so the
-        label splits back into its ids; other ids keep their text.
-        """
-        return "-".join(str(v).replace("\\", "\\\\").replace("-", "\\-") for v in self.vertex_ids)
 
 
 def _ranks(ids) -> np.ndarray:
@@ -153,11 +128,11 @@ def _below_reverse(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _canonical(t: _Darts, vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Which walks (rows of vertex and edge indices) :meth:`VertexPath.canonical` keeps as they are.
+    """Which walks (rows of vertex and edge indices) are canonical: no greater than their reverse.
 
-    That is ``key() <= reversed().key()``: the vertex ids' ``repr``s compare
-    below their reverse's, or equal and the edge ids' ``repr``s no greater.
-    The ranks of the ``repr``s decide it without a string.
+    A walk is canonical when its vertex ids' ``repr``s compare below its
+    reverse's, or equal and its edge ids' ``repr``s no greater.  The ranks
+    of the ``repr``s decide it without a string.
     """
     v_less, v_equal = _below_reverse(t.vertex_rank[vertices])
     e_less, e_equal = _below_reverse(t.edge_rank[edges])
@@ -182,14 +157,6 @@ class Walks:
 
     def __getitem__(self, rows) -> "Walks":
         return Walks(self.table, self.vertices[rows], self.darts[rows])
-
-    def paths(self) -> list[VertexPath]:
-        """The walks as :class:`VertexPath` objects, in row order."""
-        vid, eid = self.table.vertex_ids, self.table.edge_ids
-        return [
-            VertexPath(tuple(map(vid.__getitem__, v)), tuple(map(eid.__getitem__, e)))
-            for v, e in zip(self.vertices.tolist(), (self.darts >> 1).tolist())
-        ]
 
 
 def check_link_length(k) -> None:
@@ -236,13 +203,16 @@ def enumerate_paths(g: EmbeddedGraph, k: int) -> Iterator[VertexPath]:
     stream is deterministic.  ``k`` is checked by :func:`check_link_length`
     before the first path.
     """
-    yield from canonical_walks(g, k).paths()
+    walks = canonical_walks(g, k)
+    vid, eid = walks.table.vertex_ids, walks.table.edge_ids
+    for v, e in zip(walks.vertices.tolist(), (walks.darts >> 1).tolist()):
+        yield VertexPath(tuple(map(vid.__getitem__, v)), tuple(map(eid.__getitem__, e)))
 
 
 def sub_rows(g: EmbeddedGraph, k: int) -> np.ndarray:
     """Per row of ``canonical_walks(g, k)``, k >= 2, the rows of its canonical prefix and suffix, cached on ``g``.
 
-    Each half, oriented as :meth:`VertexPath.canonical` would, is found among
+    Each half, oriented canonically (see :func:`_canonical`), is found among
     the rows of ``canonical_walks(g, k - 1)`` by its vertex and edge indices;
     of two alike rows, which a self-loop can make, the first serves.
     """

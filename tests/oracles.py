@@ -20,6 +20,9 @@ package remembers on it, for tests that need a run without a sub-path floor
 or a reference that does its own work.  Nor is ``city_pair``, the
 benchmark's seeded city pair, for tests that need maps of its size, nor
 ``as_walks``, which turns hand-made paths into the package's walk rows.
+``link_length``, ``reversed_path``, ``path_key`` and ``canonical_path``
+read a ``VertexPath``'s ids: its edge count, its reverse, and the order up
+to reversal in which the package keeps one of a walk and its reverse.
 """
 
 from __future__ import annotations
@@ -56,10 +59,33 @@ def as_walks(g, paths):
 
     table = dart_table(g)
     index = {v: i for i, v in enumerate(g.vertices)}
-    k = paths[0].link_length if paths else 1
+    k = link_length(paths[0]) if paths else 1
     vertices = np.array([index[v] for p in paths for v in p.vertex_ids], dtype=np.intp)
     darts = np.array([d for p in paths for d in table.walk(p)], dtype=np.intp)
     return Walks(table, vertices.reshape(-1, k + 1), darts.reshape(-1, k))
+
+
+def link_length(p) -> int:
+    """The number of edges of ``VertexPath`` ``p``."""
+    return len(p.edge_ids)
+
+
+def reversed_path(p):
+    """``VertexPath`` ``p`` walked from its other end."""
+    from pathdist.paths import VertexPath
+
+    return VertexPath(p.vertex_ids[::-1], p.edge_ids[::-1])
+
+
+def path_key(p) -> tuple:
+    """The order of paths up to reversal: the vertex ids' ``repr``s, then the edge ids'."""
+    return tuple(repr(v) for v in p.vertex_ids), tuple(repr(e) for e in p.edge_ids)
+
+
+def canonical_path(p):
+    """Of ``p`` and its reverse, the one with the smaller ``path_key``; ``p`` on a tie."""
+    rev = reversed_path(p)
+    return p if path_key(p) <= path_key(rev) else rev
 
 
 def adjacency_from_edges(g) -> dict:

@@ -1,3 +1,4 @@
+import csv
 import functools
 import hashlib
 import io
@@ -35,7 +36,16 @@ from pathdist.pathdistance import (
 from pathdist.paths import VertexPath, canonical_walks, enumerate_paths, path_curves, path_geometry
 from pathdist.experiments import PerturbationSpec, generate_perturbed, grid_graph
 
-from oracles import as_walks, city_pair, dense_radius_scan, fresh, polylines_meet, random_geometric_graph
+from oracles import (
+    as_walks,
+    canonical_path,
+    city_pair,
+    dense_radius_scan,
+    fresh,
+    polylines_meet,
+    random_geometric_graph,
+    reversed_path,
+)
 from test_matching import distance_to_graph
 from test_paths import assert_sub_rows_are_canonical_halves, mixed_id_graph
 
@@ -157,11 +167,13 @@ def test_path_distance_never_falls_below_its_edges(pair):
     # A link-2 path contains each of its edges as a link-1 path, and a
     # matching of the whole path restricts to one of each edge.
     g, h = monotonicity_pair(pair)
-    by_edge = {r.path.edge_ids[0]: r.distance for r in match_all_paths(g, h, 1, TOL)}
+    edges = [p.edge_ids[0] for p in enumerate_paths(g, 1)]
+    by_edge = {edges[r.path_id]: r.distance for r in match_all_paths(g, h, 1, TOL)}
+    paths = list(enumerate_paths(g, 2))
     records = match_all_paths(g, h, 2, TOL)
     assert records
     for rec in records:
-        assert rec.distance >= max(by_edge[e] for e in rec.path.edge_ids) - TOL
+        assert rec.distance >= max(by_edge[e] for e in paths[rec.path_id].edge_ids) - TOL
 
 
 @pytest.mark.parametrize("pair", [0, 1, 2, "city"])
@@ -169,13 +181,15 @@ def test_path_distance_never_falls_below_its_sub_paths(pair):
     # The two link-2 sub-paths of a link-3 path are a prefix and a suffix of
     # its curve, and a matching of the whole curve restricts to each.
     g, h = monotonicity_pair(pair)
-    by_path = {r.path: r.distance for r in match_all_paths(g, h, 2, TOL)}
+    shorter = list(enumerate_paths(g, 2))
+    by_path = {shorter[r.path_id]: r.distance for r in match_all_paths(g, h, 2, TOL)}
+    paths = list(enumerate_paths(g, 3))
     records = match_all_paths(g, h, 3, TOL)
     assert records
     for rec in records:
-        v, e = rec.path.vertex_ids, rec.path.edge_ids
-        prefix = VertexPath(v[:3], e[:2]).canonical()
-        suffix = VertexPath(v[1:], e[1:]).canonical()
+        v, e = paths[rec.path_id].vertex_ids, paths[rec.path_id].edge_ids
+        prefix = canonical_path(VertexPath(v[:3], e[:2]))
+        suffix = canonical_path(VertexPath(v[1:], e[1:]))
         assert rec.distance >= max(by_path[prefix], by_path[suffix]) - TOL
 
 
@@ -195,12 +209,13 @@ def test_distances_never_fall_as_k_grows_on_bent_cities(seed):
         plain = _plain_distances(g, h, k)
         # Under the link-(k-1) values, which g remembers from the pass before.
         records = match_all_paths(g, h, k, TOL)
-        assert [r.distance for r in records] == [plain[r.path] for r in records]
+        paths = list(plain)
+        assert [r.distance for r in records] == [plain[paths[r.path_id]] for r in records]
         if k > 1:
             for p, d in plain.items():
                 v, e = p.vertex_ids, p.edge_ids
-                prefix = VertexPath(v[:-1], e[:-1]).canonical()
-                suffix = VertexPath(v[1:], e[1:]).canonical()
+                prefix = canonical_path(VertexPath(v[:-1], e[:-1]))
+                suffix = canonical_path(VertexPath(v[1:], e[1:]))
                 assert d >= max(tables[k - 1][prefix], tables[k - 1][suffix]) - TOL, p
         tables[k] = plain
 
@@ -210,7 +225,7 @@ def test_distances_never_fall_as_k_grows_on_bent_cities(seed):
 def test_reversed_k2_path_has_the_same_distance_on_bent_cities(seed):
     g, h = small_city_pair(seed)
     for p, d in _plain_distances(g, h, 2).items():
-        reverse = map_match_distance(path_geometry(g, p.reversed()), h, TOL)
+        reverse = map_match_distance(path_geometry(g, reversed_path(p)), h, TOL)
         assert abs(reverse - d) <= TOL, p
 
 
@@ -235,9 +250,9 @@ def test_adding_target_streets_never_raises_the_distance(seed, count):
     for k in (1, 2):
         before = match_all_paths(g, h, k, TOL)
         after = match_all_paths(g, more, k, TOL)
-        assert [r.path for r in after] == [r.path for r in before]
+        assert [r.path_id for r in after] == [r.path_id for r in before]
         for r, s in zip(before, after):
-            assert s.distance <= r.distance + TOL, r.path
+            assert s.distance <= r.distance + TOL, r.path_id
         assert max_path_distance(g, more, k, TOL) <= max_path_distance(g, h, k, TOL) + TOL
 
 
@@ -258,10 +273,11 @@ def test_sub_path_floor_never_changes_a_value(pair):
     for k in (2, 3):
         records = match_all_paths(g, h, k, TOL)
         assert records == match_all_paths(fresh(g), h, k, TOL)
+        paths = list(enumerate_paths(g, k))
         for rec in records:
-            plain = map_match_distance(path_geometry(g, rec.path), h, TOL)
-            assert rec.distance.hex() == plain.hex(), rec.path
-        tables[k] = {r.path: r.distance for r in records}
+            plain = map_match_distance(path_geometry(g, paths[rec.path_id]), h, TOL)
+            assert rec.distance.hex() == plain.hex(), rec.path_id
+        tables[k] = {r.path_id: r.distance for r in records}
     floored = fresh(g)
     match_all_paths(floored, h, 2, TOL)
     d3 = max_path_distance(floored, h, 3, TOL)
@@ -286,8 +302,9 @@ def test_sub_path_floor_saves_decisions(monkeypatch):
     assert len(calls) / len(records) <= 4.0
     # Without the floor each path pays a full bisection.
     calls.clear()
+    paths = list(enumerate_paths(g, 2))
     for rec in records:
-        map_match_distance(path_geometry(g, rec.path), h, TOL)
+        map_match_distance(path_geometry(g, paths[rec.path_id]), h, TOL)
     assert len(calls) / len(records) > 8.0
 
 
@@ -336,7 +353,7 @@ def test_path_bounds_are_upper_bounds(kind, seed):
         records = match_all_paths(g, h, k, TOL)
         for r, bound in zip(records, _path_bounds(g, h, canonical_walks(g, k))):
             bounds.append(bound)
-            assert not r.distance > bound + TOL, (k, r.path, r.distance, bound)
+            assert not r.distance > bound + TOL, (k, r.path_id, r.distance, bound)
     assert any(math.isfinite(b) for b in bounds)
     # The city targets miss streets, so some paths have no anchored walk.
     assert any(math.isinf(b) for b in bounds) == (kind != "grid")
@@ -407,6 +424,19 @@ def test_a_remembered_maximum_decides_nothing_and_builds_no_path(monkeypatch):
     monkeypatch.setattr(VertexPath, "__post_init__", lambda self: calls.append(self) or original(self))
     assert [max_path_distance(g, h, k, TOL) for k in (1, 2, 3)] == maxima
     assert calls == []
+
+
+def test_records_signatures_strict_and_labels_build_no_path(monkeypatch):
+    # Records point to their walk rows, and everything downstream reads the rows.
+    g, h = small_city_pair(0)
+    calls = []
+    original = VertexPath.__post_init__
+    monkeypatch.setattr(VertexPath, "__post_init__", lambda self: calls.append(self) or original(self))
+    records = match_all_paths(g, h, 2, TOL)
+    path_distance_analysis(fresh(g), h, 2, TOL)
+    directed_path_distance(g, h, 2, TOL, strict=True)
+    write_records_csv(records, io.StringIO())
+    assert records and calls == []
 
 
 @pytest.fixture
@@ -554,7 +584,8 @@ def test_records_census_and_witness_are_pinned_bit_for_bit():
     for k in (1, 2, 3):
         records = match_all_paths(g, h, k, TOL)
         assert (len(records), _hex_digest(r.distance for r in records)) == PINNED_RECORDS[k], k
-        tables[k] = {r.path: r.distance for r in records}
+        paths = list(enumerate_paths(g, k))
+        tables[k] = {paths[r.path_id]: r.distance for r in records}
         if k < 3:
             match_all_paths(floored, h, k, TOL)
     # Without floors, with Δ1 and Δ2 remembered and Δ3 under the k=2 floor,
@@ -642,9 +673,44 @@ def test_signatures_aggregate_the_same_records(grid6):
     report, edge_sig, vertex_sig = path_distance_analysis(gp, grid6, 2, TOL)
     assert report.max_distance == max(edge_sig.values.values())
     assert report.max_distance == max(vertex_sig.values.values())
+    paths = list(enumerate_paths(gp, 2))
     for rec in report.records:
-        for eid in rec.path.edge_ids:
+        for eid in paths[rec.path_id].edge_ids:
             assert edge_sig.values[eid] >= rec.distance
+
+
+def signatures_by_loop(g, records, k):
+    """Both signature maps, one record at a time: each edge's and vertex's largest distance, in first-path order."""
+    paths = list(enumerate_paths(g, k))
+    edges, vertices = {}, {}
+    for rec in records:
+        p = paths[rec.path_id]
+        for out, keys in ((edges, p.edge_ids), (vertices, p.vertex_ids)):
+            for key in keys:
+                if key not in out or rec.distance > out[key]:
+                    out[key] = rec.distance
+    return edges, vertices
+
+
+@pytest.mark.parametrize("case", ["city", "self-loop", "isolated"])
+def test_signatures_equal_the_per_record_loop(case):
+    from test_fscore import _with_self_loop
+
+    if case == "city":
+        g, h = small_city_pair(2)
+    elif case == "self-loop":
+        g, h = _with_self_loop(cross(), "c", (3.0, 4.0)), _with_self_loop(cross(1.0, 0.5), "c", (3.0, -4.0))
+    else:
+        # A vertex on no path gets no entry.
+        mixed = mixed_id_graph()
+        edges = [(eid, (e.u, e.v, e.geometry)) for eid, e in mixed.edges.items()]
+        g, h = EmbeddedGraph([*mixed.vertices.items(), ("lone", (50.0, 50.0))], edges), cross(5.0, 5.0)
+    for k in (1, 2, 3):
+        report, edge_sig, vertex_sig = path_distance_analysis(g, h, k, TOL)
+        edges, vertices = signatures_by_loop(g, report.records, k)
+        assert [(e, d.hex()) for e, d in edge_sig.values.items()] == [(e, d.hex()) for e, d in edges.items()], k
+        assert [(v, d.hex()) for v, d in vertex_sig.values.items()] == [(v, d.hex()) for v, d in vertices.items()], k
+    assert case != "isolated" or "lone" not in vertex_sig.values
 
 
 def test_missing_edge_signature_matches_direct_match():
@@ -719,6 +785,47 @@ def test_records_csv_round_trip(tmp_path, grid6):
     with open(path) as fh:
         distances = read_records_csv(fh)
     assert distances == {r.path_id: r.distance for r in report.records}
+
+
+def split_label(label: str) -> list[str]:
+    ids, current, chars = [], "", iter(label)
+    for c in chars:
+        if c == "\\":
+            current += next(chars)
+        elif c == "-":
+            ids.append(current)
+            current = ""
+        else:
+            current += c
+    return ids + [current]
+
+
+def odd_id_graph():
+    """Vertex ids holding ``-`` or ``\\``, an int among them, and ids a plain join keeps."""
+    ids = ["a-b", "c", "a", "b-c", "x\\", "-", "\\-", 3, 0, 12, "v3_4", "v3_5"]
+    verts = [(v, (10.0 * (i % 4), 10.0 * (i // 4))) for i, v in enumerate(ids)]
+    ends = [("a-b", "c"), ("a", "b-c"), ("c", "a"), ("x\\", "-"), ("-", "\\-"), ("\\-", 3), (0, 12), ("v3_4", "v3_5")]
+    return EmbeddedGraph(verts, [(i, uv) for i, uv in enumerate(ends)])
+
+
+@pytest.mark.parametrize("name", ["mixed", "odd"])
+def test_record_labels_split_back_into_their_ids(name):
+    g = mixed_id_graph() if name == "mixed" else odd_id_graph()
+    for k in (1, 2, 3):
+        paths = list(enumerate_paths(g, k))
+        records = match_all_paths(g, g, k, TOL)
+        fh = io.StringIO()
+        assert write_records_csv(records, fh) == records
+        rows = list(csv.reader(io.StringIO(fh.getvalue())))[1:]
+        assert [int(row[0]) for row in rows] == [r.path_id for r in records]
+        labels = {paths[r.path_id].vertex_ids: row[1] for r, row in zip(records, rows)}
+        for ids, label in labels.items():
+            assert split_label(label) == [str(v) for v in ids], k
+        if name == "odd" and k == 1:
+            assert labels["a-b", "c"] != labels["a", "b-c"]
+            # Ids without "-" or "\\" keep their text.
+            assert labels[0, 12] == "0-12"
+            assert labels["v3_4", "v3_5"] == "v3_4-v3_5"
 
 
 CUT_DISTANCES = (3.7517922473742, 1.5, 2.7517922473742)
@@ -915,7 +1022,8 @@ def test_reports_survive_utm_offset(pair):
     for k in (1, 2, 3) if pair == 0 else (1, 2):
         report, edge_sig, _ = path_distance_analysis(g, h, k, TOL)
         moved, edge_sig_moved, _ = path_distance_analysis(g_moved, h_moved, k, TOL)
-        assert [r.path for r in moved.records] == [r.path for r in report.records]
+        assert list(enumerate_paths(g_moved, k)) == list(enumerate_paths(g, k))
+        assert [r.path_id for r in moved.records] == [r.path_id for r in report.records]
         for r, r_moved in zip(report.records, moved.records):
             assert abs(r_moved.distance - r.distance) < TOL
         assert list(edge_sig_moved.values) == list(edge_sig.values)
@@ -969,10 +1077,11 @@ def test_distances_and_radii_survive_rotation_at_utm_size(seed, angle):
     records, deltas, scales, radii = unrotated_run(seed)
     g, h = (rotated(x, angle, np.array([5e5, 5.8e6])) for x in small_city_pair(seed))
     for k in (1, 2):
+        assert list(enumerate_paths(g, k)) == list(enumerate_paths(small_city_pair(seed)[0], k))
         moved = match_all_paths(g, h, k, TOL)
-        assert [r.path for r in moved] == [r.path for r in records[k]]
+        assert [r.path_id for r in moved] == [r.path_id for r in records[k]]
         for r, r_moved in zip(records[k], moved):
-            assert abs(r_moved.distance - r.distance) <= TOL + ROUNDING_SLACK, (k, r.path)
+            assert abs(r_moved.distance - r.distance) <= TOL + ROUNDING_SLACK, (k, r.path_id)
     census = separation_census(g, h, TOL)
     for d, report in zip(deltas, census):
         assert abs(report.d - d) <= TOL + ROUNDING_SLACK, report.k
@@ -1022,6 +1131,39 @@ def test_crossing_paths_witnesses_intersect():
     assert polylines_meet(w1, w2)
 
 
+def plus_and_overpass():
+    """A plus sign of 100 m arms meeting at vertex ``c``, and its two streets crossing with no vertex."""
+    g = EmbeddedGraph(
+        [("c", (0.0, 0.0)), ("w", (-100.0, 0.0)), ("e", (100.0, 0.0)), ("s", (0.0, -100.0)), ("n", (0.0, 100.0))],
+        [("cw", ("c", "w")), ("ce", ("c", "e")), ("cs", ("c", "s")), ("cn", ("c", "n"))],
+    )
+    h = EmbeddedGraph(
+        [("w", (-100.0, 0.0)), ("e", (100.0, 0.0)), ("s", (0.0, -100.0)), ("n", (0.0, 100.0))],
+        [("we", ("w", "e")), ("sn", ("s", "n"))],
+    )
+    return g, h
+
+
+def test_only_paths_through_a_vertex_find_a_missing_intersection():
+    # The paper's motivating case.  Each arm alone matches a street, so k=1
+    # sees no difference; a k=2 path that turns at c cannot turn in h,
+    # whose streets cross without a vertex, and runs to a street's end.
+    g, h = plus_and_overpass()
+    assert max_path_distance(g, h, 1, TOL) == 0.0
+    deltas = [max_path_distance(g, h, k, TOL) for k in (2, 3)]
+    assert all(abs(d - 100.0) <= TOL for d in deltas), deltas
+    # Directional: each street of h runs straight through c in g.
+    assert [max_path_distance(h, g, k, TOL) for k in (1, 2, 3)] == [0.0, 0.0, 0.0]
+    for k, top in ((1, 0.0), (2, deltas[0])):
+        _, edge_sig, vertex_sig = path_distance_analysis(g, h, k, TOL)
+        # Every arm and every vertex lies on a turning path, keyed in first-path order.
+        paths = list(enumerate_paths(g, k))
+        assert list(edge_sig.values) == list(dict.fromkeys(e for p in paths for e in p.edge_ids))
+        assert list(vertex_sig.values) == list(dict.fromkeys(v for p in paths for v in p.vertex_ids))
+        assert edge_sig.values == {eid: top for eid in ("cw", "ce", "cs", "cn")}, k
+        assert vertex_sig.values == {v: top for v in ("c", "w", "e", "s", "n")}, k
+
+
 def test_strict_mode_filters_and_reports_bound():
     g = cross()
     h = cross(dx=0.05, dy=0.05)
@@ -1030,11 +1172,43 @@ def test_strict_mode_filters_and_reports_bound():
     # All interior vertices on the cross have degree 4 or are endpoints;
     # paths through the center survive the filter.
     assert report.records
+    paths = list(enumerate_paths(g, 2))
     for rec in report.records:
-        for v in rec.path.vertex_ids[1:-1]:
+        for v in paths[rec.path_id].vertex_ids[1:-1]:
             assert g.degree(v) != 3
     s = report.summary()
     assert "strict_bound" in s
+
+
+def strict_records_by_loop(g, h, k):
+    """The strict records, one path at a time: each interior vertex has a finite radius at Δ3 and degree != 3."""
+    d3 = max_path_distance(fresh(g), h, 3, TOL)
+    paths = list(enumerate_paths(g, k))
+    return [
+        r
+        for r in match_all_paths(fresh(g), h, k, TOL)
+        if all(
+            math.isfinite(intersection_radius(g, v, d3)) and g.degree(v) != 3
+            for v in paths[r.path_id].vertex_ids[1:-1]
+        )
+    ]
+
+
+@pytest.mark.parametrize("pair", ["grid", "city"])
+def test_strict_keeps_the_records_the_per_path_loop_keeps(pair):
+    if pair == "grid":
+        g = grid_graph(4.0, 2.0)
+        h = generate_perturbed(PerturbationSpec(p=0.2, seed_count=1, rng_seed=4, extent=4.0, spacing=2.0))[0]
+    else:
+        g, h = city_pair(1, 3)
+    kept = []
+    for k in (1, 2, 3) if pair == "grid" else (1, 2):
+        every = match_all_paths(fresh(g), h, k, TOL)
+        expected = strict_records_by_loop(g, h, k)
+        assert directed_path_distance(fresh(g), h, k, TOL, strict=True).records == expected, k
+        kept.append((len(expected), len(every)))
+    # No link-1 path has an interior vertex; the filter keeps some link-2 paths, not all.
+    assert kept[0][0] == kept[0][1] and 1 < kept[1][0] < kept[1][1], kept
 
 
 def test_undirected_is_max_of_directions(grid6):

@@ -14,9 +14,13 @@ from pathdist.paths import VertexPath, canonical_walks, dart_table, enumerate_pa
 from oracles import (
     adjacency_from_edges,
     as_walks,
+    canonical_path,
     count_canonical_walks,
+    link_length,
+    path_key,
     random_geometric_graph,
     recursive_paths,
+    reversed_path,
     walk_geometry,
 )
 
@@ -38,7 +42,7 @@ def star(n=4):
 def test_single_edge_k1():
     paths = list(enumerate_paths(single_edge(), 1))
     assert len(paths) == 1
-    assert paths[0].link_length == 1
+    assert link_length(paths[0]) == 1
 
 
 def test_star_k2_contains_all_center_pairs():
@@ -58,9 +62,9 @@ def test_no_path_is_a_reverse_of_another():
     for k in (1, 2, 3):
         keys = set()
         for p in enumerate_paths(g, k):
-            assert p.key() not in keys
-            assert p.reversed().key() not in keys
-            keys.add(p.key())
+            assert path_key(p) not in keys
+            assert path_key(reversed_path(p)) not in keys
+            keys.add(path_key(p))
 
 
 def mixed_id_graph():
@@ -95,7 +99,7 @@ def test_enumeration_keeps_the_key_order_on_mixed_ids():
 
     for k in (1, 2, 3):
         expected = [
-            p for v in g.vertices for p in walks([v], [], k) if p.key() <= p.reversed().key()
+            p for v in g.vertices for p in walks([v], [], k) if path_key(p) <= path_key(reversed_path(p))
         ]
         assert list(enumerate_paths(g, k)) == expected, k
     assert VertexPath((9, 10, 9), ("p", 10)) in enumerate_paths(g, 2)
@@ -155,7 +159,7 @@ def test_array_enumeration_keeps_the_recursive_order(name, grid6):
             walks = canonical_walks(g, k)
             paths = list(enumerate_paths(g, k))
             assert paths == list(recursive_paths(g, k)), k
-            assert walks.paths() == paths and len(walks) == len(paths)
+            assert len(walks) == len(paths)
             # Read by index, the walks gather what their paths, checked hop by hop, do.
             curves, lengths = path_curves(g, walks, return_lengths=True)
             want, want_lengths = path_curves(g, as_walks(g, paths), return_lengths=True)
@@ -172,15 +176,15 @@ def test_array_enumeration_keeps_the_recursive_order(name, grid6):
 
 
 def assert_sub_rows_are_canonical_halves(g, k):
-    """Each link-``k`` walk's sub rows hold its prefix's and suffix's ``canonical()``, and gather their curves."""
+    """Each link-``k`` walk's sub rows hold its prefix's and suffix's ``canonical_path``, and gather their curves."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # k > 3 warns once per graph
-        paths = canonical_walks(g, k).paths()
-    shorter = canonical_walks(g, k - 1).paths()
+        paths = list(enumerate_paths(g, k))
+    shorter = list(enumerate_paths(g, k - 1))
     halves = [
         (
-            VertexPath(p.vertex_ids[:-1], p.edge_ids[:-1]).canonical(),
-            VertexPath(p.vertex_ids[1:], p.edge_ids[1:]).canonical(),
+            canonical_path(VertexPath(p.vertex_ids[:-1], p.edge_ids[:-1])),
+            canonical_path(VertexPath(p.vertex_ids[1:], p.edge_ids[1:])),
         )
         for p in paths
     ]
@@ -223,31 +227,6 @@ def test_paths_are_valid_walks(grid6):
             assert {p.vertex_ids[i], p.vertex_ids[i + 1]} == {e.u, e.v}
 
 
-def split_label(label: str) -> list[str]:
-    ids, current, chars = [], "", iter(label)
-    for c in chars:
-        if c == "\\":
-            current += next(chars)
-        elif c == "-":
-            ids.append(current)
-            current = ""
-        else:
-            current += c
-    return ids + [current]
-
-
-def test_label_is_unambiguous():
-    a = VertexPath(("a-b", "c"), ("e",))
-    b = VertexPath(("a", "b-c"), ("f",))
-    assert a.label() != b.label()
-    odd = VertexPath(("x\\", "-", "\\-", 3), (0, 1, 2))
-    for p in (a, b, odd):
-        assert split_label(p.label()) == [str(v) for v in p.vertex_ids]
-    # Ids without "-" or "\\" keep their text.
-    assert VertexPath((0, 12), ("e",)).label() == "0-12"
-    assert VertexPath(("v3_4", "v3_5"), ("e",)).label() == "v3_4-v3_5"
-
-
 def test_path_geometry_orientation_and_shared_points():
     g = EmbeddedGraph(
         [(0, (0, 0)), (1, (2, 0)), (2, (2, 2))],
@@ -256,7 +235,7 @@ def test_path_geometry_orientation_and_shared_points():
     p = VertexPath((0, 1, 2), ("a", "b"))
     geom = path_geometry(g, p)
     assert np.allclose(geom.points, [(0, 0), (2, 0), (2, 2)])
-    rev = path_geometry(g, p.reversed())
+    rev = path_geometry(g, reversed_path(p))
     assert np.allclose(rev.points, geom.points[::-1])
 
 
@@ -343,7 +322,7 @@ def test_path_curves_match_path_geometry_on_degenerate_joins(offset):
         paths = walks(g, k)
         assert_gathered_bit_for_bit(g, paths)
         assert_gathered_bit_for_bit(g, paths[::-1])
-    assert_gathered_bit_for_bit(g, [loop, loop.reversed(), into_c, out_of_d, out_of_d.reversed()])
+    assert_gathered_bit_for_bit(g, [loop, reversed_path(loop), into_c, out_of_d, reversed_path(out_of_d)])
     # A join onto a repeated point leaves it out of the curve, but not out of the length.
     assert path_curves(g, as_walks(g, [into_c]))[0].shape == (4, 2)
     assert path_curves(g, as_walks(g, [out_of_d]))[0].shape == (4, 2)
@@ -361,7 +340,7 @@ def test_each_curve_starts_with_its_own_first_point():
     )
     paths = [VertexPath((0, 1, 0), ("a", "b")), VertexPath((0, 1, 0), ("a", "a"))]
     assert_gathered_bit_for_bit(g, paths)
-    assert_gathered_bit_for_bit(g, [p.reversed() for p in paths[::-1]])
+    assert_gathered_bit_for_bit(g, [reversed_path(p) for p in paths[::-1]])
 
 
 def test_path_curves_match_path_geometry_on_bent_city_paths_and_sub_paths():
@@ -372,7 +351,7 @@ def test_path_curves_match_path_geometry_on_bent_city_paths_and_sub_paths():
             paths = list(enumerate_paths(g, k))
             assert_gathered_bit_for_bit(g, paths)
             if k > 1:
-                assert_gathered_bit_for_bit(g, [p.reversed() for p in paths])
+                assert_gathered_bit_for_bit(g, [reversed_path(p) for p in paths])
         for k in (2, 3, 4):
             assert_sub_rows_are_canonical_halves(g, k)
 
@@ -383,8 +362,9 @@ def test_path_record_lengths_are_path_geometry_lengths():
     from pathdist.pathdistance import iter_match_records
 
     g, h = small_city_pair(1)
+    paths = list(enumerate_paths(g, 2))
     for rec in iter_match_records(g, h, 2, 1e-3):
-        assert rec.length.hex() == path_geometry(g, rec.path).length().hex()
+        assert rec.length.hex() == path_geometry(g, paths[rec.path_id]).length().hex()
 
 
 def test_path_curves_validate_every_path():

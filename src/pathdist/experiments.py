@@ -26,7 +26,7 @@ from .atomic import atomic_write, write_json
 from .errors import InputError
 from .frechet import DEFAULT_TOLERANCE, check_tolerance
 from .graph import EmbeddedGraph, contract_degree_two, export_geojson, graph_stats, load_graph
-from .parallel import run_chunked, run_pool
+from .parallel import check_workers, run_chunked, run_pool
 from .pathdistance import (
     directions,
     path_distance_analysis,
@@ -265,8 +265,9 @@ class RunConfig:
         check_tolerance(self.tol)
         for k in self.k_values:
             check_link_length(k)
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
+        if len(set(self.k_values)) < len(self.k_values):
+            raise InputError(f"k_values must not repeat a link-length, got {self.k_values!r}")
+        check_workers(self.workers)
 
 
 def resolve_graph_files(spec: str) -> tuple[str, str]:

@@ -44,16 +44,21 @@ The paths of a map share most of their vertices and edges, so
 the distinct curve points x graph segments and one of the joints x distinct
 oriented curve segments per window of curves.  A problem holds its rows and
 columns of the window's tables and gathers its own quadratics only when it
-first steps alone.  Many decisions on a window at one eps, as the early
-exits of :func:`~pathdist.pathdistance.max_path_distance` make, share one
-root step over the whole window instead (see :meth:`_Window.tables`); the
-step is elementwise, so both routes give the same floats.  Windows are
-bounded by a fixed number of table cells, and the lists a window keeps from
-its last step by the same number, so memory stays bounded on large maps; a
-lone curve is the one-curve window.  All curves prepared together are keyed
-in a few array passes: one sort gives every point an id by its bit pattern
-and one every oriented segment, and each window numbers its ids in the
-order its curves first meet them, so table rows keep the curves' order.
+first steps alone.  The first decision on a window at a new eps steps its
+own rows; a second at that eps steps the whole window, and later ones read
+their rows off it (see :meth:`_Window.tables`).  A run of decisions at one
+eps, as the early exits of :func:`~pathdist.pathdistance.max_path_distance`
+make, thus costs one own step plus one window step of at most
+``_WINDOW_CELLS`` cells (or one curve's cells, for a curve that exceeds
+them alone), and a bisection, which asks each eps once, never steps the
+window.  The step is elementwise, so both routes give the same floats.
+Windows are bounded by a fixed number of table cells, and the lists a
+window keeps from its last step by the same number, so memory stays
+bounded on large maps; a lone curve is the one-curve window.  All curves
+prepared together are keyed in a few array passes: one sort gives every
+point an id by its bit pattern and one every oriented segment, and each
+window numbers its ids in the order its curves first meet them, so table
+rows keep the curves' order.
 """
 
 from __future__ import annotations
@@ -181,13 +186,6 @@ def prepare_problems(curves: Iterable[np.ndarray], h: EmbeddedGraph) -> Iterator
 # exceeds it alone).
 _WINDOW_CELLS = 1 << 14
 
-# The fixed cost of one root step, in table cells: what a ``_step`` call
-# costs beyond its cells, plus a problem's first ``gather``.  A linear fit
-# of ``_step`` time against cells, over one-curve tables (350-2300 cells)
-# and whole-window tables (6500-16400 cells) of the study's grids and a
-# 3x3-block city, gave about 12 us + 24 ns per cell (about 530 cells) on a
-# 2-vCPU x86 VM with numpy 2; a first gather adds about 5.7 us (about 240).
-_STEP_CELLS = 770
 
 def _families(curves: Iterable[np.ndarray], h: EmbeddedGraph):
     """Yield ``(points, window, rows, cols)`` per curve; all but ``points`` are None below two points.
@@ -332,7 +330,7 @@ class _Window:
     of ``jn``.
     """
 
-    __slots__ = ("geom", "cv_terms", "jn_terms", "cv", "jn", "cells", "asked", "spent", "eps", "free", "lo", "hi")
+    __slots__ = ("geom", "cv_terms", "jn_terms", "cv", "jn", "asked", "eps", "free", "lo", "hi")
 
     def __init__(self, geom, table: np.ndarray, starts: np.ndarray, stops: np.ndarray):
         S, J = geom.n_segments, geom.joint_pos.shape[0]
@@ -347,9 +345,7 @@ class _Window:
         )
         self.jn_terms[3 * J], self.jn_terms[3 * J + 1] = self.jn.qa4, self.jn.den
         self.geom = geom
-        self.cells = len(table) * S + J * len(starts)
         self.asked = self.eps = None
-        self.spent = 0
 
     def gather(self, rows: list, cols: list):
         """The ``(cv, jn)`` quadratics of the curve with these rows and columns."""
@@ -367,21 +363,16 @@ class _Window:
     def tables(self, rows: list, cols: list, eps: float):
         """:meth:`MatchProblem.tables` from the window's step at ``eps``, or None to step alone.
 
-        Each step is priced in cells: its table cells plus ``_STEP_CELLS``,
-        the fixed cost of one call.  The window steps only once the prices
-        of the steps its curves took alone at ``eps`` (since it was last
-        asked another eps), plus this curve's, would reach the price of its
-        own step.  A run of decisions at one eps, as the early exits of
-        :func:`~pathdist.pathdistance.max_path_distance` make, then costs at
-        most twice what stepping every curve alone would, and usually much
-        less; a lone eps, as in a bisection, steps its curve alone.
+        The first decision at a new eps steps its own rows; the second at
+        that eps steps the whole window, and later ones read their rows off
+        it.  A run of decisions at one eps, as the early exits of
+        :func:`~pathdist.pathdistance.max_path_distance` make, thus costs
+        one own step and one window step; a run of distinct eps, as in a
+        bisection, never steps the window.
         """
         if eps != self.eps:
             if eps != self.asked:
-                self.asked, self.spent = eps, 0
-            S, J = self.geom.n_segments, self.geom.joint_pos.shape[0]
-            self.spent += len(rows) * S + J * len(cols) + _STEP_CELLS
-            if self.spent < self.cells + _STEP_CELLS:
+                self.asked = eps
                 return None
             self.step(eps)
         free, lo, hi = self.free, self.lo, self.hi

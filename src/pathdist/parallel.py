@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import numbers
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +29,7 @@ from .errors import InputError
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["split_chunks", "iter_chunked", "run_chunked", "run_pool"]
+__all__ = ["check_workers", "split_chunks", "iter_chunked", "run_chunked", "run_pool"]
 
 
 # The open run pool: the process that opened it, the pool and its worker count.
@@ -43,6 +44,12 @@ def _open_run() -> tuple[ProcessPoolExecutor, int] | None:
     return _run[1:] if _run is not None and _run[0] == os.getpid() else None
 
 
+def check_workers(workers) -> None:
+    """Raise :class:`InputError` unless ``workers`` is an integer >= 1; a bool is not one."""
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise InputError(f"workers must be >= 1 and an integer, got {workers!r}")
+
+
 @contextlib.contextmanager
 def run_pool(workers: int):
     """Serve every chunked call inside the block from one pool of ``workers`` processes.
@@ -52,11 +59,10 @@ def run_pool(workers: int):
     joined before it returns.  With one worker the block opens nothing, so
     chunked calls inside it run serially.  Inside an open run pool the block
     opens nothing either: calls inside it use the outer pool and its count.
-    ``workers`` below 1 raises :class:`InputError`.
+    ``workers`` that :func:`check_workers` refuses raise :class:`InputError`.
     """
     global _run
-    if workers < 1:
-        raise InputError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     if workers == 1 or _open_run() is not None:
         yield
         return

@@ -289,22 +289,27 @@ def iter_match_records(
     Each record's path is its row of
     :func:`~pathdist.paths.canonical_walks` ``(g, k)``, and ``g``
     remembers every value computed here by that row (see
-    :func:`_computed`).  Each path is bisected under the larger of its
-    prefix's and suffix's values, computed first if ``g`` does not remember
-    them, which saves most decisions and changes no value.
+    :func:`_computed`).  A path that is not in ``known`` but whose value
+    ``g`` remembers takes that value; only the rest are computed.  Each is
+    bisected under the larger of its prefix's and suffix's values,
+    computed first if ``g`` does not remember them, which saves most
+    decisions and changes no value.
     """
     check_tolerance(tol)
     if h.is_empty():
         raise StructuralError("no path exists: the target graph is empty")
     walks = canonical_walks(g, k)
     curves, lengths = path_curves(g, walks, return_lengths=True)
-    todo = [i for i in range(len(walks)) if known is None or i not in known]
+    remembered = _computed(g, h, tol).get(k)
+    values = remembered.tolist() if remembered is not None else [math.nan] * len(walks)
+    if known:
+        values = [known.get(i, d) for i, d in enumerate(values)]
+    todo = [i for i, d in enumerate(values) if math.isnan(d)]
     chunks = _distances(g, h, k, np.asarray(todo, dtype=np.intp), [curves[i] for i in todo], tol)
     # Chunks are pulled one at a time, as the records that need them are taken.
     distances = (d for chunk in chunks for d in chunk)
-    for i, length in enumerate(lengths):
-        d = known[i] if known is not None and i in known else next(distances)
-        yield PathRecord(i, walks, length, d)
+    for i, (length, d) in enumerate(zip(lengths, values)):
+        yield PathRecord(i, walks, length, next(distances) if math.isnan(d) else d)
 
 
 def match_all_paths(

@@ -293,3 +293,11 @@ def test_run_config_rejects_a_link_length_that_is_not_an_integer_of_at_least_one
     # Rejected before run_all writes any file.
     with pytest.raises(InputError, match="link-length"):
         RunConfig("g", "h", str(tmp_path / "out"), k_values=k_values)
+
+
+@pytest.mark.parametrize("k_values", [(1, 1), (1, 2, 1)])
+def test_run_config_rejects_a_repeated_link_length(tmp_path, k_values):
+    # Each k writes its artifacts once, and the manifest lists each file once.
+    with pytest.raises(InputError, match="repeat"):
+        RunConfig("g", "h", str(tmp_path / "out"), k_values=k_values)
+    assert not (tmp_path / "out").exists()

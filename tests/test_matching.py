@@ -582,7 +582,6 @@ def assert_keyed_like_bytes(curves, h) -> int:
         want = matching._Window(geom, table, starts, stops)
         assert window.cv_terms.tobytes() == want.cv_terms.tobytes()
         assert window.jn_terms.tobytes() == want.jn_terms.tobytes()
-        assert window.cells == want.cells
     return len(windows)
 
 
@@ -670,32 +669,39 @@ def test_window_step_decides_like_each_curve_alone(monkeypatch, offset, budget):
     assert 0 < served["steps"] < served["reads"]
 
 
-def test_a_run_at_one_eps_costs_at_most_twice_stepping_alone(monkeypatch):
-    # Every root step is priced at its cells plus the fixed cost of a call;
-    # the window steps once, when its curves' own steps would cost as much.
-    h, curves = chunk_case(np.zeros(2))
-    geom = matching.surface_geometry(h)
-    prices = []
+def test_a_window_steps_at_the_second_decision_at_one_eps(monkeypatch):
+    # The first decision at a new eps steps its own rows, the second steps
+    # the whole window once, and later ones at that eps read their rows;
+    # the window is many times larger than one curve's rows.
+    from pathdist.paths import canonical_walks, path_curves
+
+    h = grid_graph()
+    g = generate_perturbed(PerturbationSpec(p=0.3, seed_count=1, rng_seed=2))[0]
+    curves = path_curves(g, canonical_walks(g, 2))
+    stepped = []
     step = matching._step
 
-    def priced(cv, jn, eps):
-        prices.append(cv.qb2.size + jn.qb2.size + matching._STEP_CELLS)
+    def counted(cv, jn, eps):
+        stepped.append((cv, eps))
         return step(cv, jn, eps)
 
-    monkeypatch.setattr(matching, "_step", priced)
-    problems = [p for p in prepare_problems(curves, h) if p.window]
+    monkeypatch.setattr(matching, "_step", counted)
+    problems = list(prepare_problems(curves, h))
     window = problems[0].window
-    alone = 0
+    assert all(p.window is window for p in problems)
+    assert window.cv_terms[0].size > 10 * problems[0].cv.qb2.size
     for _ in range(3):
         for problem in problems:
-            match_decision(problem, h, 5.0)
-            alone += len(problem.rows) * geom.n_segments + geom.joint_pos.shape[0] * len(problem.cols)
-            alone += matching._STEP_CELLS
-            assert sum(prices) <= 2 * alone
-    whole = window.cells + matching._STEP_CELLS
-    assert prices.count(whole) == 1
-    # ...and not later: the steps alone before it cost less than its own.
-    assert sum(prices[: prices.index(whole)]) < whole
+            match_decision(problem, h, 0.3)
+    assert [(cv is problems[0].cv, eps) for cv, eps in stepped] == [(True, 0.3), (False, 0.3)]
+    assert stepped[1][0] is window.cv
+    # A run of distinct eps, as in a bisection, steps each curve alone.
+    stepped.clear()
+    problems = list(prepare_problems(curves, h))
+    for i, problem in enumerate(problems):
+        match_decision(problem, h, 0.1 + 0.01 * i)
+    map_match_distance(problems[0], h, 1e-3)
+    assert len(stepped) > len(problems) and all(cv is not problems[0].window.cv for cv, _ in stepped)
 
 
 @pytest.mark.parametrize("offset", [(0.0, 0.0), (5e5, 4.5e6)])

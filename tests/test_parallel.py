@@ -5,6 +5,7 @@ import functools
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 import pathdist.parallel as parallel
@@ -17,9 +18,12 @@ from pathdist.experiments import (
     generate_perturbed,
     grid_graph,
     run_all,
+    run_perturbation_study,
 )
 from pathdist.graph import write_graph_csv
 from pathdist.parallel import iter_chunked, run_chunked, run_pool
+
+from oracles import fresh
 
 # How often this process unpickled a ``_Target``; each worker starts at 0.
 _TARGET_LOADS = 0
@@ -105,6 +109,25 @@ def test_worker_count_below_one_raises_input_error(workers):
             pass
 
 
+@pytest.mark.parametrize("workers", [2.5, True, "2", None])
+def test_worker_count_that_is_not_an_integer_raises_input_error(workers, tmp_path):
+    # Every entry point refuses it at once, before any pool starts.
+    match = "workers must be >= 1 and an integer"
+    with pytest.raises(InputError, match=match):
+        with run_pool(workers):
+            pass
+    with pytest.raises(InputError, match=match):
+        RunConfig("g", "h", str(tmp_path / "out"), workers=workers)
+    with pytest.raises(InputError, match=match):
+        run_perturbation_study([0.3], 1, k=1, workers=workers)
+    assert _no_children_left()
+
+
+def test_a_numpy_integer_is_a_worker_count():
+    with run_pool(np.int64(1)):
+        assert run_chunked(sum, [1, 2]) == [3]
+
+
 def test_each_worker_unpickles_the_function_once_per_run(counting_pool):
     fn = functools.partial(_loads_so_far, _Target())
     with run_pool(2):
@@ -163,7 +186,8 @@ def test_library_calls_share_the_open_pool(in_run, counting_pool, monkeypatch, t
         lambda: pathdistance.undirected_path_distance(g, h, 2),
         lambda: pathdistance.separation_census(g, h),
         lambda: pathdistance.path_distance_analysis(g, h, 3),
-        lambda: pathdistance.directed_path_distance(g, h, 2, strict=True),
+        # A cold copy: g remembers every value the report and Δ3 need by now.
+        lambda: pathdistance.directed_path_distance(fresh(g), h, 2, strict=True),
     ]
     with run_pool(2) if in_run else contextlib.nullcontext():
         for call in calls:

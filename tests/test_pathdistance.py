@@ -99,7 +99,7 @@ def test_workers_do_not_change_records(grid6):
     gp = generate_perturbed(spec)[0]
     r1 = match_all_paths(gp, grid6, 2, TOL)
     with run_pool(3):
-        r2 = match_all_paths(gp, grid6, 2, TOL)
+        r2 = match_all_paths(fresh(gp), grid6, 2, TOL)
     assert [r.distance for r in r1] == [r.distance for r in r2]
 
 
@@ -410,6 +410,34 @@ def test_a_graph_remembers_only_the_values_it_computed(grid6):
     match_all_paths(g, grid6, 2, TOL)
     assert memo[1][0] == match_all_paths(fresh(g), grid6, 1, TOL)[0].distance
     assert not np.isnan(memo[2]).any()
+
+
+def test_remembered_records_are_not_computed_again(monkeypatch):
+    # A second call yields the values g remembers and computes only the
+    # rows it lacks; known= still comes first.
+    import pathdist.matching as matching
+    import pathdist.pathdistance as pathdistance
+
+    g, h = city_pair(0, 3)
+    first = {k: match_all_paths(g, h, k, TOL) for k in (2, 1)}
+    decisions, bisected = [], []
+    decide, bisect = matching.match_decision, pathdistance.map_match_distance
+    monkeypatch.setattr(matching, "match_decision", lambda *a, **kw: decisions.append(a[2]) or decide(*a, **kw))
+    monkeypatch.setattr(pathdistance, "map_match_distance", lambda *a, **kw: bisected.append(a) or bisect(*a, **kw))
+    for k in (1, 2):
+        assert match_all_paths(g, h, k, TOL) == first[k]
+        assert list(iter_match_records(g, h, k, TOL)) == first[k]
+    resumed = match_all_paths(g, h, 2, TOL, known={0: 123.0})
+    assert resumed[0].distance == 123.0 and resumed[1:] == first[2][1:]
+    report, _, _ = path_distance_analysis(g, h, 2, TOL)
+    assert report.records == first[2]
+    assert decisions == [] and bisected == []
+    # A graph that remembers some rows computes the others alone.
+    partial = fresh(g)
+    match_all_paths(partial, h, 1, TOL, known={0: 0.0, 3: 0.0})
+    bisected.clear()
+    assert match_all_paths(partial, h, 1, TOL) == first[1]
+    assert len(bisected) == 2
 
 
 def test_a_remembered_maximum_decides_nothing_and_builds_no_path(monkeypatch):
@@ -1209,6 +1237,59 @@ def test_strict_keeps_the_records_the_per_path_loop_keeps(pair):
         kept.append((len(expected), len(every)))
     # No link-1 path has an interior vertex; the filter keeps some link-2 paths, not all.
     assert kept[0][0] == kept[0][1] and 1 < kept[1][0] < kept[1][1], kept
+
+
+def plus_lattice(rng, jitter: float, n: int = 3, spacing: float = 100.0) -> EmbeddedGraph:
+    """An n x n lattice of degree-4 crossings whose boundary streets end in degree-1 stubs.
+
+    Every vertex moves by uniform offsets in [-jitter, jitter] per coordinate.
+    """
+    inside = range(n)
+    # Crossings have both indices inside, stubs one.
+    cells = [(i, j) for i in range(-1, n + 1) for j in range(-1, n + 1) if i in inside or j in inside]
+    moved = rng.uniform(-jitter, jitter, size=(len(cells), 2))
+    vertices = [(f"{i},{j}", (i * spacing + dx, j * spacing + dy)) for (i, j), (dx, dy) in zip(cells, moved)]
+    edges = []
+    for i, j in cells:
+        for a, b in ((i + 1, j), (i, j + 1)):
+            # A street joins neighbours of which at least one is a crossing.
+            if (a, b) in cells and (i in inside and j in inside or a in inside and b in inside):
+                edges.append((len(edges), (f"{i},{j}", f"{a},{b}")))
+    return EmbeddedGraph(vertices, edges)
+
+
+def assert_strict_bound_bounds_link_4_paths(seed, jitter_g, jitter_h):
+    """The --strict bound 2r + Δ3 is defined on two plus lattices and bounds their k=4 distance.
+
+    Every vertex is a degree-4 crossing or a stub, and streets are long
+    against the jitter, so every vertex qualifies; the paper's guarantee
+    says the bound then holds for longer paths too.
+    """
+    rng = np.random.default_rng(seed)
+    g, h = plus_lattice(rng, jitter_g), plus_lattice(rng, jitter_h)
+    assert sorted({g.degree(v) for v in g.vertices}) == [1, 4]
+    bound = directed_path_distance(g, h, 1, TOL, strict=True).strict_bound
+    assert bound is not None
+    with pytest.warns(UserWarning, match="link-length 4"):
+        d4 = max_path_distance(g, h, 4, TOL)
+    assert d4 <= bound, (d4, bound)
+    return d4, bound
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_strict_bound_bounds_link_4_paths_on_a_plus_lattice(seed):
+    d4, bound = assert_strict_bound_bounds_link_4_paths(seed, 6.0, 6.0)
+    assert 0.0 < d4 < bound
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    jitter_g=st.floats(0.0, 6.0),
+    jitter_h=st.floats(0.0, 6.0),
+)
+def test_strict_bound_bounds_link_4_paths_on_jittered_plus_lattices(seed, jitter_g, jitter_h):
+    assert_strict_bound_bounds_link_4_paths(seed, jitter_g, jitter_h)
 
 
 def test_undirected_is_max_of_directions(grid6):

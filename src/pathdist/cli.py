@@ -65,25 +65,23 @@ class _Parser(argparse.ArgumentParser):
 def load_curve(path) -> PolyLine:
     """Curve CSV: one ``x,y`` row per point; optional ``x,y`` header on line 1."""
     pts = []
-    for lineno, row in csv_rows(path):
-        if lineno == 1 and row[0].lower() == "x":
-            continue
+    for lineno, row in csv_rows(open_text(path), "x"):
         if len(row) != 2:
             raise ParseError(f"curve row needs 2 fields, got {len(row)}", lineno)
         pts.append(finite_numbers(row, "curve coordinates", lineno))
     return PolyLine(pts)
 
 
-def _read_config(path) -> dict[str, str]:
+def _read_config(path) -> dict[str, tuple[int, str]]:
     out = {}
-    for raw in open_text(path):
+    for lineno, raw in enumerate(open_text(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise PathdistError(f"config line without '=': {raw.strip()!r}")
+            raise ParseError(f"config line without '=': {raw.strip()!r}", lineno)
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        out[key.strip().replace("-", "_")] = lineno, value.strip()
     return out
 
 
@@ -105,7 +103,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.Ar
     # Only the subcommand's own flags take values; a value must pass the flag's choices too.
     flags = {a.dest: a for a in command._actions if a.option_strings and hasattr(args, a.dest)}
     defaults = {}
-    for key, raw in _read_config(args.config).items():
+    for key, (lineno, raw) in _read_config(args.config).items():
         if key not in flags:
             continue
         current = getattr(args, key)
@@ -113,21 +111,21 @@ def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.Ar
         if isinstance(current, bool):
             value = _CONFIG_BOOLS.get(raw.lower())
             if value is None:
-                raise PathdistError(f"config key {key!r}: {raw!r} is not a valid bool")
+                raise ParseError(f"config key {key!r}: {raw!r} is not a valid bool", lineno)
         elif isinstance(current, (int, float)):
             try:
                 value = type(current)(raw)
             except ValueError:
                 kind = type(current).__name__
-                raise PathdistError(f"config key {key!r}: {raw!r} is not a valid {kind}") from None
+                raise ParseError(f"config key {key!r}: {raw!r} is not a valid {kind}", lineno) from None
         elif flags[key].type is not None:
             try:
                 value = flags[key].type(raw)
             except argparse.ArgumentTypeError as exc:
-                raise PathdistError(f"config key {key!r}: {exc}") from None
+                raise ParseError(f"config key {key!r}: {exc}", lineno) from None
         choices = flags[key].choices
         if choices is not None and value not in choices:
-            raise PathdistError(f"config key {key!r}: {raw!r} is not one of {list(choices)}")
+            raise ParseError(f"config key {key!r}: {raw!r} is not one of {list(choices)}", lineno)
         defaults[key] = value
     command.set_defaults(**defaults)
     return parser.parse_args(argv)

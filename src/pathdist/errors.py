@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer test behind argument errors."""
+
+import numbers
 
 
 class PathdistError(Exception):
@@ -21,3 +23,8 @@ class ParseError(PathdistError):
 
 class StructuralError(PathdistError):
     """Graph structure violations (dangling endpoints, self-loops, bad ids)."""
+
+
+def is_integer(x, least: int) -> bool:
+    """Whether ``x`` is an integer (a bool is not one) of at least ``least``."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least

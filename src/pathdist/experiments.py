@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write, write_json
-from .errors import InputError
+from .errors import InputError, is_integer
 from .frechet import DEFAULT_TOLERANCE, check_tolerance
 from .graph import EmbeddedGraph, contract_degree_two, export_geojson, graph_stats, load_graph
 from .parallel import check_workers, run_chunked, run_pool
@@ -53,11 +52,6 @@ def _check_grid(extent: float, spacing: float) -> None:
     """Raise :class:`InputError` unless ``extent`` and ``spacing`` are finite and positive."""
     if not (0.0 < extent < math.inf and 0.0 < spacing < math.inf):
         raise InputError("grid extent and spacing must be positive and finite")
-
-
-def _is_int(x, least: int) -> bool:
-    """Whether ``x`` is an integer (a bool is not one) of at least ``least``."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least
 
 
 def grid_graph(extent: float = 10.0, spacing: float = 2.0) -> EmbeddedGraph:
@@ -95,10 +89,10 @@ class PerturbationSpec:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise InputError("perturbation index p must be in [0, 1]")
-        if not _is_int(self.seed_count, 1):
+        if not is_integer(self.seed_count, 1):
             raise InputError(f"seed_count must be an integer >= 1, got {self.seed_count!r}")
         for seed in self.rng_seed if isinstance(self.rng_seed, tuple) else (self.rng_seed,):
-            if not _is_int(seed, 0):
+            if not is_integer(seed, 0):
                 raise InputError(f"rng_seed must be a non-negative integer or a tuple of them, got {seed!r}")
         _check_grid(self.extent, self.spacing)
 

@@ -157,12 +157,23 @@ def open_text(path) -> io.StringIO:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason}", line) from None
 
 
-def csv_rows(path):
-    """``(line number, stripped cells)`` of each non-blank row of a CSV file."""
-    for lineno, row in enumerate(csv.reader(open_text(path)), start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        yield lineno, [cell.strip() for cell in row]
+def csv_rows(fh, header: str):
+    """``(line, stripped cells)`` of each non-blank CSV row of the open text ``fh``.
+
+    ``line`` is the file line the row starts on.  A row on line 1 whose first
+    cell, in any case, is ``header`` (lower case) is skipped.  A ``csv.Error``
+    raises a :class:`ParseError` at the line of its row.
+    """
+    reader = csv.reader(fh)
+    line = 1
+    try:
+        for row in reader:
+            cells = [cell.strip() for cell in row]
+            if any(cells) and not (line == 1 and cells[0].lower() == header):
+                yield line, cells
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(str(exc), line) from None
 
 
 def finite_numbers(cells: list[str], what: str, lineno: int, low: float = -math.inf) -> list[float]:
@@ -180,16 +191,14 @@ def load_graph(vertex_file, edge_file) -> EmbeddedGraph:
     """Load a graph from two CSV files.
 
     Vertex rows are ``id,x,y``; edge rows are ``id,u,v[,x1,y1,x2,y2,...]``
-    where the optional trailing floats are interior polyline points.  A
-    header row is skipped when its first cell is literally ``id``.  A
-    malformed row, a coordinate that is not a finite number and a self-loop
-    raise a :class:`ParseError` that names the line.
+    where the optional trailing floats are interior polyline points, each
+    file with an optional ``id`` header (:func:`csv_rows`).  A malformed
+    row, a coordinate that is not a finite number and a self-loop raise a
+    :class:`ParseError` that names the line.
     """
     vertices: list[tuple[str, tuple[float, float]]] = []
     seen_v: set[str] = set()
-    for lineno, row in csv_rows(vertex_file):
-        if lineno == 1 and row[0].lower() == "id":
-            continue
+    for lineno, row in csv_rows(open_text(vertex_file), "id"):
         if len(row) != 3:
             raise ParseError(f"vertex row needs 3 fields, got {len(row)}", lineno)
         vid = row[0]
@@ -202,9 +211,7 @@ def load_graph(vertex_file, edge_file) -> EmbeddedGraph:
 
     edges: list[tuple[str, tuple]] = []
     seen_e: set[str] = set()
-    for lineno, row in csv_rows(edge_file):
-        if lineno == 1 and row[0].lower() == "id":
-            continue
+    for lineno, row in csv_rows(open_text(edge_file), "id"):
         if len(row) < 3 or len(row) % 2 == 0:
             raise ParseError(
                 f"edge row needs id,u,v plus x,y pairs; got {len(row)} fields", lineno

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import numbers
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
-from .errors import InputError
+from .errors import InputError, is_integer
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -46,7 +45,7 @@ def _open_run() -> tuple[ProcessPoolExecutor, int] | None:
 
 def check_workers(workers) -> None:
     """Raise :class:`InputError` unless ``workers`` is an integer >= 1; a bool is not one."""
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+    if not is_integer(workers, 1):
         raise InputError(f"workers must be >= 1 and an integer, got {workers!r}")
 
 

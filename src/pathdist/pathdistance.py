@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InputError, ParseError, StructuralError
 from .frechet import DEFAULT_TOLERANCE, check_tolerance, discrete_frechet
 from .geometry import DiscQuadratic, PolyLine, max_distance_to_point
-from .graph import EmbeddedGraph, VertexId, finite_numbers
+from .graph import EmbeddedGraph, VertexId, csv_rows, finite_numbers
 from .matching import map_match_distance, prepare_problems
 from .parallel import iter_chunked, run_chunked
 from .paths import Walks, canonical_walks, dart_table, path_curves, sub_rows
@@ -526,8 +526,6 @@ def intersection_radius(g: EmbeddedGraph, v: VertexId, d: float) -> float:
         for pts in geoms:
             vec = pts[1] - pts[0]
             norm = float(np.hypot(*vec))
-            if norm == 0.0:
-                return math.inf
             dirs.append(vec / norm)
             lengths.append(norm)
         min_theta = math.pi
@@ -614,20 +612,19 @@ def read_records_csv(fh) -> dict[int, float]:
     The writer ends every row with a newline and flushes it, so a last line
     without one was cut off mid-write (say, by a crash) and is dropped.  Any
     other malformed row, or a distance that is not a finite number >= 0,
-    raises a :class:`ParseError` with its line number.
+    raises a :class:`ParseError` with its line number.  The ``path_id``
+    header is optional (:func:`csv_rows`).
     """
     text = fh.read()
     if not text.endswith("\n"):
         text = text[: text.rfind("\n") + 1]
     out: dict[int, float] = {}
-    reader = csv.reader(io.StringIO(text))
-    next(reader, None)  # header
-    for row in filter(None, reader):
+    for lineno, row in csv_rows(io.StringIO(text), "path_id"):
         if len(row) != 4:
-            raise ParseError(f"report row needs 4 fields, got {len(row)}", reader.line_num)
+            raise ParseError(f"report row needs 4 fields, got {len(row)}", lineno)
         try:
             path_id = int(row[0])
         except ValueError as exc:
-            raise ParseError(f"bad report row: {exc}", reader.line_num) from exc
-        out[path_id] = finite_numbers(row[3:], "match distance", reader.line_num, 0.0)[0]
+            raise ParseError(f"bad report row: {exc}", lineno) from exc
+        out[path_id] = finite_numbers(row[3:], "match distance", lineno, 0.0)[0]
     return out

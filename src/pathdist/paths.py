@@ -19,14 +19,13 @@ read the rows by index.  :class:`VertexPath` objects are built only by
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import InputError, StructuralError
+from .errors import InputError, StructuralError, is_integer
 from .geometry import PolyLine
 from .graph import EdgeId, EmbeddedGraph, VertexId
 
@@ -161,7 +160,7 @@ class Walks:
 
 def check_link_length(k) -> None:
     """Raise :class:`InputError` unless ``k`` is an integer >= 1 (a bool is not one)."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+    if not is_integer(k, 1):
         raise InputError(f"link-length k must be an integer >= 1, got {k!r}")
 
 

@@ -17,7 +17,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .errors import InputError, ParseError, StructuralError
-from .graph import EmbeddedGraph, finite_numbers, linestring_collection, write_geojson
+from .graph import EmbeddedGraph, csv_rows, finite_numbers, linestring_collection, write_geojson
 from .svgplot import CURVE_COLORS, PLOT_SIZE, SvgCanvas, ramp_color, world_transform
 
 __all__ = [
@@ -246,16 +246,15 @@ def write_signature_csv(sig: SignatureMap, fh) -> None:
 def read_signature_csv(fh) -> list[tuple[str, float, float]]:
     """(edge_id, length, signature) triples from a signature CSV.
 
-    A malformed row, or a length or signature that is not a finite number
-    >= 0, raises a :class:`ParseError` with its line number.
+    An ``edge_id`` header is optional (:func:`csv_rows`).  A malformed row,
+    or a length or signature that is not a finite number >= 0, raises a
+    :class:`ParseError` with its line number.
     """
-    reader = csv.reader(fh)
-    next(reader, None)  # header
     rows = []
-    for row in filter(None, reader):
+    for lineno, row in csv_rows(fh, "edge_id"):
         if len(row) != 3:
-            raise ParseError(f"signature row needs 3 fields, got {len(row)}", reader.line_num)
-        length, value = finite_numbers(row[1:], "signature row", reader.line_num, 0.0)
+            raise ParseError(f"signature row needs 3 fields, got {len(row)}", lineno)
+        length, value = finite_numbers(row[1:], "signature row", lineno, 0.0)
         rows.append((row[0], length, value))
     return rows
 

@@ -644,6 +644,24 @@ def random_geometric_graph(rng: np.random.Generator, n_vertices: int, extra_edge
     return EmbeddedGraph(vertices, edges)
 
 
+def with_bends(g, rng: np.random.Generator, shift=(0.0, 0.0)):
+    """Copy of ``g``, moved by ``shift``, whose edges bend at one to three points.
+
+    Each bend sits at a uniform fraction in [0.15, 0.85] of its edge and
+    leaves it along the edge normal by up to a fifth of the edge's length.
+    """
+    from pathdist.graph import EmbeddedGraph
+
+    edges = []
+    for eid, e in g.edges.items():
+        a, b = (np.asarray(g.vertices[x], float) for x in (e.u, e.v))
+        normal = np.array([b[1] - a[1], a[0] - b[0]])
+        ts = np.sort(rng.uniform(0.15, 0.85, int(rng.integers(1, 4))))
+        bends = [a + t * (b - a) + rng.uniform(-0.2, 0.2) * normal for t in ts]
+        edges.append((eid, (e.u, e.v, [pt + shift for pt in (a, *bends, b)])))
+    return EmbeddedGraph([(v, (p.x + shift[0], p.y + shift[1])) for v, p in g.vertices.items()], edges)
+
+
 def random_curve_near_graph(rng: np.random.Generator, g, n_points: int, step: float) -> np.ndarray:
     """A short random walk starting near a random vertex of the graph."""
     ids = list(g.vertices)

@@ -33,6 +33,7 @@ from oracles import (
     random_curve_near_graph,
     random_geometric_graph,
     resample_points,
+    with_bends,
 )
 
 TOL = 1e-3
@@ -155,6 +156,25 @@ def test_criterion_6_map_matching_oracle_equivalence():
             # The link-length <= 6 vertex-path family can only overestimate.
             enum = DiscreteMatchOracle(h, kmax=6, spacing=s)
             ok &= impl <= enum.match_distance(curve) + TOL + s
+    # Targets whose edges bend one to three times, and targets with one to
+    # three isolated vertices, each a constant matched path of its own.
+    for kind, seed in (("bent", 3141), ("isolated", 1618)):
+        rng = np.random.default_rng(seed)
+        for _ in range(16):
+            h = random_geometric_graph(
+                np.random.default_rng(int(rng.integers(1 << 30))), int(rng.integers(5, 9)), 2, 1.0
+            )
+            if kind == "bent":
+                h = with_bends(h, rng)
+            else:
+                lonely = rng.uniform(-0.25, 1.25, (int(rng.integers(1, 4)), 2))
+                h = EmbeddedGraph(
+                    [*h.vertices.items(), *((len(h.vertices) + j, tuple(p)) for j, p in enumerate(lonely))],
+                    [(eid, (e.u, e.v, e.geometry)) for eid, e in h.edges.items()],
+                )
+            curve = random_curve_near_graph(rng, h, 4, 0.25)
+            impl = map_match_distance(PolyLine(curve), h, TOL)
+            ok &= abs(impl - DenseWalkOracle(h, spacing=s / 2).match_distance(curve)) <= TOL + s
     report(6, "map-matching vs brute-force oracle", ok)
 
 

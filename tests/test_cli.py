@@ -466,6 +466,54 @@ def test_a_bad_byte_after_a_byte_order_mark_names_its_line(case, graph_dirs, tmp
     assert f"line {len(lines)}:" in capsys.readouterr().err
 
 
+CSV_FILES = [case for case in INPUT_FILES if case != "config"]
+
+
+def write_lines(target, lines) -> None:
+    """Write ``lines`` to ``target``, each ending in a newline."""
+    target.write_text("".join(line + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("case", CSV_FILES)
+def test_an_unmatched_quote_in_a_large_file_exits_2_with_its_line(case, graph_dirs, tmp_path, capsys):
+    # The quoted field runs on to the end of the file, past the csv module's field size limit.
+    target, argv = input_file(case, graph_dirs, tmp_path)
+    lines = target.read_text().splitlines()
+    lines[1] = '"' + lines[1]
+    lines.extend([lines[-1]] * (1 + (128 << 10) // len(lines[-1])))
+    write_lines(target, lines)
+    assert target.stat().st_size > 128 << 10
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "line 2: field larger than field limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", CSV_FILES)
+def test_a_row_after_a_field_that_spans_lines_names_its_own_line(case, graph_dirs, tmp_path, capsys):
+    target, argv = input_file(case, graph_dirs, tmp_path)
+    lines = target.read_text().splitlines()
+    # Line 2's last field now ends in a quoted newline, so its row takes lines 2 and 3.
+    first, _, last = lines[1].rpartition(",")
+    lines[1] = f'{first},"{last}\n"'
+    lines.insert(2, "z,z,z,z,z,z")
+    write_lines(target, lines)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "line 4:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", CSV_FILES)
+def test_a_nul_byte_in_a_field_exits_2_with_its_line(case, graph_dirs, tmp_path, capsys):
+    # Python 3.10's csv module refuses the line; 3.11 reads it, and the field then fails to parse.
+    target, argv = input_file(case, graph_dirs, tmp_path)
+    lines = target.read_text().splitlines()
+    lines[1] += "\0"
+    write_lines(target, lines)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "line 2:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_p_values_that_do_not_parse_are_refused(source, tmp_path, capsys):
     argv = ["study", "--seeds", "1", "--out-dir", str(tmp_path / "study")]
@@ -489,6 +537,24 @@ def test_config_value_that_does_not_parse_exits_2(graph_dirs, tmp_path, capsys):
     argv = ["distance", "--from", gdir, "--to", hdir, "--k", "1", "--out", str(tmp_path / "r.csv")]
     assert main(argv + ["--config", str(cfg)]) == 2
     assert "'tol'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tol = 0.5\nk 1\n", "line 2: config line without '=': 'k 1'"),
+        ("tol = 0.5\nk = 7\n", "line 2: config key 'k': '7' is not one of [1, 2, 3]"),
+    ],
+    ids=["no-equals", "not-a-choice"],
+)
+def test_a_bad_config_line_exits_2_with_its_line(graph_dirs, tmp_path, capsys, text, message):
+    gdir, hdir = graph_dirs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    argv = ["distance", "--from", gdir, "--to", hdir, "--out", str(tmp_path / "r.csv"), "--config", str(cfg)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("value, written", [("yes", ["r_gh.csv", "r_hg.csv"]), ("off", ["r.csv"]), ("ture", [])])

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -10,6 +11,7 @@ from pathdist.graph import (
     Edge,
     EmbeddedGraph,
     contract_degree_two,
+    csv_rows,
     export_geojson,
     graph_stats,
     load_graph,
@@ -51,6 +53,13 @@ def test_load_rejects_duplicate_ids_with_line_number(tmp_path):
     e = write(tmp_path / "e.csv", "")
     with pytest.raises(ParseError, match="line 2"):
         load_graph(v, e)
+
+
+def test_csv_rows_number_each_row_by_the_line_it_starts_on():
+    text = 'ID,x\n\n"a\nb",1\n , \nc,2\nid,3\n'
+    assert list(csv_rows(io.StringIO(text, newline=""), "id")) == [(3, ["a\nb", "1"]), (6, ["c", "2"]), (7, ["id", "3"])]
+    with pytest.raises(ParseError, match="^line 2: field larger than field limit"):
+        list(csv_rows(io.StringIO('id,x\n"a,' + "b" * (128 << 10)), "id"))
 
 
 def test_load_reports_malformed_row_line(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathdist.errors import InputError, StructuralError
+from pathdist.errors import InputError, ParseError, StructuralError
 from pathdist.frechet import discrete_frechet, frechet_distance
 from pathdist.geometry import DiscQuadratic
 from pathdist.graph import EmbeddedGraph
@@ -45,6 +45,7 @@ from oracles import (
     polylines_meet,
     random_geometric_graph,
     reversed_path,
+    with_bends,
 )
 from test_matching import distance_to_graph
 from test_paths import assert_sub_rows_are_canonical_halves, mixed_id_graph
@@ -881,6 +882,13 @@ def test_read_records_drops_row_cut_inside_last_float(grid6):
     assert read_records_csv(io.StringIO("path_id,vertex_seq")) == {}
 
 
+def test_read_records_without_a_header_keeps_the_first_row():
+    assert read_records_csv(io.StringIO("0,a-b,1.0,2.0\n1,b-c,1.0,3.0\n")) == {0: 2.0, 1: 3.0}
+    # A first row that is neither the header nor a report row is an error, not a header.
+    with pytest.raises(ParseError, match="^line 1: bad report row"):
+        read_records_csv(io.StringIO("id,vertex_sequence,path_length_m,match_distance_m\n1,b-c,1.0,3.0\n"))
+
+
 def test_intersection_radius_perpendicular_cross():
     g = cross()
     r = intersection_radius(g, "c", 1.0)
@@ -934,15 +942,7 @@ def test_intersection_radius_polyline_matches_dense_scan():
 def bent_graph(seed: int, shift=(0.0, 0.0)) -> EmbeddedGraph:
     """A random geometric graph whose edges bend at one to three points."""
     rng = np.random.default_rng(seed)
-    g = random_geometric_graph(rng, 8, 4, 40.0)
-    edges = []
-    for eid, e in g.edges.items():
-        a, b = (np.asarray(g.vertices[x], float) for x in (e.u, e.v))
-        normal = np.array([b[1] - a[1], a[0] - b[0]])
-        ts = np.sort(rng.uniform(0.15, 0.85, int(rng.integers(1, 4))))
-        bends = [a + t * (b - a) + rng.uniform(-0.2, 0.2) * normal for t in ts]
-        edges.append((eid, (e.u, e.v, [pt + shift for pt in (a, *bends, b)])))
-    return EmbeddedGraph([(v, (p.x + shift[0], p.y + shift[1])) for v, p in g.vertices.items()], edges)
+    return with_bends(random_geometric_graph(rng, 8, 4, 40.0), rng, shift)
 
 
 def _reach(g, v) -> float:

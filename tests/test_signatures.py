@@ -1,9 +1,10 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from pathdist.errors import InputError, StructuralError
+from pathdist.errors import InputError, ParseError, StructuralError
 from pathdist.graph import EmbeddedGraph
 from pathdist.signatures import (
     CdfCurve,
@@ -199,6 +200,14 @@ def test_signature_csv_round_trip(tmp_path):
     assert curve.value_at(1.5) == pytest.approx(0.25)
     # Total edge-length weight equals the graph length.
     assert sum(r[1] for r in rows) == pytest.approx(g.total_length(), rel=1e-9)
+
+
+def test_signature_csv_without_a_header_keeps_its_first_row():
+    assert read_signature_csv(io.StringIO("e1,1.0,2.0\ne2,3.0,4.0\n")) == [("e1", 1.0, 2.0), ("e2", 3.0, 4.0)]
+    assert read_signature_csv(io.StringIO("EDGE_ID,length_m,signature_m\ne2,3.0,4.0\n")) == [("e2", 3.0, 4.0)]
+    # A first row that is neither the header nor a signature row is an error, not a header.
+    with pytest.raises(ParseError, match="^line 1: bad signature row"):
+        read_signature_csv(io.StringIO("edge,length,signature\ne2,3.0,4.0\n"))
 
 
 def test_signature_csv_quotes_ids_with_commas_and_quotes(tmp_path):

@@ -21,6 +21,7 @@ from .atomic import atomic_write, write_json
 from .errors import ParseError, PathdistError
 from .experiments import (
     PerturbationSpec,
+    check_out_dir,
     generate_perturbed,
     grid_graph,
     load_graph_arg,
@@ -69,6 +70,8 @@ def load_curve(path) -> PolyLine:
         if len(row) != 2:
             raise ParseError(f"curve row needs 2 fields, got {len(row)}", lineno)
         pts.append(finite_numbers(row, "curve coordinates", lineno))
+    if not pts:
+        raise ParseError(f"curve file {path} holds no points")
     return PolyLine(pts)
 
 
@@ -319,7 +322,7 @@ def _cmd_fscore(args) -> int:
 
 def _cmd_perturb(args) -> int:
     spec = PerturbationSpec(p=args.p, seed_count=args.count, rng_seed=args.rng_seed)
-    out = Path(args.out_dir)
+    out = check_out_dir(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = grid_graph(spec.extent, spec.spacing)
     write_graph_csv(base, out / "grid.vertices.csv", out / "grid.edges.csv")

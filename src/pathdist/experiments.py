@@ -44,8 +44,16 @@ __all__ = [
     "generate_perturbed",
     "run_perturbation_study",
     "StudyResult",
+    "check_out_dir",
     "run_all",
 ]
+
+
+def check_out_dir(out_dir) -> Path:
+    """``out_dir`` as a path; the empty string, which ``Path`` reads as the working directory, is refused."""
+    if out_dir == "":
+        raise InputError("the output directory must not be empty")
+    return Path(out_dir)
 
 
 def _check_grid(extent: float, spacing: float) -> None:
@@ -222,6 +230,8 @@ def run_perturbation_study(
     """
     if not p_values:
         raise InputError("need at least one perturbation index")
+    if out_dir is not None:
+        out_dir = check_out_dir(out_dir)
     base = grid_graph()
     result = StudyResult(p_values=list(p_values), k=k, tol=tol, rng_seed=rng_seed)
     with run_pool(workers):
@@ -234,7 +244,6 @@ def run_perturbation_study(
                 distances.extend(chunk)
             result.rows.extend((p, s, d) for s, d in enumerate(distances))
     if out_dir is not None:
-        out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         result.write_rows_csv(out_dir / "study_rows.csv")
         result.write_summary_csv(out_dir / "study_summary.csv")
@@ -262,6 +271,7 @@ class RunConfig:
         if len(set(self.k_values)) < len(self.k_values):
             raise InputError(f"k_values must not repeat a link-length, got {self.k_values!r}")
         check_workers(self.workers)
+        check_out_dir(self.out_dir)
 
 
 def resolve_graph_files(spec: str) -> tuple[str, str]:

@@ -16,6 +16,8 @@ __all__ = [
     "Point2D",
     "PolyLine",
     "DiscQuadratic",
+    "disc_roots",
+    "clamped_intervals",
     "disc_segment_intervals",
     "segment_terms",
     "project_onto_segments",
@@ -175,21 +177,8 @@ class DiscQuadratic:
         return q
 
     def _roots(self, radius: float):
-        """The unclamped roots ``u1 <= u2`` and the empty mask at ``radius``.
-
-        These are the float operations of the whole formula, in its order;
-        only the radius-free terms were computed ahead.
-        """
-        qc = self.ff - radius * radius
-        disc = self.qb2 - self.qa4 * qc
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        u1 = (self.nqb - sq) / self.den
-        u2 = (self.nqb + sq) / self.den
-        empty = (disc < 0.0) | (u1 > 1.0) | (u2 < 0.0)
-        if self.degenerate is not None:
-            # Zero-length segment: inside the disc iff its point is.
-            empty = np.where(self.degenerate, qc > 0.0, empty)
-        return u1, u2, empty
+        """The unclamped roots ``u1 <= u2`` and the empty mask at ``radius``; see :func:`disc_roots`."""
+        return disc_roots(self.qb2, self.nqb, self.ff, self.qa4, self.den, self.degenerate, radius)
 
     def free(self, radius: float) -> np.ndarray:
         """True where a segment meets the disc of ``radius``."""
@@ -197,14 +186,49 @@ class DiscQuadratic:
 
     def intervals(self, radius: float):
         """``(lo, hi)`` as for :func:`disc_segment_intervals`."""
-        u1, u2, empty = self._roots(radius)
-        # np.clip to [0, 1]; with the bound first, a -0.0 root stays -0.0 as in np.clip.
-        lo = np.minimum(1.0, np.maximum(0.0, u1))
-        hi = np.minimum(1.0, np.maximum(0.0, u2))
-        if self.degenerate is not None:
-            lo = np.where(self.degenerate, 0.0, lo)
-            hi = np.where(self.degenerate, 1.0, hi)
-        return np.where(empty, EMPTY_LO, lo), np.where(empty, EMPTY_HI, hi)
+        return clamped_intervals(*self._roots(radius), self.degenerate)
+
+
+def disc_roots(qb2, nqb, ff, qa4, den, degenerate, radius):
+    """The unclamped roots ``u1 <= u2`` and the empty mask of the radius-free terms at ``radius``.
+
+    The terms are those :class:`DiscQuadratic` holds: ``qb^2``, ``-qb``,
+    ``|a-c|^2``, ``4*qa`` and ``2*safe_qa``, and the zero-length mask or
+    ``None``; ``qb^2``, ``-qb`` and ``|a-c|^2`` share the shape of the
+    result, and the rest broadcast against it.  These are the float
+    operations of the whole formula, in its order; only the radius-free
+    terms were computed ahead.  Every temporary is written in place.
+    """
+    qc = ff - radius * radius
+    disc = np.multiply(qa4, qc)
+    np.subtract(qb2, disc, out=disc)
+    sq = np.maximum(disc, 0.0)
+    np.sqrt(sq, out=sq)
+    u1 = np.subtract(nqb, sq)
+    np.divide(u1, den, out=u1)
+    u2 = np.add(nqb, sq, out=sq)
+    np.divide(u2, den, out=u2)
+    empty = np.less(disc, 0.0)
+    flag = np.greater(u1, 1.0)
+    empty |= flag
+    empty |= np.less(u2, 0.0, out=flag)
+    if degenerate is not None:
+        # Zero-length segment: inside the disc iff its point is.
+        np.copyto(empty, np.greater(qc, 0.0, out=flag), where=degenerate)
+    return u1, u2, empty
+
+
+def clamped_intervals(u1, u2, empty, degenerate):
+    """``(lo, hi)`` as for :func:`disc_segment_intervals`, from :func:`disc_roots`, overwriting ``u1`` and ``u2``."""
+    # np.clip to [0, 1]; with the bound first, a -0.0 root stays -0.0 as in np.clip.
+    lo = np.minimum(1.0, np.maximum(0.0, u1, out=u1), out=u1)
+    hi = np.minimum(1.0, np.maximum(0.0, u2, out=u2), out=u2)
+    if degenerate is not None:
+        np.copyto(lo, 0.0, where=degenerate)
+        np.copyto(hi, 1.0, where=degenerate)
+    np.copyto(lo, EMPTY_LO, where=empty)
+    np.copyto(hi, EMPTY_HI, where=empty)
+    return lo, hi
 
 
 def disc_segment_intervals(center, radius: float, a, b):

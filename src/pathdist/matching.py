@@ -32,33 +32,38 @@ The sweep runs over the graph's flattened segment view from
 :mod:`pathdist.spatial`, where an isolated vertex is a zero-length segment;
 the nearest-point queries that start each bisection project onto the same
 arrays.  A :class:`MatchProblem` prepares one curve against the graph once:
-its collapsed points and the eps-independent terms of its two families of
-free intervals (curve vertices x graph segments, joints x curve segments),
-as :class:`~pathdist.geometry.DiscQuadratic` objects.  A decision then pays
-only the root step of each family at its eps.  The problem also holds the
-monotone memo of :func:`map_match_distance`, so an early-exit decision and
-the bisection that follows it share one preparation and one memo.
+its collapsed points and one table of the eps-independent terms of its two
+families of free intervals (curve vertices x graph segments, then curve
+segments x joints).  A decision then pays one fused root step over that
+table at its eps (:func:`~pathdist.geometry.disc_roots`), and the sweep,
+which keeps back-pointers only when asked for a witness.  The problem also
+holds the monotone memo of :func:`map_match_distance`, so an early-exit
+decision and the bisection that follows it share one preparation and one
+memo.
 
 The paths of a map share most of their vertices and edges, so
-:func:`prepare_problems` prepares consecutive curves together: one table of
-the distinct curve points x graph segments and one of the joints x distinct
-oriented curve segments per window of curves.  A problem holds its rows and
-columns of the window's tables and gathers its own quadratics only when it
-first steps alone.  The first decision on a window at a new eps steps its
-own rows; a second at that eps steps the whole window, and later ones read
-their rows off it (see :meth:`_Window.tables`).  A run of decisions at one
-eps, as the early exits of :func:`~pathdist.pathdistance.max_path_distance`
-make, thus costs one own step plus one window step of at most
-``_WINDOW_CELLS`` cells (or one curve's cells, for a curve that exceeds
-them alone), and a bisection, which asks each eps once, never steps the
-window.  The step is elementwise, so both routes give the same floats.
-Windows are bounded by a fixed number of table cells, and the lists a
-window keeps from its last step by the same number, so memory stays
-bounded on large maps; a lone curve is the one-curve window.  All curves
-prepared together are keyed in a few array passes: one sort gives every
-point an id by its bit pattern and one every oriented segment, and each
-window numbers its ids in the order its curves first meet them, so table
-rows keep the curves' order.
+:func:`prepare_problems` prepares consecutive curves together: one table
+per window of curves, of the distinct curve points x graph segments
+(point-major), then the distinct oriented curve segments x joints
+(segment-major), so that a curve's share is contiguous rows of each part
+and the step needs no transpose.  A problem holds its rows and columns of
+the window's table and gathers its own table only when it first steps
+alone; the window's only curve, with no point repeated, steps the window's
+table itself, uncopied.  The first decision on a window at a new eps steps
+its own rows; a second at that eps steps the whole window, and later ones
+read their rows off it (see :meth:`_Window.tables`).  A run of decisions at
+one eps, as the early exits of
+:func:`~pathdist.pathdistance.max_path_distance` make, thus costs one own
+step plus one window step of at most ``_WINDOW_CELLS`` cells (or one
+curve's cells, for a curve that exceeds them alone), and a bisection, which
+asks each eps once, never steps the window.  The step is elementwise, so
+both routes give the same floats.  Windows are bounded by a fixed number of
+table cells, and the lists a window keeps from its last step by the same
+number, so memory stays bounded on large maps; a lone curve is the
+one-curve window.  All curves prepared together are keyed in a few array
+passes: one sort gives every point an id by its bit pattern and one every
+oriented segment, and each window numbers its ids in the order its curves
+first meet them, so table rows keep the curves' order.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ import numpy as np
 
 from .errors import InputError, StructuralError
 from .frechet import DEFAULT_TOLERANCE, bisect_decision, check_tolerance
-from .geometry import DiscQuadratic, PolyLine, collapsed_points, max_distance_to_point
+from .geometry import DiscQuadratic, PolyLine, clamped_intervals, collapsed_points, disc_roots, max_distance_to_point
 from .graph import EmbeddedGraph
 from .spatial import nearest_point_on_graph, surface_geometry
 
@@ -86,18 +91,22 @@ class MatchProblem:
     ``points`` are the curve's vertices with consecutive duplicates removed
     (see :func:`~pathdist.geometry.collapsed_points`); they form M segments.
     For M >= 1 the problem belongs to a window of curves (see
-    :func:`prepare_problems`) and holds its row ids in the window's ``cv``
-    table and its column ids in the window's ``jn`` table.  From them it
-    gathers, on first use, the eps-independent quadratics of both interval
-    families:
+    :func:`prepare_problems`) and holds its point ids (``rows``) and
+    segment ids (``cols``) in the window's table.  From them it gathers, on
+    first use, one table of the eps-independent terms of both interval
+    families, laid out as :class:`_Window` describes: its (M+1) x S ``cv``
+    cells, then its M x J ``jn`` cells.  The window's only curve, with no
+    point twice, reads the window's table itself, uncopied.  ``cv`` and
+    ``jn`` view the table as one :class:`~pathdist.geometry.DiscQuadratic`
+    per family:
 
     - ``cv``: curve vertex i x graph segment s, the x-interval of s within
       eps of the vertex ((M+1) x S);
     - ``jn``: joint j x curve segment i, the t-interval (local [0, 1]) of
-      the curve segment within eps of the joint (J x M).
+      the curve segment within eps of the joint (J x M, a transposed view).
 
     A decision at an eps the window has stepped reads its rows off the
-    window's tables and gathers neither.
+    window's lists and gathers nothing.
 
     It also holds the monotone memo of :meth:`decide`: every eps at or below
     ``fail`` fails and every eps at or above ``hold`` holds, and every eps
@@ -105,7 +114,7 @@ class MatchProblem:
     :func:`map_match_distance` alone.
     """
 
-    __slots__ = ("points", "h", "window", "rows", "cols", "_quads", "fail", "hold", "floor", "probe")
+    __slots__ = ("points", "h", "window", "rows", "cols", "_table", "fail", "hold", "floor", "probe")
 
     def __init__(self, points: np.ndarray, h: EmbeddedGraph):
         ((_, window, rows, cols),) = _families([points], h)
@@ -115,7 +124,7 @@ class MatchProblem:
         self.points = points
         self.h = h
         self.window, self.rows, self.cols = window, rows, cols
-        self._quads = None
+        self._table = None
         self.fail = -_INF
         self.hold = _INF
         self.floor = -_INF
@@ -123,16 +132,22 @@ class MatchProblem:
 
     @property
     def cv(self) -> DiscQuadratic:
-        return self._gathered()[0]
+        terms, short = self._gathered()
+        n, S = len(self.rows), self.window.geom.n_segments
+        return _quadratic(terms[:, : n * S].reshape(5, n, S), None if short is None else short[: n * S].reshape(n, S))
 
     @property
     def jn(self) -> DiscQuadratic:
-        return self._gathered()[1]
+        terms, short = self._gathered()
+        n, m, S, J = len(self.rows), len(self.cols), self.window.geom.n_segments, self.window.geom.joint_pos.shape[0]
+        part = terms[:, n * S :].reshape(5, m, J).transpose(0, 2, 1)
+        return _quadratic(part, None if short is None else short[n * S :].reshape(m, J).T)
 
-    def _gathered(self) -> tuple[DiscQuadratic, DiscQuadratic]:
-        if self._quads is None:
-            self._quads = self.window.gather(self.rows, self.cols)
-        return self._quads
+    def _gathered(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The problem's ``(terms, short)``, gathered on first use (see :meth:`_Window.gather`)."""
+        if self._table is None:
+            self._table = self.window.gather(self.rows, self.cols)
+        return self._table
 
     def tables(self, eps: float):
         """The sweep's lists at ``eps``: ``free[i][s]``, ``lo[i][j]`` and ``hi[i][j]``.
@@ -141,11 +156,14 @@ class MatchProblem:
         curve vertex i; ``lo[i][j]``, ``hi[i][j]`` bound the part of curve
         segment i within eps of joint j.  They are the window's rows when
         the window steps at ``eps`` (see :meth:`_Window.tables`), else this
-        curve's own quadratics stepped alone: the root step is elementwise,
-        so both give the same floats.
+        curve's own table stepped alone: the root step is elementwise, so
+        both give the same floats.
         """
         tables = self.window.tables(self.rows, self.cols, eps)
-        return tables if tables is not None else _step(self.cv, self.jn, eps)
+        if tables is not None:
+            return tables
+        terms, short = self._gathered()
+        return _step(self.window.geom, terms, short, len(self.rows), eps)
 
     def decide(self, eps: float) -> bool:
         """:func:`match_decision` at ``eps``, answered from the memo when it can be."""
@@ -179,8 +197,8 @@ def prepare_problems(curves: Iterable[np.ndarray], h: EmbeddedGraph) -> Iterator
         yield problem
 
 
-# The most cells the shared tables of one window may hold: distinct curve
-# points x graph segments plus graph joints x distinct curve segments.  The
+# The most cells the shared table of one window may hold: distinct curve
+# points x graph segments plus distinct curve segments x graph joints.  The
 # lists a window keeps from its last step hold one item per cell, so they
 # are bounded by the same budget (or by one curve's cells, for a curve that
 # exceeds it alone).
@@ -310,7 +328,7 @@ def _numbered(order: np.ndarray, repeat: np.ndarray, owner: np.ndarray):
 
 def _window_families(geom, window: list, rows: list, cols: list, table, starts, stops):
     """:func:`_families` for one window: its curves, with the ids and tables of :meth:`_Keys.window`."""
-    shared = _Window(geom, table, starts, stops) if len(table) else None
+    shared = _Window(geom, table, starts, stops, len(rows) == len(table)) if len(table) else None
     p = s = 0
     for points in window:
         n = points.shape[0]
@@ -322,43 +340,61 @@ def _window_families(geom, window: list, rows: list, cols: list, table, starts, 
 
 
 class _Window:
-    """The shared tables of one window of curves, and their lists at the last eps stepped.
+    """The shared table of one window of curves, and its lists at the last eps stepped.
 
-    ``cv`` holds the window's distinct points x graph segments and ``jn``
-    the joints x its distinct segments, as :class:`MatchProblem` describes
-    them per curve.  A curve's share is its rows of ``cv`` and its columns
-    of ``jn``.
+    ``terms`` holds five rows of radius-free terms (see
+    :func:`~pathdist.geometry.disc_roots`): ``qb^2``, ``-qb``, ``|a-c|^2``,
+    ``4*qa`` and ``2*safe_qa``, the last two written out at full width.
+    Its columns are first the ``cv`` cells, the window's distinct points x
+    graph segments (point-major), then the ``jn`` cells, its distinct
+    segments x the graph's joints (segment-major), as :class:`MatchProblem`
+    describes them per curve.  So a curve's share is its rows of each part,
+    and one root step over the table gives both families' lists with no
+    transpose.  ``short`` is the zero-length mask of the columns, or None.
+    ``distinct`` tells that no point occurs twice in the window: then a
+    curve with as many points as the table is the window's only curve, and
+    the table is its own, in its order.
     """
 
-    __slots__ = ("geom", "cv_terms", "jn_terms", "cv", "jn", "asked", "eps", "free", "lo", "hi")
+    __slots__ = (
+        "geom", "n_points", "n_curve_segments", "terms", "short", "distinct", "asked", "eps", "free", "lo", "hi"
+    )
 
-    def __init__(self, geom, table: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    def __init__(self, geom, table: np.ndarray, starts: np.ndarray, stops: np.ndarray, distinct: bool):
         S, J = geom.n_segments, geom.joint_pos.shape[0]
-        # Each table stacks its radius-free terms so that one gather takes a
-        # curve's share: cv rows qb^2, -qb and |a-c|^2; jn rows qb^2, -qb and
-        # |a-c|^2 of every joint, then 4*qa and 2*safe_qa.
-        self.cv_terms = np.empty((3, len(table), S))
-        self.cv = DiscQuadratic(table[:, None, :], geom.seg_a, geom.seg_b, geom.seg_terms, out=self.cv_terms)
-        self.jn_terms = np.empty((3 * J + 2, len(starts)))
-        self.jn = DiscQuadratic(
-            geom.joint_pos[:, None, :], starts, stops, out=self.jn_terms[: 3 * J].reshape(3, J, len(starts))
-        )
-        self.jn_terms[3 * J], self.jn_terms[3 * J + 1] = self.jn.qa4, self.jn.den
-        self.geom = geom
+        P, C = len(table), len(starts)
+        self.terms = np.empty((5, P * S + C * J))
+        cv = self.terms[:, : P * S].reshape(5, P, S)
+        jn = self.terms[:, P * S :].reshape(5, C, J)
+        _, qa4, den, degenerate = geom.seg_terms
+        DiscQuadratic(table[:, None, :], geom.seg_a, geom.seg_b, geom.seg_terms, out=cv[:3])
+        cv[3], cv[4] = qa4, den
+        # Built joint-major as a curve's own quadratic is, written segment-major.
+        quad = DiscQuadratic(geom.joint_pos[:, None, :], starts, stops, out=jn[:3].transpose(0, 2, 1))
+        jn[3], jn[4] = quad.qa4[:, None], quad.den[:, None]
+        self.short = None
+        if degenerate is not None or quad.degenerate is not None:
+            self.short = np.zeros(self.terms.shape[1], dtype=bool)
+            if degenerate is not None:
+                self.short[: P * S].reshape(P, S)[:] = degenerate
+            if quad.degenerate is not None:
+                self.short[P * S :].reshape(C, J)[:] = quad.degenerate[:, None]
+        self.geom, self.n_points, self.n_curve_segments, self.distinct = geom, P, C, distinct
         self.asked = self.eps = None
 
     def gather(self, rows: list, cols: list):
-        """The ``(cv, jn)`` quadratics of the curve with these rows and columns."""
-        J = self.geom.joint_pos.shape[0]
-        _, qa4, den, degenerate = self.geom.seg_terms
-        cv = DiscQuadratic.of_terms(qa4, den, degenerate, *np.take(self.cv_terms, rows, axis=1))
-        jn = np.take(self.jn_terms, cols, axis=1)
-        # A curve segment has zero length where its 4*qa, like its qa, is 0.
-        short = jn[3 * J] == 0.0 if self.jn.degenerate is not None else None
-        if short is not None and not short.any():
-            short = None  # as segment_terms gives it
-        jn = DiscQuadratic.of_terms(jn[3 * J], jn[3 * J + 1], short, jn[:J], jn[J : 2 * J], jn[2 * J : 3 * J])
-        return cv, jn
+        """The ``(terms, short)`` of the curve with these rows and columns, laid out as the window's."""
+        P, C, S, J = self.n_points, self.n_curve_segments, self.geom.n_segments, self.geom.joint_pos.shape[0]
+        if self.distinct and len(rows) == P:
+            return self.terms, self.short
+        cv = np.take(self.terms[:, : P * S].reshape(5, P, S), rows, axis=1)
+        jn = np.take(self.terms[:, P * S :].reshape(5, C, J), cols, axis=1)
+        terms = np.concatenate((cv.reshape(5, -1), jn.reshape(5, -1)), axis=1)
+        if self.short is None:
+            return terms, None
+        cv = np.take(self.short[: P * S].reshape(P, S), rows, axis=0)
+        jn = np.take(self.short[P * S :].reshape(C, J), cols, axis=0)
+        return terms, np.concatenate((cv.ravel(), jn.ravel()))
 
     def tables(self, rows: list, cols: list, eps: float):
         """:meth:`MatchProblem.tables` from the window's step at ``eps``, or None to step alone.
@@ -379,15 +415,29 @@ class _Window:
         return [free[r] for r in rows], [lo[c] for c in cols], [hi[c] for c in cols]
 
     def step(self, eps: float) -> None:
-        """Step both whole tables at ``eps`` and keep their lists."""
+        """Step the whole table at ``eps`` and keep its lists."""
         self.eps = eps
-        self.free, self.lo, self.hi = _step(self.cv, self.jn, eps)
+        self.free, self.lo, self.hi = _step(self.geom, self.terms, self.short, self.n_points, eps)
 
 
-def _step(cv: DiscQuadratic, jn: DiscQuadratic, eps: float):
-    """The root step of both families at ``eps``, as the lists :meth:`MatchProblem.tables` describes."""
-    lo, hi = jn.intervals(eps)
-    return cv.free(eps).tolist(), lo.T.tolist(), hi.T.tolist()
+def _quadratic(terms: np.ndarray, short: np.ndarray | None) -> DiscQuadratic:
+    """A :class:`~pathdist.geometry.DiscQuadratic` view of one family's part of a table."""
+    qb2, nqb, ff, qa4, den = terms
+    return DiscQuadratic.of_terms(qa4, den, short if short is not None and short.any() else None, qb2, nqb, ff)
+
+
+def _step(geom, terms: np.ndarray, short: np.ndarray | None, n: int, eps: float):
+    """One root step at ``eps`` over a table of ``n`` points' cells, as the lists :meth:`MatchProblem.tables` describes.
+
+    The roots of every column come from one pass of the formula; ``free``
+    is the cv part's, and the jn part's are clamped in place.
+    """
+    S, J = geom.n_segments, geom.joint_pos.shape[0]
+    u1, u2, empty = disc_roots(*terms, short, eps)
+    cut = n * S
+    lo, hi = clamped_intervals(u1[cut:], u2[cut:], empty[cut:], None if short is None else short[cut:])
+    free = np.logical_not(empty[:cut], out=empty[:cut])
+    return free.reshape(n, S).tolist(), lo.reshape(-1, J).tolist(), hi.reshape(-1, J).tolist()
 
 
 def _problem(curve, h: EmbeddedGraph) -> MatchProblem:
@@ -435,14 +485,15 @@ def match_decision(
     incident = geom.incident
 
     # State id of cell (segment s, curve segment i): s*M + i.  ``dist`` holds
-    # each cell's label; ``back`` holds how each relaxed cell got its label:
-    # (previous state, the joint crossed, or -1 for a step along segment s).
-    # Row i's heap holds its cells by label, and the sweep always pops the
-    # deepest row that has any.  Every cell free at curve time 0 is a seed
-    # at label 0.0; listed in ascending state order, the seeds already form
-    # a valid heap.
+    # each cell's label; ``back``, kept only for a witness, holds how each
+    # relaxed cell got its label: (previous state, the joint crossed, or -1
+    # for a step along segment s).  Row i's heap holds its cells by label,
+    # and the sweep always pops the deepest row that has any.  Every cell
+    # free at curve time 0 is a seed at label 0.0; listed in ascending state
+    # order, the seeds already form a valid heap.
     dist = [_INF] * (geom.n_segments * M)
-    back: dict[int, tuple[int, int]] = {}
+    back: dict[int, tuple[int, int]] | None = {} if return_witness else None
+    last = free[M]
     seeds = [s * M for s in compress(range(geom.n_segments), free[0])]
     heaps: list[list[tuple[float, int]]] = [[] for _ in range(M)]
     heaps[0] = [(0.0, state) for state in seeds]
@@ -459,7 +510,7 @@ def match_decision(
         if t > dist[state]:
             continue
         s = state // M
-        if i == M - 1 and free[M][s]:
+        if i == M - 1 and last[s]:
             if not return_witness:
                 return True
             return True, _witness(geom, problem.cv.intervals(eps)[0], back, state, M)
@@ -473,11 +524,13 @@ def match_decision(
                     # Most cells at a joint already hold an earlier label.
                     if t_j < dist[nxt]:
                         dist[nxt] = t_j
-                        back[nxt] = (state, j)
+                        if return_witness:
+                            back[nxt] = (state, j)
                         heappush(heap, (t_j, nxt))
         if i + 1 < M and free[i + 1][s] and i + 1 < dist[state + 1]:
             dist[state + 1] = t_next = float(i + 1)
-            back[state + 1] = (state, -1)
+            if return_witness:
+                back[state + 1] = (state, -1)
             i += 1
             heappush(heaps[i], (t_next, state + 1))
 

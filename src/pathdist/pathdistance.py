@@ -154,20 +154,34 @@ def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
     """Exact maximum of canonical per-curve distances over one chunk.
 
     Curves are visited by their upper bound (see :func:`_path_bounds`),
-    largest first; ties keep the chunk's order.  A curve cannot raise the
-    maximum when its distance is <= ``best - tol`` (its bisection would
-    return less than ``best``), so the visit stops at the first curve whose
-    bound is at most that: every later bound is no larger, and ``best`` only
-    rises.  Curves after the stop are never prepared or decided; keying
-    them is a few array passes over the chunk, and their window's tables,
-    built with its first curve, hold their points too (see
-    :func:`~pathdist.matching._families`).  A curve visited before the stop
-    is skipped when its decision at ``best - tol`` holds; every
-    record-breaker gets the full bisection.  Every curve is
-    decided at that one running maximum, so the decisions of a window share
-    its root steps; a failure stays in the curve's memo for the bisection
-    that follows.  The decision is left out where the curve's floor
-    (``lower - tol/2``, see :func:`map_match_distance`) proves it fails.  The
+    largest first; ties keep the chunk's order.  A curve whose threshold
+    (the least eps its decision holds at) is at most ``best - tol/2``
+    cannot raise the maximum, because :func:`map_match_distance` returns
+    one of three values, none above ``best``:
+
+    - ``lo`` when ``decide(lo)`` holds, which is then the threshold itself;
+    - the midpoint of a final bracket no wider than ``tol`` whose lower end
+      fails, so below the threshold plus ``tol/2``;
+    - at the rounding stop of
+      :func:`~pathdist.frechet.bisect_decision`, an end of a bracket of
+      adjacent floats whose lower end fails: at most the least float at or
+      above the threshold, so at most the float ``best - tol/2``.
+
+    So the visit stops at the first curve whose bound is at most that:
+    every later bound is no larger, and ``best`` only rises.  Curves after
+    the stop are never prepared or decided; keying them is a few array
+    passes over the chunk, and their window's tables, built with its first
+    curve, hold their points too (see :func:`~pathdist.matching._families`).
+    A curve visited before the stop is skipped when its decision at
+    ``best - tol/2`` holds; every record-breaker gets the full bisection.
+    Every curve is decided at that one running maximum, so the decisions of
+    a window share its root steps; a failure stays in the curve's memo for
+    the bisection that follows.  The decision is left out where the curve's
+    floor (``lower - tol/2``, see :func:`map_match_distance`) proves it
+    fails: at the floor too, since ``lower`` is below its sub-path's
+    threshold plus ``tol/2``, and a curve's threshold is never below a
+    sub-curve's.  (Only a ``tol`` below the float spacing breaks that
+    strictness, and leaving a decision out never changes a value.)  The
     result equals the maximum of the individually computed distances, so
     neither the order nor the chunking changes it.  Items are ``(collapsed
     points, lower, bound)``.
@@ -175,10 +189,10 @@ def _chunk_max(h: EmbeddedGraph, tol: float, items: list) -> float:
     items = sorted(items, key=lambda item: -item[2])
     best = -math.inf
     for problem, (_, lower, bound) in zip(prepare_problems([pts for pts, _, _ in items], h), items):
-        eps = best - tol
+        eps = best - 0.5 * tol
         if bound <= eps:
             break
-        if best > tol and (lower is None or eps >= lower - 0.5 * tol) and problem.decide(eps):
+        if best > tol and (lower is None or eps > lower - 0.5 * tol) and problem.decide(eps):
             continue
         d = map_match_distance(problem, h, tol, lower=lower)
         if d > best:

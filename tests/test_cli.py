@@ -9,6 +9,7 @@ import pytest
 
 import pathdist
 from pathdist.cli import main
+from pathdist.errors import InputError
 from pathdist.experiments import (
     PerturbationSpec,
     RunConfig,
@@ -289,6 +290,21 @@ def test_a_refused_seed_exits_2_and_writes_nothing(args, named, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["perturb", "--p", "0.2", "--count", "1"], ["study", "--p-values", "0.2", "--seeds", "1", "--k", "1"]],
+    ids=["perturb", "study"],
+)
+def test_an_empty_out_dir_exits_2_and_writes_nothing(args, tmp_path, monkeypatch, capsys):
+    # Path("") is the working directory, which the run would fill unasked.
+    monkeypatch.chdir(tmp_path)
+    assert main(args + ["--out-dir", ""]) == 2
+    assert capsys.readouterr() == ("", "pathdist: the output directory must not be empty\n")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(InputError, match="output directory"):
+        RunConfig(from_graph="g", to_graph="h", out_dir="")
+
+
 def test_study_outputs_and_worker_determinism(tmp_path):
     args = ["study", "--p-values", "0.2,0.6", "--seeds", "2", "--k", "1", "--rng-seed", "5"]
     out1 = tmp_path / "w1"
@@ -395,6 +411,21 @@ def test_bad_curve_row_exits_2_with_its_line(graph_dirs, tmp_path, capsys, rows,
     assert f"line {line}:" in capsys.readouterr().err
     good = write_curve(tmp_path / "good.csv", [(0, 0), (1, 0)])
     assert main(["frechet", "--curve-a", good, "--curve-b", str(curve)]) == 2
+
+
+@pytest.mark.parametrize("rows", ["x,y\n", ""], ids=["header-only", "empty"])
+def test_a_curve_file_without_points_names_itself(graph_dirs, tmp_path, capsys, rows):
+    gdir, _ = graph_dirs
+    curve = tmp_path / "c0.csv"
+    curve.write_text(rows)
+    good = write_curve(tmp_path / "good.csv", [(0, 0), (1, 0)])
+    for argv in (
+        ["frechet", "--curve-a", str(curve), "--curve-b", good],
+        ["mapmatch", "--graph", gdir, "--curve", str(curve)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"pathdist: curve file {curve} holds no points\n"
 
 
 INPUT_FILES = ["vertices", "edges", "curve", "config", "report", "signature"]

@@ -508,14 +508,17 @@ def chunk_case(offset):
 
 
 def assert_same_quadratic(chunked, single):
+    # A prepared problem writes 4*qa, 2*safe_qa and the mask out at full width.
+    shape = single.qb2.shape
     for name in ("qa4", "den", "qb2", "nqb", "ff"):
-        x, y = getattr(chunked, name), getattr(single, name)
-        assert x.shape == y.shape, name
+        x, y = getattr(chunked, name), np.broadcast_to(getattr(single, name), shape)
+        assert x.shape == shape, name
         assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
     if single.degenerate is None:
         assert chunked.degenerate is None
     else:
-        assert np.array_equal(chunked.degenerate, single.degenerate)
+        assert chunked.degenerate.shape == shape
+        assert np.array_equal(chunked.degenerate, np.broadcast_to(single.degenerate, shape))
 
 
 @pytest.mark.parametrize("offset", [(0.0, 0.0), (5e5, 4.5e6)])
@@ -579,9 +582,11 @@ def assert_keyed_like_bytes(curves, h) -> int:
             assert len(windows) - 1 == at
     assert len(windows) == len(tables)
     for window, (table, starts, stops) in zip(windows, tables):
-        want = matching._Window(geom, table, starts, stops)
-        assert window.cv_terms.tobytes() == want.cv_terms.tobytes()
-        assert window.jn_terms.tobytes() == want.jn_terms.tobytes()
+        want = matching._Window(geom, table, starts, stops, window.distinct)
+        assert window.terms.tobytes() == want.terms.tobytes()
+        assert (window.short is None) == (want.short is None)
+        if want.short is not None:
+            assert window.short.tobytes() == want.short.tobytes()
     return len(windows)
 
 
@@ -616,6 +621,53 @@ def test_index_keying_equals_bytes_keying_on_signed_zeros_and_repeated_points(mo
     # Also a lone one-point curve, one-point curves around a two-point one, and no curve.
     for case in (curves, curves[::-1], curves + curves, [curves[5]], [curves[5], curves[1], curves[5]], []):
         assert_keyed_like_bytes(case, h)
+
+
+def assert_same_bits(got: list, want: np.ndarray):
+    got = np.array(got, dtype=want.dtype).reshape(want.shape)
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (5e5, 4.5e6)])
+def test_fused_step_equals_each_family_stepped_alone(offset):
+    # One root step over a problem's table gives the lists of both
+    # families' own DiscQuadratic steps, bit for bit, signed zeros included;
+    # the target has an isolated vertex, one curve a segment whose length
+    # squared is 0, and one is a single segment.
+    h, curves = chunk_case(np.asarray(offset))
+    geom = matching.surface_geometry(h)
+    u, v = curves[1]
+    q = np.asarray(offset) + (70.0, 70.0)
+    # Its second curve has as many points as the window, but repeats two.
+    repeats = [collapsed_points(np.array([q, q + 5.0])), collapsed_points(np.array([u, v, u, v]))]
+    alone = [MatchProblem(curve, h) for curve in curves if curve.shape[0] > 1]
+    together = [p for p in prepare_problems(curves, h) if p.window]
+    paired = [p for p in prepare_problems(repeats, h) if p.window]
+    assert paired[1].window.n_points == len(paired[1].rows) == 4
+    assert geom.seg_terms[3] is not None
+    owned = 0
+    for problem in alone + together + paired:
+        terms, short = problem._gathered()
+        curve = problem.points
+        # A lone curve whose points are all distinct reads its window's table uncopied.
+        own = problem in alone and len(problem.rows) == len(set(problem.rows))
+        assert (terms is problem.window.terms) == own
+        if own:
+            assert short is problem.window.short
+            owned += 1
+        cv = DiscQuadratic(curve[:, None, :], geom.seg_a, geom.seg_b, geom.seg_terms)
+        jn = DiscQuadratic(geom.joint_pos[:, None, :], curve[:-1], curve[1:])
+        d = map_match_distance(curve, h, 1e-3)
+        for eps in (0.0, 0.5 * d, d, d + 1e-3, 1e3):
+            free, lo, hi = matching._step(geom, terms, short, len(problem.rows), eps)
+            want_lo, want_hi = jn.intervals(eps)
+            assert_same_bits(free, cv.free(eps))
+            assert_same_bits(lo, np.ascontiguousarray(want_lo.T))
+            assert_same_bits(hi, np.ascontiguousarray(want_hi.T))
+            if own:
+                problem.window.step(eps)
+                assert (problem.window.free, problem.window.lo, problem.window.hi) == (free, lo, hi)
+    assert owned > 1
 
 
 def step_alone(monkeypatch):
@@ -681,27 +733,28 @@ def test_a_window_steps_at_the_second_decision_at_one_eps(monkeypatch):
     stepped = []
     step = matching._step
 
-    def counted(cv, jn, eps):
-        stepped.append((cv, eps))
-        return step(cv, jn, eps)
+    def counted(geom, terms, short, n, eps):
+        stepped.append((terms, eps))
+        return step(geom, terms, short, n, eps)
 
     monkeypatch.setattr(matching, "_step", counted)
     problems = list(prepare_problems(curves, h))
     window = problems[0].window
     assert all(p.window is window for p in problems)
-    assert window.cv_terms[0].size > 10 * problems[0].cv.qb2.size
+    assert window.n_points * window.geom.n_segments > 10 * problems[0].cv.qb2.size
     for _ in range(3):
         for problem in problems:
             match_decision(problem, h, 0.3)
-    assert [(cv is problems[0].cv, eps) for cv, eps in stepped] == [(True, 0.3), (False, 0.3)]
-    assert stepped[1][0] is window.cv
+    own = problems[0]._gathered()[0]
+    assert [(terms is own, eps) for terms, eps in stepped] == [(True, 0.3), (False, 0.3)]
+    assert stepped[1][0] is window.terms
     # A run of distinct eps, as in a bisection, steps each curve alone.
     stepped.clear()
     problems = list(prepare_problems(curves, h))
     for i, problem in enumerate(problems):
         match_decision(problem, h, 0.1 + 0.01 * i)
     map_match_distance(problems[0], h, 1e-3)
-    assert len(stepped) > len(problems) and all(cv is not problems[0].window.cv for cv, _ in stepped)
+    assert len(stepped) > len(problems) and all(terms is not problems[0].window.terms for terms, _ in stepped)
 
 
 @pytest.mark.parametrize("offset", [(0.0, 0.0), (5e5, 4.5e6)])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pathdist.errors import InputError, ParseError, StructuralError
 from pathdist.frechet import discrete_frechet, frechet_distance
-from pathdist.geometry import DiscQuadratic
+from pathdist import matching
 from pathdist.graph import EmbeddedGraph
 from pathdist.matching import map_match_distance, match_decision
 from pathdist.parallel import run_pool, split_chunks
@@ -287,8 +287,6 @@ def test_sub_path_floor_never_changes_a_value(pair):
 
 
 def test_sub_path_floor_saves_decisions(monkeypatch):
-    import pathdist.matching as matching
-
     g, h = small_city_pair(0)
     match_all_paths(g, h, 1, TOL)
     calls = []
@@ -331,6 +329,80 @@ def test_max_path_distance_is_the_maximum_of_the_records(kind, seed):
                 with run_pool(workers):
                     d = max_path_distance(source, h, k, TOL)
                 assert d.hex() == top, (k, how, workers)
+
+
+def assert_max_is_the_maximum_of_the_records(g, h, ks=(1, 2, 3)):
+    """``max_path_distance``, with sub-path floors and without, gives the float of the records' maximum."""
+    for k in ks:
+        top = max(r.distance for r in match_all_paths(fresh(g), h, k, TOL)).hex()
+        floored = fresh(g)
+        if k > 1:
+            match_all_paths(floored, h, k - 1, TOL)
+        assert max_path_distance(fresh(g), h, k, TOL).hex() == top, k
+        assert max_path_distance(floored, h, k, TOL).hex() == top, k
+
+
+@settings(max_examples=6)
+@given(st.integers(0, 2**16))
+def test_early_exits_at_half_tol_keep_the_maximum_on_bent_cities(seed):
+    # Each visited path is decided at best - tol/2; one whose decision holds
+    # there returns at most best, however its bisection ends (see _chunk_max).
+    assert_max_is_the_maximum_of_the_records(*small_city_pair(seed))
+
+
+@pytest.mark.parametrize("pair", [0, 1, 2])
+def test_early_exits_at_half_tol_keep_the_maximum_on_random_graphs(pair):
+    assert_max_is_the_maximum_of_the_records(*monotonicity_pair(pair), ks=(1, 2))
+
+
+@pytest.mark.parametrize("direction", ["gh", "hg"])
+def test_early_exits_at_half_tol_keep_the_maximum_on_city3(direction):
+    g, h = city_pair(0, 3)
+    assert_max_is_the_maximum_of_the_records(*((g, h) if direction == "gh" else (h, g)))
+
+
+def test_early_exits_leave_out_the_decision_at_the_floor(monkeypatch):
+    # A path whose sub-path value is the running maximum has its floor at
+    # best - tol/2, where its decision fails: its threshold is above the
+    # floor.  It goes straight to its bisection.
+    import pathdist.pathdistance as pathdistance
+
+    g, h = city_pair(0, 3)
+    for k in (1, 2):
+        match_all_paths(g, h, k, TOL)
+    top = max(r.distance for r in match_all_paths(fresh(g), h, 3, TOL))
+    early, lowers = {}, {}
+    decide, bisect = matching.MatchProblem.decide, pathdistance.map_match_distance
+
+    def recording(self, eps):
+        if self not in lowers:
+            early[self] = eps
+        return decide(self, eps)
+
+    def bisecting(problem, h, tol, *, lower=None):
+        lowers[problem] = lower
+        return bisect(problem, h, tol, lower=lower)
+
+    monkeypatch.setattr(matching.MatchProblem, "decide", recording)
+    monkeypatch.setattr(pathdistance, "map_match_distance", bisecting)
+    assert max_path_distance(g, h, 3, TOL).hex() == top.hex()
+    assert all(eps > lowers[p] - 0.5 * TOL for p, eps in early.items() if lowers.get(p) is not None)
+    # Two paths share their sub-path with the maximum's path and are not decided early.
+    assert sum(p not in early for p, lower in lowers.items() if lower is not None) >= 2
+
+
+@pytest.mark.parametrize("tol", [TOL, 1e-300])
+def test_early_exits_keep_the_maximum_of_paths_with_one_threshold(tol):
+    # The paths of the shifted cross that reach its east, north or west end
+    # all have the threshold 0.2.  The first returns it as lo, where its
+    # decision holds; the others are decided at 0.2 - tol/2, which rounds to
+    # 0.2 itself for tol 1e-300, and a bisection there ends on adjacent
+    # floats.  None may return more than the first.
+    g, h = cross(0.0, 0.2), cross()
+    for k in (1, 2):
+        values = [r.distance for r in match_all_paths(fresh(g), h, k, tol)]
+        assert max(values) == 0.2
+        assert max_path_distance(fresh(g), h, k, tol).hex() == max(values).hex()
 
 
 @pytest.mark.parametrize(
@@ -416,7 +488,6 @@ def test_a_graph_remembers_only_the_values_it_computed(grid6):
 def test_remembered_records_are_not_computed_again(monkeypatch):
     # A second call yields the values g remembers and computes only the
     # rows it lacks; known= still comes first.
-    import pathdist.matching as matching
     import pathdist.pathdistance as pathdistance
 
     g, h = city_pair(0, 3)
@@ -470,15 +541,15 @@ def test_records_signatures_strict_and_labels_build_no_path(monkeypatch):
 
 @pytest.fixture
 def root_steps(monkeypatch):
-    """The radius of every root step; each sweep steps both interval families once, or its window does."""
+    """The eps of every root step; each sweep makes one fused step over both interval families, or its window does."""
     steps = []
-    original = DiscQuadratic._roots
+    original = matching._step
 
-    def counting(self, radius):
-        steps.append(radius)
-        return original(self, radius)
+    def counting(geom, terms, short, n, eps):
+        steps.append(eps)
+        return original(geom, terms, short, n, eps)
 
-    monkeypatch.setattr(DiscQuadratic, "_roots", counting)
+    monkeypatch.setattr(matching, "_step", counting)
     return steps
 
 
@@ -492,7 +563,7 @@ def test_delta3_early_exits_decide_at_the_running_maximum(root_steps):
     # 179 root steps when a serial maximum restarted in four chunks; 146
     # when each early exit first probed at its own path's lower + tol/2;
     # 82 when every early exit decides at the one running maximum.
-    assert len(root_steps) / 2 <= 82
+    assert 0 < len(root_steps) <= 82
 
 
 @pytest.mark.parametrize("kind, seed", [("small", seed) for seed in range(5)] + [("city3", seed) for seed in range(3)])
@@ -509,7 +580,7 @@ def test_floors_never_cost_delta3_root_steps(kind, seed, root_steps):
     floored_steps = len(root_steps)
     root_steps.clear()
     assert max_path_distance(fresh(g), h, 3, TOL) == floored
-    assert floored_steps <= len(root_steps)
+    assert 0 < len(root_steps) and floored_steps <= len(root_steps)
 
 
 def _hex_digest(values) -> str:

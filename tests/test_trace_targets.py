@@ -72,17 +72,17 @@ def test_every_sweep_goes_through_the_traced_decision(tmp_path, monkeypatch):
     # A decision steps both interval families once, for its own rows or for
     # its whole window, or reads rows its window stepped at the same eps; so
     # each step must run with a match_decision span on top of the tracer's
-    # stack, and the steps are exactly two per own step and per window step.
+    # stack, and there is exactly one fused step per own step and per window step.
     tracer = load_tracer().Tracer(tmp_path)
-    step = pathdist.geometry.DiscQuadratic._roots
+    step = pathdist.matching._step
     window_tables = pathdist.matching._Window.tables
     window_step = pathdist.matching._Window.step
     callers = []
     served = {"alone": 0, "window": 0, "window steps": 0}
 
-    def traced_step(self, radius):
+    def traced_step(*args):
         callers.append(tracer.names[tracer.spans[tracer.stack[-1]][0]] if tracer.stack else None)
-        return step(self, radius)
+        return step(*args)
 
     def counted_tables(self, rows, cols, eps):
         tables = window_tables(self, rows, cols, eps)
@@ -97,7 +97,7 @@ def test_every_sweep_goes_through_the_traced_decision(tmp_path, monkeypatch):
     g = generate_perturbed(PerturbationSpec(p=0.4, seed_count=1, rng_seed=5, extent=6.0))[0]
     floored = fresh(g)
     pathdist.pathdistance.match_all_paths(floored, h, 1, 1e-3)
-    monkeypatch.setattr(pathdist.geometry.DiscQuadratic, "_roots", traced_step)
+    monkeypatch.setattr(pathdist.matching, "_step", traced_step)
     monkeypatch.setattr(pathdist.matching._Window, "tables", counted_tables)
     monkeypatch.setattr(pathdist.matching._Window, "step", counted_step)
     curve = pathdist.path_geometry(g, next(pathdist.enumerate_paths(g, 3)))
@@ -121,7 +121,7 @@ def test_every_sweep_goes_through_the_traced_decision(tmp_path, monkeypatch):
     # The early exits at one shared eps stepped whole windows, and later
     # decisions at that eps read them without a step.
     assert 0 < served["window steps"] < served["window"]
-    assert len(callers) == 2 * (served["alone"] + served["window steps"])
+    assert len(callers) == served["alone"] + served["window steps"]
 
 
 def _pathdist_callee(func):
